@@ -11,6 +11,7 @@ package tdmatch_test
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -411,6 +412,21 @@ func matchAllModel(b *testing.B, kind tdmatch.IndexKind) *tdmatch.Model {
 	}
 	matchAllModels[kind] = model
 	return model
+}
+
+// BenchmarkSaveV6HNSW measures one v6 save of a built HNSW model
+// (2,000 documents a side): the other half of the graph's price, what
+// every tdserved checkpoint pays. With both sealed segments clean the
+// save serializes the live graphs; it builds none.
+func BenchmarkSaveV6HNSW(b *testing.B) {
+	model := matchAllModel(b, tdmatch.IndexHNSW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := model.SaveV6(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchMatchAll(b *testing.B, kind tdmatch.IndexKind, workers int) {

@@ -414,12 +414,26 @@ func (d *daemon) checkpoint() error {
 	return d.server.Checkpoint(d.saveModelFile)
 }
 
-// saveModelFile writes one snapshot in the daemon's configured format.
+// saveModelFile writes one snapshot in the daemon's configured format
+// and logs what it cost. A v6 save serializes clean sealed segments from
+// the live index and rebuilds those holding tombstones: a daemon whose
+// log keeps showing rebuilds is paying for removals it never compacts.
 func (d *daemon) saveModelFile(m *tdmatch.Model) error {
 	if d.snapFormat == "gob" {
-		return m.SaveFile(d.modelPath)
+		start := time.Now()
+		if err := m.SaveFile(d.modelPath); err != nil {
+			return err
+		}
+		log.Printf("tdserved: saved %s (gob): %d ms", d.modelPath, time.Since(start).Milliseconds())
+		return nil
 	}
-	return m.SaveFileV6(d.modelPath)
+	st, err := m.SaveFileV6Stats(d.modelPath)
+	if err != nil {
+		return err
+	}
+	log.Printf("tdserved: saved %s (v6): segments reused %d, rebuilt %d, %d ms",
+		d.modelPath, st.SegmentsReused, st.SegmentsRebuilt, st.Elapsed.Milliseconds())
+	return nil
 }
 
 // shutdown is the graceful exit path: drain in-flight requests within

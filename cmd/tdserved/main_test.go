@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -665,10 +667,18 @@ func TestHNSWSnapshotDaemonRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A checkpoint rewrites the graph sections deterministically and the
-	// next start binds them again.
-	if err := d.checkpoint(); err != nil {
+	// A checkpoint writes the bound graph sections back as they stand —
+	// the log line says no segment was rebuilt — and the next start binds
+	// them again.
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	err = d.checkpoint()
+	log.SetOutput(os.Stderr)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(logged.String(), "segments reused 2, rebuilt 0") {
+		t.Errorf("checkpoint log does not report the reused segments: %q", logged.String())
 	}
 	d2, _ := startDaemonWith(t, firstPath, secondPath, modelPath, daemonOptions{})
 	if got := d2.info(); got.Version != 6 || got.Index != tdmatch.IndexHNSW {

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
@@ -114,7 +113,9 @@ func hnswLevelFor(seed int64, m, i int) int32 {
 // in row order with seeded levels. The flat index is retained (not
 // copied): beam candidates and the exact re-rank score straight out of
 // its arena, and Flat exposes it for exact paths. Tombstoned rows are
-// not inserted.
+// not inserted. Every neighbor list is cut from one slab at its degree
+// cap and the whole build shares one scratch, so construction allocates
+// a fixed handful of buffers however many rows it inserts.
 func NewHNSW(flat *Index, o HNSWOptions) *HNSW {
 	o = o.withDefaults()
 	x := &HNSW{
@@ -133,13 +134,23 @@ func NewHNSW(flat *Index, o HNSWOptions) *HNSW {
 		x.levels[i] = lvl
 		x.listStart[i+1] = x.listStart[i] + lvl + 1
 	}
-	x.links = make([][]int32, x.listStart[n])
+	lists := int(x.listStart[n])
+	x.links = make([][]int32, lists)
+	slab := make([]int32, n*x.m0()+(lists-n)*x.m)
+	for i, j := 0, 0; i < n; i++ {
+		for l := int32(0); l <= x.levels[i]; l, j = l+1, j+1 {
+			c := x.degreeCap(l)
+			x.links[j], slab = slab[:0:c], slab[c:]
+		}
+	}
+	sc := x.scratch()
 	for i := 0; i < n; i++ {
 		if flat.isDead(i) {
 			continue
 		}
-		x.connect(int32(i))
+		x.connect(int32(i), sc)
 	}
+	x.putScratch(sc)
 	return x
 }
 
@@ -242,6 +253,25 @@ func (x *HNSW) EfConstruct() int { return x.efc }
 // Seed returns the level-generator seed.
 func (x *HNSW) Seed() int64 { return x.seed }
 
+// BuiltWith reports whether NewHNSW(x.Flat(), o) would draw this graph's
+// skeleton: o resolves to the M, EfConstruct and Seed the graph records,
+// and every row's level is the one that seed draws. The levels are
+// checked, not trusted: a graph adopted by NewHNSWParts records the
+// options it was bound with, which need not be the ones it was built
+// with. Ef is a query-time knob and does not take part.
+func (x *HNSW) BuiltWith(o HNSWOptions) bool {
+	o = o.withDefaults()
+	if x.m != o.M || x.efc != o.EfConstruct || x.seed != o.Seed {
+		return false
+	}
+	for i, lvl := range x.levels {
+		if lvl != hnswLevelFor(o.Seed, o.M, i) {
+			return false
+		}
+	}
+	return true
+}
+
 // MaxLevel returns the top layer of the hierarchy (0 for a flat graph).
 func (x *HNSW) MaxLevel() int { return int(x.maxLevel) }
 
@@ -284,6 +314,14 @@ func (x *HNSW) FlattenLinks() (offs, adj []int32) {
 // m0 returns the layer-0 degree cap.
 func (x *HNSW) m0() int { return 2 * x.m }
 
+// degreeCap returns the neighbor-count cap of layer l.
+func (x *HNSW) degreeCap(l int32) int {
+	if l == 0 {
+		return x.m0()
+	}
+	return x.m
+}
+
 // neighborList returns row i's layer-l neighbor list.
 func (x *HNSW) neighborList(i, l int32) []int32 {
 	return x.links[x.listStart[i]+l]
@@ -293,7 +331,7 @@ func (x *HNSW) neighborList(i, l int32) []int32 {
 // graph: greedy descent to the row's level, then per-layer beam search,
 // heuristic neighbor selection and bidirectional linking with degree-cap
 // pruning.
-func (x *HNSW) connect(i int32) {
+func (x *HNSW) connect(i int32, sc *hnswScratch) {
 	if x.entry < 0 {
 		x.entry = i
 		x.maxLevel = x.levels[i]
@@ -303,9 +341,8 @@ func (x *HNSW) connect(i int32) {
 	lvl := x.levels[i]
 	ep := x.entry
 	for l := x.maxLevel; l > lvl; l-- {
-		ep = x.greedy(q, ep, l)
+		ep = x.greedy(q, ep, l, sc)
 	}
-	sc := x.scratch()
 	eps := []int32{ep}
 	top := lvl
 	if top > x.maxLevel {
@@ -313,18 +350,14 @@ func (x *HNSW) connect(i int32) {
 	}
 	for l := top; l >= 0; l-- {
 		poss, scores := x.searchLayer(q, eps, x.efc, l, sc)
-		cap := x.m
-		if l == 0 {
-			cap = x.m0()
-		}
-		sel := x.selectNeighbors(poss, scores, cap)
-		x.links[x.listStart[i]+l] = sel
-		for _, nb := range sel {
-			x.addLink(nb, l, i, cap)
+		cap := x.degreeCap(l)
+		j := x.listStart[i] + l
+		x.links[j] = append(x.links[j][:0], x.selectNeighbors(poss, scores, cap, sc)...)
+		for _, nb := range x.links[j] {
+			x.addLink(nb, l, i, cap, sc)
 		}
 		eps = poss
 	}
-	x.putScratch(sc)
 	if lvl > x.maxLevel {
 		x.entry = i
 		x.maxLevel = lvl
@@ -335,86 +368,80 @@ func (x *HNSW) connect(i int32) {
 // candidate list: a candidate is kept only when it is closer to the
 // base row than to every already-kept neighbor, so the selected set
 // spreads over distinct directions instead of clustering; remaining
-// slots are refilled from the pruned candidates in rank order.
-func (x *HNSW) selectNeighbors(poss []int32, scores []float32, m int) []int32 {
-	sel := make([]int32, 0, m)
-	var pruned []int32
+// slots are refilled from the pruned candidates in rank order. One
+// kernel call scores a candidate against the kept set and stops at the
+// first kept neighbor that prunes it. The selection aliases the
+// scratch: callers copy it into the list it is for.
+func (x *HNSW) selectNeighbors(poss []int32, scores []float32, m int, sc *hnswScratch) []int32 {
+	sel, pruned := sc.sel[:0], sc.pruned[:0]
 	for idx, c := range poss {
 		if len(sel) == m {
 			break
 		}
-		keep := true
-		for _, s := range sel {
-			if dotOne(x.flat.row(int(c)), x.flat.row(int(s))) > scores[idx] {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		sc.dots = grow(sc.dots, len(sel))
+		if x.flat.dotPositions(sel, x.flat.row(int(c)), sc.dots, scores[idx]) == len(sel) {
 			sel = append(sel, c)
 		} else {
 			pruned = append(pruned, c)
 		}
 	}
-	for len(sel) < m && len(pruned) > 0 {
-		sel = append(sel, pruned[0])
-		pruned = pruned[1:]
+	if fill := m - len(sel); fill > 0 {
+		if fill > len(pruned) {
+			fill = len(pruned)
+		}
+		sel = append(sel, pruned[:fill]...)
 	}
+	sc.sel, sc.pruned = sel, pruned
 	return sel
 }
 
 // addLink adds i to nb's layer-l neighbor list, re-running the
-// selection heuristic when the list overflows its degree cap.
-func (x *HNSW) addLink(nb, l, i int32, m int) {
+// selection heuristic over the list plus i — ranked against nb's row in
+// one kernel call — when the list is already at its degree cap. The
+// re-selected list is written back over the old one in place.
+func (x *HNSW) addLink(nb, l, i int32, m int, sc *hnswScratch) {
 	j := x.listStart[nb] + l
-	list := append(x.links[j], i)
-	if len(list) > m {
-		base := x.flat.row(int(nb))
-		scores := make([]float32, len(list))
-		for idx, c := range list {
-			scores[idx] = dotOne(x.flat.row(int(c)), base)
-		}
-		x.sortByScore(list, scores)
-		list = x.selectNeighbors(list, scores, m)
+	list := x.links[j]
+	if len(list) < m {
+		x.links[j] = append(list, i)
+		return
 	}
-	x.links[j] = list
+	sc.cand = append(append(sc.cand[:0], list...), i)
+	sc.candScore = grow(sc.candScore, len(sc.cand))
+	x.flat.dotPositions(sc.cand, x.flat.row(int(nb)), sc.candScore, posInf)
+	sortByScore(sc.cand, sc.candScore, x.flat.ids)
+	x.links[j] = append(list[:0], x.selectNeighbors(sc.cand, sc.candScore, m, sc)...)
 }
 
 // sortByScore orders parallel (position, score) slices best-first:
 // score descending, ties by ascending ID — the same strict total order
-// every selection path uses.
-func (x *HNSW) sortByScore(poss []int32, scores []float32) {
-	sort.Sort(&posByScore{poss: poss, scores: scores, ids: x.flat.ids})
-}
-
-type posByScore struct {
-	poss   []int32
-	scores []float32
-	ids    []string
-}
-
-func (p *posByScore) Len() int { return len(p.poss) }
-func (p *posByScore) Less(i, j int) bool {
-	if p.scores[i] != p.scores[j] {
-		return p.scores[i] > p.scores[j]
+// every selection path uses. An insertion sort: its input is a neighbor
+// list in selection order plus one row, a few dozen entries in two
+// nearly sorted runs.
+func sortByScore(poss []int32, scores []float32, ids []string) {
+	for i := 1; i < len(poss); i++ {
+		p, s := poss[i], scores[i]
+		j := i
+		for ; j > 0 && (scores[j-1] < s || (scores[j-1] == s && ids[poss[j-1]] > ids[p])); j-- {
+			poss[j], scores[j] = poss[j-1], scores[j-1]
+		}
+		poss[j], scores[j] = p, s
 	}
-	return p.ids[p.poss[i]] < p.ids[p.poss[j]]
-}
-func (p *posByScore) Swap(i, j int) {
-	p.poss[i], p.poss[j] = p.poss[j], p.poss[i]
-	p.scores[i], p.scores[j] = p.scores[j], p.scores[i]
 }
 
 // greedy walks layer l from ep to the locally best row: repeatedly move
 // to the neighbor scoring strictly higher than the current row (ties
 // never move, so the walk is cycle-free and deterministic).
-func (x *HNSW) greedy(q []float32, ep, l int32) int32 {
+func (x *HNSW) greedy(q []float32, ep, l int32, sc *hnswScratch) int32 {
 	cur := ep
 	curScore := dotOne(x.flat.row(int(cur)), q)
 	for {
 		next := cur
-		for _, nb := range x.neighborList(cur, l) {
-			if s := dotOne(x.flat.row(int(nb)), q); s > curScore {
+		nbs := x.neighborList(cur, l)
+		sc.dots = grow(sc.dots, len(nbs))
+		x.flat.dotPositions(nbs, q, sc.dots, posInf)
+		for j, nb := range nbs {
+			if s := sc.dots[j]; s > curScore {
 				next, curScore = nb, s
 			}
 		}
@@ -428,44 +455,55 @@ func (x *HNSW) greedy(q []float32, ep, l int32) int32 {
 // searchLayer runs the ef-bounded best-first beam over layer l from the
 // given entry points: a max-ordered frontier expands the best
 // unexplored candidate while it can still improve the current best-w
-// set, every visited row is scored once with the shared dot kernel, and
-// the surviving w candidates return best-first (score desc, ID asc).
-// Tombstoned rows are traversed — their edges keep the graph connected
-// — but the callers' exact re-rank excludes them from rankings.
+// set, every visited row is scored once with the shared dot kernel —
+// the unvisited neighbors of an expanded row in one scattered-position
+// call — and the surviving w candidates return best-first (score desc,
+// ID asc). Tombstoned rows are traversed — their edges keep the graph
+// connected — but the callers' exact re-rank excludes them from
+// rankings. The result aliases the scratch until its next search; eps
+// may be the previous result, it is consumed before anything is
+// overwritten.
 func (x *HNSW) searchLayer(q []float32, eps []int32, w int, l int32, sc *hnswScratch) ([]int32, []float32) {
 	sc.reset()
-	best := newTopkHeap(make([]float32, w), make([]int32, w), x.flat.ids, w)
-	var f hnswFrontier
-	for _, ep := range eps {
-		if !sc.visit(ep) {
-			continue
-		}
-		s := dotOne(x.flat.row(int(ep)), q)
-		best.consider(s, ep)
-		f.push(s, ep)
+	batch, dots := x.scoreUnvisited(q, eps, sc)
+	sc.heapScore, sc.heapPos = grow(sc.heapScore, w), grow(sc.heapPos, w)
+	best := newTopkHeap(sc.heapScore, sc.heapPos, x.flat.ids, w)
+	f := &sc.front
+	f.score, f.pos = f.score[:0], f.pos[:0]
+	for j, ep := range batch {
+		best.consider(dots[j], ep)
+		f.push(dots[j], ep)
 	}
 	for len(f.pos) > 0 {
 		s, c := f.pop()
 		if best.n == best.k && s < best.score[0] {
 			break
 		}
-		for _, nb := range x.neighborList(c, l) {
-			if !sc.visit(nb) {
-				continue
-			}
-			sn := dotOne(x.flat.row(int(nb)), q)
-			if best.n < best.k || sn >= best.score[0] {
+		batch, dots = x.scoreUnvisited(q, x.neighborList(c, l), sc)
+		for j, nb := range batch {
+			if sn := dots[j]; best.n < best.k || sn >= best.score[0] {
 				f.push(sn, nb)
 				best.consider(sn, nb)
 			}
 		}
 	}
-	poss := make([]int32, best.n)
-	scores := make([]float32, best.n)
-	copy(poss, best.pos[:best.n])
-	copy(scores, best.score[:best.n])
-	x.sortByScore(poss, scores)
-	return poss, scores
+	return best.sortBestFirst()
+}
+
+// scoreUnvisited marks the not yet visited rows of list visited and
+// scores them against q in one kernel call; the returned positions and
+// scores alias the scratch until the next call.
+func (x *HNSW) scoreUnvisited(q []float32, list []int32, sc *hnswScratch) ([]int32, []float32) {
+	batch := sc.batch[:0]
+	for _, p := range list {
+		if sc.visit(p) {
+			batch = append(batch, p)
+		}
+	}
+	sc.batch = batch
+	sc.dots = grow(sc.dots, len(batch))
+	x.flat.dotPositions(batch, q, sc.dots, posInf)
+	return batch, sc.dots
 }
 
 // hnswFrontier is the expansion frontier of one beam search: a binary
@@ -524,11 +562,39 @@ func (f *hnswFrontier) swap(i, j int) {
 	f.pos[i], f.pos[j] = f.pos[j], f.pos[i]
 }
 
-// hnswScratch is the per-search visited set: a stamp array instead of a
-// bitmap, so a pooled scratch resets in O(1) between searches.
+// hnswScratch is the reusable state of graph searches: the visited set
+// — a stamp array instead of a bitmap, so it resets in O(1) between
+// searches — and every buffer a search or an insertion fills, so that a
+// pooled scratch (one for a whole build) makes them allocation-free.
 type hnswScratch struct {
 	stamp   uint32
 	visited []uint32
+
+	// One beam search: the best-w heap's backing, the expansion
+	// frontier, and the unvisited-neighbor batch with its scores.
+	heapScore []float32
+	heapPos   []int32
+	front     hnswFrontier
+	batch     []int32
+	dots      []float32
+
+	// One insertion: the overflowing list plus the new row with their
+	// scores against the list's base row, and the selection heuristic's
+	// kept and pruned sets.
+	cand      []int32
+	candScore []float32
+	sel       []int32
+	pruned    []int32
+}
+
+// grow returns b resized to n entries, reallocating (to at least twice
+// the old capacity, so a buffer that creeps up settles after a few
+// calls) only when its capacity is short; the contents are unspecified.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n, max(n, 2*cap(b)))
+	}
+	return b[:n]
 }
 
 // visit marks row p visited, reporting true the first time.
@@ -552,12 +618,16 @@ func (s *hnswScratch) reset() {
 	}
 }
 
-// scratch leases a visited set covering the current row count.
+// scratch leases a search scratch whose visited set covers the current
+// row count.
 func (x *HNSW) scratch() *hnswScratch {
 	n := x.flat.rows()
 	sc, _ := x.scratchPool.Get().(*hnswScratch)
-	if sc == nil || len(sc.visited) < n {
-		sc = &hnswScratch{visited: make([]uint32, n)}
+	if sc == nil {
+		sc = &hnswScratch{}
+	}
+	if len(sc.visited) < n {
+		sc.visited, sc.stamp = make([]uint32, n), 0
 	}
 	return sc
 }
@@ -596,14 +666,16 @@ func (x *HNSW) Append(ids []string, arena []float32) error {
 		return err
 	}
 	x.promote()
+	sc := x.scratch()
 	for i := range ids {
 		p := base + i
 		lvl := hnswLevelFor(x.seed, x.m, p)
 		x.levels = append(x.levels, lvl)
 		x.listStart = append(x.listStart, x.listStart[p]+lvl+1)
 		x.links = append(x.links, make([][]int32, lvl+1)...)
-		x.connect(int32(p))
+		x.connect(int32(p), sc)
 	}
+	x.putScratch(sc)
 	return nil
 }
 
@@ -687,9 +759,10 @@ func (x *HNSW) beamCandidates(qn []float32, k int) []int32 {
 	sc := x.scratch()
 	ep := x.entry
 	for l := x.maxLevel; l > 0; l-- {
-		ep = x.greedy(qn, ep, l)
+		ep = x.greedy(qn, ep, l, sc)
 	}
 	poss, _ := x.searchLayer(qn, []int32{ep}, x.beamWidth(k), 0, sc)
+	poss = append([]int32(nil), poss...)
 	x.putScratch(sc)
 	return poss
 }

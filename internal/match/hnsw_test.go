@@ -2,9 +2,11 @@ package match
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -334,5 +336,313 @@ func TestHNSWDegenerate(t *testing.T) {
 	}
 	if got := h.TopKBatch(nil, 3); len(got) != 0 {
 		t.Errorf("empty-batch TopKBatch = %v, want empty", got)
+	}
+}
+
+// refHNSW is a structural copy of the constructor as it stood before the
+// scattered-position kernel and the shared build scratch: one dotOne
+// call per scored row, fresh buffers per search, sort.Sort over the
+// parallel slices. It is the reference TestHNSWBuildMatchesReference
+// holds NewHNSW to, list for list.
+type refHNSW struct {
+	flat      *Index
+	m, efc    int
+	levels    []int32
+	listStart []int32
+	links     [][]int32
+	entry     int32
+	maxLevel  int32
+	visited   hnswScratch
+}
+
+func newRefHNSW(flat *Index, o HNSWOptions) *refHNSW {
+	o = o.withDefaults()
+	n := flat.rows()
+	x := &refHNSW{flat: flat, m: o.M, efc: o.EfConstruct, entry: -1,
+		levels: make([]int32, n), listStart: make([]int32, n+1),
+		visited: hnswScratch{visited: make([]uint32, n)}}
+	for i := 0; i < n; i++ {
+		x.levels[i] = hnswLevelFor(o.Seed, o.M, i)
+		x.listStart[i+1] = x.listStart[i] + x.levels[i] + 1
+	}
+	x.links = make([][]int32, x.listStart[n])
+	for i := 0; i < n; i++ {
+		if !flat.isDead(i) {
+			x.connect(int32(i))
+		}
+	}
+	return x
+}
+
+func (x *refHNSW) connect(i int32) {
+	if x.entry < 0 {
+		x.entry, x.maxLevel = i, x.levels[i]
+		return
+	}
+	q := x.flat.row(int(i))
+	lvl := x.levels[i]
+	ep := x.entry
+	for l := x.maxLevel; l > lvl; l-- {
+		ep = x.greedy(q, ep, l)
+	}
+	eps := []int32{ep}
+	top := lvl
+	if top > x.maxLevel {
+		top = x.maxLevel
+	}
+	for l := top; l >= 0; l-- {
+		poss, scores := x.searchLayer(q, eps, x.efc, l)
+		cap := x.m
+		if l == 0 {
+			cap = 2 * x.m
+		}
+		sel := x.selectNeighbors(poss, scores, cap)
+		x.links[x.listStart[i]+l] = sel
+		for _, nb := range sel {
+			x.addLink(nb, l, i, cap)
+		}
+		eps = poss
+	}
+	if lvl > x.maxLevel {
+		x.entry, x.maxLevel = i, lvl
+	}
+}
+
+func (x *refHNSW) selectNeighbors(poss []int32, scores []float32, m int) []int32 {
+	sel := make([]int32, 0, m)
+	var pruned []int32
+	for idx, c := range poss {
+		if len(sel) == m {
+			break
+		}
+		keep := true
+		for _, s := range sel {
+			if dotOne(x.flat.row(int(c)), x.flat.row(int(s))) > scores[idx] {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			sel = append(sel, c)
+		} else {
+			pruned = append(pruned, c)
+		}
+	}
+	for len(sel) < m && len(pruned) > 0 {
+		sel = append(sel, pruned[0])
+		pruned = pruned[1:]
+	}
+	return sel
+}
+
+func (x *refHNSW) addLink(nb, l, i int32, m int) {
+	j := x.listStart[nb] + l
+	list := append(x.links[j], i)
+	if len(list) > m {
+		base := x.flat.row(int(nb))
+		scores := make([]float32, len(list))
+		for idx, c := range list {
+			scores[idx] = dotOne(x.flat.row(int(c)), base)
+		}
+		sort.Sort(&refPosByScore{list, scores, x.flat.ids})
+		list = x.selectNeighbors(list, scores, m)
+	}
+	x.links[j] = list
+}
+
+type refPosByScore struct {
+	poss   []int32
+	scores []float32
+	ids    []string
+}
+
+func (p *refPosByScore) Len() int { return len(p.poss) }
+func (p *refPosByScore) Less(i, j int) bool {
+	if p.scores[i] != p.scores[j] {
+		return p.scores[i] > p.scores[j]
+	}
+	return p.ids[p.poss[i]] < p.ids[p.poss[j]]
+}
+func (p *refPosByScore) Swap(i, j int) {
+	p.poss[i], p.poss[j] = p.poss[j], p.poss[i]
+	p.scores[i], p.scores[j] = p.scores[j], p.scores[i]
+}
+
+func (x *refHNSW) greedy(q []float32, ep, l int32) int32 {
+	cur := ep
+	curScore := dotOne(x.flat.row(int(cur)), q)
+	for {
+		next := cur
+		for _, nb := range x.links[x.listStart[cur]+l] {
+			if s := dotOne(x.flat.row(int(nb)), q); s > curScore {
+				next, curScore = nb, s
+			}
+		}
+		if next == cur {
+			return cur
+		}
+		cur = next
+	}
+}
+
+func (x *refHNSW) searchLayer(q []float32, eps []int32, w int, l int32) ([]int32, []float32) {
+	sc := &x.visited
+	sc.reset()
+	best := newTopkHeap(make([]float32, w), make([]int32, w), x.flat.ids, w)
+	var f hnswFrontier
+	for _, ep := range eps {
+		if !sc.visit(ep) {
+			continue
+		}
+		s := dotOne(x.flat.row(int(ep)), q)
+		best.consider(s, ep)
+		f.push(s, ep)
+	}
+	for len(f.pos) > 0 {
+		s, c := f.pop()
+		if best.n == best.k && s < best.score[0] {
+			break
+		}
+		for _, nb := range x.links[x.listStart[c]+l] {
+			if !sc.visit(nb) {
+				continue
+			}
+			sn := dotOne(x.flat.row(int(nb)), q)
+			if best.n < best.k || sn >= best.score[0] {
+				f.push(sn, nb)
+				best.consider(sn, nb)
+			}
+		}
+	}
+	poss := append([]int32(nil), best.pos[:best.n]...)
+	scores := append([]float32(nil), best.score[:best.n]...)
+	sort.Sort(&refPosByScore{poss, scores, x.flat.ids})
+	return poss, scores
+}
+
+// TestHNSWBuildMatchesReference: NewHNSW must build, bit for bit, the
+// graph the reference constructor builds — over seeded arenas at a dim
+// of one kernel step and one of six, with duplicate rows (exact score
+// ties, broken by ID), zero rows and tombstoned rows — and inserting the
+// tail of an arena by Append must equal building over all of it.
+func TestHNSWBuildMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		n, dim int
+		o      HNSWOptions
+	}{
+		{600, 8, HNSWOptions{Seed: 3}},
+		{600, 8, HNSWOptions{Seed: 3, M: 4, EfConstruct: 12}},
+		{500, 96, HNSWOptions{Seed: 11}},
+		{500, 96, HNSWOptions{Seed: 12, M: 6, EfConstruct: 40}},
+	} {
+		flat := kernelTestIndex(t, tc.n, tc.dim, int64(tc.dim))
+		var gone []string
+		for i := 5; i < tc.n; i += 37 {
+			gone = append(gone, flat.ids[i])
+		}
+		flat.Remove(gone)
+		ref := newRefHNSW(flat, tc.o)
+		got := NewHNSW(flat, tc.o)
+		if !reflect.DeepEqual(got.Levels(), ref.levels) {
+			t.Fatalf("n=%d dim=%d %+v: levels differ from the reference", tc.n, tc.dim, tc.o)
+		}
+		for j := range ref.links {
+			if len(got.links[j])+len(ref.links[j]) > 0 && !reflect.DeepEqual(got.links[j], ref.links[j]) {
+				t.Fatalf("n=%d dim=%d %+v: list %d = %v, reference %v", tc.n, tc.dim, tc.o, j, got.links[j], ref.links[j])
+			}
+		}
+		if got.entry != ref.entry || got.maxLevel != ref.maxLevel {
+			t.Fatalf("n=%d dim=%d: entry %d/%d, reference %d/%d", tc.n, tc.dim, got.entry, got.maxLevel, ref.entry, ref.maxLevel)
+		}
+
+		clean := kernelTestIndex(t, tc.n, tc.dim, int64(tc.dim))
+		head := tc.n / 2
+		grown, err := NewIndexArenaBorrowed(clean.ids[:head], clean.data[:head*tc.dim], tc.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended := NewHNSW(grown, tc.o)
+		if err := appended.Append(clean.ids[head:], clean.data[head*tc.dim:]); err != nil {
+			t.Fatal(err)
+		}
+		if !hnswGraphEqual(appended, NewHNSW(clean, tc.o)) {
+			t.Fatalf("n=%d dim=%d: build-then-Append differs from one build", tc.n, tc.dim)
+		}
+	}
+}
+
+// TestHNSWBuildAllocations: construction allocates its fixed buffers —
+// the level and offset tables, the list table and slab, one scratch —
+// and nothing per search or per inserted row.
+func TestHNSWBuildAllocations(t *testing.T) {
+	small, large := randomIndex(t, 300, 16, 9), randomIndex(t, 1500, 16, 9)
+	build := func(flat *Index) float64 {
+		return testing.AllocsPerRun(2, func() { NewHNSW(flat, HNSWOptions{Seed: 2}) })
+	}
+	a, b := build(small), build(large)
+	t.Logf("allocs per build: %v at 300 rows, %v at 1500", a, b)
+	if b > 64 || b > a+16 {
+		t.Fatalf("NewHNSW allocates %v times at 1500 rows (%v at 300): want a constant, not a per-row cost", b, a)
+	}
+}
+
+// TestDotPosMatchesDotRows pins the scattered-position kernel to the
+// tiled one: every listed row scores the same bits through either, on
+// every dim shape, and the stop rule returns the first row above it with
+// the rows before it scored.
+func TestDotPosMatchesDotRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, dim := range kernelDims {
+		const rows = 23
+		arena := make([]float32, rows*dim)
+		for i := range arena {
+			arena[i] = rng.Float32()*2 - 1
+		}
+		q := arena[7*dim : 8*dim]
+		all := make([]float32, rows)
+		dotRows(arena, q, all, dim)
+		positions := []int32{22, 0, 7, 7, 13, 1, 21, 4}
+		out := make([]float32, len(positions))
+		goAll := make([]float32, rows)
+		dotRowsGo(arena, q, goAll, dim)
+		for _, impl := range []struct {
+			name string
+			all  []float32
+			run  func(out []float32, stop float32) int
+		}{
+			{"dispatched", all, func(out []float32, stop float32) int { return dotPos(arena, positions, q, out, dim, stop) }},
+			{"portable", goAll, func(out []float32, stop float32) int { return dotPosGo(arena, positions, q, out, dim, stop) }},
+		} {
+			// Stop at each listed row's own score in turn: the kernel must
+			// return the first listing that beats it, with everything up to
+			// and including that listing scored, and all of them otherwise.
+			for _, sp := range append([]int32{-1}, positions...) {
+				stop := posInf
+				if sp >= 0 {
+					stop = impl.all[sp]
+				}
+				want := len(positions)
+				for i, p := range positions {
+					if impl.all[p] > stop {
+						want = i
+						break
+					}
+				}
+				for i := range out {
+					out[i] = -9
+				}
+				if got := impl.run(out, stop); got != want {
+					t.Fatalf("dim=%d %s stop=%v: stopped at %d, want %d", dim, impl.name, stop, got, want)
+				}
+				for i := 0; i < len(positions) && i <= want; i++ {
+					if out[i] != impl.all[positions[i]] {
+						t.Fatalf("dim=%d %s stop=%v: listing %d scored %v, tiled kernel %v", dim, impl.name, stop, i, out[i], impl.all[positions[i]])
+					}
+				}
+			}
+		}
+		if n := dotPos(arena, nil, q, nil, dim, 0); n != 0 {
+			t.Fatalf("dim=%d: empty list returned %d", dim, n)
+		}
 	}
 }

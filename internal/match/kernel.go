@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"sort"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
@@ -43,6 +44,19 @@ func dotRowsGo(arena, q, out []float32, dim int) {
 	for r := range out {
 		out[r] = embed.Dot(arena[r*dim:(r+1)*dim], q)
 	}
+}
+
+// dotPosGo is the portable scattered-position loop: dotRowsGo's per-row
+// dot over the listed rows, with the early stop of dotPos.
+func dotPosGo(arena []float32, positions []int32, q, out []float32, dim int, stop float32) int {
+	for j, p := range positions {
+		s := embed.Dot(arena[int(p)*dim:(int(p)+1)*dim], q)
+		out[j] = s
+		if s > stop {
+			return j
+		}
+	}
+	return len(positions)
 }
 
 // dotRowsSQ8Go is the portable int8 scoring loop, four-wide unrolled
@@ -88,6 +102,16 @@ func dotOne(row, q []float32) float32 {
 	var out [1]float32
 	dotRows(row, q, out[:], len(row))
 	return out[0]
+}
+
+// posInf as dotPos's stop scores every listed row.
+var posInf = float32(math.Inf(1))
+
+// dotPositions scores the rows at the given positions against q into
+// out[:len(positions)] with the tiled scans' kernel in one call — see
+// dotPos for the stop rule and the return value.
+func (x *Index) dotPositions(positions []int32, q, out []float32, stop float32) int {
+	return dotPos(x.data, positions, q, out, x.dim, stop)
 }
 
 // topkHeap is a fixed-capacity min-heap over (score, arena position)
@@ -193,6 +217,22 @@ func (h *topkHeap) siftDown(i int) {
 func (h *topkHeap) swap(i, j int) {
 	h.score[i], h.score[j] = h.score[j], h.score[i]
 	h.pos[i], h.pos[j] = h.pos[j], h.pos[i]
+}
+
+// sortBestFirst reorders the residents in place best-first (score
+// descending, ties by ascending ID) and returns them. The worst
+// resident sits at the root, so moving it behind a shrinking heap — a
+// heapsort — leaves exactly that order, with no buffer beside the
+// heap's own backing. The heap property is gone afterwards.
+func (h *topkHeap) sortBestFirst() ([]int32, []float32) {
+	n := h.n
+	for h.n > 1 {
+		h.n--
+		h.swap(0, h.n)
+		h.siftDown(0)
+	}
+	h.n = n
+	return h.pos[:n], h.score[:n]
 }
 
 // results materializes the residents best-first with ID tie-breaking —

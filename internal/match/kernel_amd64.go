@@ -48,6 +48,14 @@ func xgetbv0() (lo, hi uint32)
 //go:noescape
 func dotRowsFMA(arena, q, out *float32, rows, dim int)
 
+// dotPosFMA is dotRowsFMA over n scattered arena rows (row j is row
+// pos[j] of the arena), stopping after the first score above stop; it
+// returns that row's index, or n. Implemented in kernel_amd64.s;
+// callers must check useFMA and the bounds of pos.
+//
+//go:noescape
+func dotPosFMA(arena *float32, pos *int32, q, out *float32, n, dim int, stop float32) int
+
 // dotRowsSQ8FMA computes the int32 dot of rows contiguous dim-sized
 // int8 code rows against the quantized query q. Implemented in
 // kernel_amd64.s; callers must check useFMA.
@@ -67,6 +75,22 @@ func dotRows(arena, q, out []float32, dim int) {
 		return
 	}
 	dotRowsGo(arena, q, out, dim)
+}
+
+// dotPos is the scattered-position form of dotRows: out[j] is the dot
+// product of q and arena row positions[j], scored in list order until
+// the first score strictly above stop. It returns that row's index in
+// positions, or len(positions) when every row was scored. Positions
+// must be valid arena rows.
+func dotPos(arena []float32, positions []int32, q, out []float32, dim int, stop float32) int {
+	if len(positions) == 0 {
+		return 0
+	}
+	if useFMA {
+		_, _ = q[dim-1], out[len(positions)-1]
+		return dotPosFMA(&arena[0], &positions[0], &q[0], &out[0], len(positions), dim, stop)
+	}
+	return dotPosGo(arena, positions, q, out, dim, stop)
 }
 
 // dotRowsSQ8 is the int8 counterpart of dotRows: out[r] is the integer

@@ -79,6 +79,87 @@ fdone:
 	VZEROUPPER
 	RET
 
+// func dotPosFMA(arena *float32, pos *int32, q, out *float32, n, dim int, stop float32) int
+//
+// The scattered-position form of dotRowsFMA: out[j] = dot(arena row
+// pos[j], q[:dim]) for j in [0, n), with the identical per-row
+// accumulation order (so a row scores the same bits through either
+// routine), stopping after the first row whose score exceeds stop.
+// Returns that row's index j, or n when no score exceeded stop.
+TEXT ·dotPosFMA(SB), NOSPLIT, $0-64
+	MOVQ   arena+0(FP), R9
+	MOVQ   pos+8(FP), R10
+	MOVQ   q+16(FP), SI
+	MOVQ   out+24(FP), DX
+	MOVQ   n+32(FP), CX
+	MOVQ   dim+40(FP), R8
+	VMOVSS stop+48(FP), X5
+	XORQ   AX, AX  // index of the row being scored
+	TESTQ  CX, CX
+	JE     pdone
+	MOVQ   R8, R12
+	SHLQ   $2, R12 // row stride in bytes
+
+prow:
+	MOVLQSX (R10)(AX*4), DI
+	IMULQ   R12, DI
+	ADDQ    R9, DI  // row cursor
+	MOVQ    SI, BX  // query cursor
+	MOVQ    R8, R11 // dims left in this row
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+
+pblk16:
+	CMPQ    R11, $16
+	JLT     pblk8
+	VMOVUPS (DI), Y2
+	VMOVUPS 32(DI), Y3
+	VFMADD231PS (BX), Y2, Y0
+	VFMADD231PS 32(BX), Y3, Y1
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $16, R11
+	JMP     pblk16
+
+pblk8:
+	CMPQ    R11, $8
+	JLT     preduce
+	VMOVUPS (DI), Y2
+	VFMADD231PS (BX), Y2, Y0
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	SUBQ    $8, R11
+
+preduce:
+	VADDPS       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0
+	VHADDPS      X0, X0, X0
+	VHADDPS      X0, X0, X0
+
+	TESTQ  R11, R11
+	JE     pstore
+ptail:
+	VMOVSS (DI), X2
+	VFMADD231SS (BX), X2, X0
+	ADDQ   $4, DI
+	ADDQ   $4, BX
+	DECQ   R11
+	JNZ    ptail
+
+pstore:
+	VMOVSS   X0, (DX)(AX*4)
+	VUCOMISS X5, X0 // flags of score ? stop; unordered clears "above"
+	JA       pdone
+	INCQ     AX
+	CMPQ     AX, CX
+	JLT      prow
+
+pdone:
+	VZEROUPPER
+	MOVQ AX, ret+56(FP)
+	RET
+
 // func dotRowsSQ8FMA(codes, q *int8, out *int32, rows, dim int)
 //
 // out[r] = sum over d of int32(codes[r*dim+d]) * int32(q[d]), the

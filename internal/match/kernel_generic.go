@@ -12,6 +12,14 @@ func dotRows(arena, q, out []float32, dim int) {
 	dotRowsGo(arena, q, out, dim)
 }
 
+// dotPos is the scattered-position form of dotRows: out[j] is the dot
+// product of q and arena row positions[j], scored in list order until
+// the first score strictly above stop. It returns that row's index in
+// positions, or len(positions) when every row was scored.
+func dotPos(arena []float32, positions []int32, q, out []float32, dim int, stop float32) int {
+	return dotPosGo(arena, positions, q, out, dim, stop)
+}
+
 // dotRowsSQ8 is the int8 counterpart of dotRows: out[r] is the integer
 // dot of the quantized query q against code row r.
 func dotRowsSQ8(codes, q []int8, out []int32, dim int) {

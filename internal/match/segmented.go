@@ -203,6 +203,20 @@ func (s *Segmented) SegmentManifest() [][]string {
 	return append(out, ids)
 }
 
+// CleanSegment returns sealed segment i's serving index and row storage
+// when the segment is clean — no row of it tombstoned, in the overlay or
+// in its own storage, so its rows are exactly its SegmentManifest entry
+// in order — and nils otherwise (tombstones, or i not a sealed ordinal).
+// The persistence layer writes a clean segment's live arena, codes and
+// graph as they stand; a segment with tombstones is regathered, because
+// its saved form drops the dead rows.
+func (s *Segmented) CleanSegment(i int) (VectorIndex, *Index) {
+	if i < 0 || i >= len(s.sealed) || s.deadBySeg[i] > 0 || s.sealed[i].flat.nDead > 0 {
+		return nil, nil
+	}
+	return s.sealed[i].idx, s.sealed[i].flat
+}
+
 // RewrapBase replaces the base sealed segment's serving wrapper with
 // rewrap(current wrapper) — how the serving layer re-shards without
 // rebuilding the underlying index. The sealed slice is copied first so

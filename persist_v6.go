@@ -42,6 +42,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"time"
 	"unsafe"
 
 	"github.com/tdmatch/tdmatch/internal/match"
@@ -314,13 +315,46 @@ func (m *Model) segmentManifestFor(idx match.VectorIndex, c interface{ IDs() []s
 	return [][]string{c.IDs(), nil}
 }
 
+// SaveStats reports what one version-6 save did with the model's sealed
+// serving segments. A daemon whose saves keep rebuilding (tombstones it
+// never compacts away) shows here, without a profiler.
+type SaveStats struct {
+	// SegmentsReused counts sealed segments written from the live
+	// serving index: its normalized arena and, per index kind, its SQ8
+	// codes or its HNSW graph, as they stand.
+	SegmentsReused int
+	// SegmentsRebuilt counts sealed segments whose sections were rebuilt
+	// from the model's vectors because the live segment holds tombstoned
+	// rows, which its saved form drops.
+	SegmentsRebuilt int
+	// Elapsed is the wall time of the save, from opening the sidecar file
+	// to the directory fsync after the rename.
+	Elapsed time.Duration
+}
+
 // SaveV6 writes the model in snapshot format v6 (see the package
-// layout comment). The same gather paths as Save feed it: the raw
-// document arena keeps reloads bit-identical for query vectors, and
-// each sealed segment's rows are normalized (and, under IndexSQ8,
-// quantized) exactly as the gob Bind path would rebuild them, so a v6
-// load binds those sections as borrowed arenas with no per-row work.
+// layout comment). The raw document arena keeps reloads bit-identical
+// for query vectors; each sealed segment's sections hold its rows
+// normalized (and, per index kind, quantized or linked into the HNSW
+// graph) exactly as a build produces them, so a v6 load binds those
+// sections as borrowed arenas with no per-row work.
+//
+// A clean sealed segment — no tombstoned row — is written from the live
+// serving index as it stands. A segment with tombstones is rebuilt over
+// its live rows by the same seeded, row-ordered construction the
+// builder, the seal hook and the binder use. The two produce the same
+// bytes for a clean segment, so what is written never depends on which
+// ran.
 func (m *Model) SaveV6(w io.Writer) error {
+	_, err := m.saveV6(w, true)
+	return err
+}
+
+// saveV6 is SaveV6 returning its segment counts (Elapsed is the file
+// saver's to fill); reuse false forces every sealed segment through the
+// rebuild, which tests hold the reuse to.
+func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
+	var st SaveStats
 	ids := make([]string, 0, len(m.vectors))
 	for id := range m.vectors {
 		ids = append(ids, id)
@@ -355,7 +389,7 @@ func (m *Model) SaveV6(w io.Writer) error {
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return err
+		return st, err
 	}
 
 	var secs []v6SectionData
@@ -369,31 +403,40 @@ func (m *Model) SaveV6(w io.Writer) error {
 		add(secTermIDs, 0, encodeStringTable(termIDs))
 		add(secTermArena, 0, f32Bytes(termArena))
 	}
+	stacks := [2]match.VectorIndex{m.firstIdx, m.secondIdx}
 	for side, man := range [][][]string{firstMan, secondMan} {
+		stack, _ := stacks[side].(*match.Segmented)
 		for ord, segIDs := range man {
 			key := uint32(side)<<16 | uint32(ord)
 			add(secSegManifest, key, encodeStringTable(segIDs))
 			if ord == len(man)-1 || len(segIDs) == 0 {
 				continue // delta entry, or an all-tombstoned segment: IDs only
 			}
-			flat, err := m.buildFlatIDs(segIDs)
-			if err != nil {
-				return err
+			var seg match.VectorIndex
+			var flat *match.Index
+			if reuse && stack != nil {
+				seg, flat = m.reusableSegment(stack, side, ord)
+			}
+			if seg != nil {
+				st.SegmentsReused++
+			} else {
+				st.SegmentsRebuilt++
+				if flat, err = m.buildFlatIDs(segIDs); err != nil {
+					return st, err
+				}
+				seg = flat
+				if m.cfg.Index != IndexIVF { // IVF persists its arena only: bind re-clusters
+					seg = m.cfg.wrapSegment(flat, side, ord)
+				}
 			}
 			add(secSegArena, key, f32Bytes(flat.Arena()))
-			switch IndexKind(meta.Index) {
-			case IndexSQ8:
-				q := match.NewIndexSQ8(flat, m.cfg.SQ8Rerank)
-				add(secSegCodes, key, i8Bytes(q.Codes()))
-				add(secSegScales, key, f32Bytes(q.Scales()))
-			case IndexHNSW:
-				// Rebuild the graph from the gathered rows with the same
-				// seed scheme the binder uses: construction is deterministic,
-				// so a load-and-resave cycle reproduces these sections byte
-				// for byte.
-				h := match.NewHNSW(flat, m.hnswOptions(side, ord))
-				offs, adj := h.FlattenLinks()
-				add(secSegHNSWLevels, key, i32Bytes(h.Levels()))
+			switch x := seg.(type) {
+			case *match.IndexSQ8:
+				add(secSegCodes, key, i8Bytes(x.Codes()))
+				add(secSegScales, key, f32Bytes(x.Scales()))
+			case *match.HNSW:
+				offs, adj := x.FlattenLinks()
+				add(secSegHNSWLevels, key, i32Bytes(x.Levels()))
 				add(secSegHNSWOffs, key, i32Bytes(offs))
 				add(secSegHNSWAdj, key, i32Bytes(adj))
 			}
@@ -445,23 +488,41 @@ func (m *Model) SaveV6(w io.Writer) error {
 		return nil
 	}
 	if err := emit(header); err != nil {
-		return err
+		return st, err
 	}
 	if err := emit(table); err != nil {
-		return err
+		return st, err
 	}
 	for _, s := range secs {
 		if err := pad(s.offset); err != nil {
-			return err
+			return st, err
 		}
 		if err := emit(s.payload); err != nil {
-			return err
+			return st, err
 		}
 	}
 	if err := pad(fileSize); err != nil {
-		return err
+		return st, err
 	}
-	return bw.Flush()
+	return st, bw.Flush()
+}
+
+// reusableSegment returns sealed segment ord of a side's stack, stripped
+// of its shard wrapper, with its row storage, when SaveV6 can write it
+// as it stands: the segment is clean and, for an HNSW graph, a rebuild
+// of this ordinal would draw the same skeleton (a graph bound from a
+// snapshot that numbered its segments differently would not). Nils send
+// the writer to the rebuild.
+func (m *Model) reusableSegment(stack *match.Segmented, side, ord int) (match.VectorIndex, *match.Index) {
+	idx, flat := stack.CleanSegment(ord)
+	if idx == nil {
+		return nil, nil
+	}
+	idx = unshard(idx)
+	if h, ok := idx.(*match.HNSW); ok && !h.BuiltWith(m.cfg.hnswOptions(side, ord)) {
+		return nil, nil
+	}
+	return idx, flat
 }
 
 // v6Padding is the zero source for inter-section alignment padding.
@@ -470,7 +531,22 @@ var v6Padding [v6Align]byte
 // SaveFileV6 writes the model to a file in format v6 with the same
 // atomic tmp+fsync+rename+dirsync protocol as SaveFile.
 func (m *Model) SaveFileV6(path string) error {
-	return saveFileAtomic(path, m.SaveV6)
+	_, err := m.SaveFileV6Stats(path)
+	return err
+}
+
+// SaveFileV6Stats is SaveFileV6 reporting what the save did with the
+// sealed segments and how long it took — what tdserved logs on every
+// save and checkpoint.
+func (m *Model) SaveFileV6Stats(path string) (SaveStats, error) {
+	start := time.Now()
+	var st SaveStats
+	err := saveFileAtomic(path, func(w io.Writer) (err error) {
+		st, err = m.saveV6(w, true)
+		return err
+	})
+	st.Elapsed = time.Since(start)
+	return st, err
 }
 
 // v6SecKey addresses one parsed section by (type, index).
@@ -843,50 +919,25 @@ func (m *Model) bindFlatV6(seg v6Segment) (*match.Index, error) {
 }
 
 // bindSegmentV6 wraps one sealed segment's flat index per the model's
-// index kind with the exact seed/stats behavior of serveIndex (ordinal
-// 0, the base) and sealFunc (ordinal >= 1), adopting precomputed SQ8
-// codes or a serialized HNSW graph when the snapshot carries them.
+// index kind, exactly as serveIndex (ordinal 0, the base) and the seal
+// hook (ordinal >= 1) would, adopting precomputed SQ8 codes or a
+// serialized HNSW graph when the snapshot carries them.
 func (m *Model) bindSegmentV6(flat *match.Index, side, ordinal int, seg v6Segment) (match.VectorIndex, error) {
 	var inner match.VectorIndex
-	switch m.cfg.Index {
-	case IndexIVF:
-		seed := m.cfg.Seed + int64(side) + 1
-		if ordinal > 0 {
-			seed += (int64(ordinal) + 1) * segmentSeedStride
-		}
-		ivf := match.NewIVF(flat, match.IVFOptions{
-			Clusters:    m.cfg.IVFClusters,
-			NProbe:      m.cfg.IVFNProbe,
-			ExactRecall: m.cfg.ExactRecall,
-			Seed:        seed,
-		})
-		if ordinal == 0 {
-			m.stats.IndexClusters[side] = ivf.Clusters()
-		}
-		inner = ivf
-	case IndexSQ8:
-		if seg.codes != nil {
-			q, err := match.NewIndexSQ8Parts(flat, seg.codes, seg.scales, m.cfg.SQ8Rerank)
-			if err != nil {
-				return nil, err
-			}
-			inner = q
-		} else {
-			inner = match.NewIndexSQ8(flat, m.cfg.SQ8Rerank)
-		}
-	case IndexHNSW:
-		opts := m.hnswOptions(side, ordinal)
-		if seg.levels != nil {
-			h, err := match.NewHNSWParts(flat, seg.levels, seg.offs, seg.adj, opts)
-			if err != nil {
-				return nil, err
-			}
-			inner = h
-		} else {
-			inner = match.NewHNSW(flat, opts)
-		}
+	var err error
+	switch {
+	case m.cfg.Index == IndexSQ8 && seg.codes != nil:
+		inner, err = match.NewIndexSQ8Parts(flat, seg.codes, seg.scales, m.cfg.SQ8Rerank)
+	case m.cfg.Index == IndexHNSW && seg.levels != nil:
+		inner, err = match.NewHNSWParts(flat, seg.levels, seg.offs, seg.adj, m.cfg.hnswOptions(side, ordinal))
 	default:
-		inner = flat
+		inner = m.cfg.wrapSegment(flat, side, ordinal)
 	}
-	return m.shardWrap(inner), nil
+	if err != nil {
+		return nil, err
+	}
+	if ivf, ok := inner.(*match.IVF); ok && ordinal == 0 {
+		m.stats.IndexClusters[side] = ivf.Clusters()
+	}
+	return m.cfg.shardWrap(inner), nil
 }

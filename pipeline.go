@@ -38,6 +38,11 @@ type Stats struct {
 	// IndexClusters is the partition count of each side's IVF index
 	// (zero under IndexFlat).
 	IndexClusters [2]int
+	// IndexBuildTime is the wall time of constructing each side's
+	// serving index (gather, normalize, kind wrap); the two sides build
+	// concurrently when Workers allows, so the index phase of Build
+	// took about the longer of the two.
+	IndexBuildTime [2]time.Duration
 	// BuildTime is the wall time of the whole Build call.
 	BuildTime time.Duration
 }
@@ -263,16 +268,27 @@ func (m *Model) buildIndexes() error {
 // order, the mutable delta last). A nil manifest builds the fresh
 // single-segment layout over the side's whole corpus. Snapshot.Bind
 // passes a version-5 snapshot's manifests so a restored stack keeps
-// its saved segment boundaries.
+// its saved segment boundaries. The two sides are independent — they
+// read the shared vector map and write their own index, cache and Stats
+// slots — so they build as two pool tasks, concurrently when
+// Config.Workers allows.
 func (m *Model) buildSegmentedIndexes(firstSegs, secondSegs [][]string) error {
-	var err error
-	if m.firstIdx, m.firstFlat, err = m.buildSide(m.first.c, 0, firstSegs); err != nil {
-		return err
+	corpora := [2]*corpus.Corpus{m.first.c, m.second.c}
+	manifests := [2][][]string{firstSegs, secondSegs}
+	var idx [2]match.VectorIndex
+	var flat [2]*match.Index
+	var errs [2]error
+	runPool(2, m.cfg.Workers, func(side int) {
+		start := time.Now()
+		idx[side], flat[side], errs[side] = m.buildSide(corpora[side], side, manifests[side])
+		m.stats.IndexBuildTime[side] = time.Since(start)
+	})
+	m.firstIdx, m.secondIdx = idx[0], idx[1]
+	m.firstFlat, m.secondFlat = flat[0], flat[1]
+	if errs[0] != nil {
+		return errs[0]
 	}
-	if m.secondIdx, m.secondFlat, err = m.buildSide(m.second.c, 1, secondSegs); err != nil {
-		return err
-	}
-	return nil
+	return errs[1]
 }
 
 // buildSide assembles one side's segment stack: manifest[0] becomes the
@@ -359,109 +375,92 @@ func (m *Model) exactFlat(side int) (*match.Index, error) {
 	return *slot, nil
 }
 
-// serveIndex wraps a flat index per Config.Index, then per
-// Config.ServeShards for scatter-gather serving. side (0 or 1) offsets
-// the clustering seed so the two sides don't share centroid draws, and
-// addresses the Stats slot.
+// serveIndex wraps one side's base flat index per Config.Index, then per
+// Config.ServeShards for scatter-gather serving, and records the
+// side's Stats.
 func (m *Model) serveIndex(flat *match.Index, side int) match.VectorIndex {
-	var inner match.VectorIndex
-	switch m.cfg.Index {
-	case IndexIVF:
-		ivf := match.NewIVF(flat, match.IVFOptions{
-			Clusters:    m.cfg.IVFClusters,
-			NProbe:      m.cfg.IVFNProbe,
-			ExactRecall: m.cfg.ExactRecall,
-			Seed:        m.cfg.Seed + int64(side) + 1,
-		})
+	inner := m.cfg.wrapSegment(flat, side, 0)
+	if ivf, ok := inner.(*match.IVF); ok {
 		m.stats.IndexClusters[side] = ivf.Clusters()
-		inner = ivf
-	case IndexSQ8:
-		inner = match.NewIndexSQ8(flat, m.cfg.SQ8Rerank)
-	case IndexHNSW:
-		inner = match.NewHNSW(flat, m.hnswOptions(side, 0))
-	default:
-		inner = flat
 	}
-	return m.shardWrap(inner)
+	return m.cfg.shardWrap(inner)
+}
+
+// segmentSeedStride spaces the seeds of sealed delta segments apart
+// from the base segment's and from each other.
+const segmentSeedStride = 1_000_003
+
+// segmentSeed derives the construction seed (IVF clustering, HNSW
+// levels) of one side's segment at the given stack ordinal: side (0 or
+// 1) offsets it so the two sides don't share draws, and sealed deltas
+// (ordinal >= 1) space theirs from the base's by segmentSeedStride. The
+// builder, the seal hook, the v6 snapshot writer and the v6 binder all
+// derive it here: a drift between them would turn every save of a clean
+// segment into the rebuild fallback, or break resave byte-identity.
+func (c Config) segmentSeed(side, ordinal int) int64 {
+	seed := c.Seed + int64(side) + 1
+	if ordinal > 0 {
+		seed += (int64(ordinal) + 1) * segmentSeedStride
+	}
+	return seed
+}
+
+// hnswOptions resolves the HNSW construction options for one side's
+// segment at the given stack ordinal.
+func (c Config) hnswOptions(side, ordinal int) match.HNSWOptions {
+	return match.HNSWOptions{
+		M:           c.HNSWM,
+		Ef:          c.HNSWEf,
+		EfConstruct: c.HNSWEfConstruct,
+		Seed:        c.segmentSeed(side, ordinal),
+	}
+}
+
+// wrapSegment wraps a flat segment into its serving kind per
+// Config.Index — IVF clustering, SQ8 quantization or HNSW graph
+// construction, seeded per (side, ordinal) — before any sharding.
+func (c Config) wrapSegment(flat *match.Index, side, ordinal int) match.VectorIndex {
+	switch c.Index {
+	case IndexIVF:
+		return match.NewIVF(flat, match.IVFOptions{
+			Clusters:    c.IVFClusters,
+			NProbe:      c.IVFNProbe,
+			ExactRecall: c.ExactRecall,
+			Seed:        c.segmentSeed(side, ordinal),
+		})
+	case IndexSQ8:
+		return match.NewIndexSQ8(flat, c.SQ8Rerank)
+	case IndexHNSW:
+		return match.NewHNSW(flat, c.hnswOptions(side, ordinal))
+	}
+	return flat
 }
 
 // shardWrap wraps a serving index for scatter-gather when the resolved
 // shard count warrants it; an unwrappable or unsharded index is served
 // directly.
-func (m *Model) shardWrap(inner match.VectorIndex) match.VectorIndex {
-	shards := m.cfg.serveShards(len(inner.IDs()))
+func (c Config) shardWrap(inner match.VectorIndex) match.VectorIndex {
+	shards := c.serveShards(len(inner.IDs()))
 	if shards <= 1 {
 		return inner
 	}
-	sh, err := match.NewSharded(inner, shards, m.cfg.Workers)
+	sh, err := match.NewSharded(inner, shards, c.Workers)
 	if err != nil {
 		return inner
 	}
 	return sh
 }
 
-// segmentSeedStride spaces the clustering seeds of sealed delta
-// segments apart from the base segment's and from each other.
-const segmentSeedStride = 1_000_003
-
-// hnswOptions resolves the HNSW construction options for one side's
-// segment at the given manifest ordinal: the base (ordinal 0) derives
-// its level-generator seed like serveIndex's clustering seed, sealed
-// deltas space theirs by segmentSeedStride exactly like IVF's. Shared
-// by the builder, the v6 snapshot writer and the v6 binder so a
-// load-and-resave cycle rebuilds identical graphs.
-func (m *Model) hnswOptions(side, ordinal int) match.HNSWOptions {
-	seed := m.cfg.Seed + int64(side) + 1
-	if ordinal > 0 {
-		seed += (int64(ordinal) + 1) * segmentSeedStride
-	}
-	return match.HNSWOptions{
-		M:           m.cfg.HNSWM,
-		Ef:          m.cfg.HNSWEf,
-		EfConstruct: m.cfg.HNSWEfConstruct,
-		Seed:        seed,
-	}
-}
-
 // sealFunc returns the stack's seal hook for one side: a freshly
 // sealed delta segment gets the same kind wrap as the base (IVF
-// clustering, SQ8 quantization, sharding when large enough), with a
-// deterministic per-ordinal seed so a replayed ingest sequence builds
-// an identical stack. The hook captures the configuration by value and
+// clustering, SQ8 quantization, HNSW construction, sharding when large
+// enough), seeded per ordinal so a replayed ingest sequence builds an
+// identical stack. The hook captures the configuration by value and
 // never touches the model, so clones can share it.
 func (m *Model) sealFunc(side int) match.SealFunc {
 	cfg := m.cfg
 	return func(flat *match.Index, ordinal int) match.VectorIndex {
-		var inner match.VectorIndex
-		switch cfg.Index {
-		case IndexIVF:
-			inner = match.NewIVF(flat, match.IVFOptions{
-				Clusters:    cfg.IVFClusters,
-				NProbe:      cfg.IVFNProbe,
-				ExactRecall: cfg.ExactRecall,
-				Seed:        cfg.Seed + int64(side) + 1 + (int64(ordinal)+1)*segmentSeedStride,
-			})
-		case IndexSQ8:
-			inner = match.NewIndexSQ8(flat, cfg.SQ8Rerank)
-		case IndexHNSW:
-			inner = match.NewHNSW(flat, match.HNSWOptions{
-				M:           cfg.HNSWM,
-				Ef:          cfg.HNSWEf,
-				EfConstruct: cfg.HNSWEfConstruct,
-				Seed:        cfg.Seed + int64(side) + 1 + (int64(ordinal)+1)*segmentSeedStride,
-			})
-		default:
-			inner = flat
-		}
-		shards := cfg.serveShards(len(inner.IDs()))
-		if shards <= 1 {
-			return inner
-		}
-		sh, err := match.NewSharded(inner, shards, cfg.Workers)
-		if err != nil {
-			return inner
-		}
-		return sh
+		return cfg.shardWrap(cfg.wrapSegment(flat, side, ordinal))
 	}
 }
 
@@ -474,7 +473,7 @@ func (m *Model) sealFunc(side int) match.SealFunc {
 func (m *Model) Reshard(shards int) {
 	m.cfg.ServeShards = shards
 	rewrap := func(idx match.VectorIndex) match.VectorIndex {
-		return m.shardWrap(unshard(idx))
+		return m.cfg.shardWrap(unshard(idx))
 	}
 	if seg, ok := m.firstIdx.(*match.Segmented); ok {
 		seg.RewrapBase(rewrap)

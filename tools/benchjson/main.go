@@ -55,12 +55,14 @@ import (
 // BenchmarkLoadSnapshot pair is the cold-start ratio: gob decode vs
 // zero-copy v6 mmap, each from file open to the first TopK answer —
 // the mmap side must stay >= 10x ahead. The BenchmarkTopKHNSW /
-// BenchmarkBuildHNSW pair tracks the graph ANN path: uncached query
-// latency next to its one-time construction price, with recall@10
-// alongside so the speedup is never bought with silent quality loss.
+// BenchmarkBuildHNSW / BenchmarkSaveV6HNSW trio tracks the graph ANN
+// path: uncached query latency next to its one-time construction price
+// and the price of persisting it (no graph is built at save), with
+// recall@10 alongside so the speedup is never bought with silent
+// quality loss.
 const defaultBench = "BenchmarkWord2VecSkipGram$|BenchmarkWord2VecCBOW$|BenchmarkRandomWalks$|" +
 	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|BenchmarkTopKIVF$|BenchmarkTopKSQ8$|" +
-	"BenchmarkTopKHNSW$|BenchmarkBuildHNSW$|" +
+	"BenchmarkTopKHNSW$|BenchmarkBuildHNSW$|BenchmarkSaveV6HNSW$|" +
 	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|BenchmarkMatchAllParallelIVF$|" +
 	"BenchmarkMatchAllParallelSQ8$|BenchmarkMatchAllShardedFlat$|BenchmarkTopKBatchSharded$|" +
 	"BenchmarkEndToEndPipeline$|BenchmarkServeTopKCached$|" +
