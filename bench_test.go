@@ -159,34 +159,43 @@ func benchWalkSequences(b *testing.B, g *graph.Graph) embed.Sequences {
 	return walk.GeneratePacked(g, walk.Config{NumWalks: 6, Length: 15, Seed: 1})
 }
 
-// BenchmarkWord2VecSkipGram measures embedding training on walk sequences.
-func BenchmarkWord2VecSkipGram(b *testing.B) {
+// benchWord2Vec trains one epoch over the benchmark walk corpus per
+// iteration and reports walk tokens trained per second beside ns/op.
+func benchWord2Vec(b *testing.B, cfg embed.Config) {
 	g := benchGraph(b)
 	seqs := benchWalkSequences(b, g)
+	cfg.Epochs = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := embed.TrainPacked(seqs, g.Cap(), embed.Config{
-			Dim: 48, Window: 3, Epochs: 1, Seed: int64(i), Mode: embed.SkipGram,
-		}); err != nil {
+		cfg.Seed = int64(i)
+		if _, err := embed.TrainPacked(seqs, g.Cap(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(seqs.NumTokens())*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+}
+
+// BenchmarkWord2VecSkipGram measures embedding training on walk
+// sequences at dim 48, the shape the trajectory has tracked since PR 3.
+func BenchmarkWord2VecSkipGram(b *testing.B) {
+	benchWord2Vec(b, embed.Config{Dim: 48, Window: 3, Mode: embed.SkipGram})
+}
+
+// BenchmarkWord2VecSkipGram96 is the same training at dim 96, the
+// Config default and the dimension of every bench/ fixture.
+func BenchmarkWord2VecSkipGram96(b *testing.B) {
+	benchWord2Vec(b, embed.Config{Dim: 96, Window: 3, Mode: embed.SkipGram})
 }
 
 // BenchmarkWord2VecCBOW measures the CBOW objective used for text tasks.
 func BenchmarkWord2VecCBOW(b *testing.B) {
-	g := benchGraph(b)
-	seqs := benchWalkSequences(b, g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := embed.TrainPacked(seqs, g.Cap(), embed.Config{
-			Dim: 48, Window: 10, Epochs: 1, Seed: int64(i), Mode: embed.CBOW,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchWord2Vec(b, embed.Config{Dim: 48, Window: 10, Mode: embed.CBOW})
+}
+
+// BenchmarkWord2VecCBOW96 is BenchmarkWord2VecCBOW at dim 96.
+func BenchmarkWord2VecCBOW96(b *testing.B) {
+	benchWord2Vec(b, embed.Config{Dim: 96, Window: 10, Mode: embed.CBOW})
 }
 
 // BenchmarkMSPCompression measures Algorithm 3 on an expanded graph.

@@ -117,8 +117,8 @@ func main() {
 	st := model.Stats()
 	fmt.Fprintf(os.Stderr, "graph: %d nodes, %d edges (expanded: %d/%d) built in %s\n",
 		st.GraphNodes, st.GraphEdges, st.ExpandedNodes, st.ExpandedEdges, st.BuildTime)
-	fmt.Fprintf(os.Stderr, "stages: train %s, index first %s / second %s\n",
-		st.TrainTime, st.IndexBuildTime[0], st.IndexBuildTime[1])
+	fmt.Fprintf(os.Stderr, "stages: train %s (%d tokens, %.0f tokens/s, kernel %s), index first %s / second %s\n",
+		st.TrainTime, st.TrainTokens, st.TrainTokensPerSecond(), tdmatch.TrainKernel(), st.IndexBuildTime[0], st.IndexBuildTime[1])
 
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)

@@ -292,6 +292,7 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 	}
 	d.modelInf.Store(&info)
 	d.server = tdmatch.NewServer(model, sc)
+	log.Printf("tdserved: training kernel %s (compaction and warm ingest)", tdmatch.TrainKernel())
 	return d, nil
 }
 
@@ -514,8 +515,17 @@ func (d *daemon) compactLoop(ctx context.Context, threshold int, interval time.D
 				log.Printf("tdserved: checkpoint after background compaction failed: %v", err)
 			}
 		}
-		log.Printf("tdserved: background compaction ok (staleness was >= %d)", threshold)
+		log.Printf("tdserved: background %s (staleness was >= %d)", d.compactionLine(), threshold)
 	}
+}
+
+// compactionLine reports what the compaction that just finished spent
+// retraining, read off the model it swapped in: without it the seconds
+// an operator waits on /v1/compact are invisible.
+func (d *daemon) compactionLine() string {
+	st := d.server.Model().Stats()
+	return fmt.Sprintf("compaction ok: train %d ms, %d tokens, %.0f tokens/s",
+		st.TrainTime.Milliseconds(), st.TrainTokens, st.TrainTokensPerSecond())
 }
 
 // info snapshots the served model's metadata without blocking on an
@@ -826,6 +836,7 @@ func (d *daemon) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
+	log.Printf("tdserved: %s", d.compactionLine())
 	checkpointed := false
 	if d.wal != nil {
 		if err := d.checkpoint(); err != nil {

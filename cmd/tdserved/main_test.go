@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -10,9 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tdmatch/tdmatch"
 )
@@ -696,5 +699,72 @@ func TestBadSnapshotFlagsRejected(t *testing.T) {
 	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, 0,
 		daemonOptions{snapVerify: "paranoid"}); err == nil {
 		t.Error("unknown -snapshot-verify accepted")
+	}
+}
+
+// logBuffer is a log destination a test can read while daemon goroutines
+// are still writing to it.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTrainingIsVisibleInTheLog pins the operator's view of training:
+// the kernel is named once at start-up, and every compaction — manual
+// and background — logs what its retrain cost, where before a
+// successful /v1/compact logged nothing.
+func TestTrainingIsVisibleInTheLog(t *testing.T) {
+	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(41))
+	logged := &logBuffer{}
+	log.SetOutput(logged)
+	defer log.SetOutput(os.Stderr)
+
+	d, ts := startDaemon(t, firstPath, secondPath, modelPath)
+	if want := "training kernel " + tdmatch.TrainKernel(); strings.Count(logged.String(), want) != 1 {
+		t.Errorf("start-up log names the kernel %d times, want once (%q): %s", strings.Count(logged.String(), want), want, logged.String())
+	}
+
+	trained := regexp.MustCompile(`compaction ok: train \d+ ms, [1-9]\d* tokens, [1-9]\d* tokens/s`)
+	if code := postJSON(t, ts.URL+"/v1/compact", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("/v1/compact = %d", code)
+	}
+	if !trained.MatchString(logged.String()) {
+		t.Errorf("manual compaction did not log its training cost: %s", logged.String())
+	}
+
+	// One ingest makes the model stale enough for a threshold of 1; the
+	// loop then compacts on its next poll.
+	if code := postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Docs: []ingestDocJSON{
+		{Side: 2, ID: "reviews:late", Values: []string{"Willis returns in another Tarantino crime drama"}},
+	}}, nil); code != http.StatusOK {
+		t.Fatalf("/v1/ingest = %d", code)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.compactLoop(ctx, 1, 5*time.Millisecond)
+	}()
+	background := regexp.MustCompile(`background ` + trained.String())
+	deadline := time.Now().Add(30 * time.Second)
+	for !background.MatchString(logged.String()) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	<-done
+	if !background.MatchString(logged.String()) {
+		t.Errorf("background compaction did not log its training cost: %s", logged.String())
 	}
 }

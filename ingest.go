@@ -301,8 +301,8 @@ func (m *Model) Remove(ids []string) error {
 // under live traffic use Server.Compact, which runs this off to the
 // side and replays mutations that land mid-rebuild.
 func (m *Model) Compact() error {
-	nm, err := Build(m.first, m.second, m.cfg)
-	if err != nil {
+	nm := &Model{cfg: m.cfg.withDefaults(), first: m.first, second: m.second, buildCap: m.buildCap}
+	if err := nm.build(); err != nil {
 		return err
 	}
 	m.ps = nm.ps
@@ -378,6 +378,7 @@ func (m *Model) clone() *Model {
 		folded:    m.folded,
 		staleBase: m.staleBase,
 		spillPath: m.spillPath,
+		buildCap:  m.buildCap,
 		stats:     m.stats,
 		deltas:    append([]savedDelta(nil), m.deltas...),
 		backing:   m.backing,

@@ -34,6 +34,10 @@ type Result struct {
 	// benchmarks (IVF, SQ8, HNSW) via b.ReportMetric. Zero (omitted) for
 	// exact indexes and non-retrieval benchmarks.
 	RecallAt10 float64 `json:"recall_at_10,omitempty"`
+	// TokensPerS is the training rate the Word2Vec benchmarks report via
+	// b.ReportMetric: walk tokens trained per second. Zero (omitted) for
+	// every other benchmark.
+	TokensPerS float64 `json:"tokens_per_s,omitempty"`
 }
 
 // Entry is one trajectory point: the results of one run plus enough

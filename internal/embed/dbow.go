@@ -42,7 +42,7 @@ func TrainDBOW(docs [][]int32, vocabSize int, cfg Config) ([][]float32, error) {
 	}
 	syn1 := make([]float32, vocabSize*dim)
 	table := unigramTable(counts)
-	grad := make([]float32, dim)
+	sc := newPairScratch(dim, cfg.Negative, false)
 
 	lr := float32(cfg.LR)
 	minLR := float32(cfg.LR / 10000)
@@ -60,7 +60,7 @@ func TrainDBOW(docs [][]int32, vocabSize int, cfg Config) ([][]float32, error) {
 					}
 				}
 				processed++
-				trainPair(dv, syn1, dim, tok, table, cfg.Negative, lr, grad, &rng)
+				trainPair(dv, syn1, dim, tok, table, cfg.Negative, lr, &rng, sc)
 			}
 		}
 	}

@@ -29,6 +29,7 @@ func referenceTrain(seqs [][]int32, vocabSize int, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 
 	counts := make([]int64, vocabSize)
+	sparseCounts := make(map[int32]int64)
 	var totalTokens int64
 	for si, s := range seqs {
 		for _, t := range s {
@@ -36,6 +37,7 @@ func referenceTrain(seqs [][]int32, vocabSize int, cfg Config) (*Model, error) {
 				return nil, fmt.Errorf("embed: token %d out of range in sequence %d", t, si)
 			}
 			counts[t]++
+			sparseCounts[t]++
 			totalTokens++
 		}
 	}
@@ -43,19 +45,35 @@ func referenceTrain(seqs [][]int32, vocabSize int, cfg Config) (*Model, error) {
 		return &Model{Dim: cfg.Dim, Vecs: make([][]float32, vocabSize)}, nil
 	}
 
+	// A warm start (cfg.Initial; the reference has no in-place form)
+	// copies the initial model's rows, draws fresh values for the
+	// appended rows only, and samples negatives from the delta corpus's
+	// own tokens.
+	warm := 0
+	if cfg.Initial != nil {
+		warm = len(cfg.Initial.Vecs)
+	}
 	syn0 := make([][]float32, vocabSize)
 	syn1 := make([][]float32, vocabSize)
 	initRng := newXorshift(uint64(cfg.Seed) ^ 0xabcdef)
 	for i := range syn0 {
 		v0 := make([]float32, cfg.Dim)
-		for d := range v0 {
-			v0[d] = (initRng.float() - 0.5) / float32(cfg.Dim)
+		syn1[i] = make([]float32, cfg.Dim)
+		if i < warm {
+			copy(v0, cfg.Initial.Vecs[i])
+			copy(syn1[i], cfg.Initial.Out[i*cfg.Dim:(i+1)*cfg.Dim])
+		} else {
+			for d := range v0 {
+				v0[d] = (initRng.float() - 0.5) / float32(cfg.Dim)
+			}
 		}
 		syn0[i] = v0
-		syn1[i] = make([]float32, cfg.Dim)
 	}
 
 	table := unigramTable(counts)
+	if cfg.Initial != nil {
+		table = unigramTableSparse(sparseCounts)
+	}
 	trainedTarget := float64(totalTokens) * float64(cfg.Epochs)
 
 	var wg sync.WaitGroup
@@ -145,7 +163,59 @@ func referenceTrain(seqs [][]int32, vocabSize int, cfg Config) (*Model, error) {
 		}(w)
 	}
 	wg.Wait()
-	return &Model{Dim: cfg.Dim, Vecs: syn0}, nil
+	out := make([]float32, 0, vocabSize*cfg.Dim)
+	for _, row := range syn1 {
+		out = append(out, row...)
+	}
+	return &Model{Dim: cfg.Dim, Vecs: syn0, Out: out}, nil
+}
+
+// referenceDBOW is TrainDBOW over pointer-per-row weights and the
+// unfused referenceTrainPair.
+func referenceDBOW(docs [][]int32, vocabSize int, cfg Config) [][]float32 {
+	cfg = cfg.withDefaults()
+	counts := make([]int64, vocabSize)
+	var total int64
+	for _, d := range docs {
+		for _, t := range d {
+			counts[t]++
+			total++
+		}
+	}
+	rng := newXorshift(uint64(cfg.Seed) ^ 0xd0c2)
+	docVecs := make([][]float32, len(docs))
+	for i := range docVecs {
+		docVecs[i] = make([]float32, cfg.Dim)
+		for d := range docVecs[i] {
+			docVecs[i][d] = (rng.float() - 0.5) / float32(cfg.Dim)
+		}
+	}
+	syn1 := make([][]float32, vocabSize)
+	for i := range syn1 {
+		syn1[i] = make([]float32, cfg.Dim)
+	}
+	table := unigramTable(counts)
+	grad := make([]float32, cfg.Dim)
+	lr := float32(cfg.LR)
+	minLR := float32(cfg.LR / 10000)
+	var processed int64
+	target := total * int64(cfg.Epochs)
+	for ep := 0; ep < cfg.Epochs; ep++ {
+		for di, d := range docs {
+			for _, tok := range d {
+				if processed%10000 == 0 {
+					frac := float32(float64(processed) / float64(target))
+					lr = float32(cfg.LR) * (1 - frac)
+					if lr < minLR {
+						lr = minLR
+					}
+				}
+				processed++
+				referenceTrainPair(docVecs[di], syn1, tok, table, cfg.Negative, lr, grad, &rng)
+			}
+		}
+	}
+	return docVecs
 }
 
 // referenceTrainPair is the unfused pre-refactor update: one loop
@@ -231,6 +301,14 @@ func assertModelsEqual(t *testing.T, want, got *Model) {
 			}
 		}
 	}
+	if len(want.Out) != len(got.Out) {
+		t.Fatalf("output weights differ in size: %d vs %d", len(want.Out), len(got.Out))
+	}
+	for i := range want.Out {
+		if want.Out[i] != got.Out[i] {
+			t.Fatalf("output weight %d: reference %v, arena %v", i, want.Out[i], got.Out[i])
+		}
+	}
 }
 
 // TestTrainMatchesReferenceLayout proves the memory-layout refactor is
@@ -246,6 +324,13 @@ func TestTrainMatchesReferenceLayout(t *testing.T) {
 		{"skipgram", Config{Dim: 24, Window: 4, Negative: 5, Epochs: 2, Seed: 7, Workers: 1, Mode: SkipGram}},
 		{"cbow", Config{Dim: 24, Window: 6, Negative: 4, Epochs: 2, Seed: 8, Workers: 1, Mode: CBOW}},
 		{"skipgram-subsample", Config{Dim: 16, Window: 3, Negative: 3, Epochs: 3, Seed: 9, Workers: 1, Mode: SkipGram, Subsample: 1e-2}},
+		// The production row lengths: 96 is every Config default and
+		// bench/ fixture (whole vector blocks), 100 embed's own default
+		// (a four-lane tail).
+		{"skipgram-96", Config{Dim: 96, Window: 3, Negative: 5, Epochs: 2, Seed: 10, Workers: 1, Mode: SkipGram}},
+		{"cbow-96", Config{Dim: 96, Window: 6, Negative: 5, Epochs: 2, Seed: 11, Workers: 1, Mode: CBOW}},
+		{"skipgram-100", Config{Dim: 100, Window: 3, Negative: 5, Epochs: 2, Seed: 12, Workers: 1, Mode: SkipGram, Subsample: 1e-2}},
+		{"cbow-100", Config{Dim: 100, Window: 6, Negative: 4, Epochs: 2, Seed: 13, Workers: 1, Mode: CBOW}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := referenceTrain(seqs, 120, tc.cfg)
@@ -263,6 +348,48 @@ func TestTrainMatchesReferenceLayout(t *testing.T) {
 			if &got.Arena[0] != &got.Vecs[0][0] {
 				t.Error("Vecs[0] is not a view into the arena")
 			}
+		})
+	}
+
+	// The warm starts: both forms fine-tune a trained model over a delta
+	// corpus that brings twenty new tokens, and must land where the
+	// reference's copying warm start does.
+	delta := parityCorpus(140, 20, 100)
+	for _, dim := range []int{24, 96, 100} {
+		for _, inPlace := range []bool{false, true} {
+			t.Run(fmt.Sprintf("warm-start-%d-inplace=%v", dim, inPlace), func(t *testing.T) {
+				cfg := Config{Dim: dim, Window: 3, Negative: 5, Epochs: 2, Seed: 14, Workers: 1, Mode: SkipGram}
+				base, err := Train(seqs, 120, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Initial = base
+				want, err := referenceTrain(delta, 140, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.InPlace = inPlace
+				got, err := Train(delta, 140, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertModelsEqual(t, want, got)
+				if inPlace && got != base {
+					t.Error("in-place warm start returned a new model")
+				}
+			})
+		}
+	}
+
+	for _, dim := range []int{24, 96, 100} {
+		t.Run(fmt.Sprintf("dbow-%d", dim), func(t *testing.T) {
+			cfg := Config{Dim: dim, Negative: 5, Epochs: 2, Seed: 15}
+			want := referenceDBOW(seqs, 120, cfg)
+			got, err := TrainDBOW(seqs, 120, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertModelsEqual(t, &Model{Vecs: want}, &Model{Vecs: got})
 		})
 	}
 }

@@ -86,6 +86,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// TrainTokens is the number of corpus positions TrainPacked visits for
+// seqs under c: the corpus's tokens times the effective epoch count
+// (before subsampling) — the denominator of a tokens-per-second rate.
+func (c Config) TrainTokens(seqs Sequences) int64 {
+	return int64(seqs.NumTokens()) * int64(c.withDefaults().Epochs)
+}
+
 // Model holds trained embeddings indexed by token ID. After training,
 // Arena is the flat row-major storage (token i's vector occupies
 // Arena[i*Dim : (i+1)*Dim]) and every Vecs entry is a view into it, so
@@ -342,8 +349,8 @@ func TrainPacked(seqs Sequences, vocabSize int, cfg Config) (*Model, error) {
 		go func(worker int) {
 			defer wg.Done()
 			rng := newXorshift(uint64(cfg.Seed)*0x9e37 + uint64(worker)*7919 + 1)
-			neu := make([]float32, dim)
-			grad := make([]float32, dim)
+			sc := newPairScratch(dim, cfg.Negative, cfg.Mode == CBOW)
+			neu, grad := sc.neu, sc.grad
 			var subBuf []int32
 			var processed, synced int64
 			// untilLR counts down to the next learning-rate refresh so the
@@ -396,7 +403,7 @@ func TrainPacked(seqs Sequences, vocabSize int, cfg Config) (*Model, error) {
 									continue
 								}
 								row := int(seq[c]) * dim
-								trainPair(syn0[row:row+dim], syn1, dim, center, table, cfg.Negative, lr, grad, &rng)
+								trainPair(syn0[row:row+dim], syn1, dim, center, table, cfg.Negative, lr, &rng, sc)
 							}
 						} else {
 							// CBOW: average context into neu.
@@ -419,7 +426,7 @@ func TrainPacked(seqs Sequences, vocabSize int, cfg Config) (*Model, error) {
 							for d := range neu {
 								neu[d] *= inv
 							}
-							trainPair(neu, syn1, dim, center, table, cfg.Negative, lr, grad, &rng)
+							trainPair(neu, syn1, dim, center, table, cfg.Negative, lr, &rng, sc)
 							// grad now holds the input-side gradient;
 							// distribute to every context vector.
 							for c := lo; c <= hi; c++ {
@@ -477,16 +484,48 @@ func growFloats(s []float32, n int) (out []float32, moved bool) {
 	return out, true
 }
 
-// trainPair performs one positive + k negative updates for input vector in
-// against target token (and sampled negatives) through the flat syn1
-// arena (row i at [i*dim : (i+1)*dim]). The input-side gradient
-// accumulation and the syn1 row update are fused into a single pass over
-// the row. On return, grad holds the accumulated input-side gradient; for
-// Skip-gram it is applied to in directly, for CBOW the caller distributes
-// it.
-func trainPair(in, syn1 []float32, dim int, target int32, table []int32, negative int, lr float32, grad []float32, rng *xorshift) {
+// pairScratch is the state one worker reuses across trainPair calls, so
+// that nothing is allocated per pair. It costs two allocations, like
+// the gradient and CBOW buffers it replaces.
+type pairScratch struct {
+	// grad is the input-side gradient trainPair leaves behind.
+	grad []float32
+	// toks are the pair's rows — the target, then the negatives drawn —
+	// and f their dots, overwritten by their gradients: the vector
+	// kernel's working set, Negative+1 long. The portable loop keeps
+	// both in registers.
+	toks []int32
+	f    []float32
+	// neu is the CBOW trainer's context average, carved from the same
+	// allocation; empty for the trainers that have no use for it.
+	neu []float32
+}
+
+func newPairScratch(dim, negative int, cbow bool) *pairScratch {
+	n := dim + negative + 1
+	if cbow {
+		n += dim
+	}
+	buf := make([]float32, n)
+	return &pairScratch{
+		grad: buf[:dim:dim],
+		f:    buf[dim : dim+negative+1 : dim+negative+1],
+		neu:  buf[dim+negative+1:],
+		toks: make([]int32, negative+1),
+	}
+}
+
+// trainPairGo is the portable negative-sampling step and the reference
+// the vector kernels are tested against, bit for bit. It performs one
+// positive + k negative updates for input vector in against target
+// token (and sampled negatives) through the flat syn1 arena (row i at
+// [i*dim : (i+1)*dim]). The input-side gradient accumulation and the
+// syn1 row update are fused into a single pass over the row. On return,
+// sc.grad holds the accumulated input-side gradient; for Skip-gram it
+// is applied to in directly, for CBOW the caller distributes it.
+func trainPairGo(in, syn1 []float32, dim int, target int32, table []int32, negative int, lr float32, rng *xorshift, sc *pairScratch) {
 	in = in[:dim]
-	grad = grad[:dim]
+	grad := sc.grad[:dim]
 	for d := range grad {
 		grad[d] = 0
 	}

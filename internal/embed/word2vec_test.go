@@ -278,3 +278,40 @@ func TestTrainTextEmpty(t *testing.T) {
 		t.Errorf("SentenceVector on empty model: %v", sv)
 	}
 }
+
+// TestTrainPackedAllocations pins the trainer's allocation budget: a
+// fixed number of set-up allocations per call (counts, the two arenas,
+// the sampling table, one scratch block and one token list per worker,
+// the row views) and none per pair, whichever step implementation runs.
+// The bounds are what the scalar trainer allocated before the vector
+// kernels existed.
+func TestTrainPackedAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		max  float64
+	}{
+		{"skipgram", Config{Dim: 96, Window: 3, Epochs: 1, Seed: 1, Workers: 1}, 19},
+		{"cbow", Config{Dim: 96, Window: 6, Epochs: 1, Seed: 1, Workers: 1, Mode: CBOW}, 19},
+		{"skipgram-2-workers", Config{Dim: 96, Window: 3, Epochs: 1, Seed: 1, Workers: 2}, 24},
+	} {
+		var perCorpus []float64
+		for _, nSeqs := range []int{40, 160} {
+			seqs := PackSequences(parityCorpus(200, nSeqs, 3))
+			perCorpus = append(perCorpus, testing.AllocsPerRun(5, func() {
+				if _, err := TrainPacked(seqs, 200, tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		// One allocation of slack: a second worker's start-up is the
+		// runtime's to schedule.
+		if perCorpus[1] > perCorpus[0]+1 {
+			t.Errorf("%s: %v allocations on 40 sequences, %v on 160: the trainer allocates per sequence or per pair", tc.name, perCorpus[0], perCorpus[1])
+		}
+		if perCorpus[1] > tc.max {
+			t.Errorf("%s: %v allocations per TrainPacked call, want at most %v", tc.name, perCorpus[1], tc.max)
+		}
+		t.Logf("%s: %v allocations per call", tc.name, perCorpus[1])
+	}
+}

@@ -1,9 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package match
 
-// useFMA is always false off amd64: every scoring call takes the
-// portable Go kernels.
+// useFMA is always false off amd64 and under the purego tag: every
+// scoring call takes the portable Go kernels.
 const useFMA = false
 
 // dotRows fills out[r] with the dot product of query q and each of the

@@ -124,5 +124,6 @@ func runTrainDelta(s *State) error {
 	s.Embed = em
 	s.OwnsEmbed = true
 	s.Stats.TrainTime += time.Since(start)
+	s.Stats.TrainTokens += cfg.TrainTokens(s.Seqs)
 	return nil
 }

@@ -71,6 +71,9 @@ type Stats struct {
 	Walks int
 	// TrainTime is the wall time of walk generation plus training.
 	TrainTime time.Duration
+	// TrainTokens is the number of walk tokens trained on, epochs
+	// counted: with TrainTime, the training rate.
+	TrainTokens int64
 }
 
 // State is the explicit shared state the stages operate on. A full run
@@ -250,6 +253,7 @@ func runTrain(s *State) error {
 	s.Embed = em
 	s.OwnsEmbed = true
 	s.Stats.TrainTime += time.Since(start)
+	s.Stats.TrainTokens += s.Cfg.Embed.TrainTokens(s.Seqs)
 	return nil
 }
 

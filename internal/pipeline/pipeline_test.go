@@ -60,6 +60,9 @@ func TestFullStagesFillState(t *testing.T) {
 	if st.ExpandedNodes != st.GraphNodes || st.CompressedNodes != st.ExpandedNodes {
 		t.Errorf("no-op expand/compress changed sizes: %+v", st)
 	}
+	if want := s.Cfg.Embed.TrainTokens(s.Seqs); st.TrainTokens != want || want == 0 {
+		t.Errorf("TrainTokens = %d, want the walk corpus times the epochs, %d", st.TrainTokens, want)
+	}
 	if s.Embed.Out == nil {
 		t.Error("trained model must retain output weights for later warm starts")
 	}
@@ -77,6 +80,7 @@ func TestDeltaStagesPatchAndFineTune(t *testing.T) {
 	s := testState(t)
 	prevCap := s.Build.Graph.Cap()
 	prevArena := append([]float32(nil), s.Embed.Arena...)
+	prevTokens := s.Stats.TrainTokens
 
 	doc := corpus.Document{ID: "reviews:new", Values: []corpus.Value{
 		{Text: "another Tarantino crime dialogue"},
@@ -92,6 +96,9 @@ func TestDeltaStagesPatchAndFineTune(t *testing.T) {
 	s.Delta = nil
 	if !s.Build.Graph.Frozen() {
 		t.Error("delta run thawed the graph")
+	}
+	if added := s.Cfg.Embed.TrainTokens(s.Seqs); s.Stats.TrainTokens != prevTokens+added || added == 0 {
+		t.Errorf("TrainTokens = %d after the fine-tune, want %d + the delta walks' %d", s.Stats.TrainTokens, prevTokens, added)
 	}
 	if len(d.NewNodes) == 0 || len(d.Affected) <= len(d.NewNodes) {
 		t.Fatalf("delta outputs: new %v affected %v", d.NewNodes, d.Affected)

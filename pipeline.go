@@ -35,6 +35,9 @@ type Stats struct {
 	Walks int
 	// TrainTime is the wall time of walks + embedding training.
 	TrainTime time.Duration
+	// TrainTokens is the number of walk tokens the embedding was trained
+	// on, epochs counted; over TrainTime it is the training rate.
+	TrainTokens int64
 	// IndexClusters is the partition count of each side's IVF index
 	// (zero under IndexFlat).
 	IndexClusters [2]int
@@ -72,6 +75,13 @@ type Model struct {
 	ps        *pipeline.State
 	fold      *foldState
 	spillPath string
+	// buildCap, when positive, replaces Config.Workers for the build-side
+	// work this model runs from now on: warm-start ingest and Compact
+	// (walks, training, index construction). The serving layer sets it
+	// on the clones it mutates (Server.workingCopy) so that training
+	// beside live queries leaves them a processor; query fan-out keeps
+	// Config.Workers.
+	buildCap int
 
 	vectors map[string][]float32
 	dim     int
@@ -130,23 +140,53 @@ func Build(first, second *Corpus, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("tdmatch: Build requires two corpora")
 	}
 	m := &Model{cfg: cfg.withDefaults(), first: first, second: second}
-	start := time.Now()
-	st := &pipeline.State{Cfg: m.pipelineConfig(), First: first.c, Second: second.c}
-	if err := pipeline.Run(st, pipeline.FullStages()); err != nil {
+	if err := m.build(); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// build runs the pipeline and the index construction over the model's
+// corpora and configuration: Build's body, shared with Compact, which
+// carries a serving clone's buildCap into the rebuild.
+func (m *Model) build() error {
+	start := time.Now()
+	st := &pipeline.State{Cfg: m.pipelineConfig(), First: m.first.c, Second: m.second.c}
+	if err := pipeline.Run(st, pipeline.FullStages()); err != nil {
+		return err
 	}
 	m.ps = st
 	m.dim = m.cfg.Dim
 	m.copyStageStats()
 	m.gatherVectors(st.Build.DocNode)
 	if err := m.buildIndexes(); err != nil {
-		return nil, err
+		return err
 	}
 	// The packed walk corpus is only needed between the walk and train
 	// stages; release it instead of pinning it in the retained state.
 	st.Seqs = embed.Sequences{}
 	m.stats.BuildTime = time.Since(start)
-	return m, nil
+	return nil
+}
+
+// buildWorkers is the worker count of build-side work: Config.Workers,
+// or the serving layer's bound on it (limitBuild).
+func (m *Model) buildWorkers() int {
+	if m.buildCap > 0 {
+		return m.buildCap
+	}
+	return m.cfg.Workers
+}
+
+// limitBuild bounds the workers of every later build-side pass of this
+// model — warm-start ingest on the retained pipeline state, Compact —
+// at n, and never raises them above Config.Workers.
+func (m *Model) limitBuild(n int) {
+	m.buildCap = max(1, min(n, m.cfg.Workers))
+	if m.ps != nil {
+		m.ps.Cfg.Walk.Workers = m.buildCap
+		m.ps.Cfg.Embed.Workers = m.buildCap
+	}
 }
 
 // pipelineConfig translates the public Config into the internal stage
@@ -186,7 +226,7 @@ func (m *Model) pipelineConfig() pipeline.Config {
 			NumWalks:    cfg.NumWalks,
 			Length:      cfg.WalkLength,
 			Seed:        cfg.Seed,
-			Workers:     cfg.Workers,
+			Workers:     m.buildWorkers(),
 			KindWeights: kindWeights(cfg.WalkBias),
 		},
 	}
@@ -211,7 +251,7 @@ func (m *Model) pipelineConfig() pipeline.Config {
 		Epochs:    cfg.Epochs,
 		Mode:      mode,
 		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
+		Workers:   m.buildWorkers(),
 		Subsample: cfg.Subsample,
 	}
 	return pc
@@ -231,6 +271,7 @@ func (m *Model) copyStageStats() {
 	m.stats.MergedTerms = ss.MergedTerms
 	m.stats.Walks = ss.Walks
 	m.stats.TrainTime = ss.TrainTime
+	m.stats.TrainTokens = ss.TrainTokens
 }
 
 // gatherVectors extracts the rows of the given documents out of the
@@ -271,14 +312,14 @@ func (m *Model) buildIndexes() error {
 // its saved segment boundaries. The two sides are independent — they
 // read the shared vector map and write their own index, cache and Stats
 // slots — so they build as two pool tasks, concurrently when
-// Config.Workers allows.
+// Config.Workers (or a serving clone's lower buildCap) allows.
 func (m *Model) buildSegmentedIndexes(firstSegs, secondSegs [][]string) error {
 	corpora := [2]*corpus.Corpus{m.first.c, m.second.c}
 	manifests := [2][][]string{firstSegs, secondSegs}
 	var idx [2]match.VectorIndex
 	var flat [2]*match.Index
 	var errs [2]error
-	runPool(2, m.cfg.Workers, func(side int) {
+	runPool(2, m.buildWorkers(), func(side int) {
 		start := time.Now()
 		idx[side], flat[side], errs[side] = m.buildSide(corpora[side], side, manifests[side])
 		m.stats.IndexBuildTime[side] = time.Since(start)
@@ -621,6 +662,22 @@ func (m *Model) objective() (embed.Mode, int) {
 
 // Stats returns pipeline statistics.
 func (m *Model) Stats() Stats { return m.stats }
+
+// TrainTokensPerSecond is the training rate, TrainTokens over TrainTime
+// (0 for a model that was loaded, not trained).
+func (s Stats) TrainTokensPerSecond() float64 {
+	if s.TrainTime <= 0 {
+		return 0
+	}
+	return float64(s.TrainTokens) / s.TrainTime.Seconds()
+}
+
+// TrainKernel names the implementation of the Word2Vec
+// negative-sampling step this process trains with: "avx2" (the
+// assembly kernels, on amd64 CPUs that have AVX2) or "portable" (the Go
+// loops, everywhere else and under the purego build tag). The two leave
+// the same bits behind at Workers 1; only the speed differs.
+func TrainKernel() string { return embed.Kernel() }
 
 // Vector returns the learned embedding of a document's metadata node, nil
 // when the document is unknown or was pruned.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,6 +263,22 @@ func (s *Server) swap(m *Model) {
 	s.cache.purge()
 }
 
+// workingCopy clones the served model for a mutation that will be
+// swapped in (Ingest, Remove, Compact), with its build-side work — the
+// warm-start fine-tune of an ingest, the retraining and index
+// construction of a compaction — held to one worker fewer than there
+// are processors. Trainer workers never block, so when they occupy every
+// processor a query waits for the scheduler to preempt one of them, twice
+// per request: 20 ms instead of 1.3 ms beside a two-worker compaction on
+// two CPUs. The processor left over is what keeps a query's latency
+// independent of whether the daemon is training. With a single processor
+// there is none to leave and the bound is one worker, as configured.
+func (s *Server) workingCopy() *Model {
+	m := s.cur.Load().model.clone()
+	m.limitBuild(runtime.GOMAXPROCS(0) - 1)
+	return m
+}
+
 // Ingest adds documents to the served model without downtime: the
 // current model is cloned, the clone ingests (Model.Ingest — graph
 // patch, warm-start fine-tune or term fold-in, index append), and the
@@ -277,7 +294,7 @@ func (s *Server) swap(m *Model) {
 func (s *Server) Ingest(docs []IngestDoc) error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	next := s.cur.Load().model.clone()
+	next := s.workingCopy()
 	if err := next.Ingest(docs); err != nil {
 		return err
 	}
@@ -300,7 +317,7 @@ func (s *Server) Ingest(docs []IngestDoc) error {
 func (s *Server) Remove(ids []string) error {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	next := s.cur.Load().model.clone()
+	next := s.workingCopy()
 	if err := next.Remove(ids); err != nil {
 		return err
 	}
@@ -372,7 +389,7 @@ func (s *Server) CompactCtx(ctx context.Context) error {
 		return err
 	}
 	s.mutMu.Lock()
-	work := s.cur.Load().model.clone()
+	work := s.workingCopy()
 	base := len(work.deltas)
 	s.mutMu.Unlock()
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -606,5 +607,77 @@ func TestServerCompactUnderConcurrentTraffic(t *testing.T) {
 	}
 	if st := s.Stats(); st.Staleness != 0 {
 		t.Errorf("staleness after quiescent compact = %d, want 0", st.Staleness)
+	}
+}
+
+// TestServerTrainingLeavesAProcessor pins the bound the serving layer
+// puts on build-side work: every training pass a Server starts beside
+// its queries — the warm-start fine-tune of an ingest, the rebuild of a
+// compaction, the warm ingests after it — runs with one worker fewer
+// than there are processors, never more than configured and never fewer
+// than one, while the query fan-out and the caller's own model keep
+// Config.Workers.
+func TestServerTrainingLeavesAProcessor(t *testing.T) {
+	for _, tc := range []struct{ workers, n, want int }{
+		{workers: 4, n: 3, want: 3},
+		{workers: 4, n: 1, want: 1},
+		{workers: 2, n: 7, want: 2}, // never above Config.Workers
+		{workers: 4, n: 0, want: 1}, // a single processor: one worker still
+		{workers: 1, n: 0, want: 1},
+	} {
+		m := &Model{cfg: Config{Workers: tc.workers}}
+		m.limitBuild(tc.n)
+		if got := m.buildWorkers(); got != tc.want {
+			t.Errorf("Workers %d limited to %d: buildWorkers = %d, want %d", tc.workers, tc.n, got, tc.want)
+		}
+	}
+
+	// Two processors: one for training, one for the queries.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	first, second := serveTestCorpora(t)
+	m, err := Build(first, second, serveTestConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Built with one worker (hogwild training is racy and this test runs
+	// under -race), then presented as a model configured for four: the
+	// bound brings every pass below back to one.
+	m.cfg.Workers = 4
+	m.ps.Cfg.Walk.Workers, m.ps.Cfg.Embed.Workers = 4, 4
+	s := NewServer(m, ServeConfig{})
+	defer s.Close()
+	trainWorkers := func(m *Model) [2]int {
+		return [2]int{m.ps.Cfg.Walk.Workers, m.ps.Cfg.Embed.Workers}
+	}
+	check := func(after string) {
+		t.Helper()
+		served := s.Model()
+		if got := trainWorkers(served); got != [2]int{1, 1} {
+			t.Errorf("after %s: walk/train workers = %v, want [1 1]", after, got)
+		}
+		if served.cfg.Workers != 4 {
+			t.Errorf("after %s: query fan-out Workers = %d, want the configured 4", after, served.cfg.Workers)
+		}
+	}
+
+	if err := s.Ingest([]IngestDoc{{Side: 2, ID: "reviews:warm", Values: []string{"a Tarantino crime story with Willis"}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("a warm ingest")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("a compaction")
+	if err := s.Ingest([]IngestDoc{{Side: 2, ID: "reviews:later", Values: []string{"Brando in a Coppola crime classic"}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("a warm ingest on the compacted model")
+	if _, err := s.TopK("reviews:later", 3); err != nil {
+		t.Errorf("ingested document does not answer: %v", err)
+	}
+
+	// The caller's model is not the one that was bounded.
+	if got := trainWorkers(m); got != [2]int{4, 4} || m.buildCap != 0 {
+		t.Errorf("caller's model: walk/train workers = %v, buildCap = %d; want [4 4] and 0", got, m.buildCap)
 	}
 }

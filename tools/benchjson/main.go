@@ -13,10 +13,13 @@
 //
 // Usage:
 //
-//	go run ./tools/benchjson [-out BENCH_build.json] [-label pr4] [-benchtime 2x] [-bench regexp] [-pkg ./...]
+//	go run ./tools/benchjson [-out BENCH_build.json] [-label pr4] [-benchtime 2x] [-bench regexp] [-pkg ". ./internal/embed"]
 //
 // The default benchmark set covers the training hot path (graph build,
-// random walks, Skip-gram and CBOW Word2Vec, end-to-end Build) and the
+// random walks, Skip-gram and CBOW Word2Vec at dim 48 and at the
+// production dim 96 with their tokens/s, the single negative-sampling
+// step of internal/embed over a cache-resident and a cache-missing
+// arena, end-to-end Build) and the
 // serving hot path (single and batched flat TopK, IVF, SQ8 and HNSW
 // TopK, HNSW graph construction, cached serve TopK, and the MatchAll
 // family, sharded and unsharded). ANN TopK benchmarks also report
@@ -59,8 +62,10 @@ import (
 // path: uncached query latency next to its one-time construction price
 // and the price of persisting it (no graph is built at save), with
 // recall@10 alongside so the speedup is never bought with silent
-// quality loss.
-const defaultBench = "BenchmarkWord2VecSkipGram$|BenchmarkWord2VecCBOW$|BenchmarkRandomWalks$|" +
+// quality loss. BenchmarkTrainPair (internal/embed, the second default
+// package) is the step under the Word2Vec four, per dim and per arena
+// size, so a training regression can be told from a memory one.
+const defaultBench = "BenchmarkWord2VecSkipGram(96)?$|BenchmarkWord2VecCBOW(96)?$|BenchmarkTrainPair$|BenchmarkRandomWalks$|" +
 	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|BenchmarkTopKIVF$|BenchmarkTopKSQ8$|" +
 	"BenchmarkTopKHNSW$|BenchmarkBuildHNSW$|BenchmarkSaveV6HNSW$|" +
 	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|BenchmarkMatchAllParallelIVF$|" +
@@ -74,21 +79,22 @@ const defaultBench = "BenchmarkWord2VecSkipGram$|BenchmarkWord2VecCBOW$|Benchmar
 // benchLine matches `go test -bench -benchmem` output rows, e.g.
 // "BenchmarkRandomWalks-8  50  6449439 ns/op  4118728 B/op  23 allocs/op".
 // Custom metrics print between ns/op and the -benchmem columns; the ANN
-// benchmarks report one, "recall@10" (see bench_test.go), captured here
-// as an optional group.
+// benchmarks report one, "recall@10", and the Word2Vec benchmarks
+// another, "tokens/s" (see bench_test.go), each captured here as an
+// optional group.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) recall@10)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) recall@10)?(?:\s+([\d.e+]+) tokens/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
 	out := flag.String("out", "BENCH_build.json", "output JSON path (appended to; old entries preserved)")
 	label := flag.String("label", "", "label recorded on the new trajectory entry (e.g. a PR number)")
 	benchTime := flag.String("benchtime", "2x", "go test -benchtime value")
 	bench := flag.String("bench", defaultBench, "go test -bench regexp")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkg := flag.String("pkg", ". ./internal/embed", "packages to benchmark, space-separated")
 	flag.Parse()
 
-	args := []string{"test", "-run", "^$", "-bench", *bench,
-		"-benchmem", "-benchtime", *benchTime, "-count", "1", *pkg}
+	args := append([]string{"test", "-run", "^$", "-bench", *bench,
+		"-benchmem", "-benchtime", *benchTime, "-count", "1"}, strings.Fields(*pkg)...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	var buf bytes.Buffer
@@ -123,12 +129,16 @@ func main() {
 		if m[4] != "" {
 			recall, _ = strconv.ParseFloat(m[4], 64)
 		}
-		var bytesOp, allocsOp int64
+		var tokensPerS float64
 		if m[5] != "" {
-			bytesOp, _ = strconv.ParseInt(m[5], 10, 64)
+			tokensPerS, _ = strconv.ParseFloat(m[5], 64)
 		}
+		var bytesOp, allocsOp int64
 		if m[6] != "" {
-			allocsOp, _ = strconv.ParseInt(m[6], 10, 64)
+			bytesOp, _ = strconv.ParseInt(m[6], 10, 64)
+		}
+		if m[7] != "" {
+			allocsOp, _ = strconv.ParseInt(m[7], 10, 64)
 		}
 		entry.Benchmarks = append(entry.Benchmarks, benchfmt.Result{
 			Name:        strings.TrimPrefix(m[1], "Benchmark"),
@@ -137,6 +147,7 @@ func main() {
 			BytesPerOp:  bytesOp,
 			AllocsPerOp: allocsOp,
 			RecallAt10:  recall,
+			TokensPerS:  tokensPerS,
 		})
 	}
 	if len(entry.Benchmarks) == 0 {
