@@ -297,24 +297,8 @@ func BenchmarkTopKBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKIVF measures single-query ANN ranking at 10k targets with
-// the default adaptive probe — the counterpart of BenchmarkTopKMatch.
-func BenchmarkTopKIVF(b *testing.B) {
-	flat, vecs := benchTopKIndex(b)
-	ivf := match.NewIVF(flat, match.IVFOptions{Seed: 1})
-	query := vecs[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := ivf.TopK(query, 20); len(got) != 20 {
-			b.Fatal("short result")
-		}
-	}
-	b.StopTimer()
-	reportRecallAt10(b, flat, ivf, vecs)
-}
-
 // BenchmarkTopKSQ8 measures single-query quantized ranking (int8 scan +
-// default 4x exact re-rank) at 10k targets — the third counterpart of
+// default 4x exact re-rank) at 10k targets — the counterpart of
 // BenchmarkTopKMatch.
 func BenchmarkTopKSQ8(b *testing.B) {
 	flat, vecs := benchTopKIndex(b)
@@ -333,7 +317,7 @@ func BenchmarkTopKSQ8(b *testing.B) {
 
 // BenchmarkTopKHNSW measures single-query graph ANN ranking (greedy
 // multi-layer descent + ef-bounded layer-0 beam + exact re-rank) at 10k
-// targets — the fourth counterpart of BenchmarkTopKMatch, and the
+// targets — the other counterpart of BenchmarkTopKMatch, and the
 // sub-100µs uncached path the graph index exists for.
 func BenchmarkTopKHNSW(b *testing.B) {
 	flat, vecs := benchTopKIndex(b)
@@ -461,18 +445,6 @@ func BenchmarkMatchAllParallelFlat(b *testing.B) {
 	benchMatchAll(b, tdmatch.IndexFlat, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkMatchAllSerialIVF serves from the clustered ANN index on one
-// goroutine.
-func BenchmarkMatchAllSerialIVF(b *testing.B) {
-	benchMatchAll(b, tdmatch.IndexIVF, 1)
-}
-
-// BenchmarkMatchAllParallelIVF combines ANN pruning with the worker pool —
-// the production serving configuration.
-func BenchmarkMatchAllParallelIVF(b *testing.B) {
-	benchMatchAll(b, tdmatch.IndexIVF, runtime.GOMAXPROCS(0))
-}
-
 // BenchmarkMatchAllSerialSQ8 serves from the quantized index on one
 // goroutine.
 func BenchmarkMatchAllSerialSQ8(b *testing.B) {
@@ -483,51 +455,6 @@ func BenchmarkMatchAllSerialSQ8(b *testing.B) {
 // worker pool.
 func BenchmarkMatchAllParallelSQ8(b *testing.B) {
 	benchMatchAll(b, tdmatch.IndexSQ8, runtime.GOMAXPROCS(0))
-}
-
-// --- Sharded scatter-gather serving. ---
-
-// benchMatchAllSharded reshards the memoized model for the measured
-// region and restores the build default afterwards, so the other
-// MatchAll benchmarks keep their configuration.
-func benchMatchAllSharded(b *testing.B, kind tdmatch.IndexKind, shards, workers int) {
-	model := matchAllModel(b, kind)
-	model.Reshard(shards)
-	defer model.Reshard(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		all := model.MatchAllWorkers(true, 10, workers)
-		if len(all) < matchAllDocs/2 {
-			b.Fatalf("MatchAll covered only %d queries", len(all))
-		}
-	}
-}
-
-// BenchmarkMatchAllShardedFlat runs the exact scan through the
-// scatter-gather wrapper — 4 explicit shards, GOMAXPROCS workers —
-// against BenchmarkMatchAllParallelFlat's chunk-only parallelism.
-func BenchmarkMatchAllShardedFlat(b *testing.B) {
-	benchMatchAllSharded(b, tdmatch.IndexFlat, 4, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkTopKBatchSharded measures the blocked multi-query kernel
-// through a 4-way Sharded wrapper over the same 10k targets as
-// BenchmarkTopKBatch — the scatter/merge overhead on top of the
-// per-shard tiled scans.
-func BenchmarkTopKBatchSharded(b *testing.B) {
-	idx, vecs := benchTopKIndex(b)
-	sh, err := match.NewSharded(idx, 4, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := vecs[:32]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := sh.TopKBatch(queries, 20); len(got) != 32 {
-			b.Fatal("short result")
-		}
-	}
 }
 
 // benchEndToEndInputs builds the corpora and configuration shared by

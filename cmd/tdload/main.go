@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	tdload -synth 2000 -index sq8 -shards 4 -concurrency 1,8 -duration 3s
+//	tdload -synth 2000 -index sq8 -concurrency 1,8 -duration 3s
 //	tdload -first movies.csv -second reviews.txt -model model.gob -concurrency 2
 //	tdload -addr http://localhost:8080 -ids queries.txt -qps 500
 //
@@ -62,7 +62,7 @@ import (
 func main() {
 	var (
 		synthN     = flag.Int("synth", 0, "build a synthetic in-process model with this many documents per side")
-		indexKind  = flag.String("index", "flat", "index kind for -synth: flat, ivf, sq8 or hnsw")
+		indexKind  = flag.String("index", "flat", "index kind for -synth: flat, sq8 or hnsw")
 		dim        = flag.Int("dim", 48, "embedding dimension for -synth")
 		firstPath  = flag.String("first", "", "first corpus file (snapshot mode, as passed to the training run)")
 		secondPath = flag.String("second", "", "second corpus file (snapshot mode)")
@@ -75,7 +75,6 @@ func main() {
 		qps        = flag.Float64("qps", 0, "total offered queries per second, ingest mutations included (0 = closed loop, unthrottled)")
 		dist       = flag.String("dist", "zipf", "query-ID distribution: zipf or uniform")
 		seed       = flag.Int64("seed", 1, "seed for query selection (and the synthetic build)")
-		shards     = flag.Int("shards", 0, "scatter-gather shards for the in-process model (0 = model/auto, negative disables)")
 		workers    = flag.Int("workers", 0, "serving worker-pool size (0 = model default, GOMAXPROCS)")
 		cache      = flag.Bool("cache", false, "enable the result cache (disabled by default so latency measures the scan)")
 		batchWin   = flag.Duration("batch-window", -1, "micro-batch coalescing window (negative disables, 0 = model default)")
@@ -117,14 +116,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tg, ids = newInproc(model, *shards, *workers, *cache, *batchWin), queryIDs
+		tg, ids = newInproc(model, *workers, *cache, *batchWin), queryIDs
 		mode = "snapshot"
 	case *synthN > 0:
 		model, queryIDs, err := buildSynthModel(*synthN, *dim, *indexKind, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		tg, ids = newInproc(model, *shards, *workers, *cache, *batchWin), queryIDs
+		tg, ids = newInproc(model, *workers, *cache, *batchWin), queryIDs
 		mode = "synth"
 	default:
 		fmt.Fprintln(os.Stderr, "tdload: one of -synth, -model or -addr is required")
@@ -149,7 +148,7 @@ func main() {
 		fatal(fmt.Errorf("warm-up query %q failed: %w", ids[0], err))
 	}
 
-	rep := report{Mode: mode, Dist: *dist, K: *k, Shards: *shards, QueryIDs: len(ids)}
+	rep := report{Mode: mode, Dist: *dist, K: *k, QueryIDs: len(ids)}
 	for _, conc := range levels {
 		fmt.Fprintf(os.Stderr, "tdload: level c=%d for %s...\n", conc, *duration)
 		rep.Levels = append(rep.Levels, runLevel(tg, ids, *k, conc, *duration, *qps, *dist, *seed, *ingestFrac, *ingestSide, *warmupN))
@@ -211,7 +210,6 @@ type report struct {
 	Mode     string        `json:"mode"`
 	Dist     string        `json:"dist"`
 	K        int           `json:"k"`
-	Shards   int           `json:"shards"`
 	QueryIDs int           `json:"query_ids"`
 	Levels   []levelReport `json:"levels"`
 }
@@ -272,10 +270,7 @@ func (t *inprocTarget) Close() error {
 }
 
 // newInproc wraps a model in a Server configured for the harness.
-func newInproc(model *tdmatch.Model, shards, workers int, cache bool, batchWin time.Duration) *inprocTarget {
-	if shards != 0 {
-		model.Reshard(shards)
-	}
+func newInproc(model *tdmatch.Model, workers int, cache bool, batchWin time.Duration) *inprocTarget {
 	cacheSize := -1
 	if cache {
 		cacheSize = 0 // model default
@@ -603,17 +598,8 @@ func buildSynthModel(n, dim int, indexKind string, seed int64) (*tdmatch.Model, 
 	cfg.WalkLength = 10
 	cfg.Dim = dim
 	cfg.Epochs = 1
-	switch indexKind {
-	case "flat":
-		cfg.Index = tdmatch.IndexFlat
-	case "ivf":
-		cfg.Index = tdmatch.IndexIVF
-	case "sq8":
-		cfg.Index = tdmatch.IndexSQ8
-	case "hnsw":
-		cfg.Index = tdmatch.IndexHNSW
-	default:
-		return nil, nil, fmt.Errorf("unknown -index %q (want flat, ivf, sq8 or hnsw)", indexKind)
+	if cfg.Index, err = tdmatch.ParseIndexKind(indexKind); err != nil {
+		return nil, nil, err
 	}
 	model, err := tdmatch.Build(movies, reviews, cfg)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestRunLevelSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := newInproc(model, 2, 0, false, -1)
+	tg := newInproc(model, 0, false, -1)
 	defer tg.Close()
 	if err := tg.topk(ids[0], 5); err != nil {
 		t.Fatalf("warm-up: %v", err)
@@ -86,7 +86,7 @@ func TestRunLevelWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := newInproc(model, 0, 0, false, -1)
+	tg := newInproc(model, 0, false, -1)
 	defer tg.Close()
 	lv := runLevel(tg, ids, 5, 2, 100*time.Millisecond, 0, "uniform", 1, 0, 2, 40)
 	if lv.Queries == 0 || lv.Errors != 0 {
@@ -104,7 +104,7 @@ func TestRunLevelPacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := newInproc(model, 0, 0, false, -1)
+	tg := newInproc(model, 0, false, -1)
 	defer tg.Close()
 	lv := runLevel(tg, ids, 5, 2, 200*time.Millisecond, 50, "uniform", 1, 0, 2, 0)
 	// 50 QPS over 200ms is ~10 queries; allow generous slack for timer
@@ -122,7 +122,7 @@ func TestRunLevelIngestMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := newInproc(model, 0, 1, false, -1)
+	tg := newInproc(model, 1, false, -1)
 	defer tg.Close()
 	lv := runLevel(tg, ids, 5, 2, 150*time.Millisecond, 0, "uniform", 1, 1.0, 2, 0)
 	if lv.Errors != 0 {

@@ -9,7 +9,7 @@
 //
 //	tdmatch -first movies.csv -second reviews.txt -k 5
 //	tdmatch -first tax.json -second docs.txt -kb triples.tsv -expand
-//	tdmatch -first movies.csv -second reviews.txt -index ivf -nprobe 4
+//	tdmatch -first movies.csv -second reviews.txt -index hnsw -hnsw-ef 64
 //	tdmatch -first movies.csv -second reviews.txt -index sq8 -sq8-rerank 8
 //	tdmatch -first movies.csv -second reviews.txt -save model.gob
 //
@@ -49,10 +49,7 @@ func main() {
 		dotPath    = flag.String("dot", "", "write the built graph in Graphviz DOT format to this file")
 		savePath   = flag.String("save", "", "write the trained model snapshot to this file (serve it with tdserved)")
 		saveFormat = flag.String("snapshot-format", "v6", "snapshot format for -save: v6 (flat, mmap-loadable) or gob")
-		indexKind  = flag.String("index", "flat", "serving index: flat (exact scan), ivf (clustered ANN), sq8 (int8-quantized scan + exact re-rank) or hnsw (graph ANN + exact re-rank)")
-		clusters   = flag.Int("clusters", 0, "IVF partitions (0 = sqrt of corpus size)")
-		nprobe     = flag.Int("nprobe", 0, "IVF partitions probed per query (0 = adaptive half)")
-		exact      = flag.Bool("exact-recall", false, "force IVF to probe every partition (flat-identical rankings)")
+		indexKind  = flag.String("index", "flat", "serving index: flat (exact scan), sq8 (int8-quantized scan + exact re-rank) or hnsw (graph ANN + exact re-rank)")
 		sq8Rerank  = flag.Int("sq8-rerank", 0, "SQ8 re-rank multiplier: re-score this many times k candidates exactly (0 = default 4)")
 		hnswM      = flag.Int("hnsw-m", 0, "HNSW neighbors per node per layer (0 = default 16)")
 		hnswEf     = flag.Int("hnsw-ef", 0, "HNSW query beam width (0 = default 96)")
@@ -67,6 +64,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tdmatch: unknown -snapshot-format %q (want v6 or gob)\n", *saveFormat)
 		os.Exit(2)
 	}
+	kind, err := tdmatch.ParseIndexKind(*indexKind)
+	if err != nil {
+		// An unknown index kind is a usage error: say so loudly and show
+		// the flag set rather than silently serving from the flat scan.
+		fmt.Fprintln(os.Stderr, "tdmatch:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	first, err := tdmatch.LoadCorpus(*firstPath, "first")
 	fatal(err)
@@ -78,18 +83,7 @@ func main() {
 	cfg.NumWalks = *walks
 	cfg.WalkLength = *length
 	cfg.Dim = *dim
-	kind, err := parseIndexKind(*indexKind)
-	if err != nil {
-		// An unknown index kind is a usage error: say so loudly and show
-		// the flag set rather than silently serving from the flat scan.
-		fmt.Fprintln(os.Stderr, "tdmatch:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	cfg.Index = kind
-	cfg.IVFClusters = *clusters
-	cfg.IVFNProbe = *nprobe
-	cfg.ExactRecall = *exact
 	cfg.SQ8Rerank = *sq8Rerank
 	cfg.HNSWM = *hnswM
 	cfg.HNSWEf = *hnswEf
@@ -142,21 +136,6 @@ func main() {
 			parts[i] = m.String()
 		}
 		fmt.Printf("%s\t%s\n", q, strings.Join(parts, "\t"))
-	}
-}
-
-func parseIndexKind(s string) (tdmatch.IndexKind, error) {
-	switch s {
-	case "flat", "":
-		return tdmatch.IndexFlat, nil
-	case "ivf":
-		return tdmatch.IndexIVF, nil
-	case "sq8":
-		return tdmatch.IndexSQ8, nil
-	case "hnsw":
-		return tdmatch.IndexHNSW, nil
-	default:
-		return 0, fmt.Errorf("unknown -index %q (want flat, ivf, sq8 or hnsw)", s)
 	}
 }
 

@@ -1,11 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"github.com/tdmatch/tdmatch"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -17,18 +18,43 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
+// TestParseIndexKind runs the command with each -index value. A removed
+// or unknown kind is a usage error: exit 2 with the reason and the flag
+// set, before any corpus is read. A known kind passes the check, so the
+// missing corpus file fails the run with exit 1 instead.
 func TestParseIndexKind(t *testing.T) {
-	for s, want := range map[string]tdmatch.IndexKind{
-		"flat": tdmatch.IndexFlat, "": tdmatch.IndexFlat, "ivf": tdmatch.IndexIVF,
-		"sq8": tdmatch.IndexSQ8, "hnsw": tdmatch.IndexHNSW,
-	} {
-		got, err := parseIndexKind(s)
-		if err != nil || got != want {
-			t.Errorf("parseIndexKind(%q) = %v, %v", s, got, err)
-		}
+	if args := os.Getenv("TDMATCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"tdmatch"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
 	}
-	if _, err := parseIndexKind("annoy"); err == nil {
-		t.Error("want error for unknown index kind")
+	missing := filepath.Join(t.TempDir(), "missing.csv")
+	for _, tc := range []struct {
+		kind string
+		code int
+		msg  string
+	}{
+		{"flat", 1, "missing.csv"},
+		{"sq8", 1, "missing.csv"},
+		{"hnsw", 1, "missing.csv"},
+		{"ivf", 2, "was removed"},
+		{"annoy", 2, "unknown"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestParseIndexKind$")
+		cmd.Env = append(os.Environ(),
+			"TDMATCH_TEST_ARGS=-first "+missing+" -second "+missing+" -index "+tc.kind)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != tc.code {
+			t.Errorf("-index %s: %v, want exit %d\n%s", tc.kind, err, tc.code, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.msg) {
+			t.Errorf("-index %s: output lacks %q:\n%s", tc.kind, tc.msg, out)
+		}
+		if usage := strings.Contains(string(out), "-index string"); usage != (tc.code == 2) {
+			t.Errorf("-index %s: usage shown %v, want %v:\n%s", tc.kind, usage, tc.code == 2, out)
+		}
 	}
 }
 

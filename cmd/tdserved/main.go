@@ -79,7 +79,6 @@ func main() {
 		cacheSize  = flag.Int("cache", 0, "result-cache entries (0 = model default 4096, negative disables)")
 		batchWin   = flag.Duration("batch-window", 0, "micro-batch coalescing window (0 = model default 200µs, negative disables)")
 		workers    = flag.Int("workers", 0, "serving worker-pool size (0 = model default, GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "scatter-gather shards per serving index (0 = model/auto, negative disables)")
 		defaultK   = flag.Int("k", 5, "matches returned when a request omits k")
 
 		walPath      = flag.String("wal", "", "write-ahead log path; empty serves without durability")
@@ -106,7 +105,7 @@ func main() {
 		CacheSize:   *cacheSize,
 		BatchWindow: *batchWin,
 		Workers:     *workers,
-	}, *defaultK, *shards, daemonOptions{
+	}, *defaultK, daemonOptions{
 		walPath:      *walPath,
 		walSync:      *walSync,
 		walInterval:  *walInterval,
@@ -188,11 +187,8 @@ type daemonOptions struct {
 type daemon struct {
 	firstPath, secondPath, modelPath string
 	defaultK                         int
-	// shards is the -shards override applied to every loaded model
-	// (0 leaves the model's own Config.ServeShards resolution in place).
-	shards  int
-	server  *tdmatch.Server
-	started time.Time
+	server                           *tdmatch.Server
+	started                          time.Time
 
 	// wal is the durability log (nil without -wal). The daemon owns its
 	// lifecycle: opened and replayed before serving, flushed and closed
@@ -220,13 +216,12 @@ type daemon struct {
 
 // newDaemon loads the corpora and snapshot, replays the WAL (when
 // configured) and wraps the recovered model in a Server.
-func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, defaultK, shards int, opts daemonOptions) (*daemon, error) {
+func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, defaultK int, opts daemonOptions) (*daemon, error) {
 	d := &daemon{
 		firstPath:  firstPath,
 		secondPath: secondPath,
 		modelPath:  modelPath,
 		defaultK:   defaultK,
-		shards:     shards,
 		started:    time.Now(),
 	}
 	if opts.maxBody == 0 {
@@ -315,6 +310,9 @@ func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	log.Printf("tdserved: snapshot %s: load mode %s, opened in %s",
 		d.modelPath, snap.LoadMode(), time.Since(start).Round(time.Microsecond))
 	info := snap.Info()
+	if info.LegacyIVF {
+		log.Printf("tdserved: snapshot %s was saved with the removed ivf index; serving its arena as an exact flat scan", d.modelPath)
+	}
 	first, err := tdmatch.LoadCorpus(d.firstPath, info.FirstName)
 	if err != nil {
 		return nil, info, fmt.Errorf("loading first corpus: %w", err)
@@ -329,11 +327,6 @@ func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	}
 	if err := validateCoverage(model, info, first, second); err != nil {
 		return nil, info, err
-	}
-	if d.shards != 0 {
-		// Applied on every load (startup and reload) before the model
-		// starts serving, so the -shards override survives hot reloads.
-		model.Reshard(d.shards)
 	}
 	fi, si := model.IndexStats()
 	log.Printf("tdserved: index %s: first %s; second %s", fi.Kind, indexLine(fi), indexLine(si))
@@ -645,17 +638,15 @@ type statsResponse struct {
 // modelInfoResponse is the served snapshot's metadata in /v1/stats and
 // /healthz.
 type modelInfoResponse struct {
-	First       string `json:"first"`
-	Second      string `json:"second"`
-	Docs        int    `json:"docs"`
-	Dim         int    `json:"dim"`
-	Index       string `json:"index"`
-	IVFClusters int    `json:"ivf_clusters,omitempty"`
-	IVFNProbe   int    `json:"ivf_nprobe,omitempty"`
-	SQ8Rerank   int    `json:"sq8_rerank,omitempty"`
-	HNSWM       int    `json:"hnsw_m,omitempty"`
-	HNSWEf      int    `json:"hnsw_ef,omitempty"`
-	HNSWEfC     int    `json:"hnsw_ef_construct,omitempty"`
+	First     string `json:"first"`
+	Second    string `json:"second"`
+	Docs      int    `json:"docs"`
+	Dim       int    `json:"dim"`
+	Index     string `json:"index"`
+	SQ8Rerank int    `json:"sq8_rerank,omitempty"`
+	HNSWM     int    `json:"hnsw_m,omitempty"`
+	HNSWEf    int    `json:"hnsw_ef,omitempty"`
+	HNSWEfC   int    `json:"hnsw_ef_construct,omitempty"`
 }
 
 func (d *daemon) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -912,10 +903,6 @@ func (d *daemon) modelInfoResponse() modelInfoResponse {
 		Docs:   info.Docs,
 		Dim:    info.Dim,
 		Index:  info.Index.String(),
-	}
-	if info.Index == tdmatch.IndexIVF {
-		out.IVFClusters = info.IVFClusters
-		out.IVFNProbe = info.IVFNProbe
 	}
 	if info.Index == tdmatch.IndexSQ8 {
 		out.SQ8Rerank = info.SQ8Rerank

@@ -90,14 +90,7 @@ func fixtureConfig(seed int64) tdmatch.Config {
 // startDaemon wires a daemon over the fixture files behind httptest.
 func startDaemon(t *testing.T, firstPath, secondPath, modelPath string) (*daemon, *httptest.Server) {
 	t.Helper()
-	d, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 4}, 5, 2, daemonOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.server.Close)
-	ts := httptest.NewServer(newHandler(d))
-	t.Cleanup(ts.Close)
-	return d, ts
+	return startDaemonWith(t, firstPath, secondPath, modelPath, daemonOptions{})
 }
 
 // postJSON posts v and decodes the response body into out, returning the
@@ -121,43 +114,92 @@ func postJSON(t *testing.T, url string, v any, out any) int {
 	return resp.StatusCode
 }
 
-// TestRoundTripIVFSnapshotServesIdenticalTopK is the persistence
-// round-trip check: a current-version snapshot saved with IVF selected
-// must reload into the daemon and serve, over HTTP, exactly the
-// rankings the in-process model produces.
-func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
-	cfg := fixtureConfig(1)
-	cfg.Index = tdmatch.IndexIVF
-	cfg.IVFClusters = 3
-	cfg.IVFNProbe = 2
-	firstPath, secondPath, modelPath, model := trainFixture(t, cfg)
+// persistMoviesCSV / persistReviewsTXT are, as files, the corpora the
+// root package's committed snapshot fixtures (testdata/persist) were
+// trained on.
+const persistMoviesCSV = `title,director,star,rating,genre
+The Sixth Sense,Shyamalan,Bruce Willis,PG,Thriller
+Pulp Fiction,Tarantino,Bruce Willis,R,Drama
+The Godfather,Coppola,Marlon Brando,R,Crime
+Alien,Ridley Scott,Sigourney Weaver,R,Horror
+`
 
-	info, err := tdmatch.ReadModelInfoFile(modelPath)
-	if err != nil {
+const persistReviewsTXT = `a comedy by Tarantino starring Willis with unforgettable dialogue
+Willis sees dead people in this Shyamalan thriller about a sixth sense
+Brando leads the godfather crime family in Coppola's masterpiece
+Weaver fights the alien in deep space horror
+`
+
+// TestRoundTripIVFSnapshotServesIdenticalTopK: a committed snapshot
+// saved with the removed IVF index (v6 and gob) starts the daemon, which
+// logs that it serves the snapshot as an exact flat scan, reports index
+// "flat" in /v1/stats, and serves over HTTP exactly the rankings of the
+// in-process model bound from the same file.
+func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
+	dir := t.TempDir()
+	firstPath := filepath.Join(dir, "movies.csv")
+	secondPath := filepath.Join(dir, "reviews.txt")
+	if err := os.WriteFile(firstPath, []byte(persistMoviesCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if info.Version < 2 || info.Index != tdmatch.IndexIVF {
-		t.Fatalf("snapshot info = %+v, want version >= 2 with IVF", info)
+	if err := os.WriteFile(secondPath, []byte(persistReviewsTXT), 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	_, ts := startDaemon(t, firstPath, secondPath, modelPath)
-	for id := range model.Vectors() {
-		want, err := model.TopK(id, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got topkResponse
-		if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: id, K: 4}, &got); status != http.StatusOK {
-			t.Fatalf("topk(%s) status %d", id, status)
-		}
-		if got.ID != id || len(got.Matches) != len(want) {
-			t.Fatalf("topk(%s) = %+v, want %d matches", id, got, len(want))
-		}
-		for i, m := range want {
-			if got.Matches[i].ID != m.ID || got.Matches[i].Score != m.Score {
-				t.Errorf("topk(%s)[%d] = %+v, want %+v", id, i, got.Matches[i], m)
+	for _, name := range []string{"v6ivf.snap", "v5ivf.gob"} {
+		t.Run(name, func(t *testing.T) {
+			modelPath := filepath.Join("..", "..", "testdata", "persist", name)
+			logged := &logBuffer{}
+			log.SetOutput(logged)
+			_, ts := startDaemon(t, firstPath, secondPath, modelPath)
+			log.SetOutput(os.Stderr)
+			if !strings.Contains(logged.String(), "removed ivf index; serving its arena as an exact flat scan") {
+				t.Errorf("start-up log does not report the flat downgrade: %s", logged.String())
 			}
-		}
+
+			var st statsResponse
+			resp, err := http.Get(ts.URL + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Model.Index != "flat" || st.FirstIndex.Kind != "flat" || st.SecondIndex.Kind != "flat" {
+				t.Errorf("stats index = %q (%q/%q), want flat", st.Model.Index, st.FirstIndex.Kind, st.SecondIndex.Kind)
+			}
+
+			first, err := tdmatch.LoadCorpus(firstPath, "movies")
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := tdmatch.LoadCorpus(secondPath, "reviews")
+			if err != nil {
+				t.Fatal(err)
+			}
+			model, err := tdmatch.LoadModelFile(modelPath, first, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range model.Vectors() {
+				want, err := model.TopK(id, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got topkResponse
+				if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: id, K: 4}, &got); status != http.StatusOK {
+					t.Fatalf("topk(%s) status %d", id, status)
+				}
+				if got.ID != id || len(got.Matches) != len(want) {
+					t.Fatalf("topk(%s) = %+v, want %d matches", id, got, len(want))
+				}
+				for i, m := range want {
+					if got.Matches[i].ID != m.ID || got.Matches[i].Score != m.Score {
+						t.Errorf("topk(%s)[%d] = %+v, want %+v", id, i, got.Matches[i], m)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -243,7 +285,7 @@ func TestWrongCorpusFilesRefusedAtStartup(t *testing.T) {
 
 	// Swapped format: a text file where the table was — document IDs get
 	// the p-prefix, matching none of the snapshot's t-prefixed vectors.
-	if _, err := newDaemon(secondPath, secondPath, modelPath, tdmatch.ServeConfig{}, 5, 0, daemonOptions{}); err == nil {
+	if _, err := newDaemon(secondPath, secondPath, modelPath, tdmatch.ServeConfig{}, 5, daemonOptions{}); err == nil {
 		t.Error("daemon started over a text file in place of the trained table")
 	}
 
@@ -256,12 +298,12 @@ func TestWrongCorpusFilesRefusedAtStartup(t *testing.T) {
 	if err := os.WriteFile(tinyTxt, []byte("one lonely review\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDaemon(tiny, tinyTxt, modelPath, tdmatch.ServeConfig{}, 5, 0, daemonOptions{}); err == nil {
+	if _, err := newDaemon(tiny, tinyTxt, modelPath, tdmatch.ServeConfig{}, 5, daemonOptions{}); err == nil {
 		t.Error("daemon started with fewer documents than stored vectors")
 	}
 
 	// The matching files still work.
-	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{}, 5, 0, daemonOptions{}); err != nil {
+	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{}, 5, daemonOptions{}); err != nil {
 		t.Errorf("daemon refused the correct corpora: %v", err)
 	}
 }
@@ -309,35 +351,6 @@ func TestBadRequests(t *testing.T) {
 	}
 	if body["error"] == "" {
 		t.Errorf("batch with empty id: body %v, want a JSON error", body)
-	}
-}
-
-// TestStatsReportsShardCounters: a daemon started with -shards=2 must
-// surface nonzero per-shard scatter counters for the side that served
-// the (cache-cold) queries.
-func TestStatsReportsShardCounters(t *testing.T) {
-	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(1))
-	_, ts := startDaemon(t, firstPath, secondPath, modelPath) // shards=2
-	if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: "reviews:p0"}, nil); status != http.StatusOK {
-		t.Fatalf("topk status %d", status)
-	}
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.FirstShards) != 2 || len(st.SecondShards) != 2 {
-		t.Fatalf("shard stats = %+v / %+v, want 2 shards per side", st.FirstShards, st.SecondShards)
-	}
-	// A reviews-side query scans the first (movies) index.
-	for si, sh := range st.FirstShards {
-		if sh.Batches == 0 || sh.Queries == 0 {
-			t.Errorf("first-side shard %d counters = %+v, want nonzero", si, sh)
-		}
 	}
 }
 
@@ -692,11 +705,11 @@ func TestHNSWSnapshotDaemonRoundTrip(t *testing.T) {
 // TestBadSnapshotFlagsRejected pins the flag validation in newDaemon.
 func TestBadSnapshotFlagsRejected(t *testing.T) {
 	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(35))
-	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, 0,
+	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
 		daemonOptions{snapFormat: "msgpack"}); err == nil {
 		t.Error("unknown -snapshot-format accepted")
 	}
-	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, 0,
+	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
 		daemonOptions{snapVerify: "paranoid"}); err == nil {
 		t.Error("unknown -snapshot-verify accepted")
 	}

@@ -24,7 +24,7 @@ import (
 // durability and degradation tests.
 func startDaemonWith(t *testing.T, firstPath, secondPath, modelPath string, opts daemonOptions) (*daemon, *httptest.Server) {
 	t.Helper()
-	d, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 4}, 5, 2, opts)
+	d, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 4}, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestUnreadableSnapshotFailsStartup(t *testing.T) {
 	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(35))
 
 	_, err := newDaemon(firstPath, secondPath, filepath.Join(t.TempDir(), "nope.gob"),
-		tdmatch.ServeConfig{Workers: 1}, 5, 0, daemonOptions{})
+		tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{})
 	if err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
@@ -322,7 +322,7 @@ func TestUnreadableSnapshotFailsStartup(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a snapshot at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDaemon(firstPath, secondPath, garbage, tdmatch.ServeConfig{Workers: 1}, 5, 0, daemonOptions{}); err == nil {
+	if _, err := newDaemon(firstPath, secondPath, garbage, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{}); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 
@@ -350,7 +350,7 @@ func TestUnreadableSnapshotFailsStartup(t *testing.T) {
 	if err := os.WriteFile(badWAL, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, 0,
+	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
 		daemonOptions{walPath: badWAL}); err == nil {
 		t.Fatal("corrupt wal accepted")
 	}

@@ -55,11 +55,10 @@ const (
 	// IndexFlat is the exact ranking of the paper (§IV-B): a full cosine
 	// scan over one contiguous vector arena. The default.
 	IndexFlat IndexKind = iota
-	// IndexIVF is a clustering-based approximate index: targets are
-	// partitioned by k-means and queries probe only the nearest
-	// IVFNProbe partitions — the cluster-pruning serving architecture of
-	// the product-matching literature.
-	IndexIVF
+	// indexRemovedIVF is the persisted value of the removed IVF index
+	// kind, reserved so the values after it keep their meaning:
+	// snapshots saved with it serve their stored arena as IndexFlat.
+	indexRemovedIVF
 	// IndexSQ8 is a scalar-quantized index: target vectors are stored as
 	// int8 codes with a per-row scale (4x less memory traffic on the
 	// scan) and the top SQ8Rerank*k approximate candidates are re-scored
@@ -74,15 +73,12 @@ const (
 	IndexHNSW
 )
 
-// String returns the flag-style name of the index kind: "flat", "ivf",
-// "sq8" or "hnsw" (or "indexkind(n)" for values outside the defined
-// set).
+// String returns the flag-style name of the index kind: "flat", "sq8"
+// or "hnsw" (or "indexkind(n)" for values outside the defined set).
 func (k IndexKind) String() string {
 	switch k {
 	case IndexFlat:
 		return "flat"
-	case IndexIVF:
-		return "ivf"
 	case IndexSQ8:
 		return "sq8"
 	case IndexHNSW:
@@ -90,6 +86,21 @@ func (k IndexKind) String() string {
 	default:
 		return fmt.Sprintf("indexkind(%d)", uint8(k))
 	}
+}
+
+// ParseIndexKind is the inverse of IndexKind.String: it maps "flat",
+// "sq8" and "hnsw" to their kinds and rejects every other name — "ivf"
+// with an error saying that kind was removed.
+func ParseIndexKind(s string) (IndexKind, error) {
+	for _, k := range []IndexKind{IndexFlat, IndexSQ8, IndexHNSW} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	if s == "ivf" {
+		return 0, fmt.Errorf("index kind %q was removed (flat, sq8 and hnsw remain; ivf snapshots load as flat)", s)
+	}
+	return 0, fmt.Errorf("unknown index kind %q (want flat, sq8 or hnsw)", s)
 }
 
 // Config parametrizes the pipeline. Zero values select paper defaults via
@@ -166,19 +177,6 @@ type Config struct {
 	// IndexFlat, the paper's exact scan). TopKCombined and TopKBlocked
 	// always use the exact index regardless.
 	Index IndexKind
-	// IVFClusters is the number of k-means partitions of an IVF index
-	// (0 = ~sqrt of the corpus size).
-	IVFClusters int
-	// IVFNProbe is the number of partitions scanned per IVF query,
-	// honored strictly when set. 0 selects half the partitions and
-	// extends each query's probe set to cover at least 8×k candidates,
-	// which keeps recall@10 >= 0.95 on the paper's corpora; raise toward
-	// IVFClusters for higher recall.
-	IVFNProbe int
-	// ExactRecall forces approximate indexes to probe every partition,
-	// guaranteeing rankings identical to IndexFlat — the parity knob for
-	// validating an IVF deployment before lowering IVFNProbe.
-	ExactRecall bool
 	// SQ8Rerank is the re-rank candidate multiplier of an IndexSQ8
 	// index: the quantized scan selects SQ8Rerank*k candidates that are
 	// then re-scored exactly in float32 (0 = default 4). Raising it
@@ -216,13 +214,6 @@ type Config struct {
 	// 0 selects the default. Each entry holds one (document, k) ranking,
 	// so the default is ~4096 × k Match values of resident memory.
 	ServeCacheSize int
-	// ServeShards partitions each side's serving index into contiguous
-	// shards for scatter-gather top-k: query batches are scored per shard
-	// in parallel on the worker pool and the per-shard heaps merged into
-	// the exact global ranking, bit-identical to unsharded serving. 0
-	// selects an automatic count from GOMAXPROCS and the corpus size
-	// (small corpora stay unsharded); 1 or negative disables sharding.
-	ServeShards int
 	// ServeBatchWindow is how long Server.TopK holds an uncached query to
 	// coalesce it with concurrent ones into a single worker-pool pass
 	// (default 200µs — well under network latency, wide enough to gather
@@ -333,29 +324,4 @@ func (c Config) withDefaults() Config {
 		c.WALSync = d.WALSync
 	}
 	return c
-}
-
-// autoShardRows is the row count one shard should cover before auto
-// sharding splits further: below it the scatter bookkeeping costs more
-// than the partial scans save, so small corpora stay unsharded.
-const autoShardRows = 256
-
-// serveShards resolves the effective shard count for a serving index
-// over n rows: explicit positive counts are honored exactly, negative
-// disables sharding, and 0 selects min(GOMAXPROCS, n/autoShardRows).
-func (c Config) serveShards(n int) int {
-	if c.ServeShards > 0 {
-		return c.ServeShards
-	}
-	if c.ServeShards < 0 {
-		return 1
-	}
-	shards := n / autoShardRows
-	if gm := runtime.GOMAXPROCS(0); shards > gm {
-		shards = gm
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
 }

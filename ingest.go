@@ -321,9 +321,8 @@ func (m *Model) Compact() error {
 	return nil
 }
 
-// appendToIndex appends the documents' vectors to a serving index (the
-// IVF and SQ8 wrappers append to their underlying flat index, which is
-// the model's, so the exact paths stay in sync). Documents without an
+// appendToIndex appends the documents' vectors to a serving index (a
+// segment stack lands them in its mutable delta). Documents without an
 // embedding become zero rows, exactly as after a full build.
 func (m *Model) appendToIndex(idx match.VectorIndex, docs []corpus.Document) error {
 	if len(docs) == 0 {

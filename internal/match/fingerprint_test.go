@@ -30,25 +30,6 @@ func TestFingerprintDistinguishesConfigurations(t *testing.T) {
 		t.Error("flat fingerprint ignores corpus size")
 	}
 
-	ivf := NewIVF(flat, IVFOptions{Clusters: 4, NProbe: 2, Seed: 1})
-	if ivf.Fingerprint() == flat.Fingerprint() {
-		t.Error("IVF fingerprint equals the flat fingerprint")
-	}
-	same := NewIVF(flat, IVFOptions{Clusters: 4, NProbe: 2, Seed: 1})
-	if ivf.Fingerprint() != same.Fingerprint() {
-		t.Error("equal IVF configurations disagree")
-	}
-	for name, o := range map[string]IVFOptions{
-		"clusters": {Clusters: 2, NProbe: 2, Seed: 1},
-		"nprobe":   {Clusters: 4, NProbe: 3, Seed: 1},
-		"adaptive": {Clusters: 4, Seed: 1},
-		"seed":     {Clusters: 4, NProbe: 2, Seed: 2},
-	} {
-		if NewIVF(flat, o).Fingerprint() == ivf.Fingerprint() {
-			t.Errorf("IVF fingerprint ignores %s change", name)
-		}
-	}
-
 	// Every kind tag must keep the kinds pairwise disjoint over the same
 	// flat: a cache keyed on the fingerprint must never serve one kind's
 	// results for another.
@@ -56,7 +37,6 @@ func TestFingerprintDistinguishesConfigurations(t *testing.T) {
 	hnsw := NewHNSW(flat, HNSWOptions{Seed: 1})
 	fps := map[string]uint64{
 		"flat": flat.Fingerprint(),
-		"ivf":  ivf.Fingerprint(),
 		"sq8":  sq8.Fingerprint(),
 		"hnsw": hnsw.Fingerprint(),
 	}

@@ -7,8 +7,8 @@ import (
 	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
-// HNSW is a hierarchical navigable-small-world graph index, the third
-// approximate serving kind next to IVF and SQ8: each indexed row is a
+// HNSW is a hierarchical navigable-small-world graph index, the
+// approximate serving kind next to SQ8: each indexed row is a
 // graph node with at most M neighbors per layer (2M on layer 0), upper
 // layers form an exponentially sparser hierarchy, and a query descends
 // the hierarchy greedily before an ef-bounded best-first beam over
@@ -644,7 +644,7 @@ func (x *HNSW) IDs() []string { return x.flat.IDs() }
 func (x *HNSW) Dim() int { return x.flat.Dim() }
 
 // fingerprintHNSW is the kind tag keeping HNSW digests disjoint from
-// flat, IVF, SQ8 and segmented ones.
+// flat, SQ8 and segmented ones.
 const fingerprintHNSW uint64 = 0x6e57
 
 // Fingerprint returns the serving-configuration digest of the graph
@@ -753,8 +753,7 @@ func (x *HNSW) TopKBatch(queries [][]float32, k int) [][]Scored {
 
 // beamCandidates runs the graph search for one normalized query and
 // returns the candidate positions of the layer-0 beam — the exact
-// re-rank pool. Shared by the serial path and the sharded planner, so
-// both rank from the same candidate set.
+// re-rank pool.
 func (x *HNSW) beamCandidates(qn []float32, k int) []int32 {
 	sc := x.scratch()
 	ep := x.entry

@@ -2,6 +2,7 @@ package match
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,29 @@ import (
 
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
 )
+
+// randomIndex builds a flat index over n deterministic pseudo-random
+// vectors of the given dimension.
+func randomIndex(t testing.TB, n, dim int, seed uint64) *Index {
+	t.Helper()
+	ids := make([]string, n)
+	vecs := make([][]float32, n)
+	state := seed
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%04d", i)
+		v := make([]float32, dim)
+		for d := range v {
+			state = splitmix(state)
+			v[d] = float32(state%2000)/1000 - 1
+		}
+		vecs[i] = v
+	}
+	idx, err := NewIndex(ids, vecs, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
 
 // hnswGraphEqual compares two graphs structurally: levels and the
 // flattened CSR adjacency.
@@ -313,7 +337,7 @@ func TestHNSWPartsValidation(t *testing.T) {
 }
 
 // TestHNSWDegenerate covers empty indexes, k <= 0 and k above the live
-// count: the unsharded nil-result conventions must hold.
+// count: the flat index's nil-result conventions must hold.
 func TestHNSWDegenerate(t *testing.T) {
 	empty, err := NewIndex(nil, nil, 8)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // the CPU supports it and through the portable Go loops below otherwise.
 //
 // Every ranking path of the package — single-query TopK, the batched
-// TopKBatch, IVF probe scans, token-blocked scans and the SQ8 re-rank —
+// TopKBatch, token-blocked scans and the SQ8 and HNSW re-ranks —
 // selects candidates with the same heap and the same tie rule (equal
 // scores break by ascending ID), so rankings are deterministic and
 // identical across kernels.
@@ -96,7 +96,7 @@ func (x *Index) zapDead(scores []float32, base int) {
 
 // dotOne scores a single arena row against the normalized query with
 // the same kernel (and thus the same rounding) as the tiled scans, so
-// scattered-position paths (IVF probes, token blocking, SQ8 re-rank)
+// scattered-position paths (token blocking, SQ8 and HNSW re-rank)
 // rank identically to the full scan.
 func dotOne(row, q []float32) float32 {
 	var out [1]float32

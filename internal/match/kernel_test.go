@@ -208,36 +208,6 @@ func TestTopKMatchesTopKFunc(t *testing.T) {
 	}
 }
 
-// TestIVFTopKBatchMatchesSerial pins IVF's batch entry point to its
-// serial TopK, across adaptive, strict-probe and exhaustive configs.
-func TestIVFTopKBatchMatchesSerial(t *testing.T) {
-	const n, dim = 240, 16
-	idx := kernelTestIndex(t, n, dim, 5)
-	rng := rand.New(rand.NewSource(6))
-	queries := make([][]float32, 9)
-	for i := range queries {
-		q := make([]float32, dim)
-		for d := range q {
-			q[d] = rng.Float32()*2 - 1
-		}
-		queries[i] = q
-	}
-	for _, opts := range []IVFOptions{
-		{Seed: 1},
-		{Seed: 1, Clusters: 8, NProbe: 2},
-		{Seed: 1, ExactRecall: true},
-	} {
-		ivf := NewIVF(idx, opts)
-		got := ivf.TopKBatch(queries, 7)
-		for qi, q := range queries {
-			want := ivf.TopK(q, 7)
-			if !reflect.DeepEqual(got[qi], want) {
-				t.Fatalf("opts %+v query %d: batch diverged from serial", opts, qi)
-			}
-		}
-	}
-}
-
 // TestTopKBatchEdgeCases covers empty batches, k <= 0 and empty
 // indexes, which must all degrade exactly like serial TopK.
 func TestTopKBatchEdgeCases(t *testing.T) {

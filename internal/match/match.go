@@ -4,10 +4,11 @@
 // corpus, returning the top-k. It also provides the score-averaging
 // combination with a second embedder evaluated in Fig. 10.
 //
-// Two index implementations serve the ranking: the exact Index, a flat
-// scan over one contiguous vector arena, and IVF, a clustering-based
-// approximate index that probes only the nearest k-means partitions.
-// Both satisfy VectorIndex, the pluggable serving interface.
+// Three index kinds serve the ranking: the exact Index, a flat scan over
+// one contiguous vector arena; IndexSQ8, an int8-quantized scan with an
+// exact re-rank; and HNSW, a graph index with an exact re-rank. All
+// satisfy VectorIndex, the pluggable serving interface, and Segmented
+// stacks them into one mutable serving index.
 package match
 
 import (
@@ -57,7 +58,7 @@ type VectorIndex interface {
 	Remove(ids []string) int
 	// Fingerprint returns a stable 64-bit digest of the index's serving
 	// configuration: implementation kind, corpus size, dimensionality,
-	// (for approximate indexes) the partition parameters and clustering
+	// (for approximate indexes) the search parameters and construction
 	// seed, and the mutation epoch — every Append/Remove bumps it.
 	// Serving-layer result caches include it in their keys, so selecting
 	// a differently-configured index — or mutating one — invalidates
@@ -65,10 +66,7 @@ type VectorIndex interface {
 	Fingerprint() uint64
 }
 
-var (
-	_ VectorIndex = (*Index)(nil)
-	_ VectorIndex = (*IVF)(nil)
-)
+var _ VectorIndex = (*Index)(nil)
 
 // Index holds the match targets: document IDs with their normalized
 // embedding vectors, stored in one contiguous arena so the scan is a
@@ -311,22 +309,29 @@ func (x *Index) Clone() *Index {
 	return nx
 }
 
-// Fingerprint kind tags keep flat and IVF digests disjoint even for equal
-// size/dimension parameters.
-const (
-	fingerprintFlat uint64 = 0xf1a7 // "flat"
-	fingerprintIVF  uint64 = 0x17f  // "ivf"
-)
+// fingerprintFlat tags flat digests (each kind has its own tag), keeping
+// them disjoint from other kinds' even for equal size/dimension
+// parameters.
+const fingerprintFlat uint64 = 0xf1a7 // "flat"
 
 // mixFingerprint folds the parts into one 64-bit digest with the
 // splitmix64 finalizer, which diffuses single-bit parameter changes
-// (e.g. nprobe 4 → 5) across the whole word.
+// (e.g. rerank 4 → 5) across the whole word.
 func mixFingerprint(parts ...uint64) uint64 {
 	h := uint64(0x6d617463685f6670) // "match_fp"
 	for _, p := range parts {
 		h = splitmix(h ^ p)
 	}
 	return h
+}
+
+// splitmix is the splitmix64 step behind fingerprints and HNSW's seeded
+// level draws.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Score returns the cosine similarity between the (not necessarily
@@ -449,7 +454,7 @@ func sortScored(h scoredHeap) []Scored {
 // topKPositions selects the k candidates (given as arena positions) most
 // similar to the normalized query, best first with ID tie-breaking. Rows
 // are scored with the same kernel as the tiled full scan, so scattered-
-// position rankings (IVF probes, blocking, SQ8 re-rank) agree with it
+// position rankings (blocking, SQ8 and HNSW re-rank) agree with it
 // bit-for-bit; IDs are resolved only for the <= k heap residents.
 func (x *Index) topKPositions(q []float32, positions []int32, k int) []Scored {
 	if k <= 0 || len(positions) == 0 {

@@ -115,48 +115,6 @@ func TestFlatAppendRemoveMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestIVFAppendAssignsToNearestCentroid: appended docs join the list of
-// their nearest centroid (no re-clustering), removals tombstone in
-// place, and an exact-recall IVF stays bit-identical to the mutated
-// flat index throughout.
-func TestIVFAppendAssignsToNearestCentroid(t *testing.T) {
-	const dim = 16
-	ids, vecs := mutVecs(80, dim, 11)
-	flat, err := NewIndex(ids[:60], vecs[:60], dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivf := NewIVF(flat, IVFOptions{Clusters: 6, ExactRecall: true, Seed: 3})
-	fp0 := ivf.Fingerprint()
-	if err := ivf.Append(ids[60:], flatten(vecs[60:], dim)); err != nil {
-		t.Fatal(err)
-	}
-	if ivf.Fingerprint() == fp0 {
-		t.Error("IVF fingerprint unchanged after append")
-	}
-	listed := 0
-	for _, l := range ivf.lists {
-		for _, p := range l {
-			if p >= 60 {
-				listed++
-			}
-		}
-	}
-	if listed != 20 {
-		t.Fatalf("appended rows in inverted lists = %d, want 20", listed)
-	}
-	if got := ivf.Remove([]string{ids[0], ids[70]}); got != 2 {
-		t.Fatalf("Remove = %d, want 2", got)
-	}
-	for qi, q := range vecs {
-		got := ivf.TopK(q, 10)
-		want := flat.TopK(q, 10)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: exact-recall IVF diverged from mutated flat\ngot:  %v\nwant: %v", qi, got, want)
-		}
-	}
-}
-
 // TestSQ8AppendQuantizesNewRows: the quantized index follows appends
 // and removals, and with a corpus-covering re-rank pool stays
 // bit-identical to the mutated flat index.
@@ -202,20 +160,20 @@ func TestCloneIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivf := NewIVF(flat, IVFOptions{Clusters: 4, Seed: 1})
+	hnsw := NewHNSW(flat, HNSWOptions{M: 4, Seed: 1})
 	sq := NewIndexSQ8(flat, 0)
 
 	cf := flat.Clone()
-	civf := ivf.CloneWithFlat(cf)
+	chnsw := hnsw.CloneWithFlat(cf)
 	csq := sq.CloneWithFlat(cf)
 
 	wantTop := flat.TopK(vecs[0], 5)
-	wantFP := []uint64{flat.Fingerprint(), ivf.Fingerprint(), sq.Fingerprint()}
+	wantFP := []uint64{flat.Fingerprint(), hnsw.Fingerprint(), sq.Fingerprint()}
 
 	if err := cf.Append(ids[20:25], flatten(vecs[20:25], dim)); err != nil {
 		t.Fatal(err)
 	}
-	civf.lists[0] = append(civf.lists[0], 99) // direct list mutation on the clone
+	chnsw.links[0] = append(chnsw.links[0], 99) // direct graph mutation on the clone
 	if csq.Remove([]string{ids[1]}) != 1 {
 		t.Fatal("clone remove failed")
 	}
@@ -223,16 +181,16 @@ func TestCloneIsolation(t *testing.T) {
 	if got := flat.TopK(vecs[0], 5); !reflect.DeepEqual(got, wantTop) {
 		t.Error("original flat rankings changed after clone mutation")
 	}
-	if flat.Fingerprint() != wantFP[0] || ivf.Fingerprint() != wantFP[1] || sq.Fingerprint() != wantFP[2] {
+	if flat.Fingerprint() != wantFP[0] || hnsw.Fingerprint() != wantFP[1] || sq.Fingerprint() != wantFP[2] {
 		t.Error("original fingerprints changed after clone mutation")
 	}
 	if flat.Len() != 20 {
 		t.Errorf("original flat Len = %d, want 20", flat.Len())
 	}
-	for _, l := range ivf.lists {
+	for _, l := range hnsw.links {
 		for _, p := range l {
 			if p >= 20 {
-				t.Fatal("original IVF lists picked up clone's entries")
+				t.Fatal("original HNSW graph picked up clone's edges")
 			}
 		}
 	}
@@ -268,49 +226,5 @@ func TestRemoveBeyondK(t *testing.T) {
 	}
 	if len(comb) != 2 {
 		t.Fatalf("TopKCombined over 2 live docs returned %d results: %v", len(comb), comb)
-	}
-}
-
-// TestIVFAdaptiveProbeCountsLiveCandidates: with removals concentrated
-// in the query's nearest partition, the adaptive probe extension must
-// count live candidates toward its quota (dead list entries score
-// nothing), still returning k results while enough live docs exist.
-func TestIVFAdaptiveProbeCountsLiveCandidates(t *testing.T) {
-	const dim = 8
-	// Two well-separated clusters of 50 docs each.
-	ids := make([]string, 100)
-	vecs := make([][]float32, 100)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("d%03d", i)
-		v := make([]float32, dim)
-		axis := 0
-		if i >= 50 {
-			axis = 1
-		}
-		v[axis] = 1
-		v[7] = float32(i%13) / 100 // small jitter, keeps the cluster tight
-		vecs[i] = v
-	}
-	flat, err := NewIndex(ids, vecs, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivf := NewIVF(flat, IVFOptions{Clusters: 2, Seed: 4}) // NProbe unset: adaptive
-	if ivf.NProbe() != 1 {
-		t.Fatalf("nprobe = %d, want the 1-of-2 heuristic", ivf.NProbe())
-	}
-	// Kill 47 of the 50 docs in the query's own cluster.
-	ivf.Remove(ids[3:50])
-	query := vecs[0]
-	got := ivf.TopK(query, 5)
-	if len(got) != 5 {
-		t.Fatalf("adaptive TopK returned %d results, want 5 (probe quota must count live candidates)", len(got))
-	}
-	for _, s := range got {
-		for _, dead := range ids[3:50] {
-			if s.ID == dead {
-				t.Fatalf("tombstoned doc %s surfaced", s.ID)
-			}
-		}
 	}
 }

@@ -203,7 +203,7 @@ func (x *IndexSQ8) IDs() []string { return x.flat.IDs() }
 func (x *IndexSQ8) Dim() int { return x.flat.Dim() }
 
 // fingerprintSQ8 is the kind tag keeping SQ8 digests disjoint from flat
-// and IVF ones.
+// and HNSW ones.
 const fingerprintSQ8 uint64 = 0x5c8
 
 // Fingerprint returns the serving-configuration digest of the quantized

@@ -156,9 +156,6 @@ func TestSQ8FingerprintDistinguishesConfigs(t *testing.T) {
 	if a == idx.Fingerprint() {
 		t.Error("SQ8 fingerprint must differ from the flat one")
 	}
-	if a == NewIVF(idx, IVFOptions{Seed: 1}).Fingerprint() {
-		t.Error("SQ8 fingerprint must differ from IVF's")
-	}
 	if a != NewIndexSQ8(idx, 4).Fingerprint() {
 		t.Error("equal configs must share a fingerprint")
 	}

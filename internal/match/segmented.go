@@ -9,8 +9,8 @@ import (
 const fingerprintSeg = 0x5e9
 
 // SealFunc wraps a freshly sealed flat segment into its serving form —
-// the model layer supplies the kind wrap (IVF clustering, SQ8
-// quantization, sharding); ordinal is the segment's position in the
+// the model layer supplies the kind wrap (SQ8 quantization, HNSW
+// construction); ordinal is the segment's position in the
 // stack, so wraps that need a seed can derive a deterministic one per
 // segment.
 type SealFunc func(flat *Index, ordinal int) VectorIndex
@@ -97,13 +97,9 @@ func segFlat(v VectorIndex) *Index {
 	switch ix := v.(type) {
 	case *Index:
 		return ix
-	case *IVF:
-		return ix.flat
 	case *IndexSQ8:
 		return ix.flat
 	case *HNSW:
-		return ix.flat
-	case *Sharded:
 		return ix.flat
 	default:
 		return nil
@@ -162,17 +158,6 @@ func (s *Segmented) Base() VectorIndex {
 	return s.sealed[0].idx
 }
 
-// ShardedBase returns the first sealed segment that is shard-wrapped,
-// or nil — the serving layer reads scatter-gather stats through it.
-func (s *Segmented) ShardedBase() *Sharded {
-	for _, seg := range s.sealed {
-		if sh, ok := seg.idx.(*Sharded); ok {
-			return sh
-		}
-	}
-	return nil
-}
-
 // SegmentManifest returns the live document IDs of every segment in
 // stack order, the mutable delta last — the persistence layer's
 // segment manifest. Tombstoned rows (overlay and delta-internal) are
@@ -215,26 +200,6 @@ func (s *Segmented) CleanSegment(i int) (VectorIndex, *Index) {
 		return nil, nil
 	}
 	return s.sealed[i].idx, s.sealed[i].flat
-}
-
-// RewrapBase replaces the base sealed segment's serving wrapper with
-// rewrap(current wrapper) — how the serving layer re-shards without
-// rebuilding the underlying index. The sealed slice is copied first so
-// clones sharing it are unaffected; the epoch is untouched (for exact
-// wrappers neither rankings nor fingerprints change). Not safe
-// concurrently with queries.
-func (s *Segmented) RewrapBase(rewrap func(VectorIndex) VectorIndex) {
-	if len(s.sealed) == 0 {
-		return
-	}
-	idx := rewrap(s.sealed[0].idx)
-	flat := segFlat(idx)
-	if flat == nil {
-		return
-	}
-	sealed := append([]sealedSeg(nil), s.sealed...)
-	sealed[0] = sealedSeg{idx: idx, flat: flat}
-	s.sealed = sealed
 }
 
 // Fingerprint returns the serving-configuration digest of the stack:
@@ -371,8 +336,8 @@ func (s *Segmented) Seal() error {
 // AppendSealed pushes a pre-built sealed segment onto the top of the
 // stack without going through the delta — the snapshot binding path,
 // which reconstructs sealed segments directly over mapped arenas. The
-// segment must wrap a supported flat type (Index, IVF, IndexSQ8, HNSW,
-// or a Sharded of one of those) of the stack's dimensionality; the caller
+// segment must be a supported kind (Index, IndexSQ8 or HNSW) of the
+// stack's dimensionality; the caller
 // guarantees its IDs do not collide with other segments (the snapshot
 // writer serialized a consistent manifest, and section checksums
 // reject torn files).
@@ -491,8 +456,8 @@ func (s *Segmented) TopK(query []float32, k int) []Scored {
 }
 
 // TopKBatch answers one TopK per query, position-aligned with queries.
-// Each sealed segment is queried through its own (possibly batched and
-// sharded) kernel for k plus its tombstone count, overlay-tombstoned
+// Each sealed segment is queried through its own batched kernel for k
+// plus its tombstone count, overlay-tombstoned
 // hits are filtered, and the per-segment rankings merge under
 // (score desc, ID asc) — for exact segment kinds the result is
 // bit-identical to a monolithic flat index over the same live rows.

@@ -11,8 +11,8 @@ import (
 // Property suite for the segmented stack: randomized, seeded, shrinkable
 // interleavings of Append/Remove/Seal/Compact must leave TopK/TopKBatch
 // bit-identical to a from-scratch monolithic flat index over the same
-// live documents, for every exact segment kind (flat, exact-recall IVF,
-// full-rerank SQ8) with and without shard wrapping.
+// live documents, for every segment kind under exact parameters (flat,
+// full-rerank SQ8, full-beam HNSW).
 
 const segPropDim = 8
 
@@ -50,37 +50,27 @@ func (o segOp) String() string {
 	}
 }
 
-// segPropConfig is one cell of the kind × shards test matrix.
+// segPropConfig is one cell of the kind test matrix.
 type segPropConfig struct {
 	name     string
-	kind     string // "flat", "ivf", "sq8"
-	shards   int
-	maxDelta int // auto-seal threshold handed to NewSegmented
+	kind     string // "flat", "sq8", "hnsw"
+	maxDelta int    // auto-seal threshold handed to NewSegmented
 }
 
 // sealFuncFor builds the SealFunc for a matrix cell: the kind wrap with
-// a deterministic per-ordinal seed, then optional shard wrapping. All
-// three kinds are exact under these parameters, so bit-identity to the
-// monolithic flat scan is the contract, not an approximation.
+// a deterministic per-ordinal seed. All three kinds are exact under
+// these parameters, so bit-identity to the monolithic flat scan is the
+// contract, not an approximation.
 func sealFuncFor(cfg segPropConfig) SealFunc {
 	return func(flat *Index, ordinal int) VectorIndex {
-		var idx VectorIndex = flat
 		switch cfg.kind {
-		case "ivf":
-			idx = NewIVF(flat, IVFOptions{Clusters: 3, ExactRecall: true, Seed: 11 + int64(ordinal)})
 		case "sq8":
-			idx = NewIndexSQ8(flat, 1<<20) // rerank pool covers any segment: exact
+			return NewIndexSQ8(flat, 1<<20) // rerank pool covers any segment: exact
 		case "hnsw":
 			// A beam wider than any segment delegates to the exact scan.
-			idx = NewHNSW(flat, HNSWOptions{M: 4, EfConstruct: 16, Ef: 1 << 20, Seed: 11 + int64(ordinal)})
+			return NewHNSW(flat, HNSWOptions{M: 4, EfConstruct: 16, Ef: 1 << 20, Seed: 11 + int64(ordinal)})
 		}
-		if cfg.shards > 1 {
-			sh, err := NewSharded(idx, cfg.shards, 2)
-			if err == nil {
-				idx = sh
-			}
-		}
-		return idx
+		return flat
 	}
 }
 
@@ -279,44 +269,40 @@ func shrinkSeq(cfg segPropConfig, ops []segOp, queries [][]float32, k int) []seg
 }
 
 // TestSegmentedPropertyParity runs >= 200 seeded interleavings across
-// the full kind × shards matrix. On failure it reports the shrunk
-// minimal op sequence together with the seed that regenerates it.
+// the kind matrix. On failure it reports the shrunk minimal op sequence
+// together with the seed that regenerates it.
 func TestSegmentedPropertyParity(t *testing.T) {
-	kinds := []string{"flat", "ivf", "sq8", "hnsw"}
-	shardCounts := []int{1, 8}
-	const itersPerCell = 36 // 4 kinds × 2 shardings × 36 = 288 interleavings
+	kinds := []string{"flat", "sq8", "hnsw"}
+	const itersPerCell = 72 // 3 kinds × 72 = 216 interleavings
 	total := 0
 	for _, kind := range kinds {
-		for _, shards := range shardCounts {
-			cell := fmt.Sprintf("%s/shards=%d", kind, shards)
-			t.Run(cell, func(t *testing.T) {
-				for iter := 0; iter < itersPerCell; iter++ {
-					seed := int64(iter)*9973 + int64(len(kind))*131 + int64(shards)
-					rng := rand.New(rand.NewSource(seed))
-					cfg := segPropConfig{name: cell, kind: kind, shards: shards}
-					if rng.Intn(2) == 0 {
-						cfg.maxDelta = 3 + rng.Intn(5) // exercise auto-seal on roughly half the runs
-					}
-					ops := genOps(rng, 8+rng.Intn(9))
-					queries := make([][]float32, 3)
-					for qi := range queries {
-						q := make([]float32, segPropDim)
-						for j := range q {
-							q[j] = rng.Float32()*2 - 1
-						}
-						queries[qi] = q
-					}
-					k := 1 + rng.Intn(10)
-					if err := runSeq(cfg, ops, queries, k); err != nil {
-						min := shrinkSeq(cfg, ops, queries, k)
-						minErr := runSeq(cfg, min, queries, k)
-						t.Fatalf("seed %d (maxDelta=%d, k=%d): %v\nshrunk to %d ops: %v\nshrunk failure: %v",
-							seed, cfg.maxDelta, k, err, len(min), min, minErr)
-					}
-					total++
+		t.Run(kind, func(t *testing.T) {
+			for iter := 0; iter < itersPerCell; iter++ {
+				seed := int64(iter)*9973 + int64(len(kind))*131 + 1
+				rng := rand.New(rand.NewSource(seed))
+				cfg := segPropConfig{name: kind, kind: kind}
+				if rng.Intn(2) == 0 {
+					cfg.maxDelta = 3 + rng.Intn(5) // exercise auto-seal on roughly half the runs
 				}
-			})
-		}
+				ops := genOps(rng, 8+rng.Intn(9))
+				queries := make([][]float32, 3)
+				for qi := range queries {
+					q := make([]float32, segPropDim)
+					for j := range q {
+						q[j] = rng.Float32()*2 - 1
+					}
+					queries[qi] = q
+				}
+				k := 1 + rng.Intn(10)
+				if err := runSeq(cfg, ops, queries, k); err != nil {
+					min := shrinkSeq(cfg, ops, queries, k)
+					minErr := runSeq(cfg, min, queries, k)
+					t.Fatalf("seed %d (maxDelta=%d, k=%d): %v\nshrunk to %d ops: %v\nshrunk failure: %v",
+						seed, cfg.maxDelta, k, err, len(min), min, minErr)
+				}
+				total++
+			}
+		})
 	}
 	if !t.Failed() && total < 200 {
 		t.Fatalf("only %d interleavings ran, want >= 200", total)
@@ -328,7 +314,7 @@ func TestSegmentedPropertyParity(t *testing.T) {
 // tombstones, so mutating the clone never changes the parent's results.
 func TestSegmentedCloneIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cfg := segPropConfig{kind: "flat", shards: 1}
+	cfg := segPropConfig{kind: "flat"}
 	seg, err := NewSegmented(nil, segPropDim, sealFuncFor(cfg), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -382,7 +368,7 @@ func TestSegmentedCloneIsolation(t *testing.T) {
 // TestSegmentedManifestRoundTrip pins SegmentManifest: concatenated
 // entries enumerate exactly the live documents, per segment, delta last.
 func TestSegmentedManifestRoundTrip(t *testing.T) {
-	cfg := segPropConfig{kind: "flat", shards: 1}
+	cfg := segPropConfig{kind: "flat"}
 	seg, err := NewSegmented(nil, segPropDim, sealFuncFor(cfg), 0)
 	if err != nil {
 		t.Fatal(err)

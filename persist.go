@@ -57,14 +57,12 @@ type savedModel struct {
 	Arena     []float32
 
 	// Serving-index choice, restored into the loaded model's Config. Seed
-	// is included so an approximate index is re-clustered (or an HNSW
-	// graph re-built) exactly as the saved model's was. The HNSW knobs
-	// are newer additions to the version-5 layout: gob leaves them zero —
-	// meaning the defaults — when decoding older payloads.
+	// is included so an HNSW graph is re-built exactly as the saved
+	// model's was. The HNSW knobs are newer additions to the version-5
+	// layout: gob leaves them zero — meaning the defaults — when decoding
+	// older payloads. Payloads of the removed IVF kind also carry its
+	// parameters, which decoding skips (see indexKind).
 	Index           uint8
-	IVFClusters     int
-	IVFNProbe       int
-	ExactRecall     bool
 	SQ8Rerank       int
 	HNSWM           int
 	HNSWEf          int
@@ -146,9 +144,6 @@ func (m *Model) Save(w io.Writer) error {
 		VectorIDs:       ids,
 		Arena:           arena,
 		Index:           uint8(m.cfg.Index),
-		IVFClusters:     m.cfg.IVFClusters,
-		IVFNProbe:       m.cfg.IVFNProbe,
-		ExactRecall:     m.cfg.ExactRecall,
 		SQ8Rerank:       m.cfg.SQ8Rerank,
 		HNSWM:           m.cfg.HNSWM,
 		HNSWEf:          m.cfg.HNSWEf,
@@ -416,6 +411,17 @@ func readGobSnapshot(r io.Reader) (*Snapshot, error) {
 	return &Snapshot{sm: sm}, nil
 }
 
+// indexKind resolves the persisted index kind to the one Bind serves.
+// The removed IVF kind persisted nothing beyond the arena it clustered,
+// so its snapshots serve that arena as an exact flat scan; legacyIVF
+// reports the substitution.
+func (sm *savedModel) indexKind() (kind IndexKind, legacyIVF bool) {
+	if k := IndexKind(sm.Index); k != indexRemovedIVF {
+		return k, false
+	}
+	return IndexFlat, true
+}
+
 // Info returns the snapshot's metadata.
 func (s *Snapshot) Info() ModelInfo {
 	docs := len(s.sm.VectorIDs)
@@ -426,16 +432,15 @@ func (s *Snapshot) Info() ModelInfo {
 	for _, d := range s.sm.Deltas {
 		deltaDocs += len(d.Added) + len(d.Removed)
 	}
+	kind, legacyIVF := s.sm.indexKind()
 	return ModelInfo{
 		Version:         s.sm.Version,
 		Dim:             s.sm.Dim,
 		FirstName:       s.sm.FirstName,
 		SecondName:      s.sm.SecondName,
 		Docs:            docs,
-		Index:           IndexKind(s.sm.Index),
-		IVFClusters:     s.sm.IVFClusters,
-		IVFNProbe:       s.sm.IVFNProbe,
-		ExactRecall:     s.sm.ExactRecall,
+		Index:           kind,
+		LegacyIVF:       legacyIVF,
 		SQ8Rerank:       s.sm.SQ8Rerank,
 		HNSWM:           s.sm.HNSWM,
 		HNSWEf:          s.sm.HNSWEf,
@@ -493,10 +498,7 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 		}
 	}
 	cfg := Defaults()
-	cfg.Index = IndexKind(sm.Index)
-	cfg.IVFClusters = sm.IVFClusters
-	cfg.IVFNProbe = sm.IVFNProbe
-	cfg.ExactRecall = sm.ExactRecall
+	cfg.Index, _ = sm.indexKind()
 	cfg.SQ8Rerank = sm.SQ8Rerank
 	cfg.HNSWM = sm.HNSWM
 	cfg.HNSWEf = sm.HNSWEf
@@ -592,14 +594,14 @@ type ModelInfo struct {
 	SecondName string
 	// Docs is the number of stored document vectors (both sides).
 	Docs int
-	// Index is the persisted serving-index choice; IVFClusters,
-	// IVFNProbe and ExactRecall are its parameters under IndexIVF,
-	// SQ8Rerank (0 = default) under IndexSQ8, and HNSWM / HNSWEf /
+	// Index is the serving-index kind the snapshot binds as; SQ8Rerank
+	// (0 = default) is its parameter under IndexSQ8, and HNSWM / HNSWEf /
 	// HNSWEfConstruct (0 = defaults) under IndexHNSW.
-	Index           IndexKind
-	IVFClusters     int
-	IVFNProbe       int
-	ExactRecall     bool
+	Index IndexKind
+	// LegacyIVF marks a snapshot saved with the removed IVF index kind:
+	// Index reports IndexFlat, because the stored arena is served by an
+	// exact flat scan.
+	LegacyIVF       bool
 	SQ8Rerank       int
 	HNSWM           int
 	HNSWEf          int

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/match"
 )
 
 // writePersistFixtures regenerates the committed snapshot fixtures:
@@ -24,6 +26,12 @@ var writePersistFixtures = flag.Bool("write-persist-fixtures", false,
 // all encoding the same trained model, plus a v4 snapshot with a live
 // delta chain.
 const persistFixtureDir = "testdata/persist"
+
+// frozenPersistFixtures are committed snapshots the generator can no
+// longer write: they were saved with the removed IVF index (3
+// partitions, 1 probe) from the model v5.gob and v6.snap encode.
+// -write-persist-fixtures must leave them byte for byte as they are.
+var frozenPersistFixtures = []string{"v6ivf.snap", "v5ivf.gob"}
 
 // persistFixtureModel trains the deterministic model the fixtures
 // encode (Workers 1: the committed vectors must be reproducible).
@@ -61,6 +69,21 @@ func TestWritePersistFixtures(t *testing.T) {
 	if err := os.MkdirAll(persistFixtureDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	frozen := map[string][]byte{}
+	for _, file := range frozenPersistFixtures {
+		b, err := os.ReadFile(filepath.Join(persistFixtureDir, file))
+		if err != nil {
+			t.Fatalf("frozen fixture %s missing: it cannot be regenerated: %v", file, err)
+		}
+		frozen[file] = b
+	}
+	defer func() {
+		for file, want := range frozen {
+			if got, err := os.ReadFile(filepath.Join(persistFixtureDir, file)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("frozen fixture %s was rewritten", file)
+			}
+		}
+	}()
 	model := persistFixtureModel(t)
 
 	ids := make([]string, 0, len(model.vectors))
@@ -412,4 +435,68 @@ func TestSnapshotBackCompat(t *testing.T) {
 			t.Error("tombstoned document still servable after load")
 		}
 	})
+}
+
+// TestLegacyIVFSnapshotsBindAsFlat: the frozen snapshots saved with the
+// removed IVF index bind as the exact flat scan over their stored
+// vectors. Info and IndexStats report flat, and every full ranking equals
+// a flat index built over the vectors the snapshot stores — where the
+// saved one-probe IVF returned only its probed partition.
+func TestLegacyIVFSnapshotsBindAsFlat(t *testing.T) {
+	for _, file := range frozenPersistFixtures {
+		t.Run(file, func(t *testing.T) {
+			f, err := os.Open(filepath.Join(persistFixtureDir, file))
+			if err != nil {
+				t.Fatalf("frozen fixture missing: %v", err)
+			}
+			defer f.Close()
+			snap, err := ReadSnapshot(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := snap.Info(); info.Index != IndexFlat || !info.LegacyIVF {
+				t.Errorf("info = index %v, legacy ivf %v; want flat, true", info.Index, info.LegacyIVF)
+			}
+			movies, reviews := fixtureCorpora(t)
+			model, err := snap.Bind(movies, reviews)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs, ss := model.IndexStats(); fs.Kind != "flat" || ss.Kind != "flat" {
+				t.Errorf("IndexStats kinds = %q/%q, want flat/flat", fs.Kind, ss.Kind)
+			}
+			exact := func(c *Corpus) (*match.Index, int) {
+				var ids []string
+				var vecs [][]float32
+				for _, id := range c.IDs() {
+					if v := model.Vector(id); v != nil {
+						ids = append(ids, id)
+						vecs = append(vecs, v)
+					}
+				}
+				idx, err := match.NewIndex(ids, vecs, model.dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return idx, len(ids)
+			}
+			targets := map[*Corpus]*Corpus{movies: reviews, reviews: movies}
+			for queries, other := range targets {
+				idx, n := exact(other)
+				for _, q := range queries.IDs() {
+					v := model.Vector(q)
+					if v == nil {
+						continue
+					}
+					got, err := model.TopK(q, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := toMatches(idx.TopK(v, n)); !reflect.DeepEqual(got, want) {
+						t.Errorf("TopK(%s) = %v, want the exact scan %v", q, got, want)
+					}
+				}
+			}
+		})
+	}
 }

@@ -38,11 +38,6 @@ var reuseKinds = []struct {
 	sha string
 }{
 	{"flat", func(c *Config) {}, "33efddeabe01047f49e6448360a1329042594146da72544ee1f96ac5d9f4a50d"},
-	{"ivf", func(c *Config) {
-		c.Index = IndexIVF
-		c.IVFClusters = 8
-		c.IVFNProbe = 3
-	}, "186a3057e105925364be33d17dc127ee33f507f7d96e0380b7d5c88b61ddad96"},
 	{"sq8", func(c *Config) {
 		c.Index = IndexSQ8
 		c.SQ8Rerank = 12
@@ -89,7 +84,6 @@ func reuseConfig(mutate func(*Config)) Config {
 	cfg.Epochs = 1
 	cfg.Dim = 16
 	cfg.Workers = 1
-	cfg.ServeShards = -1
 	mutate(&cfg)
 	return cfg
 }
@@ -211,9 +205,8 @@ func TestSaveV6ReuseMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Flat and SQ8 score every live row, so the rebuilt segments rank
-			// like the live ones they replace. IVF re-clusters and HNSW
-			// re-links over the live rows only — a different structure, held to
-			// its own recall tests.
+			// like the live ones they replace. HNSW re-links over the live rows
+			// only — a different structure, held to its own recall tests.
 			if k := multi.cfg.Index; k == IndexFlat || k == IndexSQ8 {
 				if want := rankAllMatches(t, multi); !reflect.DeepEqual(rankAllMatches(t, reloaded), want) {
 					t.Error("after Remove: the reloaded model ranks differently from the live one")
@@ -232,48 +225,127 @@ func TestSaveV6ReuseMatchesRebuild(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ivf", func(t *testing.T) {
+		legacy := loadLegacyIVFModel(t)
+		reused, rebuilt, st := saveBothWays(t, legacy)
+		if !bytes.Equal(reused, rebuilt) {
+			t.Fatal("legacy ivf model: reuse and rebuild write different snapshots")
+		}
+		if st.SegmentsReused != 2 || st.SegmentsRebuilt != 0 {
+			t.Fatalf("legacy ivf model: reused %d, rebuilt %d segments, want 2 and 0", st.SegmentsReused, st.SegmentsRebuilt)
+		}
+		snap, err := ReadSnapshot(bytes.NewReader(reused))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := snap.Info(); info.Index != IndexFlat || info.LegacyIVF {
+			t.Errorf("re-saved info = index %v, legacy ivf %v; want flat, false", info.Index, info.LegacyIVF)
+		}
+		movies, reviews := fixtureCorpora(t)
+		reloaded, err := snap.Bind(movies, reviews)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
+			t.Error("the re-saved legacy model ranks differently from the legacy one")
+		}
+		if again, _, _ := saveBothWays(t, reloaded); !bytes.Equal(again, reused) {
+			t.Error("re-saving the re-saved legacy model changed its bytes")
+		}
+
+		// Tombstone one row on side 2: that segment alone takes the rebuild.
+		if err := legacy.Remove([]string{legacy.second.IDs()[0]}); err != nil {
+			t.Fatal(err)
+		}
+		treused, trebuilt, st := saveBothWays(t, legacy)
+		if !bytes.Equal(treused, trebuilt) {
+			t.Fatal("after Remove: reuse and rebuild write different snapshots")
+		}
+		if st.SegmentsReused != 1 || st.SegmentsRebuilt != 1 {
+			t.Fatalf("after Remove: reused %d, rebuilt %d segments, want 1 and 1", st.SegmentsReused, st.SegmentsRebuilt)
+		}
+		if snap, err = ReadSnapshot(bytes.NewReader(treused)); err != nil {
+			t.Fatal(err)
+		}
+		movies, reviews = fixtureCorpora(t)
+		if reloaded, err = snap.Bind(movies, reviews); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
+			t.Error("after Remove: the reloaded model ranks differently from the live one")
+		}
+	})
+}
+
+// loadLegacyIVFModel binds the frozen v6 snapshot saved with the removed
+// IVF index, which serves as flat.
+func loadLegacyIVFModel(t *testing.T) *Model {
+	t.Helper()
+	movies, reviews := fixtureCorpora(t)
+	m, err := LoadModelFile(filepath.Join(persistFixtureDir, "v6ivf.snap"), movies, reviews)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestBuildSidesConcurrently: the index phase builds the two sides as
 // two pool tasks. Over one trained vector set, Workers 1 (sequential)
 // and Workers 2 (concurrent; run under -race in CI) must assemble
 // serving indexes with equal fingerprints and equal SaveV6 bytes, for
-// every index kind, and fill both sides' IndexBuildTime.
+// every index kind, and fill both sides' IndexBuildTime. The "ivf" case
+// rebuilds a model bound from the frozen snapshot saved with the removed
+// IVF index: its sides build as flat.
 func TestBuildSidesConcurrently(t *testing.T) {
 	for _, kind := range reuseKinds {
 		t.Run(kind.name, func(t *testing.T) {
-			trained := buildReuseModel(t, reuseConfig(kind.mutate))
-			var prints [2][2]uint64
-			var snaps [2][]byte
-			for i, workers := range []int{1, 2} {
-				m := &Model{cfg: trained.cfg, first: trained.first, second: trained.second,
-					dim: trained.dim, vectors: trained.vectors, fold: trained.fold}
-				m.cfg.Workers = workers
-				if err := m.buildIndexes(); err != nil {
-					t.Fatal(err)
-				}
-				prints[i] = [2]uint64{m.firstIdx.Fingerprint(), m.secondIdx.Fingerprint()}
-				var buf bytes.Buffer
-				if err := m.SaveV6(&buf); err != nil {
-					t.Fatal(err)
-				}
-				snaps[i] = buf.Bytes()
-				if st := m.Stats(); st.IndexBuildTime[0] <= 0 || st.IndexBuildTime[1] <= 0 {
-					t.Errorf("Workers %d: IndexBuildTime = %v, want both sides timed", workers, st.IndexBuildTime)
-				}
-				if kind.name == "hnsw" {
-					if _, ok := unshard(servingBase(m.secondIdx)).(*match.HNSW); !ok {
-						t.Fatalf("Workers %d: side 2 base is %T, want *match.HNSW", workers, servingBase(m.secondIdx))
-					}
-				}
-			}
-			if prints[0] != prints[1] {
-				t.Errorf("fingerprints differ: Workers 1 %x, Workers 2 %x", prints[0], prints[1])
-			}
-			if !bytes.Equal(snaps[0], snaps[1]) {
-				t.Error("SaveV6 bytes differ between Workers 1 and Workers 2")
-			}
+			checkSidesBuildConcurrently(t, buildReuseModel(t, reuseConfig(kind.mutate)))
 		})
+	}
+	t.Run("ivf", func(t *testing.T) {
+		checkSidesBuildConcurrently(t, loadLegacyIVFModel(t))
+	})
+}
+
+// checkSidesBuildConcurrently rebuilds trained's serving indexes with
+// Workers 1 and 2 and requires the two builds to agree.
+func checkSidesBuildConcurrently(t *testing.T, trained *Model) {
+	t.Helper()
+	var prints [2][2]uint64
+	var snaps [2][]byte
+	for i, workers := range []int{1, 2} {
+		m := &Model{cfg: trained.cfg, first: trained.first, second: trained.second,
+			dim: trained.dim, vectors: trained.vectors, fold: trained.fold}
+		m.cfg.Workers = workers
+		if err := m.buildIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		prints[i] = [2]uint64{m.firstIdx.Fingerprint(), m.secondIdx.Fingerprint()}
+		var buf bytes.Buffer
+		if err := m.SaveV6(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = buf.Bytes()
+		if st := m.Stats(); st.IndexBuildTime[0] <= 0 || st.IndexBuildTime[1] <= 0 {
+			t.Errorf("Workers %d: IndexBuildTime = %v, want both sides timed", workers, st.IndexBuildTime)
+		}
+		base := servingBase(m.secondIdx)
+		switch trained.cfg.Index {
+		case IndexFlat:
+			if _, ok := base.(*match.Index); !ok {
+				t.Fatalf("Workers %d: side 2 base is %T, want *match.Index", workers, base)
+			}
+		case IndexHNSW:
+			if _, ok := base.(*match.HNSW); !ok {
+				t.Fatalf("Workers %d: side 2 base is %T, want *match.HNSW", workers, base)
+			}
+		}
+	}
+	if prints[0] != prints[1] {
+		t.Errorf("fingerprints differ: Workers 1 %x, Workers 2 %x", prints[0], prints[1])
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Error("SaveV6 bytes differ between Workers 1 and Workers 2")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // servingBase unwraps a model's serving index to the base segment's
-// kind-carrying index (IVF, SQ8, Sharded, flat) for type assertions.
+// kind-carrying index (flat, SQ8 or HNSW) for type assertions.
 func servingBase(idx match.VectorIndex) match.VectorIndex {
 	if seg, ok := idx.(*match.Segmented); ok {
 		return seg.Base()
@@ -87,12 +87,13 @@ func TestSaveLoadFile(t *testing.T) {
 func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)
 	cfg := smallConfig()
-	cfg.Index = IndexIVF
-	cfg.IVFClusters = 2
-	// Deliberately NOT ExactRecall: approximate rankings depend on the
-	// k-means partitioning, so this only round-trips if the clustering
+	cfg.Index = IndexHNSW
+	cfg.HNSWM = 2
+	cfg.HNSWEfConstruct = 4
+	// Deliberately a beam narrower than the corpus: approximate rankings
+	// depend on the graph, so this only round-trips if the construction
 	// seed is persisted too.
-	cfg.IVFNProbe = 1
+	cfg.HNSWEf = 1
 	model, err := Build(movies, reviews, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +106,15 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.cfg.Index != IndexIVF || loaded.cfg.IVFClusters != 2 ||
-		loaded.cfg.IVFNProbe != 1 || loaded.cfg.Seed != cfg.Seed {
+	if loaded.cfg.Index != IndexHNSW || loaded.cfg.HNSWM != 2 || loaded.cfg.HNSWEf != 1 ||
+		loaded.cfg.HNSWEfConstruct != 4 || loaded.cfg.Seed != cfg.Seed {
 		t.Errorf("index config not restored: %+v", loaded.cfg)
 	}
-	if _, ok := servingBase(loaded.firstIdx).(*match.IVF); !ok {
-		t.Errorf("loaded serving index is %T, want *match.IVF", servingBase(loaded.firstIdx))
+	if _, ok := servingBase(loaded.firstIdx).(*match.HNSW); !ok {
+		t.Errorf("loaded serving index is %T, want *match.HNSW", servingBase(loaded.firstIdx))
 	}
 	// Approximate rankings must equal the trained model's: same seed,
-	// same partitioning, same probes.
+	// same graph, same beam.
 	for _, q := range reviews.IDs() {
 		orig, err := model.TopK(q, 3)
 		if err != nil {
@@ -203,9 +204,9 @@ func TestLoadModelArenaValidation(t *testing.T) {
 func TestReadModelInfo(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)
 	cfg := smallConfig()
-	cfg.Index = IndexIVF
-	cfg.IVFClusters = 2
-	cfg.IVFNProbe = 1
+	cfg.Index = IndexHNSW
+	cfg.HNSWM = 4
+	cfg.HNSWEf = 8
 	model, err := Build(movies, reviews, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestReadModelInfo(t *testing.T) {
 	}
 	want := ModelInfo{
 		Version: savedModelVersion, Dim: cfg.Dim, FirstName: "movies", SecondName: "reviews",
-		Docs: len(model.Vectors()), Index: IndexIVF, IVFClusters: 2, IVFNProbe: 1,
+		Docs: len(model.Vectors()), Index: IndexHNSW, HNSWM: 4, HNSWEf: 8,
 	}
 	if info != want {
 		t.Errorf("info = %+v, want %+v", info, want)

@@ -99,7 +99,9 @@ const (
 )
 
 // v6Meta is the JSON-encoded metadata section: everything the gob
-// savedModel carries outside the big arrays.
+// savedModel carries outside the big arrays. IVFClusters, IVFNProbe and
+// ExactRecall belonged to the removed IVF kind; they stay in the layout,
+// always written as zero and never read, so files keep their bytes.
 type v6Meta struct {
 	Dim             int
 	FirstName       string
@@ -373,9 +375,6 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 		FirstName:       m.first.Name(),
 		SecondName:      m.second.Name(),
 		Index:           uint8(m.cfg.Index),
-		IVFClusters:     m.cfg.IVFClusters,
-		IVFNProbe:       m.cfg.IVFNProbe,
-		ExactRecall:     m.cfg.ExactRecall,
 		SQ8Rerank:       m.cfg.SQ8Rerank,
 		HNSWM:           m.cfg.HNSWM,
 		HNSWEf:          m.cfg.HNSWEf,
@@ -424,10 +423,7 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 				if flat, err = m.buildFlatIDs(segIDs); err != nil {
 					return st, err
 				}
-				seg = flat
-				if m.cfg.Index != IndexIVF { // IVF persists its arena only: bind re-clusters
-					seg = m.cfg.wrapSegment(flat, side, ord)
-				}
+				seg = m.cfg.wrapSegment(flat, side, ord)
 			}
 			add(secSegArena, key, f32Bytes(flat.Arena()))
 			switch x := seg.(type) {
@@ -507,8 +503,8 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 	return st, bw.Flush()
 }
 
-// reusableSegment returns sealed segment ord of a side's stack, stripped
-// of its shard wrapper, with its row storage, when SaveV6 can write it
+// reusableSegment returns sealed segment ord of a side's stack, with its
+// row storage, when SaveV6 can write it
 // as it stands: the segment is clean and, for an HNSW graph, a rebuild
 // of this ordinal would draw the same skeleton (a graph bound from a
 // snapshot that numbered its segments differently would not). Nils send
@@ -518,7 +514,6 @@ func (m *Model) reusableSegment(stack *match.Segmented, side, ord int) (match.Ve
 	if idx == nil {
 		return nil, nil
 	}
-	idx = unshard(idx)
 	if h, ok := idx.(*match.HNSW); ok && !h.BuiltWith(m.cfg.hnswOptions(side, ord)) {
 		return nil, nil
 	}
@@ -775,9 +770,6 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 			VectorIDs:       docIDs,
 			Arena:           docArena,
 			Index:           meta.Index,
-			IVFClusters:     meta.IVFClusters,
-			IVFNProbe:       meta.IVFNProbe,
-			ExactRecall:     meta.ExactRecall,
 			SQ8Rerank:       meta.SQ8Rerank,
 			HNSWM:           meta.HNSWM,
 			HNSWEf:          meta.HNSWEf,
@@ -919,25 +911,15 @@ func (m *Model) bindFlatV6(seg v6Segment) (*match.Index, error) {
 }
 
 // bindSegmentV6 wraps one sealed segment's flat index per the model's
-// index kind, exactly as serveIndex (ordinal 0, the base) and the seal
+// index kind, exactly as buildSide (ordinal 0, the base) and the seal
 // hook (ordinal >= 1) would, adopting precomputed SQ8 codes or a
 // serialized HNSW graph when the snapshot carries them.
 func (m *Model) bindSegmentV6(flat *match.Index, side, ordinal int, seg v6Segment) (match.VectorIndex, error) {
-	var inner match.VectorIndex
-	var err error
 	switch {
 	case m.cfg.Index == IndexSQ8 && seg.codes != nil:
-		inner, err = match.NewIndexSQ8Parts(flat, seg.codes, seg.scales, m.cfg.SQ8Rerank)
+		return match.NewIndexSQ8Parts(flat, seg.codes, seg.scales, m.cfg.SQ8Rerank)
 	case m.cfg.Index == IndexHNSW && seg.levels != nil:
-		inner, err = match.NewHNSWParts(flat, seg.levels, seg.offs, seg.adj, m.cfg.hnswOptions(side, ordinal))
-	default:
-		inner = m.cfg.wrapSegment(flat, side, ordinal)
+		return match.NewHNSWParts(flat, seg.levels, seg.offs, seg.adj, m.cfg.hnswOptions(side, ordinal))
 	}
-	if err != nil {
-		return nil, err
-	}
-	if ivf, ok := inner.(*match.IVF); ok && ordinal == 0 {
-		m.stats.IndexClusters[side] = ivf.Clusters()
-	}
-	return m.cfg.shardWrap(inner), nil
+	return m.cfg.wrapSegment(flat, side, ordinal), nil
 }

@@ -21,12 +21,6 @@ var v6TestConfigs = []struct {
 	segmented bool
 }{
 	{"flat", func(c *Config) {}, false},
-	{"ivf", func(c *Config) {
-		c.Index = IndexIVF
-		c.IVFClusters = 2
-		c.IVFNProbe = 1
-		c.ExactRecall = false
-	}, false},
 	{"sq8", func(c *Config) {
 		c.Index = IndexSQ8
 		c.SQ8Rerank = 6
@@ -108,10 +102,12 @@ func rankAllMatches(t *testing.T, m *Model) map[string][]Match {
 }
 
 // TestSaveV6BitIdenticalToGob is the format-parity pin: for every index
-// kind (flat, IVF, SQ8) and for multi-segment stacks, a model loaded
+// kind (flat, SQ8, HNSW) and for multi-segment stacks, a model loaded
 // from a v6 snapshot — through both the zero-copy mmap path and the
 // streamed heap path — must serve TopK rankings bit-identical (IDs and
-// scores) to the same model loaded from a gob snapshot.
+// scores) to the same model loaded from a gob snapshot. The "ivf" case
+// holds the frozen snapshots saved with the removed IVF index to the
+// same pin: the gob and the v6 one serve identically.
 func TestSaveV6BitIdenticalToGob(t *testing.T) {
 	for _, tc := range v6TestConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,66 +121,80 @@ func TestSaveV6BitIdenticalToGob(t *testing.T) {
 			if err := model.SaveFileV6(v6Path); err != nil {
 				t.Fatal(err)
 			}
-
-			gm, gr := fixtureCorpora(t)
-			gobModel, err := LoadModel(bytes.NewReader(gobBuf.Bytes()), gm, gr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := rankAllMatches(t, gobModel)
-
-			// The zero-copy path: open, check mode, bind.
-			snap, err := OpenSnapshotFile(v6Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := snap.Info().Version; got != 6 {
-				t.Fatalf("v6 snapshot Info().Version = %d, want 6", got)
-			}
-			switch mode := snap.LoadMode(); {
-			case runtime.GOOS == "linux" && mode != "v6+mmap":
-				t.Fatalf("LoadMode() = %q, want v6+mmap", mode)
-			case mode != "v6+mmap" && mode != "v6+heap":
-				t.Fatalf("LoadMode() = %q", mode)
-			}
-			mm, mr := fixtureCorpora(t)
-			mmapModel, err := snap.Bind(mm, mr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rankAllMatches(t, mmapModel); !reflect.DeepEqual(got, want) {
-				t.Errorf("mmap-loaded rankings diverge from gob-loaded")
-			}
-
-			// The streamed heap path (ReadSnapshot auto-detects by magic).
-			f, err := os.Open(v6Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			hsnap, err := ReadSnapshot(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hsnap.LoadMode(); got != "v6+heap" {
-				t.Fatalf("streamed LoadMode() = %q, want v6+heap", got)
-			}
-			hm, hr := fixtureCorpora(t)
-			heapModel, err := hsnap.Bind(hm, hr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rankAllMatches(t, heapModel); !reflect.DeepEqual(got, want) {
-				t.Errorf("heap-loaded rankings diverge from gob-loaded")
-			}
-
-			// Segment boundaries restore exactly, not merely equivalently.
-			gf, gs := gobModel.SegmentStats()
-			mf, ms := mmapModel.SegmentStats()
-			if gf != mf || gs != ms {
-				t.Errorf("segment stats diverge: gob %+v/%+v, v6 %+v/%+v", gf, gs, mf, ms)
-			}
+			checkV6ServesLikeGob(t, gobBuf.Bytes(), v6Path)
 		})
+	}
+	t.Run("ivf", func(t *testing.T) {
+		gobBytes, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5ivf.gob"))
+		if err != nil {
+			t.Fatalf("frozen fixture missing: %v", err)
+		}
+		checkV6ServesLikeGob(t, gobBytes, filepath.Join(persistFixtureDir, "v6ivf.snap"))
+	})
+}
+
+// checkV6ServesLikeGob binds the gob snapshot and the v6 file at v6Path,
+// the latter through both the mmap and the streamed heap path, and
+// requires bit-identical rankings and segment stats.
+func checkV6ServesLikeGob(t *testing.T, gobBytes []byte, v6Path string) {
+	t.Helper()
+	gm, gr := fixtureCorpora(t)
+	gobModel, err := LoadModel(bytes.NewReader(gobBytes), gm, gr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankAllMatches(t, gobModel)
+
+	// The zero-copy path: open, check mode, bind.
+	snap, err := OpenSnapshotFile(v6Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Info().Version; got != 6 {
+		t.Fatalf("v6 snapshot Info().Version = %d, want 6", got)
+	}
+	switch mode := snap.LoadMode(); {
+	case runtime.GOOS == "linux" && mode != "v6+mmap":
+		t.Fatalf("LoadMode() = %q, want v6+mmap", mode)
+	case mode != "v6+mmap" && mode != "v6+heap":
+		t.Fatalf("LoadMode() = %q", mode)
+	}
+	mm, mr := fixtureCorpora(t)
+	mmapModel, err := snap.Bind(mm, mr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rankAllMatches(t, mmapModel); !reflect.DeepEqual(got, want) {
+		t.Errorf("mmap-loaded rankings diverge from gob-loaded")
+	}
+
+	// The streamed heap path (ReadSnapshot auto-detects by magic).
+	f, err := os.Open(v6Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	hsnap, err := ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hsnap.LoadMode(); got != "v6+heap" {
+		t.Fatalf("streamed LoadMode() = %q, want v6+heap", got)
+	}
+	hm, hr := fixtureCorpora(t)
+	heapModel, err := hsnap.Bind(hm, hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rankAllMatches(t, heapModel); !reflect.DeepEqual(got, want) {
+		t.Errorf("heap-loaded rankings diverge from gob-loaded")
+	}
+
+	// Segment boundaries restore exactly, not merely equivalently.
+	gf, gs := gobModel.SegmentStats()
+	mf, ms := mmapModel.SegmentStats()
+	if gf != mf || gs != ms {
+		t.Errorf("segment stats diverge: gob %+v/%+v, v6 %+v/%+v", gf, gs, mf, ms)
 	}
 }
 
@@ -217,9 +227,10 @@ func TestSaveV6LazyVerifyServesIdentically(t *testing.T) {
 // same model (modulo the format version itself).
 func TestV6InfoMatchesGobInfo(t *testing.T) {
 	model := buildV6TestModel(t, func(c *Config) {
-		c.Index = IndexIVF
-		c.IVFClusters = 2
-		c.IVFNProbe = 1
+		c.Index = IndexHNSW
+		c.HNSWM = 4
+		c.HNSWEf = 8
+		c.HNSWEfConstruct = 16
 	}, true)
 	var gobBuf, v6Buf bytes.Buffer
 	if err := model.Save(&gobBuf); err != nil {

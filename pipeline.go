@@ -38,9 +38,6 @@ type Stats struct {
 	// TrainTokens is the number of walk tokens the embedding was trained
 	// on, epochs counted; over TrainTime it is the training rate.
 	TrainTokens int64
-	// IndexClusters is the partition count of each side's IVF index
-	// (zero under IndexFlat).
-	IndexClusters [2]int
 	// IndexBuildTime is the wall time of constructing each side's
 	// serving index (gather, normalize, kind wrap); the two sides build
 	// concurrently when Workers allows, so the index phase of Build
@@ -87,9 +84,9 @@ type Model struct {
 	dim     int
 	// firstIdx/secondIdx are the serving indexes: LSM-style segment
 	// stacks (match.Segmented) whose sealed base wraps the full build
-	// per Config.Index (flat, IVF or SQ8, sharded per ServeShards) and
-	// whose small mutable delta absorbs ingests — what makes Ingest and
-	// clone O(delta) at any corpus size. firstFlat/secondFlat are
+	// per Config.Index (flat, SQ8 or HNSW) and whose small mutable delta
+	// absorbs ingests — what makes Ingest and clone O(delta) at any
+	// corpus size. firstFlat/secondFlat are
 	// monolithic exact indexes over each side's live rows, backing
 	// TopKCombined and TopKBlocked; they are built eagerly by Build,
 	// invalidated by mutations and clones, and lazily rebuilt under
@@ -346,7 +343,7 @@ func (m *Model) buildSide(c *corpus.Corpus, side int, manifest [][]string) (matc
 	if err != nil {
 		return nil, nil, err
 	}
-	stack, err := match.NewSegmented(m.serveIndex(flat, side), m.dim, m.sealFunc(side), m.cfg.SegmentMaxDocs)
+	stack, err := match.NewSegmented(m.cfg.wrapSegment(flat, side, 0), m.dim, m.sealFunc(side), m.cfg.SegmentMaxDocs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -416,25 +413,14 @@ func (m *Model) exactFlat(side int) (*match.Index, error) {
 	return *slot, nil
 }
 
-// serveIndex wraps one side's base flat index per Config.Index, then per
-// Config.ServeShards for scatter-gather serving, and records the
-// side's Stats.
-func (m *Model) serveIndex(flat *match.Index, side int) match.VectorIndex {
-	inner := m.cfg.wrapSegment(flat, side, 0)
-	if ivf, ok := inner.(*match.IVF); ok {
-		m.stats.IndexClusters[side] = ivf.Clusters()
-	}
-	return m.cfg.shardWrap(inner)
-}
-
 // segmentSeedStride spaces the seeds of sealed delta segments apart
 // from the base segment's and from each other.
 const segmentSeedStride = 1_000_003
 
-// segmentSeed derives the construction seed (IVF clustering, HNSW
-// levels) of one side's segment at the given stack ordinal: side (0 or
-// 1) offsets it so the two sides don't share draws, and sealed deltas
-// (ordinal >= 1) space theirs from the base's by segmentSeedStride. The
+// segmentSeed derives the construction seed (HNSW levels) of one side's
+// segment at the given stack ordinal: side (0 or 1) offsets it so the
+// two sides don't share draws, and sealed deltas (ordinal >= 1) space
+// theirs from the base's by segmentSeedStride. The
 // builder, the seal hook, the v6 snapshot writer and the v6 binder all
 // derive it here: a drift between them would turn every save of a clean
 // segment into the rebuild fallback, or break resave byte-identity.
@@ -458,17 +444,10 @@ func (c Config) hnswOptions(side, ordinal int) match.HNSWOptions {
 }
 
 // wrapSegment wraps a flat segment into its serving kind per
-// Config.Index — IVF clustering, SQ8 quantization or HNSW graph
-// construction, seeded per (side, ordinal) — before any sharding.
+// Config.Index — SQ8 quantization or HNSW graph construction, seeded
+// per (side, ordinal).
 func (c Config) wrapSegment(flat *match.Index, side, ordinal int) match.VectorIndex {
 	switch c.Index {
-	case IndexIVF:
-		return match.NewIVF(flat, match.IVFOptions{
-			Clusters:    c.IVFClusters,
-			NProbe:      c.IVFNProbe,
-			ExactRecall: c.ExactRecall,
-			Seed:        c.segmentSeed(side, ordinal),
-		})
 	case IndexSQ8:
 		return match.NewIndexSQ8(flat, c.SQ8Rerank)
 	case IndexHNSW:
@@ -477,90 +456,17 @@ func (c Config) wrapSegment(flat *match.Index, side, ordinal int) match.VectorIn
 	return flat
 }
 
-// shardWrap wraps a serving index for scatter-gather when the resolved
-// shard count warrants it; an unwrappable or unsharded index is served
-// directly.
-func (c Config) shardWrap(inner match.VectorIndex) match.VectorIndex {
-	shards := c.serveShards(len(inner.IDs()))
-	if shards <= 1 {
-		return inner
-	}
-	sh, err := match.NewSharded(inner, shards, c.Workers)
-	if err != nil {
-		return inner
-	}
-	return sh
-}
-
 // sealFunc returns the stack's seal hook for one side: a freshly
-// sealed delta segment gets the same kind wrap as the base (IVF
-// clustering, SQ8 quantization, HNSW construction, sharding when large
-// enough), seeded per ordinal so a replayed ingest sequence builds an
-// identical stack. The hook captures the configuration by value and
-// never touches the model, so clones can share it.
+// sealed delta segment gets the same kind wrap as the base (SQ8
+// quantization, HNSW construction), seeded per ordinal so a replayed
+// ingest sequence builds an identical stack. The hook captures the
+// configuration by value and never touches the model, so clones can
+// share it.
 func (m *Model) sealFunc(side int) match.SealFunc {
 	cfg := m.cfg
 	return func(flat *match.Index, ordinal int) match.VectorIndex {
-		return cfg.shardWrap(cfg.wrapSegment(flat, side, ordinal))
+		return cfg.wrapSegment(flat, side, ordinal)
 	}
-}
-
-// Reshard re-partitions both serving indexes for scatter-gather with the
-// given shard count (interpreted like Config.ServeShards: 0 = auto,
-// <= 1 disables). Only the wrapper is rebuilt — the underlying flat,
-// IVF or SQ8 index and its fingerprint are untouched, so resharding is
-// O(1) and never invalidates cached results. Not safe concurrently with
-// queries; the serving layer applies it before a model starts serving.
-func (m *Model) Reshard(shards int) {
-	m.cfg.ServeShards = shards
-	rewrap := func(idx match.VectorIndex) match.VectorIndex {
-		return m.cfg.shardWrap(unshard(idx))
-	}
-	if seg, ok := m.firstIdx.(*match.Segmented); ok {
-		seg.RewrapBase(rewrap)
-	} else {
-		m.firstIdx = rewrap(m.firstIdx)
-	}
-	if seg, ok := m.secondIdx.(*match.Segmented); ok {
-		seg.RewrapBase(rewrap)
-	} else {
-		m.secondIdx = rewrap(m.secondIdx)
-	}
-}
-
-// unshard strips a scatter-gather wrapper, returning the serving index
-// it was built over.
-func unshard(idx match.VectorIndex) match.VectorIndex {
-	if sh, ok := idx.(*match.Sharded); ok {
-		return sh.Inner()
-	}
-	return idx
-}
-
-// ShardStat is a point-in-time snapshot of one serving shard's scatter
-// counters, surfaced per side by Model.ShardStats and /v1/stats.
-type ShardStat = match.ShardStat
-
-// ShardStats snapshots the per-shard scatter counters of both serving
-// indexes' base segments; a side whose base serves unsharded reports
-// nil.
-func (m *Model) ShardStats() (first, second []ShardStat) {
-	first = shardStatsOf(m.firstIdx)
-	second = shardStatsOf(m.secondIdx)
-	return first, second
-}
-
-func shardStatsOf(idx match.VectorIndex) []ShardStat {
-	if seg, ok := idx.(*match.Segmented); ok {
-		if sh := seg.ShardedBase(); sh != nil {
-			return sh.ShardStats()
-		}
-		return nil
-	}
-	if sh, ok := idx.(*match.Sharded); ok {
-		return sh.ShardStats()
-	}
-	return nil
 }
 
 // SegmentStats describes one side's serving segment stack.
@@ -596,7 +502,7 @@ func segmentStatsOf(idx match.VectorIndex) SegmentStats {
 // configured kind plus resident/live row counts, and the graph shape
 // when the side serves HNSW.
 type IndexStats struct {
-	// Kind is the serving index kind ("flat", "ivf", "sq8" or "hnsw").
+	// Kind is the serving index kind ("flat", "sq8" or "hnsw").
 	Kind string `json:"kind"`
 	// Rows counts resident rows including tombstoned ones; LiveRows
 	// counts rows a query can actually return. Compact closes the gap.
@@ -626,7 +532,7 @@ func (m *Model) indexStatsOf(idx match.VectorIndex) IndexStats {
 		st.LiveRows = idx.Len()
 		st.Rows = len(idx.IDs())
 	}
-	if h, ok := unshard(base).(*match.HNSW); ok {
+	if h, ok := base.(*match.HNSW); ok {
 		st.MaxLevel = h.MaxLevel()
 		st.AvgDegree = h.AvgDegree()
 		st.Ef = h.Ef()
@@ -837,28 +743,6 @@ func (m *Model) MatchAllWorkers(fromSecond bool, k, workers int) map[string][]Ma
 	}
 	ids := c.IDs()
 	results := make([][]Match, len(ids))
-	if sh, ok := idx.(*match.Sharded); ok {
-		// Sharded serving: one gather, then chunk×shard scatter tasks on
-		// the shared pool (shardedBatch) instead of chunk tasks.
-		queries := make([][]float32, 0, len(ids))
-		slots := make([]int, 0, len(ids))
-		for i, id := range ids {
-			if q := m.vectors[id]; q != nil {
-				queries = append(queries, q)
-				slots = append(slots, i)
-			}
-		}
-		for j, ranked := range shardedBatch(sh, queries, k, workers) {
-			results[slots[j]] = toMatches(ranked)
-		}
-		out := make(map[string][]Match, len(ids))
-		for i, id := range ids {
-			if results[i] != nil {
-				out[id] = results[i]
-			}
-		}
-		return out
-	}
 	size := batchChunk(len(ids), workers)
 	batches := (len(ids) + size - 1) / size
 	runPool(batches, workers, func(bi int) {
@@ -931,37 +815,8 @@ func (m *Model) TopKBatchWorkers(docIDs []string, k, workers int) []BatchResult 
 			chunks = append(chunks, chunk{idx: idx, slots: slots[lo:hi]})
 		}
 	}
-	// Sharded sides scatter chunk×shard tasks over the pool instead of
-	// queueing whole chunks; both sides sharing one pool sequentially is
-	// fine — a request batch is served by one side in practice.
-	serveSharded := func(sh *match.Sharded, slots []int) {
-		queries := make([][]float32, 0, len(slots))
-		live := make([]int, 0, len(slots))
-		for _, slot := range slots {
-			q := m.vectors[out[slot].ID]
-			if q == nil {
-				out[slot].Err = fmt.Errorf("tdmatch: document %q has no embedding (pruned or isolated)", out[slot].ID)
-				continue
-			}
-			queries = append(queries, q)
-			live = append(live, slot)
-		}
-		for j, ranked := range shardedBatch(sh, queries, k, workers) {
-			out[live[j]].Matches = toMatches(ranked)
-		}
-	}
-	dispatch := func(idx match.VectorIndex, slots []int) {
-		if len(slots) == 0 {
-			return
-		}
-		if sh, ok := idx.(*match.Sharded); ok {
-			serveSharded(sh, slots)
-			return
-		}
-		addChunks(idx, slots)
-	}
-	dispatch(m.secondIdx, side1) // side-1 queries rank side-2 targets
-	dispatch(m.firstIdx, side2)
+	addChunks(m.secondIdx, side1) // side-1 queries rank side-2 targets
+	addChunks(m.firstIdx, side2)
 	runPool(len(chunks), workers, func(ci int) {
 		ch := chunks[ci]
 		queries := make([][]float32, 0, len(ch.slots))
@@ -979,43 +834,6 @@ func (m *Model) TopKBatchWorkers(docIDs []string, k, workers int) []BatchResult 
 			out[live[j]].Matches = toMatches(ranked)
 		}
 	})
-	return out
-}
-
-// shardedBatch answers one query set against a sharded index by fanning
-// chunk×shard scatter tasks over the shared worker pool: the queries are
-// chunked matchBatch at a time, every chunk is planned up front (one
-// normalization/probe/quantization pass per chunk), and the plans' shard
-// tasks — nchunks × shards of them, each a partial-arena kernel pass —
-// are scheduled as one flat task list so no worker idles while any shard
-// of any chunk remains. Results are position-aligned with queries and
-// bit-identical to idx.TopKBatch.
-func shardedBatch(sh *match.Sharded, queries [][]float32, k, workers int) [][]match.Scored {
-	n := len(queries)
-	if n == 0 {
-		return nil
-	}
-	size := matchBatch
-	if size > n {
-		size = n
-	}
-	nchunks := (n + size - 1) / size
-	plans := make([]match.ShardPlan, nchunks)
-	for ci := range plans {
-		lo, hi := ci*size, (ci+1)*size
-		if hi > n {
-			hi = n
-		}
-		plans[ci] = sh.Plan(queries[lo:hi], k)
-	}
-	shards := sh.Shards()
-	runPool(nchunks*shards, workers, func(t int) {
-		plans[t/shards].RunShard(t % shards)
-	})
-	out := make([][]match.Scored, 0, n)
-	for _, p := range plans {
-		out = append(out, p.Merge()...)
-	}
 	return out
 }
 

@@ -102,11 +102,6 @@ type ServeStats struct {
 	SecondIndex IndexStats `json:"second_index"`
 	// Errors counts queries that failed (unknown document, no embedding).
 	Errors uint64 `json:"errors"`
-	// FirstShards / SecondShards report the per-shard scatter counters of
-	// each side's serving index under sharded serving (Config.ServeShards
-	// or tdserved -shards); nil when that side serves unsharded.
-	FirstShards  []ShardStat `json:"first_shards,omitempty"`
-	SecondShards []ShardStat `json:"second_shards,omitempty"`
 	// Shed counts queries refused with ErrOverloaded because the
 	// micro-batch queue was full.
 	Shed uint64 `json:"shed"`
@@ -513,7 +508,7 @@ func (s *Server) TopKBatchCtx(ctx context.Context, docIDs []string, k int) []Bat
 }
 
 // Stats snapshots the serving counters. The mutation group (reloads,
-// ingests, removes, the served model's staleness and shard counters) is
+// ingests, removes, the served model's staleness and index layout) is
 // read under the swap lock, so it is always internally consistent — an
 // in-flight Ingest is either fully visible or not at all. Query-side
 // counters are monotonic atomics read without blocking queries; each is
@@ -533,7 +528,6 @@ func (s *Server) Stats() ServeStats {
 		Generation:   cur.gen,
 		Staleness:    cur.model.Staleness(),
 	}
-	st.FirstShards, st.SecondShards = cur.model.ShardStats()
 	st.FirstSegments, st.SecondSegments = cur.model.SegmentStats()
 	st.FirstIndex, st.SecondIndex = cur.model.IndexStats()
 	s.mutMu.Unlock()

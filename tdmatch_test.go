@@ -326,3 +326,26 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 }
+
+// TestParseIndexKind: ParseIndexKind inverts IndexKind.String for every
+// kind, rejects "ivf" with an error naming its removal, and the persisted
+// kind values stay where snapshots recorded them (1 stays reserved).
+func TestParseIndexKind(t *testing.T) {
+	for _, want := range []IndexKind{IndexFlat, IndexSQ8, IndexHNSW} {
+		got, err := ParseIndexKind(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseIndexKind(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	for s, wantErr := range map[string]string{
+		"ivf": "was removed", "annoy": "unknown", "": "unknown", "FLAT": "unknown",
+	} {
+		if _, err := ParseIndexKind(s); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("ParseIndexKind(%q) error = %v, want one containing %q", s, err, wantErr)
+		}
+	}
+	if IndexFlat != 0 || indexRemovedIVF != 1 || IndexSQ8 != 2 || IndexHNSW != 3 {
+		t.Errorf("persisted kind values moved: flat %d, ivf %d, sq8 %d, hnsw %d",
+			IndexFlat, indexRemovedIVF, IndexSQ8, IndexHNSW)
+	}
+}

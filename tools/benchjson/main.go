@@ -20,9 +20,9 @@
 // production dim 96 with their tokens/s, the single negative-sampling
 // step of internal/embed over a cache-resident and a cache-missing
 // arena, end-to-end Build) and the
-// serving hot path (single and batched flat TopK, IVF, SQ8 and HNSW
-// TopK, HNSW graph construction, cached serve TopK, and the MatchAll
-// family, sharded and unsharded). ANN TopK benchmarks also report
+// serving hot path (single and batched flat TopK, SQ8 and HNSW TopK,
+// HNSW graph construction, cached serve TopK, and the MatchAll
+// family). ANN TopK benchmarks also report
 // recall@10 against the exact flat ranking, recorded per index kind in
 // the trajectory's recall_at_10 field.
 package main
@@ -47,10 +47,7 @@ import (
 // trajectory. BenchmarkIngestSingleDoc vs BenchmarkEndToEndPipeline is
 // the ingest-vs-full-rebuild ratio (same corpora and configuration);
 // BenchmarkIngestServerSingleDoc adds the serving layer's
-// clone-and-swap on top. The Sharded pair measures the scatter-gather
-// serving path against its unsharded counterparts
-// (BenchmarkMatchAllParallelFlat, BenchmarkTopKBatch). The
-// BenchmarkIngestSegmented series (1x/4x/16x corpora) tracks the
+// clone-and-swap on top. The BenchmarkIngestSegmented series (1x/4x/16x corpora) tracks the
 // segmented core's O(delta) claim: the three scales must stay flat.
 // The BenchmarkIngestWAL series prices durability: the same server
 // ingest with a write-ahead log under each fsync policy, so the
@@ -66,10 +63,9 @@ import (
 // package) is the step under the Word2Vec four, per dim and per arena
 // size, so a training regression can be told from a memory one.
 const defaultBench = "BenchmarkWord2VecSkipGram(96)?$|BenchmarkWord2VecCBOW(96)?$|BenchmarkTrainPair$|BenchmarkRandomWalks$|" +
-	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|BenchmarkTopKIVF$|BenchmarkTopKSQ8$|" +
+	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|BenchmarkTopKSQ8$|" +
 	"BenchmarkTopKHNSW$|BenchmarkBuildHNSW$|BenchmarkSaveV6HNSW$|" +
-	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|BenchmarkMatchAllParallelIVF$|" +
-	"BenchmarkMatchAllParallelSQ8$|BenchmarkMatchAllShardedFlat$|BenchmarkTopKBatchSharded$|" +
+	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|BenchmarkMatchAllParallelSQ8$|" +
 	"BenchmarkEndToEndPipeline$|BenchmarkServeTopKCached$|" +
 	"BenchmarkIngestSingleDoc$|BenchmarkIngestServerSingleDoc$|" +
 	"BenchmarkIngestSegmented/scale(1|4|16)x$|BenchmarkCompactOnline$|" +
