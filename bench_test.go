@@ -297,24 +297,6 @@ func BenchmarkTopKBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKSQ8 measures single-query quantized ranking (int8 scan +
-// default 4x exact re-rank) at 10k targets — the counterpart of
-// BenchmarkTopKMatch.
-func BenchmarkTopKSQ8(b *testing.B) {
-	flat, vecs := benchTopKIndex(b)
-	sq := match.NewIndexSQ8(flat, 0)
-	query := vecs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := sq.TopK(query, 20); len(got) != 20 {
-			b.Fatal("short result")
-		}
-	}
-	b.StopTimer()
-	reportRecallAt10(b, flat, sq, vecs)
-}
-
 // BenchmarkTopKHNSW measures single-query graph ANN ranking (greedy
 // multi-layer descent + ef-bounded layer-0 beam + exact re-rank) at 10k
 // targets — the other counterpart of BenchmarkTopKMatch, and the
@@ -443,18 +425,6 @@ func BenchmarkMatchAllSerialFlat(b *testing.B) {
 // workers.
 func BenchmarkMatchAllParallelFlat(b *testing.B) {
 	benchMatchAll(b, tdmatch.IndexFlat, runtime.GOMAXPROCS(0))
-}
-
-// BenchmarkMatchAllSerialSQ8 serves from the quantized index on one
-// goroutine.
-func BenchmarkMatchAllSerialSQ8(b *testing.B) {
-	benchMatchAll(b, tdmatch.IndexSQ8, 1)
-}
-
-// BenchmarkMatchAllParallelSQ8 combines the quantized scan with the
-// worker pool.
-func BenchmarkMatchAllParallelSQ8(b *testing.B) {
-	benchMatchAll(b, tdmatch.IndexSQ8, runtime.GOMAXPROCS(0))
 }
 
 // benchEndToEndInputs builds the corpora and configuration shared by

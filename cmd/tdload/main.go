@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	tdload -synth 2000 -index sq8 -concurrency 1,8 -duration 3s
+//	tdload -synth 2000 -index hnsw -concurrency 1,8 -duration 3s
 //	tdload -first movies.csv -second reviews.txt -model model.gob -concurrency 2
 //	tdload -addr http://localhost:8080 -ids queries.txt -qps 500
 //
@@ -62,7 +62,7 @@ import (
 func main() {
 	var (
 		synthN     = flag.Int("synth", 0, "build a synthetic in-process model with this many documents per side")
-		indexKind  = flag.String("index", "flat", "index kind for -synth: flat, sq8 or hnsw")
+		indexKind  = flag.String("index", "flat", "index kind for -synth: flat or hnsw")
 		dim        = flag.Int("dim", 48, "embedding dimension for -synth")
 		firstPath  = flag.String("first", "", "first corpus file (snapshot mode, as passed to the training run)")
 		secondPath = flag.String("second", "", "second corpus file (snapshot mode)")

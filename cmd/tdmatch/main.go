@@ -10,7 +10,6 @@
 //	tdmatch -first movies.csv -second reviews.txt -k 5
 //	tdmatch -first tax.json -second docs.txt -kb triples.tsv -expand
 //	tdmatch -first movies.csv -second reviews.txt -index hnsw -hnsw-ef 64
-//	tdmatch -first movies.csv -second reviews.txt -index sq8 -sq8-rerank 8
 //	tdmatch -first movies.csv -second reviews.txt -save model.gob
 //
 // The optional -kb file holds tab-separated (subject, predicate, object)
@@ -49,8 +48,7 @@ func main() {
 		dotPath    = flag.String("dot", "", "write the built graph in Graphviz DOT format to this file")
 		savePath   = flag.String("save", "", "write the trained model snapshot to this file (serve it with tdserved)")
 		saveFormat = flag.String("snapshot-format", "v6", "snapshot format for -save: v6 (flat, mmap-loadable) or gob")
-		indexKind  = flag.String("index", "flat", "serving index: flat (exact scan), sq8 (int8-quantized scan + exact re-rank) or hnsw (graph ANN + exact re-rank)")
-		sq8Rerank  = flag.Int("sq8-rerank", 0, "SQ8 re-rank multiplier: re-score this many times k candidates exactly (0 = default 4)")
+		indexKind  = flag.String("index", "flat", "serving index: flat (exact scan) or hnsw (graph ANN + exact re-rank)")
 		hnswM      = flag.Int("hnsw-m", 0, "HNSW neighbors per node per layer (0 = default 16)")
 		hnswEf     = flag.Int("hnsw-ef", 0, "HNSW query beam width (0 = default 96)")
 		hnswEfc    = flag.Int("hnsw-ef-construct", 0, "HNSW construction beam width (0 = default 128)")
@@ -84,7 +82,6 @@ func main() {
 	cfg.WalkLength = *length
 	cfg.Dim = *dim
 	cfg.Index = kind
-	cfg.SQ8Rerank = *sq8Rerank
 	cfg.HNSWM = *hnswM
 	cfg.HNSWEf = *hnswEf
 	cfg.HNSWEfConstruct = *hnswEfc

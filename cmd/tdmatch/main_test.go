@@ -35,9 +35,9 @@ func TestParseIndexKind(t *testing.T) {
 		msg  string
 	}{
 		{"flat", 1, "missing.csv"},
-		{"sq8", 1, "missing.csv"},
 		{"hnsw", 1, "missing.csv"},
 		{"ivf", 2, "was removed"},
+		{"sq8", 2, "was removed"},
 		{"annoy", 2, "unknown"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run", "^TestParseIndexKind$")

@@ -310,8 +310,9 @@ func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	log.Printf("tdserved: snapshot %s: load mode %s, opened in %s",
 		d.modelPath, snap.LoadMode(), time.Since(start).Round(time.Microsecond))
 	info := snap.Info()
-	if info.LegacyIVF {
-		log.Printf("tdserved: snapshot %s was saved with the removed ivf index; serving its arena as an exact flat scan", d.modelPath)
+	if info.LegacyIndex != "" {
+		log.Printf("tdserved: snapshot %s was saved with the removed %s index; serving its arena as an exact flat scan",
+			d.modelPath, info.LegacyIndex)
 	}
 	first, err := tdmatch.LoadCorpus(d.firstPath, info.FirstName)
 	if err != nil {
@@ -638,15 +639,14 @@ type statsResponse struct {
 // modelInfoResponse is the served snapshot's metadata in /v1/stats and
 // /healthz.
 type modelInfoResponse struct {
-	First     string `json:"first"`
-	Second    string `json:"second"`
-	Docs      int    `json:"docs"`
-	Dim       int    `json:"dim"`
-	Index     string `json:"index"`
-	SQ8Rerank int    `json:"sq8_rerank,omitempty"`
-	HNSWM     int    `json:"hnsw_m,omitempty"`
-	HNSWEf    int    `json:"hnsw_ef,omitempty"`
-	HNSWEfC   int    `json:"hnsw_ef_construct,omitempty"`
+	First   string `json:"first"`
+	Second  string `json:"second"`
+	Docs    int    `json:"docs"`
+	Dim     int    `json:"dim"`
+	Index   string `json:"index"`
+	HNSWM   int    `json:"hnsw_m,omitempty"`
+	HNSWEf  int    `json:"hnsw_ef,omitempty"`
+	HNSWEfC int    `json:"hnsw_ef_construct,omitempty"`
 }
 
 func (d *daemon) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -903,12 +903,6 @@ func (d *daemon) modelInfoResponse() modelInfoResponse {
 		Docs:   info.Docs,
 		Dim:    info.Dim,
 		Index:  info.Index.String(),
-	}
-	if info.Index == tdmatch.IndexSQ8 {
-		out.SQ8Rerank = info.SQ8Rerank
-		if out.SQ8Rerank == 0 {
-			out.SQ8Rerank = tdmatch.DefaultSQ8Rerank
-		}
 	}
 	if info.Index == tdmatch.IndexHNSW {
 		out.HNSWM, out.HNSWEf, out.HNSWEfC = info.HNSWM, info.HNSWEf, info.HNSWEfConstruct

@@ -131,10 +131,10 @@ Weaver fights the alien in deep space horror
 `
 
 // TestRoundTripIVFSnapshotServesIdenticalTopK: a committed snapshot
-// saved with the removed IVF index (v6 and gob) starts the daemon, which
-// logs that it serves the snapshot as an exact flat scan, reports index
-// "flat" in /v1/stats, and serves over HTTP exactly the rankings of the
-// in-process model bound from the same file.
+// saved with a removed index kind (IVF or SQ8, v6 and gob) starts the
+// daemon, which logs that it serves the snapshot as an exact flat scan,
+// reports index "flat" in /v1/stats, and serves over HTTP exactly the
+// rankings of the in-process model bound from the same file.
 func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
 	dir := t.TempDir()
 	firstPath := filepath.Join(dir, "movies.csv")
@@ -145,14 +145,16 @@ func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
 	if err := os.WriteFile(secondPath, []byte(persistReviewsTXT), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"v6ivf.snap", "v5ivf.gob"} {
-		t.Run(name, func(t *testing.T) {
-			modelPath := filepath.Join("..", "..", "testdata", "persist", name)
+	for _, fx := range []struct{ name, kind string }{
+		{"v6ivf.snap", "ivf"}, {"v5ivf.gob", "ivf"}, {"v6sq8.snap", "sq8"}, {"v5sq8.gob", "sq8"},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			modelPath := filepath.Join("..", "..", "testdata", "persist", fx.name)
 			logged := &logBuffer{}
 			log.SetOutput(logged)
 			_, ts := startDaemon(t, firstPath, secondPath, modelPath)
 			log.SetOutput(os.Stderr)
-			if !strings.Contains(logged.String(), "removed ivf index; serving its arena as an exact flat scan") {
+			if !strings.Contains(logged.String(), "removed "+fx.kind+" index; serving its arena as an exact flat scan") {
 				t.Errorf("start-up log does not report the flat downgrade: %s", logged.String())
 			}
 

@@ -8,10 +8,6 @@ import (
 	"github.com/tdmatch/tdmatch/internal/match"
 )
 
-// DefaultSQ8Rerank is the re-rank candidate multiplier an IndexSQ8
-// model uses when Config.SQ8Rerank is 0.
-const DefaultSQ8Rerank = match.DefaultSQ8Rerank
-
 // DefaultHNSWM, DefaultHNSWEf and DefaultHNSWEfConstruct are the HNSW
 // graph parameters an IndexHNSW model uses when the corresponding
 // Config knob is 0.
@@ -55,16 +51,11 @@ const (
 	// IndexFlat is the exact ranking of the paper (§IV-B): a full cosine
 	// scan over one contiguous vector arena. The default.
 	IndexFlat IndexKind = iota
-	// indexRemovedIVF is the persisted value of the removed IVF index
-	// kind, reserved so the values after it keep their meaning:
-	// snapshots saved with it serve their stored arena as IndexFlat.
+	// indexRemovedIVF and indexRemovedSQ8 are the persisted values of
+	// the removed IVF and SQ8 index kinds, reserved so IndexHNSW keeps
+	// its value (see removedIndexKinds).
 	indexRemovedIVF
-	// IndexSQ8 is a scalar-quantized index: target vectors are stored as
-	// int8 codes with a per-row scale (4x less memory traffic on the
-	// scan) and the top SQ8Rerank*k approximate candidates are re-scored
-	// exactly in float32, which keeps recall@10 >= 0.99 at default
-	// settings.
-	IndexSQ8
+	indexRemovedSQ8
 	// IndexHNSW is a hierarchical navigable-small-world graph index:
 	// queries descend a layered proximity graph and an ef-bounded beam
 	// over the bottom layer collects candidates that are re-scored
@@ -73,14 +64,21 @@ const (
 	IndexHNSW
 )
 
-// String returns the flag-style name of the index kind: "flat", "sq8"
-// or "hnsw" (or "indexkind(n)" for values outside the defined set).
+// removedIndexKinds names the persisted values of the index kinds that
+// were removed. A snapshot saved with one of them serves its stored
+// arena as an exact IndexFlat scan, and ModelInfo.LegacyIndex reports
+// the name.
+var removedIndexKinds = map[IndexKind]string{
+	indexRemovedIVF: "ivf",
+	indexRemovedSQ8: "sq8",
+}
+
+// String returns the flag-style name of the index kind: "flat" or
+// "hnsw" (or "indexkind(n)" for values outside the defined set).
 func (k IndexKind) String() string {
 	switch k {
 	case IndexFlat:
 		return "flat"
-	case IndexSQ8:
-		return "sq8"
 	case IndexHNSW:
 		return "hnsw"
 	default:
@@ -88,19 +86,21 @@ func (k IndexKind) String() string {
 	}
 }
 
-// ParseIndexKind is the inverse of IndexKind.String: it maps "flat",
-// "sq8" and "hnsw" to their kinds and rejects every other name — "ivf"
-// with an error saying that kind was removed.
+// ParseIndexKind is the inverse of IndexKind.String: it maps "flat" and
+// "hnsw" to their kinds and rejects every other name — a removed kind
+// ("ivf", "sq8") with an error saying it was removed.
 func ParseIndexKind(s string) (IndexKind, error) {
-	for _, k := range []IndexKind{IndexFlat, IndexSQ8, IndexHNSW} {
+	for _, k := range []IndexKind{IndexFlat, IndexHNSW} {
 		if s == k.String() {
 			return k, nil
 		}
 	}
-	if s == "ivf" {
-		return 0, fmt.Errorf("index kind %q was removed (flat, sq8 and hnsw remain; ivf snapshots load as flat)", s)
+	for _, name := range removedIndexKinds {
+		if s == name {
+			return 0, fmt.Errorf("index kind %q was removed (flat and hnsw remain; its snapshots load as flat)", s)
+		}
 	}
-	return 0, fmt.Errorf("unknown index kind %q (want flat, sq8 or hnsw)", s)
+	return 0, fmt.Errorf("unknown index kind %q (want flat or hnsw)", s)
 }
 
 // Config parametrizes the pipeline. Zero values select paper defaults via
@@ -177,12 +177,6 @@ type Config struct {
 	// IndexFlat, the paper's exact scan). TopKCombined and TopKBlocked
 	// always use the exact index regardless.
 	Index IndexKind
-	// SQ8Rerank is the re-rank candidate multiplier of an IndexSQ8
-	// index: the quantized scan selects SQ8Rerank*k candidates that are
-	// then re-scored exactly in float32 (0 = default 4). Raising it
-	// trades scan savings for recall; SQ8Rerank >= corpus size / k makes
-	// the ranking provably identical to IndexFlat.
-	SQ8Rerank int
 	// HNSWM caps the neighbor count per node on the upper layers of an
 	// IndexHNSW graph (the bottom layer allows 2×HNSWM). 0 selects the
 	// default (16); larger values raise recall and memory per node.
@@ -216,8 +210,14 @@ type Config struct {
 	ServeCacheSize int
 	// ServeBatchWindow is how long Server.TopK holds an uncached query to
 	// coalesce it with concurrent ones into a single worker-pool pass
-	// (default 200µs — well under network latency, wide enough to gather
-	// a burst). Negative disables micro-batching; 0 selects the default.
+	// (default 200µs). Negative disables micro-batching; 0 selects the
+	// default. The wait is rounded up to whole milliseconds in practice:
+	// an idle Go runtime sleeps in epoll_wait, whose timeout
+	// runtime/netpoll_epoll.go rounds up to 1 ms, so on Linux a lone
+	// query waits about 1.1 ms at any window up to 1 ms (a 400-document
+	// model answered in 1.08–1.11 ms at the default against 5–7 µs with
+	// batching off, BenchmarkServeTopKColdBatched vs
+	// BenchmarkServeTopKCold, 2-vCPU Xeon) and about 2.2 ms at 1.5 ms.
 	ServeBatchWindow time.Duration
 
 	// WALSync selects the serving write-ahead log's fsync policy:

@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/datasets"
-	"github.com/tdmatch/tdmatch/internal/match"
 )
 
 // Serving parity tests on the seed IMDb dataset: every ranking path
-// agrees with the exact scan, and the approximate kinds meet their
-// recall bars against it.
+// agrees with the exact scan (hnsw_parity_test.go holds the approximate
+// kind to its recall bar against it).
 
 func buildIMDbModel(t *testing.T, mutate func(*Config)) *Model {
 	t.Helper()
@@ -53,8 +52,7 @@ func (m *Model) flatBaseline(t *testing.T, docID string, k int) []Match {
 // TestCrossKernelDeterminismOnIMDb is the deterministic-ordering
 // invariant: on the seed IMDb dataset, every ranking path — the serial
 // single-query scan, the blocked multi-query kernel at several worker
-// counts, Model.TopKBatch over mixed sides, and SQ8 with a
-// corpus-covering re-rank pool — must return identical
+// counts, and Model.TopKBatch over mixed sides — must return identical
 // rankings, identical score ties broken by ID in the same order.
 func TestCrossKernelDeterminismOnIMDb(t *testing.T) {
 	model := buildIMDbModel(t, nil)
@@ -104,63 +102,6 @@ func TestCrossKernelDeterminismOnIMDb(t *testing.T) {
 		} else if res.Err == nil {
 			t.Fatalf("TopKBatch(%s) must fail like TopK does", res.ID)
 		}
-	}
-
-	// SQ8 with a re-rank pool covering the corpus: a provably exact
-	// kernel over the same flat arenas.
-	for _, flat := range []*match.Index{model.firstFlat, model.secondFlat} {
-		sq := match.NewIndexSQ8(flat, flat.Len())
-		for _, q := range queries {
-			v := model.vectors[q]
-			if v == nil || model.sideOf(q) == 0 {
-				continue
-			}
-			// Only compare against the side this index targets.
-			if (model.sideOf(q) == 1) != (flat == model.secondFlat) {
-				continue
-			}
-			ref := flat.TopK(v, k)
-			if got := sq.TopK(v, k); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("full-rerank SQ8 diverged from flat for %s", q)
-			}
-		}
-	}
-}
-
-// TestSQ8DefaultRerankRecallOnIMDb is the quantization quality bar on
-// the seed dataset: int8 scan + default 4x exact re-rank must reach
-// recall@10 >= 0.99 against the flat ranking.
-func TestSQ8DefaultRerankRecallOnIMDb(t *testing.T) {
-	model := buildIMDbModel(t, func(cfg *Config) {
-		cfg.Index = IndexSQ8
-	})
-	hits, total := 0, 0
-	for _, q := range model.second.IDs() {
-		if model.vectors[q] == nil {
-			continue
-		}
-		exact := map[string]struct{}{}
-		for _, m := range model.flatBaseline(t, q, 10) {
-			exact[m.ID] = struct{}{}
-		}
-		approx, err := model.TopK(q, 10)
-		if err != nil {
-			t.Fatalf("TopK(%s): %v", q, err)
-		}
-		for _, m := range approx {
-			if _, ok := exact[m.ID]; ok {
-				hits++
-			}
-		}
-		total += len(exact)
-	}
-	if total == 0 {
-		t.Fatal("no queries produced rankings")
-	}
-	recall := float64(hits) / float64(total)
-	t.Logf("SQ8 recall@10 on IMDb = %.4f over %d ranked slots", recall, total)
-	if recall < 0.99 {
-		t.Errorf("default-rerank SQ8 recall@10 = %.4f, want >= 0.99", recall)
 	}
 }
 

@@ -228,9 +228,9 @@ func TestCompactResetsStaleness(t *testing.T) {
 // re-ingesting it must reproduce the from-scratch model's rankings at
 // recall@10 >= 0.95 — the model pre-mutation IS a from-scratch build of
 // the final corpus, since the mutation round-trips the content — across
-// flat and SQ8 serving indexes.
+// both serving index kinds.
 func TestIngestParityOnIMDb(t *testing.T) {
-	for _, kind := range []IndexKind{IndexFlat, IndexSQ8} {
+	for _, kind := range []IndexKind{IndexFlat, IndexHNSW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			model := buildIMDbModel(t, func(cfg *Config) {
 				cfg.Index = kind

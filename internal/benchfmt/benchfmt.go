@@ -31,7 +31,7 @@ type Result struct {
 	Concurrency int     `json:"concurrency,omitempty"`
 	// RecallAt10 is the approximate index's recall@10 against the exact
 	// flat ranking over the benchmark fixture, reported by the ANN TopK
-	// benchmarks (SQ8, HNSW) via b.ReportMetric. Zero (omitted) for
+	// benchmark (HNSW) via b.ReportMetric. Zero (omitted) for
 	// exact indexes and non-retrieval benchmarks.
 	RecallAt10 float64 `json:"recall_at_10,omitempty"`
 	// TokensPerS is the training rate the Word2Vec benchmarks report via

@@ -113,49 +113,6 @@ func TestBorrowedIndexAppendPromotes(t *testing.T) {
 	}
 }
 
-func TestBorrowedSQ8PartsMatchesQuantized(t *testing.T) {
-	ids := []string{"a", "b", "c", "d"}
-	vecs := [][]float32{{1, 2, 3, 4}, {4, 3, 2, 1}, {-1, 0.5, 0, 2}, {0, 0, 0, 0}}
-	ref, err := NewIndex(ids, vecs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q8 := NewIndexSQ8(ref, 2)
-
-	flat, err := NewIndexArenaBorrowed(ids, append([]float32(nil), ref.Arena()...), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := NewIndexSQ8Parts(flat, q8.Codes(), q8.Scales(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := []float32{0.3, -0.2, 1, 0.7}
-	if got, want := parts.TopK(query, 4), q8.TopK(query, 4); !reflect.DeepEqual(got, want) {
-		t.Fatalf("parts-built SQ8 diverged: got %v want %v", got, want)
-	}
-
-	// Remove must promote borrowed codes/scales rather than zero the
-	// originals in place.
-	origCodes := append([]int8(nil), q8.Codes()...)
-	if n := parts.Remove([]string{"a"}); n != 1 {
-		t.Fatalf("Remove returned %d, want 1", n)
-	}
-	if !reflect.DeepEqual(origCodes, q8.Codes()) {
-		t.Fatal("Remove on parts index mutated the donor codes in place")
-	}
-	if got := parts.TopK(query, 4); len(got) != 3 {
-		t.Fatalf("expected 3 live docs after remove, got %v", got)
-	}
-
-	if _, err := NewIndexSQ8Parts(flat, q8.Codes()[:1], q8.Scales(), 2); err == nil {
-		t.Fatal("short codes accepted")
-	}
-	if _, err := NewIndexSQ8Parts(flat, q8.Codes(), q8.Scales()[:1], 2); err == nil {
-		t.Fatal("short scales accepted")
-	}
-}
-
 func TestAppendSealedServesSegment(t *testing.T) {
 	dim := 4
 	baseIDs := []string{"a", "b"}

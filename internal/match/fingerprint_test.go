@@ -33,11 +33,9 @@ func TestFingerprintDistinguishesConfigurations(t *testing.T) {
 	// Every kind tag must keep the kinds pairwise disjoint over the same
 	// flat: a cache keyed on the fingerprint must never serve one kind's
 	// results for another.
-	sq8 := NewIndexSQ8(flat, 2)
 	hnsw := NewHNSW(flat, HNSWOptions{Seed: 1})
 	fps := map[string]uint64{
 		"flat": flat.Fingerprint(),
-		"sq8":  sq8.Fingerprint(),
 		"hnsw": hnsw.Fingerprint(),
 	}
 	seen := map[uint64]string{}

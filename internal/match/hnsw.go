@@ -8,13 +8,13 @@ import (
 )
 
 // HNSW is a hierarchical navigable-small-world graph index, the
-// approximate serving kind next to SQ8: each indexed row is a
+// approximate serving kind next to the exact scan: each indexed row is a
 // graph node with at most M neighbors per layer (2M on layer 0), upper
 // layers form an exponentially sparser hierarchy, and a query descends
 // the hierarchy greedily before an ef-bounded best-first beam over
 // layer 0 collects the candidate pool. Search cost is O(ef · degree ·
 // dim) regardless of corpus size — the sublinear floor the O(rows)
-// scans (flat, SQ8) cannot reach — and the collected candidates are
+// flat scan cannot reach — and the collected candidates are
 // re-ranked exactly against the retained float32 arena with the same
 // dot kernel as every other path, so ties keep the strict
 // (score desc, ID asc) order.
@@ -208,10 +208,17 @@ func NewHNSWParts(flat *Index, levels, offs, adj []int32, o HNSWOptions) (*HNSW,
 	if lists > 0 && int(offs[lists]) != len(adj) {
 		return nil, fmt.Errorf("match: hnsw adjacency holds %d entries, offsets end at %d", len(adj), offs[lists])
 	}
-	for _, l := range x.links {
-		for _, nb := range l {
-			if nb < 0 || int(nb) >= n {
-				return nil, fmt.Errorf("match: hnsw neighbor %d out of range for %d rows", nb, n)
+	// A search on layer l expands a neighbor's own layer-l list, so every
+	// neighbor must be a row that reaches the layer it is listed on.
+	for i := 0; i < n; i++ {
+		for l := int32(0); l <= levels[i]; l++ {
+			for _, nb := range x.links[x.listStart[i]+l] {
+				if nb < 0 || int(nb) >= n {
+					return nil, fmt.Errorf("match: hnsw neighbor %d out of range for %d rows", nb, n)
+				}
+				if levels[nb] < l {
+					return nil, fmt.Errorf("match: hnsw row %d lists row %d on layer %d, above its level %d", i, nb, l, levels[nb])
+				}
 			}
 		}
 	}
@@ -644,7 +651,7 @@ func (x *HNSW) IDs() []string { return x.flat.IDs() }
 func (x *HNSW) Dim() int { return x.flat.Dim() }
 
 // fingerprintHNSW is the kind tag keeping HNSW digests disjoint from
-// flat, SQ8 and segmented ones.
+// flat and segmented ones.
 const fingerprintHNSW uint64 = 0x6e57
 
 // Fingerprint returns the serving-configuration digest of the graph
@@ -743,25 +750,19 @@ func (x *HNSW) TopKBatch(queries [][]float32, k int) [][]Scored {
 	}
 	dim := x.flat.dim
 	qn := make([]float32, dim)
+	sc := x.scratch()
+	defer x.putScratch(sc)
 	for qi, q := range queries {
 		copy(qn, q)
 		embed.Normalize(qn)
-		out[qi] = x.flat.topKPositions(qn, x.beamCandidates(qn, k), k)
+		ep := x.entry
+		for l := x.maxLevel; l > 0; l-- {
+			ep = x.greedy(qn, ep, l, sc)
+		}
+		// The layer-0 beam is the exact re-rank pool; its positions live
+		// in the scratch, which the next query overwrites.
+		beam, _ := x.searchLayer(qn, []int32{ep}, x.beamWidth(k), 0, sc)
+		out[qi] = x.flat.topKPositions(qn, beam, k)
 	}
 	return out
-}
-
-// beamCandidates runs the graph search for one normalized query and
-// returns the candidate positions of the layer-0 beam — the exact
-// re-rank pool.
-func (x *HNSW) beamCandidates(qn []float32, k int) []int32 {
-	sc := x.scratch()
-	ep := x.entry
-	for l := x.maxLevel; l > 0; l-- {
-		ep = x.greedy(qn, ep, l, sc)
-	}
-	poss, _ := x.searchLayer(qn, []int32{ep}, x.beamWidth(k), 0, sc)
-	poss = append([]int32(nil), poss...)
-	x.putScratch(sc)
-	return poss
 }

@@ -9,12 +9,12 @@ import (
 
 // This file holds the arena-scanning query kernels: tiled multi-query
 // scoring plus allocation-free top-k selection over (score, position)
-// pairs. The dispatch functions dotRows/dotRowsSQ8 (kernel_amd64.go,
+// pairs. The dispatch functions dotRows/dotPos (kernel_amd64.go,
 // kernel_generic.go) route each tile through the AVX2/FMA assembly when
 // the CPU supports it and through the portable Go loops below otherwise.
 //
 // Every ranking path of the package — single-query TopK, the batched
-// TopKBatch, token-blocked scans and the SQ8 and HNSW re-ranks —
+// TopKBatch, token-blocked scans and the HNSW re-rank —
 // selects candidates with the same heap and the same tie rule (equal
 // scores break by ascending ID), so rankings are deterministic and
 // identical across kernels.
@@ -59,27 +59,6 @@ func dotPosGo(arena []float32, positions []int32, q, out []float32, dim int, sto
 	return len(positions)
 }
 
-// dotRowsSQ8Go is the portable int8 scoring loop, four-wide unrolled
-// int32 multiply-accumulate.
-func dotRowsSQ8Go(codes, q []int8, out []int32, dim int) {
-	for r := range out {
-		row := codes[r*dim : (r+1)*dim]
-		var s0, s1, s2, s3 int32
-		n := dim &^ 3
-		for d := 0; d < n; d += 4 {
-			s0 += int32(row[d]) * int32(q[d])
-			s1 += int32(row[d+1]) * int32(q[d+1])
-			s2 += int32(row[d+2]) * int32(q[d+2])
-			s3 += int32(row[d+3]) * int32(q[d+3])
-		}
-		s := (s0 + s2) + (s1 + s3)
-		for d := n; d < dim; d++ {
-			s += int32(row[d]) * int32(q[d])
-		}
-		out[r] = s
-	}
-}
-
 // zapDead overwrites the scores of tombstoned rows in a tile (positions
 // base, base+1, ...) with -Inf, so selection heaps clamped to the live
 // count provably evict them. A no-op (one branch) on unmutated indexes.
@@ -96,7 +75,7 @@ func (x *Index) zapDead(scores []float32, base int) {
 
 // dotOne scores a single arena row against the normalized query with
 // the same kernel (and thus the same rounding) as the tiled scans, so
-// scattered-position paths (token blocking, SQ8 and HNSW re-rank)
+// scattered-position paths (token blocking, HNSW re-rank)
 // rank identically to the full scan.
 func dotOne(row, q []float32) float32 {
 	var out [1]float32
@@ -248,15 +227,6 @@ func (h *topkHeap) results() []Scored {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
-}
-
-// positions returns the resident arena positions in ascending order
-// (the SQ8 re-rank candidate set).
-func (h *topkHeap) positions() []int32 {
-	out := make([]int32, h.n)
-	copy(out, h.pos[:h.n])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

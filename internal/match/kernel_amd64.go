@@ -6,8 +6,9 @@ import "github.com/tdmatch/tdmatch/internal/cpu"
 
 // useFMA gates the AVX2/FMA assembly kernels; when false every scoring
 // call takes the portable Go path. Initialized once from the shared
-// CPU probe: the kernels need AVX2 (for the 256-bit integer ops), FMA3,
-// and an OS that saves the YMM state (OSXSAVE + XCR0 bits 1-2).
+// CPU probe: the kernels need 256-bit vector registers with an OS that
+// saves the YMM state (OSXSAVE + XCR0 bits 1-2), which the AVX2 flag
+// implies, and FMA3.
 var useFMA = cpu.AVX2 && cpu.FMA
 
 // dotRowsFMA scores rows contiguous dim-sized vectors at arena against
@@ -24,13 +25,6 @@ func dotRowsFMA(arena, q, out *float32, rows, dim int)
 //
 //go:noescape
 func dotPosFMA(arena *float32, pos *int32, q, out *float32, n, dim int, stop float32) int
-
-// dotRowsSQ8FMA computes the int32 dot of rows contiguous dim-sized
-// int8 code rows against the quantized query q. Implemented in
-// kernel_amd64.s; callers must check useFMA.
-//
-//go:noescape
-func dotRowsSQ8FMA(codes, q *int8, out *int32, rows, dim int)
 
 // dotRows fills out[r] with the dot product of query q and each of the
 // len(out) contiguous dim-sized rows starting at arena[0], dispatching
@@ -60,17 +54,4 @@ func dotPos(arena []float32, positions []int32, q, out []float32, dim int, stop 
 		return dotPosFMA(&arena[0], &positions[0], &q[0], &out[0], len(positions), dim, stop)
 	}
 	return dotPosGo(arena, positions, q, out, dim, stop)
-}
-
-// dotRowsSQ8 is the int8 counterpart of dotRows: out[r] is the integer
-// dot of the quantized query q against code row r.
-func dotRowsSQ8(codes, q []int8, out []int32, dim int) {
-	if len(out) == 0 {
-		return
-	}
-	if useFMA {
-		dotRowsSQ8FMA(&codes[0], &q[0], &out[0], len(out), dim)
-		return
-	}
-	dotRowsSQ8Go(codes, q, out, dim)
 }

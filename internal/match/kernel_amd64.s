@@ -159,79 +159,3 @@ pdone:
 	VZEROUPPER
 	MOVQ AX, ret+56(FP)
 	RET
-
-// func dotRowsSQ8FMA(codes, q *int8, out *int32, rows, dim int)
-//
-// out[r] = sum over d of int32(codes[r*dim+d]) * int32(q[d]), the
-// integer part of the SQ8 approximate score (per-row and query scales
-// are applied by the Go caller). 16 int8 lanes per main step:
-// sign-extend to int16, VPMADDWD to 8 int32 partial sums, accumulate
-// in Y0; an 8-lane step accumulates in X4 and a scalar loop takes the
-// remainder.
-TEXT ·dotRowsSQ8FMA(SB), NOSPLIT, $0-40
-	MOVQ  codes+0(FP), DI
-	MOVQ  q+8(FP), SI
-	MOVQ  out+16(FP), DX
-	MOVQ  rows+24(FP), CX
-	MOVQ  dim+32(FP), R8
-	TESTQ CX, CX
-	JE    qdone
-
-qrow:
-	MOVQ  SI, BX
-	MOVQ  R8, R11
-	VPXOR Y0, Y0, Y0
-	VPXOR X4, X4, X4
-
-qblk16:
-	CMPQ      R11, $16
-	JLT       qblk8
-	VPMOVSXBW (DI), Y2
-	VPMOVSXBW (BX), Y3
-	VPMADDWD  Y3, Y2, Y2
-	VPADDD    Y2, Y0, Y0
-	ADDQ      $16, DI
-	ADDQ      $16, BX
-	SUBQ      $16, R11
-	JMP       qblk16
-
-qblk8:
-	CMPQ      R11, $8
-	JLT       qreduce
-	VPMOVSXBW (DI), X2
-	VPMOVSXBW (BX), X3
-	VPMADDWD  X3, X2, X2
-	VPADDD    X2, X4, X4
-	ADDQ      $8, DI
-	ADDQ      $8, BX
-	SUBQ      $8, R11
-
-qreduce:
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPADDD       X4, X0, X0
-	VPHADDD      X0, X0, X0
-	VPHADDD      X0, X0, X0
-	VMOVD        X0, AX
-
-	TESTQ   R11, R11
-	JE      qstore
-qtail:
-	MOVBLSX (DI), R12
-	MOVBLSX (BX), R13
-	IMULL   R13, R12
-	ADDL    R12, AX
-	ADDQ    $1, DI
-	ADDQ    $1, BX
-	DECQ    R11
-	JNZ     qtail
-
-qstore:
-	MOVL AX, (DX)
-	ADDQ $4, DX
-	DECQ CX
-	JNZ  qrow
-
-qdone:
-	VZEROUPPER
-	RET

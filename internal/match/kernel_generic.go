@@ -19,9 +19,3 @@ func dotRows(arena, q, out []float32, dim int) {
 func dotPos(arena []float32, positions []int32, q, out []float32, dim int, stop float32) int {
 	return dotPosGo(arena, positions, q, out, dim, stop)
 }
-
-// dotRowsSQ8 is the int8 counterpart of dotRows: out[r] is the integer
-// dot of the quantized query q against code row r.
-func dotRowsSQ8(codes, q []int8, out []int32, dim int) {
-	dotRowsSQ8Go(codes, q, out, dim)
-}

@@ -4,11 +4,10 @@
 // corpus, returning the top-k. It also provides the score-averaging
 // combination with a second embedder evaluated in Fig. 10.
 //
-// Three index kinds serve the ranking: the exact Index, a flat scan over
-// one contiguous vector arena; IndexSQ8, an int8-quantized scan with an
-// exact re-rank; and HNSW, a graph index with an exact re-rank. All
-// satisfy VectorIndex, the pluggable serving interface, and Segmented
-// stacks them into one mutable serving index.
+// Two index kinds serve the ranking: the exact Index, a flat scan over
+// one contiguous vector arena, and HNSW, a graph index with an exact
+// re-rank. Both satisfy VectorIndex, the pluggable serving interface,
+// and Segmented stacks them into one mutable serving index.
 package match
 
 import (
@@ -454,7 +453,7 @@ func sortScored(h scoredHeap) []Scored {
 // topKPositions selects the k candidates (given as arena positions) most
 // similar to the normalized query, best first with ID tie-breaking. Rows
 // are scored with the same kernel as the tiled full scan, so scattered-
-// position rankings (blocking, SQ8 and HNSW re-rank) agree with it
+// position rankings (blocking, HNSW re-rank) agree with it
 // bit-for-bit; IDs are resolved only for the <= k heap residents.
 func (x *Index) topKPositions(q []float32, positions []int32, k int) []Scored {
 	if k <= 0 || len(positions) == 0 {

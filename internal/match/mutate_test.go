@@ -115,44 +115,8 @@ func TestFlatAppendRemoveMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestSQ8AppendQuantizesNewRows: the quantized index follows appends
-// and removals, and with a corpus-covering re-rank pool stays
-// bit-identical to the mutated flat index.
-func TestSQ8AppendQuantizesNewRows(t *testing.T) {
-	const dim = 16
-	ids, vecs := mutVecs(50, dim, 23)
-	flat, err := NewIndex(ids[:35], vecs[:35], dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq := NewIndexSQ8(flat, 1000) // rerank pool covers the corpus: provably exact
-	fp0 := sq.Fingerprint()
-	if err := sq.Append(ids[35:], flatten(vecs[35:], dim)); err != nil {
-		t.Fatal(err)
-	}
-	if sq.Fingerprint() == fp0 {
-		t.Error("SQ8 fingerprint unchanged after append")
-	}
-	if len(sq.codes) != 50*dim || len(sq.scales) != 50 {
-		t.Fatalf("code arena not grown: %d codes, %d scales", len(sq.codes), len(sq.scales))
-	}
-	if got := sq.Remove([]string{ids[2], ids[40]}); got != 2 {
-		t.Fatalf("Remove = %d, want 2", got)
-	}
-	if sq.scales[2] != 0 || sq.scales[40] != 0 {
-		t.Error("removed rows keep non-zero scales")
-	}
-	for qi, q := range vecs {
-		got := sq.TopK(q, 7)
-		want := flat.TopK(q, 7)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: full-rerank SQ8 diverged from mutated flat\ngot:  %v\nwant: %v", qi, got, want)
-		}
-	}
-}
-
 // TestCloneIsolation: mutating a clone must not change the original's
-// rankings or fingerprint, for all three index kinds.
+// rankings or fingerprint, for both index kinds.
 func TestCloneIsolation(t *testing.T) {
 	const dim = 12
 	ids, vecs := mutVecs(30, dim, 5)
@@ -161,27 +125,25 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	hnsw := NewHNSW(flat, HNSWOptions{M: 4, Seed: 1})
-	sq := NewIndexSQ8(flat, 0)
 
 	cf := flat.Clone()
 	chnsw := hnsw.CloneWithFlat(cf)
-	csq := sq.CloneWithFlat(cf)
 
 	wantTop := flat.TopK(vecs[0], 5)
-	wantFP := []uint64{flat.Fingerprint(), hnsw.Fingerprint(), sq.Fingerprint()}
+	wantFP := []uint64{flat.Fingerprint(), hnsw.Fingerprint()}
 
 	if err := cf.Append(ids[20:25], flatten(vecs[20:25], dim)); err != nil {
 		t.Fatal(err)
 	}
 	chnsw.links[0] = append(chnsw.links[0], 99) // direct graph mutation on the clone
-	if csq.Remove([]string{ids[1]}) != 1 {
+	if cf.Remove([]string{ids[1]}) != 1 {
 		t.Fatal("clone remove failed")
 	}
 
 	if got := flat.TopK(vecs[0], 5); !reflect.DeepEqual(got, wantTop) {
 		t.Error("original flat rankings changed after clone mutation")
 	}
-	if flat.Fingerprint() != wantFP[0] || hnsw.Fingerprint() != wantFP[1] || sq.Fingerprint() != wantFP[2] {
+	if flat.Fingerprint() != wantFP[0] || hnsw.Fingerprint() != wantFP[1] {
 		t.Error("original fingerprints changed after clone mutation")
 	}
 	if flat.Len() != 20 {

@@ -9,10 +9,9 @@ import (
 const fingerprintSeg = 0x5e9
 
 // SealFunc wraps a freshly sealed flat segment into its serving form —
-// the model layer supplies the kind wrap (SQ8 quantization, HNSW
-// construction); ordinal is the segment's position in the
-// stack, so wraps that need a seed can derive a deterministic one per
-// segment.
+// the model layer supplies the kind wrap (HNSW construction); ordinal
+// is the segment's position in the stack, so wraps that need a seed can
+// derive a deterministic one per segment.
 type SealFunc func(flat *Index, ordinal int) VectorIndex
 
 // Segmented is an LSM-style stack of index segments serving one logical
@@ -97,8 +96,6 @@ func segFlat(v VectorIndex) *Index {
 	switch ix := v.(type) {
 	case *Index:
 		return ix
-	case *IndexSQ8:
-		return ix.flat
 	case *HNSW:
 		return ix.flat
 	default:
@@ -336,11 +333,10 @@ func (s *Segmented) Seal() error {
 // AppendSealed pushes a pre-built sealed segment onto the top of the
 // stack without going through the delta — the snapshot binding path,
 // which reconstructs sealed segments directly over mapped arenas. The
-// segment must be a supported kind (Index, IndexSQ8 or HNSW) of the
-// stack's dimensionality; the caller
-// guarantees its IDs do not collide with other segments (the snapshot
-// writer serialized a consistent manifest, and section checksums
-// reject torn files).
+// segment must be a supported kind (Index or HNSW) of the stack's
+// dimensionality; the caller guarantees its IDs do not collide with
+// other segments (the snapshot writer serialized a consistent manifest,
+// and section checksums reject torn files).
 func (s *Segmented) AppendSealed(idx VectorIndex) error {
 	sf := segFlat(idx)
 	if sf == nil {

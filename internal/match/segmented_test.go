@@ -11,8 +11,8 @@ import (
 // Property suite for the segmented stack: randomized, seeded, shrinkable
 // interleavings of Append/Remove/Seal/Compact must leave TopK/TopKBatch
 // bit-identical to a from-scratch monolithic flat index over the same
-// live documents, for every segment kind under exact parameters (flat,
-// full-rerank SQ8, full-beam HNSW).
+// live documents, for both segment kinds under exact parameters (flat,
+// full-beam HNSW).
 
 const segPropDim = 8
 
@@ -53,20 +53,17 @@ func (o segOp) String() string {
 // segPropConfig is one cell of the kind test matrix.
 type segPropConfig struct {
 	name     string
-	kind     string // "flat", "sq8", "hnsw"
+	kind     string // "flat", "hnsw"
 	maxDelta int    // auto-seal threshold handed to NewSegmented
 }
 
 // sealFuncFor builds the SealFunc for a matrix cell: the kind wrap with
-// a deterministic per-ordinal seed. All three kinds are exact under
+// a deterministic per-ordinal seed. Both kinds are exact under
 // these parameters, so bit-identity to the monolithic flat scan is the
 // contract, not an approximation.
 func sealFuncFor(cfg segPropConfig) SealFunc {
 	return func(flat *Index, ordinal int) VectorIndex {
-		switch cfg.kind {
-		case "sq8":
-			return NewIndexSQ8(flat, 1<<20) // rerank pool covers any segment: exact
-		case "hnsw":
+		if cfg.kind == "hnsw" {
 			// A beam wider than any segment delegates to the exact scan.
 			return NewHNSW(flat, HNSWOptions{M: 4, EfConstruct: 16, Ef: 1 << 20, Seed: 11 + int64(ordinal)})
 		}
@@ -272,8 +269,8 @@ func shrinkSeq(cfg segPropConfig, ops []segOp, queries [][]float32, k int) []seg
 // the kind matrix. On failure it reports the shrunk minimal op sequence
 // together with the seed that regenerates it.
 func TestSegmentedPropertyParity(t *testing.T) {
-	kinds := []string{"flat", "sq8", "hnsw"}
-	const itersPerCell = 72 // 3 kinds × 72 = 216 interleavings
+	kinds := []string{"flat", "hnsw"}
+	const itersPerCell = 108 // 2 kinds × 108 = 216 interleavings
 	total := 0
 	for _, kind := range kinds {
 		t.Run(kind, func(t *testing.T) {

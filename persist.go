@@ -36,8 +36,8 @@ import (
 // snapshot stays loadable against the pre-ingest corpus files), the
 // trained term vectors (TermIDs + TermArena) that make a restored
 // model fold-in ingestable, the tokenizer's MaxNGram and the staleness
-// counter. Version 3 added the SQ8Rerank serving parameter (gob leaves
-// it zero — meaning the default — when decoding older payloads).
+// counter. Version 3 added the re-rank parameter of a since-removed
+// index kind, which decoding skips.
 // Version 2 stores the vectors as one contiguous arena (VectorIDs +
 // Arena) matching the in-memory index layout; version 1 payloads with
 // the per-document Vectors map are still readable.
@@ -60,10 +60,9 @@ type savedModel struct {
 	// is included so an HNSW graph is re-built exactly as the saved
 	// model's was. The HNSW knobs are newer additions to the version-5
 	// layout: gob leaves them zero — meaning the defaults — when decoding
-	// older payloads. Payloads of the removed IVF kind also carry its
+	// older payloads. Payloads of a removed kind also carry its
 	// parameters, which decoding skips (see indexKind).
 	Index           uint8
-	SQ8Rerank       int
 	HNSWM           int
 	HNSWEf          int
 	HNSWEfConstruct int
@@ -144,7 +143,6 @@ func (m *Model) Save(w io.Writer) error {
 		VectorIDs:       ids,
 		Arena:           arena,
 		Index:           uint8(m.cfg.Index),
-		SQ8Rerank:       m.cfg.SQ8Rerank,
 		HNSWM:           m.cfg.HNSWM,
 		HNSWEf:          m.cfg.HNSWEf,
 		HNSWEfConstruct: m.cfg.HNSWEfConstruct,
@@ -412,14 +410,14 @@ func readGobSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 // indexKind resolves the persisted index kind to the one Bind serves.
-// The removed IVF kind persisted nothing beyond the arena it clustered,
-// so its snapshots serve that arena as an exact flat scan; legacyIVF
-// reports the substitution.
-func (sm *savedModel) indexKind() (kind IndexKind, legacyIVF bool) {
-	if k := IndexKind(sm.Index); k != indexRemovedIVF {
-		return k, false
+// Every removed kind (removedIndexKinds) searched the stored arena it
+// was built over, so its snapshots serve that arena as an exact flat
+// scan; legacy names the removed kind, empty for a serving kind.
+func (sm *savedModel) indexKind() (kind IndexKind, legacy string) {
+	if name, removed := removedIndexKinds[IndexKind(sm.Index)]; removed {
+		return IndexFlat, name
 	}
-	return IndexFlat, true
+	return IndexKind(sm.Index), ""
 }
 
 // Info returns the snapshot's metadata.
@@ -432,7 +430,7 @@ func (s *Snapshot) Info() ModelInfo {
 	for _, d := range s.sm.Deltas {
 		deltaDocs += len(d.Added) + len(d.Removed)
 	}
-	kind, legacyIVF := s.sm.indexKind()
+	kind, legacy := s.sm.indexKind()
 	return ModelInfo{
 		Version:         s.sm.Version,
 		Dim:             s.sm.Dim,
@@ -440,8 +438,7 @@ func (s *Snapshot) Info() ModelInfo {
 		SecondName:      s.sm.SecondName,
 		Docs:            docs,
 		Index:           kind,
-		LegacyIVF:       legacyIVF,
-		SQ8Rerank:       s.sm.SQ8Rerank,
+		LegacyIndex:     legacy,
 		HNSWM:           s.sm.HNSWM,
 		HNSWEf:          s.sm.HNSWEf,
 		HNSWEfConstruct: s.sm.HNSWEfConstruct,
@@ -499,7 +496,6 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 	}
 	cfg := Defaults()
 	cfg.Index, _ = sm.indexKind()
-	cfg.SQ8Rerank = sm.SQ8Rerank
 	cfg.HNSWM = sm.HNSWM
 	cfg.HNSWEf = sm.HNSWEf
 	cfg.HNSWEfConstruct = sm.HNSWEfConstruct
@@ -594,15 +590,15 @@ type ModelInfo struct {
 	SecondName string
 	// Docs is the number of stored document vectors (both sides).
 	Docs int
-	// Index is the serving-index kind the snapshot binds as; SQ8Rerank
-	// (0 = default) is its parameter under IndexSQ8, and HNSWM / HNSWEf /
-	// HNSWEfConstruct (0 = defaults) under IndexHNSW.
+	// Index is the serving-index kind the snapshot binds as; HNSWM /
+	// HNSWEf / HNSWEfConstruct (0 = defaults) are its parameters under
+	// IndexHNSW.
 	Index IndexKind
-	// LegacyIVF marks a snapshot saved with the removed IVF index kind:
-	// Index reports IndexFlat, because the stored arena is served by an
-	// exact flat scan.
-	LegacyIVF       bool
-	SQ8Rerank       int
+	// LegacyIndex names the removed index kind ("ivf" or "sq8") a
+	// snapshot was saved with, and is empty otherwise. Index then reports
+	// IndexFlat, because the stored arena is served by an exact flat
+	// scan.
+	LegacyIndex     string
 	HNSWM           int
 	HNSWEf          int
 	HNSWEfConstruct int

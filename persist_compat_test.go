@@ -28,10 +28,29 @@ var writePersistFixtures = flag.Bool("write-persist-fixtures", false,
 const persistFixtureDir = "testdata/persist"
 
 // frozenPersistFixtures are committed snapshots the generator can no
-// longer write: they were saved with the removed IVF index (3
-// partitions, 1 probe) from the model v5.gob and v6.snap encode.
+// longer write, each with the removed index kind it was saved with: the
+// model v5.gob and v6.snap encode, served through the IVF index (3
+// partitions, 1 probe) or the SQ8 index (re-rank 6).
 // -write-persist-fixtures must leave them byte for byte as they are.
-var frozenPersistFixtures = []string{"v6ivf.snap", "v5ivf.gob"}
+var frozenPersistFixtures = []struct{ file, legacy string }{
+	{"v6ivf.snap", "ivf"},
+	{"v5ivf.gob", "ivf"},
+	{"v6sq8.snap", "sq8"},
+	{"v5sq8.gob", "sq8"},
+}
+
+// loadFrozenModel binds one frozen snapshot of persistFixtureDir (saved
+// with a removed index kind, so it serves as flat) to the fixture
+// corpora.
+func loadFrozenModel(t *testing.T, file string) *Model {
+	t.Helper()
+	movies, reviews := fixtureCorpora(t)
+	m, err := LoadModelFile(filepath.Join(persistFixtureDir, file), movies, reviews)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // persistFixtureModel trains the deterministic model the fixtures
 // encode (Workers 1: the committed vectors must be reproducible).
@@ -70,12 +89,12 @@ func TestWritePersistFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozen := map[string][]byte{}
-	for _, file := range frozenPersistFixtures {
-		b, err := os.ReadFile(filepath.Join(persistFixtureDir, file))
+	for _, fx := range frozenPersistFixtures {
+		b, err := os.ReadFile(filepath.Join(persistFixtureDir, fx.file))
 		if err != nil {
-			t.Fatalf("frozen fixture %s missing: it cannot be regenerated: %v", file, err)
+			t.Fatalf("frozen fixture %s missing: it cannot be regenerated: %v", fx.file, err)
 		}
-		frozen[file] = b
+		frozen[fx.file] = b
 	}
 	defer func() {
 		for file, want := range frozen {
@@ -235,7 +254,7 @@ func persistFixtureHNSWModel(t *testing.T) *Model {
 
 // TestSnapshotBackCompat is the consolidated persistence back-compat
 // coverage: every committed snapshot version (v1 per-document map, v2
-// arena, v3 arena+SQ8 field, v4 ingest payload, v5 segment manifests,
+// arena, v3 arena+re-rank field, v4 ingest payload, v5 segment manifests,
 // v6 flat mmap layout) must load against the fixture corpora and serve
 // identical TopK rankings — same documents, same order — since all of
 // them encode the same trained vectors.
@@ -437,15 +456,17 @@ func TestSnapshotBackCompat(t *testing.T) {
 	})
 }
 
-// TestLegacyIVFSnapshotsBindAsFlat: the frozen snapshots saved with the
-// removed IVF index bind as the exact flat scan over their stored
-// vectors. Info and IndexStats report flat, and every full ranking equals
-// a flat index built over the vectors the snapshot stores — where the
-// saved one-probe IVF returned only its probed partition.
+// TestLegacyIVFSnapshotsBindAsFlat: the frozen snapshots saved with a
+// removed index kind (IVF or SQ8) bind as the exact flat scan over their
+// stored vectors. Info reports flat and names the removed kind,
+// IndexStats reports flat, and every full ranking equals a flat index
+// built over the vectors the snapshot stores — where the saved
+// one-probe IVF returned only its probed partition, and SQ8 only the
+// candidates its int8 scan kept.
 func TestLegacyIVFSnapshotsBindAsFlat(t *testing.T) {
-	for _, file := range frozenPersistFixtures {
-		t.Run(file, func(t *testing.T) {
-			f, err := os.Open(filepath.Join(persistFixtureDir, file))
+	for _, fx := range frozenPersistFixtures {
+		t.Run(fx.file, func(t *testing.T) {
+			f, err := os.Open(filepath.Join(persistFixtureDir, fx.file))
 			if err != nil {
 				t.Fatalf("frozen fixture missing: %v", err)
 			}
@@ -454,8 +475,8 @@ func TestLegacyIVFSnapshotsBindAsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info := snap.Info(); info.Index != IndexFlat || !info.LegacyIVF {
-				t.Errorf("info = index %v, legacy ivf %v; want flat, true", info.Index, info.LegacyIVF)
+			if info := snap.Info(); info.Index != IndexFlat || info.LegacyIndex != fx.legacy {
+				t.Errorf("info = index %v, legacy %q; want flat, %q", info.Index, info.LegacyIndex, fx.legacy)
 			}
 			movies, reviews := fixtureCorpora(t)
 			model, err := snap.Bind(movies, reviews)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/mmapfile"
 )
 
 // Crash-safety coverage for the version-5 snapshot: a payload cut short
@@ -271,4 +273,59 @@ func TestSnapshotV5ChecksumCatchesVectorTamper(t *testing.T) {
 			t.Error("cross-segment ID swap passed checksum validation")
 		}
 	}
+}
+
+// FuzzParseV6 holds the v6 reader to the promise of parseV6's doc: the
+// structural checks run under every VerifyMode, so under VerifyLazy —
+// no payload checksums — neither parsing a mutated file nor binding it
+// onto the fixture corpora may panic, and a bound model serves a query
+// from each side without panicking (a torn payload may only score
+// wrong). The seeds are the committed v6 fixtures (flat, HNSW, and the
+// frozen IVF and SQ8 ones); the corpus under testdata/fuzz/FuzzParseV6
+// replays what earlier runs found.
+//
+// FNV-1a guards against torn writes, not against a forger, so before
+// parsing the harness re-seals the file size and the header and table
+// checksums over the mutated bytes: mutations of the section table then
+// reach the structural checks instead of stopping at a checksum.
+func FuzzParseV6(f *testing.F) {
+	for _, file := range []string{"v6.snap", "v6hnsw.snap", "v6ivf.snap", "v6sq8.snap"} {
+		b, err := os.ReadFile(filepath.Join(persistFixtureDir, file))
+		if err != nil {
+			f.Fatalf("committed fixture missing: %v", err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		buf := mmapfile.AlignedBuffer(len(data))
+		copy(buf, data)
+		resealV6(buf)
+		snap, err := parseV6(buf, VerifyLazy, nil)
+		if err != nil {
+			return
+		}
+		snap.Info()
+		movies, reviews := fixtureCorpora(t)
+		m, err := snap.Bind(movies, reviews)
+		if err != nil {
+			return
+		}
+		for _, id := range []string{"movies:t0", "reviews:p0"} {
+			m.TopK(id, 3)
+		}
+	})
+}
+
+// resealV6 rewrites a v6 buffer's file size and its header and table
+// checksums to match its bytes, where the header and the table it
+// declares fit.
+func resealV6(b []byte) {
+	if len(b) < v6HeaderSize {
+		return
+	}
+	binary.LittleEndian.PutUint64(b[24:], uint64(len(b)))
+	if end := v6HeaderSize + int64(binary.LittleEndian.Uint32(b[16:]))*v6EntrySize; end <= int64(len(b)) {
+		binary.LittleEndian.PutUint64(b[32:], fnv1a(b[v6HeaderSize:end]))
+	}
+	binary.LittleEndian.PutUint64(b[40:], fnv1a(b[:40]))
 }

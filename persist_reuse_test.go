@@ -16,8 +16,8 @@ import (
 )
 
 // Tests for the one rule SaveV6 writes sealed segments by: a clean
-// segment goes out as the live serving index holds it (arena, SQ8 codes,
-// HNSW graph), a segment with tombstones is rebuilt from the model's
+// segment goes out as the live serving index holds it (arena, HNSW
+// graph), a segment with tombstones is rebuilt from the model's
 // vectors, and the two can never be told apart in the bytes.
 
 // reuseRows sizes the seeded corpus: large enough that an M 6 graph
@@ -25,8 +25,8 @@ import (
 // fixture never does.
 const reuseRows = 160
 
-// reuseKinds is every index kind, tuned so the approximate ones do real
-// work at reuseRows.
+// reuseKinds is every index kind, tuned so the approximate one does
+// real work at reuseRows.
 var reuseKinds = []struct {
 	name   string
 	mutate func(*Config)
@@ -38,10 +38,6 @@ var reuseKinds = []struct {
 	sha string
 }{
 	{"flat", func(c *Config) {}, "33efddeabe01047f49e6448360a1329042594146da72544ee1f96ac5d9f4a50d"},
-	{"sq8", func(c *Config) {
-		c.Index = IndexSQ8
-		c.SQ8Rerank = 12
-	}, "4535cf57934edf5005e23828192d0c0483dcf11060b2446d4c9317c2eda0cf61"},
 	{"hnsw", func(c *Config) {
 		c.Index = IndexHNSW
 		c.HNSWM = 6
@@ -204,10 +200,10 @@ func TestSaveV6ReuseMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flat and SQ8 score every live row, so the rebuilt segments rank
-			// like the live ones they replace. HNSW re-links over the live rows
+			// Flat scores every live row, so the rebuilt segments rank like
+			// the live ones they replace. HNSW re-links over the live rows
 			// only — a different structure, held to its own recall tests.
-			if k := multi.cfg.Index; k == IndexFlat || k == IndexSQ8 {
+			if multi.cfg.Index == IndexFlat {
 				if want := rankAllMatches(t, multi); !reflect.DeepEqual(rankAllMatches(t, reloaded), want) {
 					t.Error("after Remove: the reloaded model ranks differently from the live one")
 				}
@@ -225,86 +221,88 @@ func TestSaveV6ReuseMatchesRebuild(t *testing.T) {
 			}
 		})
 	}
-	t.Run("ivf", func(t *testing.T) {
-		legacy := loadLegacyIVFModel(t)
-		reused, rebuilt, st := saveBothWays(t, legacy)
-		if !bytes.Equal(reused, rebuilt) {
-			t.Fatal("legacy ivf model: reuse and rebuild write different snapshots")
-		}
-		if st.SegmentsReused != 2 || st.SegmentsRebuilt != 0 {
-			t.Fatalf("legacy ivf model: reused %d, rebuilt %d segments, want 2 and 0", st.SegmentsReused, st.SegmentsRebuilt)
-		}
-		snap, err := ReadSnapshot(bytes.NewReader(reused))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info := snap.Info(); info.Index != IndexFlat || info.LegacyIVF {
-			t.Errorf("re-saved info = index %v, legacy ivf %v; want flat, false", info.Index, info.LegacyIVF)
-		}
-		movies, reviews := fixtureCorpora(t)
-		reloaded, err := snap.Bind(movies, reviews)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
-			t.Error("the re-saved legacy model ranks differently from the legacy one")
-		}
-		if again, _, _ := saveBothWays(t, reloaded); !bytes.Equal(again, reused) {
-			t.Error("re-saving the re-saved legacy model changed its bytes")
-		}
-
-		// Tombstone one row on side 2: that segment alone takes the rebuild.
-		if err := legacy.Remove([]string{legacy.second.IDs()[0]}); err != nil {
-			t.Fatal(err)
-		}
-		treused, trebuilt, st := saveBothWays(t, legacy)
-		if !bytes.Equal(treused, trebuilt) {
-			t.Fatal("after Remove: reuse and rebuild write different snapshots")
-		}
-		if st.SegmentsReused != 1 || st.SegmentsRebuilt != 1 {
-			t.Fatalf("after Remove: reused %d, rebuilt %d segments, want 1 and 1", st.SegmentsReused, st.SegmentsRebuilt)
-		}
-		if snap, err = ReadSnapshot(bytes.NewReader(treused)); err != nil {
-			t.Fatal(err)
-		}
-		movies, reviews = fixtureCorpora(t)
-		if reloaded, err = snap.Bind(movies, reviews); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
-			t.Error("after Remove: the reloaded model ranks differently from the live one")
-		}
-	})
-}
-
-// loadLegacyIVFModel binds the frozen v6 snapshot saved with the removed
-// IVF index, which serves as flat.
-func loadLegacyIVFModel(t *testing.T) *Model {
-	t.Helper()
-	movies, reviews := fixtureCorpora(t)
-	m, err := LoadModelFile(filepath.Join(persistFixtureDir, "v6ivf.snap"), movies, reviews)
-	if err != nil {
+	// Models bound from the frozen snapshots saved with a removed kind
+	// serve as flat and re-save as flat: the very bytes a flat Build of
+	// the same training writes (on amd64, like the sha256 pins).
+	var flatBuf bytes.Buffer
+	if err := persistFixtureModel(t).SaveV6(&flatBuf); err != nil {
 		t.Fatal(err)
 	}
-	return m
+	for _, kind := range removedIndexKinds {
+		t.Run(kind, func(t *testing.T) {
+			legacy := loadFrozenModel(t, "v6"+kind+".snap")
+			reused, rebuilt, st := saveBothWays(t, legacy)
+			if !bytes.Equal(reused, rebuilt) {
+				t.Fatal("legacy model: reuse and rebuild write different snapshots")
+			}
+			if !bytes.Equal(reused, flatBuf.Bytes()) && runtime.GOARCH == "amd64" {
+				t.Error("legacy model: re-saved bytes differ from a flat Build's")
+			}
+			if st.SegmentsReused != 2 || st.SegmentsRebuilt != 0 {
+				t.Fatalf("legacy model: reused %d, rebuilt %d segments, want 2 and 0", st.SegmentsReused, st.SegmentsRebuilt)
+			}
+			snap, err := ReadSnapshot(bytes.NewReader(reused))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := snap.Info(); info.Index != IndexFlat || info.LegacyIndex != "" {
+				t.Errorf("re-saved info = index %v, legacy %q; want flat, none", info.Index, info.LegacyIndex)
+			}
+			movies, reviews := fixtureCorpora(t)
+			reloaded, err := snap.Bind(movies, reviews)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
+				t.Error("the re-saved legacy model ranks differently from the legacy one")
+			}
+			if again, _, _ := saveBothWays(t, reloaded); !bytes.Equal(again, reused) {
+				t.Error("re-saving the re-saved legacy model changed its bytes")
+			}
+
+			// Tombstone one row on side 2: that segment alone takes the rebuild.
+			if err := legacy.Remove([]string{legacy.second.IDs()[0]}); err != nil {
+				t.Fatal(err)
+			}
+			treused, trebuilt, st := saveBothWays(t, legacy)
+			if !bytes.Equal(treused, trebuilt) {
+				t.Fatal("after Remove: reuse and rebuild write different snapshots")
+			}
+			if st.SegmentsReused != 1 || st.SegmentsRebuilt != 1 {
+				t.Fatalf("after Remove: reused %d, rebuilt %d segments, want 1 and 1", st.SegmentsReused, st.SegmentsRebuilt)
+			}
+			if snap, err = ReadSnapshot(bytes.NewReader(treused)); err != nil {
+				t.Fatal(err)
+			}
+			movies, reviews = fixtureCorpora(t)
+			if reloaded, err = snap.Bind(movies, reviews); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rankAllMatches(t, reloaded), rankAllMatches(t, legacy)) {
+				t.Error("after Remove: the reloaded model ranks differently from the live one")
+			}
+		})
+	}
 }
 
 // TestBuildSidesConcurrently: the index phase builds the two sides as
 // two pool tasks. Over one trained vector set, Workers 1 (sequential)
 // and Workers 2 (concurrent; run under -race in CI) must assemble
 // serving indexes with equal fingerprints and equal SaveV6 bytes, for
-// every index kind, and fill both sides' IndexBuildTime. The "ivf" case
-// rebuilds a model bound from the frozen snapshot saved with the removed
-// IVF index: its sides build as flat.
+// every index kind, and fill both sides' IndexBuildTime. The "ivf" and
+// "sq8" cases rebuild a model bound from the frozen snapshot saved with
+// that removed kind: its sides build as flat.
 func TestBuildSidesConcurrently(t *testing.T) {
 	for _, kind := range reuseKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			checkSidesBuildConcurrently(t, buildReuseModel(t, reuseConfig(kind.mutate)))
 		})
 	}
-	t.Run("ivf", func(t *testing.T) {
-		checkSidesBuildConcurrently(t, loadLegacyIVFModel(t))
-	})
+	for _, kind := range removedIndexKinds {
+		t.Run(kind, func(t *testing.T) {
+			checkSidesBuildConcurrently(t, loadFrozenModel(t, "v6"+kind+".snap"))
+		})
+	}
 }
 
 // checkSidesBuildConcurrently rebuilds trained's serving indexes with

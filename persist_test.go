@@ -11,7 +11,7 @@ import (
 )
 
 // servingBase unwraps a model's serving index to the base segment's
-// kind-carrying index (flat, SQ8 or HNSW) for type assertions.
+// kind-carrying index (flat or HNSW) for type assertions.
 func servingBase(idx match.VectorIndex) match.VectorIndex {
 	if seg, ok := idx.(*match.Segmented); ok {
 		return seg.Base()
@@ -132,54 +132,39 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 	}
 }
 
+// TestSaveLoadSQ8SnapshotServesIdenticalRankings: the frozen gob
+// snapshot saved with the removed SQ8 index (re-rank 6) loads onto a flat
+// serving index and serves the rankings of v5.gob, the same training
+// saved flat — scores included. A Save/LoadModel round trip of the loaded
+// model keeps them and no longer names the removed kind.
 func TestSaveLoadSQ8SnapshotServesIdenticalRankings(t *testing.T) {
-	movies, reviews := fixtureCorpora(t)
-	cfg := smallConfig()
-	cfg.Index = IndexSQ8
-	cfg.SQ8Rerank = 6
-	model, err := Build(movies, reviews, cfg)
-	if err != nil {
-		t.Fatal(err)
+	loaded := loadFrozenModel(t, "v5sq8.gob")
+	if base, ok := servingBase(loaded.firstIdx).(*match.Index); !ok {
+		t.Fatalf("loaded serving index is %T, want *match.Index", base)
 	}
+	flat := loadFrozenModel(t, "v5.gob")
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := loaded.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := snap.Info(); info.Index != IndexSQ8 || info.SQ8Rerank != 6 {
-		t.Errorf("snapshot info = %+v, want sq8 with rerank 6", info)
+	if info := snap.Info(); info.Index != IndexFlat || info.LegacyIndex != "" {
+		t.Errorf("re-saved info = %+v, want flat with no legacy kind", info)
 	}
-	loaded, err := snap.Bind(movies, reviews)
+	movies, reviews := fixtureCorpora(t)
+	resaved, err := snap.Bind(movies, reviews)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, ok := servingBase(loaded.firstIdx).(*match.IndexSQ8)
-	if !ok {
-		t.Fatalf("loaded serving index is %T, want *match.IndexSQ8", servingBase(loaded.firstIdx))
+	want := rankAllMatches(t, flat)
+	if got := rankAllMatches(t, loaded); !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy SQ8 snapshot ranks differently from the flat one:\ngot:  %v\nwant: %v", got, want)
 	}
-	if sq.Rerank() != 6 {
-		t.Errorf("loaded rerank = %d, want 6", sq.Rerank())
-	}
-	// Quantization is deterministic in the stored vectors, so the reloaded
-	// model must serve identical rankings — scores included.
-	for _, q := range append(movies.IDs(), reviews.IDs()...) {
-		if model.Vector(q) == nil {
-			continue
-		}
-		orig, err := model.TopK(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.TopK(q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(orig, got) {
-			t.Fatalf("SQ8 round trip diverged for %s:\norig:   %v\nloaded: %v", q, orig, got)
-		}
+	if got := rankAllMatches(t, resaved); !reflect.DeepEqual(got, want) {
+		t.Errorf("re-saved legacy SQ8 model ranks differently from the flat one:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 

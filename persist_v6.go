@@ -2,7 +2,7 @@ package tdmatch
 
 // Snapshot format v6: a flat, little-endian, 64-byte-aligned layout
 // whose big payloads — the raw document-vector arena, the term-vector
-// arena, and one normalized arena (plus SQ8 codes/scales) per sealed
+// arena, and one normalized arena (plus HNSW graph sections) per sealed
 // serving segment — are stored as raw contiguous sections described by
 // a fixed header and a section table, so loading can mmap the file and
 // bind the serving indexes directly onto the mapping with zero decode
@@ -68,8 +68,12 @@ const (
 	secTermArena   uint32 = 5 // term float32 rows, TermIDs order
 	secSegManifest uint32 = 6 // one segment's live IDs (string table)
 	secSegArena    uint32 = 7 // sealed segment's normalized float32 rows
-	secSegCodes    uint32 = 8 // sealed segment's SQ8 int8 codes
-	secSegScales   uint32 = 9 // sealed segment's SQ8 float32 scales
+
+	// Types 8 and 9 are reserved: the int8 codes and float32 scales of a
+	// segment saved with the removed SQ8 kind. Eager verification still
+	// checksums them; nothing else reads them.
+	secRemovedSQ8Codes  uint32 = 8
+	secRemovedSQ8Scales uint32 = 9
 
 	// HNSW graph sections of one sealed segment (IndexHNSW models): the
 	// per-row level assignments and the flattened CSR adjacency
@@ -100,8 +104,9 @@ const (
 
 // v6Meta is the JSON-encoded metadata section: everything the gob
 // savedModel carries outside the big arrays. IVFClusters, IVFNProbe and
-// ExactRecall belonged to the removed IVF kind; they stay in the layout,
-// always written as zero and never read, so files keep their bytes.
+// ExactRecall belonged to the removed IVF kind and SQ8Rerank to the
+// removed SQ8 kind; they stay in the layout, always written as zero and
+// never read, so files keep their bytes.
 type v6Meta struct {
 	Dim             int
 	FirstName       string
@@ -123,14 +128,11 @@ type v6Meta struct {
 }
 
 // v6Segment is one serving segment parsed from a v6 snapshot: sealed
-// segments carry their normalized arena (a view into the mapping) and,
-// under IndexSQ8, the quantized codes and scales; the final (delta)
-// entry carries IDs only.
+// segments carry their normalized arena (a view into the mapping); the
+// final (delta) entry carries IDs only.
 type v6Segment struct {
-	ids    []string
-	arena  []float32
-	codes  []int8
-	scales []float32
+	ids   []string
+	arena []float32
 	// HNSW graph sections (IndexHNSW models): per-row levels plus the
 	// CSR adjacency, views into the mapping bound via NewHNSWParts.
 	levels []int32
@@ -232,14 +234,6 @@ func f32Bytes(v []float32) []byte {
 	return buf
 }
 
-// i8Bytes reinterprets int8 codes as raw bytes (endianness-free).
-func i8Bytes(v []int8) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v))
-}
-
 // castF32 views a little-endian payload as []float32 without copying
 // (on little-endian hosts with aligned backing; the mmap/aligned-heap
 // loaders guarantee 4-byte alignment of 64-byte-aligned sections).
@@ -290,15 +284,6 @@ func castI32(b []byte) ([]int32, error) {
 	return out, nil
 }
 
-// castI8 views a payload as []int8 in place (single-byte elements, no
-// endianness concern).
-func castI8(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
-}
-
 // v6SectionData is one section being assembled by the writer.
 type v6SectionData struct {
 	typ, idx uint32
@@ -322,8 +307,8 @@ func (m *Model) segmentManifestFor(idx match.VectorIndex, c interface{ IDs() []s
 // never compacts away) shows here, without a profiler.
 type SaveStats struct {
 	// SegmentsReused counts sealed segments written from the live
-	// serving index: its normalized arena and, per index kind, its SQ8
-	// codes or its HNSW graph, as they stand.
+	// serving index: its normalized arena and, under IndexHNSW, its
+	// graph, as they stand.
 	SegmentsReused int
 	// SegmentsRebuilt counts sealed segments whose sections were rebuilt
 	// from the model's vectors because the live segment holds tombstoned
@@ -337,8 +322,8 @@ type SaveStats struct {
 // SaveV6 writes the model in snapshot format v6 (see the package
 // layout comment). The raw document arena keeps reloads bit-identical
 // for query vectors; each sealed segment's sections hold its rows
-// normalized (and, per index kind, quantized or linked into the HNSW
-// graph) exactly as a build produces them, so a v6 load binds those
+// normalized (and, under IndexHNSW, linked into the graph) exactly as a
+// build produces them, so a v6 load binds those
 // sections as borrowed arenas with no per-row work.
 //
 // A clean sealed segment — no tombstoned row — is written from the live
@@ -375,7 +360,6 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 		FirstName:       m.first.Name(),
 		SecondName:      m.second.Name(),
 		Index:           uint8(m.cfg.Index),
-		SQ8Rerank:       m.cfg.SQ8Rerank,
 		HNSWM:           m.cfg.HNSWM,
 		HNSWEf:          m.cfg.HNSWEf,
 		HNSWEfConstruct: m.cfg.HNSWEfConstruct,
@@ -426,13 +410,9 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 				seg = m.cfg.wrapSegment(flat, side, ord)
 			}
 			add(secSegArena, key, f32Bytes(flat.Arena()))
-			switch x := seg.(type) {
-			case *match.IndexSQ8:
-				add(secSegCodes, key, i8Bytes(x.Codes()))
-				add(secSegScales, key, f32Bytes(x.Scales()))
-			case *match.HNSW:
-				offs, adj := x.FlattenLinks()
-				add(secSegHNSWLevels, key, i32Bytes(x.Levels()))
+			if h, ok := seg.(*match.HNSW); ok {
+				offs, adj := h.FlattenLinks()
+				add(secSegHNSWLevels, key, i32Bytes(h.Levels()))
 				add(secSegHNSWOffs, key, i32Bytes(offs))
 				add(secSegHNSWAdj, key, i32Bytes(adj))
 			}
@@ -626,9 +606,13 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 	if meta.Dim <= 0 {
 		return fail("dimension %d", meta.Dim)
 	}
+	// A side is absent (0) or a base segment through the mutable delta,
+	// which makes at least two entries.
 	const maxSegs = 1 << 20
-	if meta.FirstSegs < 0 || meta.FirstSegs > maxSegs || meta.SecondSegs < 0 || meta.SecondSegs > maxSegs {
-		return fail("segment counts %d/%d", meta.FirstSegs, meta.SecondSegs)
+	for _, n := range []int{meta.FirstSegs, meta.SecondSegs} {
+		if n < 0 || n == 1 || n > maxSegs {
+			return fail("segment counts %d/%d", meta.FirstSegs, meta.SecondSegs)
+		}
 	}
 
 	docIDsSec, ok := sections[v6SecKey{secDocIDs, 0}]
@@ -696,21 +680,6 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d arena holds %d floats for %d rows",
 					side+1, ord, len(segs[ord].arena), len(ids))
 			}
-			codes, haveCodes := sections[v6SecKey{secSegCodes, key}]
-			scales, haveScales := sections[v6SecKey{secSegScales, key}]
-			if haveCodes != haveScales {
-				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d has codes without scales", side+1, ord)
-			}
-			if haveCodes {
-				segs[ord].codes = castI8(codes)
-				if segs[ord].scales, err = castF32(scales); err != nil {
-					return nil, err
-				}
-				if len(segs[ord].codes) != len(ids)*meta.Dim || len(segs[ord].scales) != len(ids) {
-					return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d quantized sections sized %d/%d for %d rows",
-						side+1, ord, len(segs[ord].codes), len(segs[ord].scales), len(ids))
-				}
-			}
 			levels, haveLevels := sections[v6SecKey{secSegHNSWLevels, key}]
 			offs, haveOffs := sections[v6SecKey{secSegHNSWOffs, key}]
 			adj, haveAdj := sections[v6SecKey{secSegHNSWAdj, key}]
@@ -770,7 +739,6 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 			VectorIDs:       docIDs,
 			Arena:           docArena,
 			Index:           meta.Index,
-			SQ8Rerank:       meta.SQ8Rerank,
 			HNSWM:           meta.HNSWM,
 			HNSWEf:          meta.HNSWEf,
 			HNSWEfConstruct: meta.HNSWEfConstruct,
@@ -912,13 +880,10 @@ func (m *Model) bindFlatV6(seg v6Segment) (*match.Index, error) {
 
 // bindSegmentV6 wraps one sealed segment's flat index per the model's
 // index kind, exactly as buildSide (ordinal 0, the base) and the seal
-// hook (ordinal >= 1) would, adopting precomputed SQ8 codes or a
-// serialized HNSW graph when the snapshot carries them.
+// hook (ordinal >= 1) would, adopting a serialized HNSW graph when the
+// snapshot carries one.
 func (m *Model) bindSegmentV6(flat *match.Index, side, ordinal int, seg v6Segment) (match.VectorIndex, error) {
-	switch {
-	case m.cfg.Index == IndexSQ8 && seg.codes != nil:
-		return match.NewIndexSQ8Parts(flat, seg.codes, seg.scales, m.cfg.SQ8Rerank)
-	case m.cfg.Index == IndexHNSW && seg.levels != nil:
+	if m.cfg.Index == IndexHNSW && seg.levels != nil {
 		return match.NewHNSWParts(flat, seg.levels, seg.offs, seg.adj, m.cfg.hnswOptions(side, ordinal))
 	}
 	return m.cfg.wrapSegment(flat, side, ordinal), nil

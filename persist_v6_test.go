@@ -21,10 +21,6 @@ var v6TestConfigs = []struct {
 	segmented bool
 }{
 	{"flat", func(c *Config) {}, false},
-	{"sq8", func(c *Config) {
-		c.Index = IndexSQ8
-		c.SQ8Rerank = 6
-	}, false},
 	{"hnsw", func(c *Config) {
 		c.Index = IndexHNSW
 		c.HNSWM = 4
@@ -32,10 +28,6 @@ var v6TestConfigs = []struct {
 		c.HNSWEfConstruct = 16
 	}, false},
 	{"segmented", func(c *Config) {}, true},
-	{"segmented-sq8", func(c *Config) {
-		c.Index = IndexSQ8
-		c.SQ8Rerank = 6
-	}, true},
 	{"segmented-hnsw", func(c *Config) {
 		c.Index = IndexHNSW
 		c.HNSWM = 4
@@ -45,8 +37,7 @@ var v6TestConfigs = []struct {
 }
 
 // buildV6TestModel trains a deterministic model (Workers 1) under one of
-// the v6TestConfigs; segmented variants pile up sealed segments with
-// single-doc ingests and tombstone a sealed row, like the v5 fixture.
+// the v6TestConfigs; segmented variants are grown by ingestSegments.
 func buildV6TestModel(t *testing.T, mutate func(*Config), segmented bool) *Model {
 	t.Helper()
 	movies, reviews := fixtureCorpora(t)
@@ -61,22 +52,36 @@ func buildV6TestModel(t *testing.T, mutate func(*Config), segmented bool) *Model
 		t.Fatal(err)
 	}
 	if segmented {
-		for i, text := range []string{
-			"Brando leads a mafia family epic",
-			"Coppola directs a crime dynasty",
-			"Pacino inherits the family business",
-		} {
-			if err := model.Ingest([]IngestDoc{
-				{Side: 2, ID: fmt.Sprintf("reviews:seg%d", i), Values: []string{text}},
-			}); err != nil {
+		ingestSegments(t, model)
+	}
+	return model
+}
+
+// ingestSegments piles up sealed segments on side 2 with three
+// single-doc ingests, each sealed (by the auto-seal threshold when the
+// model's is 1, explicitly otherwise), and tombstones a sealed row, like
+// the v5segments fixture.
+func ingestSegments(t *testing.T, model *Model) {
+	t.Helper()
+	for i, text := range []string{
+		"Brando leads a mafia family epic",
+		"Coppola directs a crime dynasty",
+		"Pacino inherits the family business",
+	} {
+		if err := model.Ingest([]IngestDoc{
+			{Side: 2, ID: fmt.Sprintf("reviews:seg%d", i), Values: []string{text}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seg := model.secondIdx.(*match.Segmented); seg.DeltaLen() > 0 {
+			if err := seg.Seal(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := model.Remove([]string{"reviews:seg1"}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	return model
+	if err := model.Remove([]string{"reviews:seg1"}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // rankAllMatches runs TopK over every servable document on both sides
@@ -102,12 +107,14 @@ func rankAllMatches(t *testing.T, m *Model) map[string][]Match {
 }
 
 // TestSaveV6BitIdenticalToGob is the format-parity pin: for every index
-// kind (flat, SQ8, HNSW) and for multi-segment stacks, a model loaded
-// from a v6 snapshot — through both the zero-copy mmap path and the
-// streamed heap path — must serve TopK rankings bit-identical (IDs and
-// scores) to the same model loaded from a gob snapshot. The "ivf" case
-// holds the frozen snapshots saved with the removed IVF index to the
-// same pin: the gob and the v6 one serve identically.
+// kind (flat, HNSW) and for multi-segment stacks, a model loaded from a
+// v6 snapshot — through both the zero-copy mmap path and the streamed
+// heap path — must serve TopK rankings bit-identical (IDs and scores) to
+// the same model loaded from a gob snapshot. The "ivf" and "sq8" cases
+// hold the frozen snapshots saved with those removed kinds to the same
+// pin: the gob and the v6 one serve identically. "segmented-sq8" grows
+// the model bound from the SQ8 one into a multi-segment stack and holds
+// its saves to it.
 func TestSaveV6BitIdenticalToGob(t *testing.T) {
 	for _, tc := range v6TestConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,12 +131,30 @@ func TestSaveV6BitIdenticalToGob(t *testing.T) {
 			checkV6ServesLikeGob(t, gobBuf.Bytes(), v6Path)
 		})
 	}
-	t.Run("ivf", func(t *testing.T) {
-		gobBytes, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5ivf.gob"))
-		if err != nil {
-			t.Fatalf("frozen fixture missing: %v", err)
+	for _, kind := range removedIndexKinds {
+		t.Run(kind, func(t *testing.T) {
+			gobBytes, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5"+kind+".gob"))
+			if err != nil {
+				t.Fatalf("frozen fixture missing: %v", err)
+			}
+			checkV6ServesLikeGob(t, gobBytes, filepath.Join(persistFixtureDir, "v6"+kind+".snap"))
+		})
+	}
+	t.Run("segmented-sq8", func(t *testing.T) {
+		model := loadFrozenModel(t, "v6sq8.snap")
+		ingestSegments(t, model)
+		if _, second := model.SegmentStats(); second.Segments != 4 || second.Tombstones != 1 {
+			t.Fatalf("ingests did not stack segments as planned: %+v", second)
 		}
-		checkV6ServesLikeGob(t, gobBytes, filepath.Join(persistFixtureDir, "v6ivf.snap"))
+		var gobBuf bytes.Buffer
+		if err := model.Save(&gobBuf); err != nil {
+			t.Fatal(err)
+		}
+		v6Path := filepath.Join(t.TempDir(), "model.v6")
+		if err := model.SaveFileV6(v6Path); err != nil {
+			t.Fatal(err)
+		}
+		checkV6ServesLikeGob(t, gobBuf.Bytes(), v6Path)
 	})
 }
 

@@ -84,7 +84,7 @@ type Model struct {
 	dim     int
 	// firstIdx/secondIdx are the serving indexes: LSM-style segment
 	// stacks (match.Segmented) whose sealed base wraps the full build
-	// per Config.Index (flat, SQ8 or HNSW) and whose small mutable delta
+	// per Config.Index (flat or HNSW) and whose small mutable delta
 	// absorbs ingests — what makes Ingest and clone O(delta) at any
 	// corpus size. firstFlat/secondFlat are
 	// monolithic exact indexes over each side's live rows, backing
@@ -444,21 +444,18 @@ func (c Config) hnswOptions(side, ordinal int) match.HNSWOptions {
 }
 
 // wrapSegment wraps a flat segment into its serving kind per
-// Config.Index — SQ8 quantization or HNSW graph construction, seeded
-// per (side, ordinal).
+// Config.Index — HNSW graph construction, seeded per (side, ordinal),
+// or the flat segment itself.
 func (c Config) wrapSegment(flat *match.Index, side, ordinal int) match.VectorIndex {
-	switch c.Index {
-	case IndexSQ8:
-		return match.NewIndexSQ8(flat, c.SQ8Rerank)
-	case IndexHNSW:
+	if c.Index == IndexHNSW {
 		return match.NewHNSW(flat, c.hnswOptions(side, ordinal))
 	}
 	return flat
 }
 
 // sealFunc returns the stack's seal hook for one side: a freshly
-// sealed delta segment gets the same kind wrap as the base (SQ8
-// quantization, HNSW construction), seeded per ordinal so a replayed
+// sealed delta segment gets the same kind wrap as the base (HNSW
+// construction), seeded per ordinal so a replayed
 // ingest sequence builds an identical stack. The hook captures the
 // configuration by value and never touches the model, so clones can
 // share it.
@@ -502,7 +499,7 @@ func segmentStatsOf(idx match.VectorIndex) SegmentStats {
 // configured kind plus resident/live row counts, and the graph shape
 // when the side serves HNSW.
 type IndexStats struct {
-	// Kind is the serving index kind ("flat", "sq8" or "hnsw").
+	// Kind is the serving index kind ("flat" or "hnsw").
 	Kind string `json:"kind"`
 	// Rows counts resident rows including tombstoned ones; LiveRows
 	// counts rows a query can actually return. Compact closes the gap.

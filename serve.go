@@ -42,7 +42,10 @@ type ServeConfig struct {
 	CacheSize int
 	// BatchWindow is the micro-batching coalescing window (0 inherits
 	// the model's Config.ServeBatchWindow, default 200µs; negative
-	// disables batching so queries run on the caller's goroutine).
+	// disables batching so queries run on the caller's goroutine). The
+	// runtime's timers round the wait up to whole milliseconds, so a
+	// lone query pays about 1.1 ms at any window up to 1 ms; see
+	// Config.ServeBatchWindow.
 	BatchWindow time.Duration
 	// Workers bounds the per-batch fan-out and the TopKBatch pool
 	// (0 inherits the model's Config.Workers, default GOMAXPROCS).

@@ -92,6 +92,14 @@ func BenchmarkServeTopKCold(b *testing.B) {
 	benchServeTopK(b, ServeConfig{CacheSize: -1, BatchWindow: -1})
 }
 
+// BenchmarkServeTopKColdBatched is BenchmarkServeTopKCold through the
+// micro-batch collector at its default window: a lone query waits out
+// the window before it is scanned, so the difference between the two is
+// what the window costs one client.
+func BenchmarkServeTopKColdBatched(b *testing.B) {
+	benchServeTopK(b, ServeConfig{CacheSize: -1})
+}
+
 // BenchmarkServeTopKBatch measures the fanned-out batch path: all query-
 // side documents ranked in one TopKBatch call, caching disabled so every
 // operation does the full sweep.

@@ -1,6 +1,7 @@
 package tdmatch
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -328,24 +329,27 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestParseIndexKind: ParseIndexKind inverts IndexKind.String for every
-// kind, rejects "ivf" with an error naming its removal, and the persisted
-// kind values stay where snapshots recorded them (1 stays reserved).
+// kind, rejects the removed "ivf" and "sq8" with an error naming their
+// removal, and the persisted kind values stay where snapshots recorded
+// them (flat 0, hnsw 3; 1 and 2 stay reserved for the removed kinds).
 func TestParseIndexKind(t *testing.T) {
-	for _, want := range []IndexKind{IndexFlat, IndexSQ8, IndexHNSW} {
+	for _, want := range []IndexKind{IndexFlat, IndexHNSW} {
 		got, err := ParseIndexKind(want.String())
 		if err != nil || got != want {
 			t.Errorf("ParseIndexKind(%q) = %v, %v", want.String(), got, err)
 		}
 	}
 	for s, wantErr := range map[string]string{
-		"ivf": "was removed", "annoy": "unknown", "": "unknown", "FLAT": "unknown",
+		"ivf": "was removed", "sq8": "was removed", "annoy": "unknown", "": "unknown", "FLAT": "unknown",
 	} {
 		if _, err := ParseIndexKind(s); err == nil || !strings.Contains(err.Error(), wantErr) {
 			t.Errorf("ParseIndexKind(%q) error = %v, want one containing %q", s, err, wantErr)
 		}
 	}
-	if IndexFlat != 0 || indexRemovedIVF != 1 || IndexSQ8 != 2 || IndexHNSW != 3 {
-		t.Errorf("persisted kind values moved: flat %d, ivf %d, sq8 %d, hnsw %d",
-			IndexFlat, indexRemovedIVF, IndexSQ8, IndexHNSW)
+	if IndexFlat != 0 || IndexHNSW != 3 {
+		t.Errorf("persisted kind values moved: flat %d, hnsw %d", IndexFlat, IndexHNSW)
+	}
+	if want := map[IndexKind]string{1: "ivf", 2: "sq8"}; !reflect.DeepEqual(removedIndexKinds, want) {
+		t.Errorf("removed kinds = %v, want %v", removedIndexKinds, want)
 	}
 }

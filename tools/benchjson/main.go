@@ -20,7 +20,7 @@
 // production dim 96 with their tokens/s, the single negative-sampling
 // step of internal/embed over a cache-resident and a cache-missing
 // arena, end-to-end Build) and the
-// serving hot path (single and batched flat TopK, SQ8 and HNSW TopK,
+// serving hot path (single and batched flat TopK, HNSW TopK,
 // HNSW graph construction, cached serve TopK, and the MatchAll
 // family). ANN TopK benchmarks also report
 // recall@10 against the exact flat ranking, recorded per index kind in
@@ -63,9 +63,9 @@ import (
 // package) is the step under the Word2Vec four, per dim and per arena
 // size, so a training regression can be told from a memory one.
 const defaultBench = "BenchmarkWord2VecSkipGram(96)?$|BenchmarkWord2VecCBOW(96)?$|BenchmarkTrainPair$|BenchmarkRandomWalks$|" +
-	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|BenchmarkTopKSQ8$|" +
+	"BenchmarkGraphBuild$|BenchmarkTopKMatch$|BenchmarkTopKBatch$|" +
 	"BenchmarkTopKHNSW$|BenchmarkBuildHNSW$|BenchmarkSaveV6HNSW$|" +
-	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|BenchmarkMatchAllParallelSQ8$|" +
+	"BenchmarkMatchAllSerialFlat$|BenchmarkMatchAllParallelFlat$|" +
 	"BenchmarkEndToEndPipeline$|BenchmarkServeTopKCached$|" +
 	"BenchmarkIngestSingleDoc$|BenchmarkIngestServerSingleDoc$|" +
 	"BenchmarkIngestSegmented/scale(1|4|16)x$|BenchmarkCompactOnline$|" +
