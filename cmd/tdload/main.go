@@ -77,7 +77,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for query selection (and the synthetic build)")
 		workers    = flag.Int("workers", 0, "serving worker-pool size (0 = model default, GOMAXPROCS)")
 		cache      = flag.Bool("cache", false, "enable the result cache (disabled by default so latency measures the scan)")
-		batchWin   = flag.Duration("batch-window", -1, "micro-batch coalescing window (negative disables, 0 = model default)")
+		batchWin   = flag.Duration("batch-window", -1, "micro-batch coalescing window (negative = none: batch only what is already queued, 0 = 200µs)")
 		out        = flag.String("out", "", "append the levels to this benchfmt trajectory file (e.g. BENCH_build.json)")
 		label      = flag.String("label", "", "trajectory entry label recorded with -out")
 		minQPS     = flag.Float64("min-qps", 0, "exit nonzero when any level's achieved QPS is below this")
@@ -263,7 +263,7 @@ func (t *inprocTarget) ingest(doc tdmatch.IngestDoc) error {
 	return t.s.Ingest([]tdmatch.IngestDoc{doc})
 }
 
-// Close shuts the wrapped Server's micro-batch workers down.
+// Close stops the wrapped Server's collector goroutine.
 func (t *inprocTarget) Close() error {
 	t.s.Close()
 	return nil
@@ -273,7 +273,7 @@ func (t *inprocTarget) Close() error {
 func newInproc(model *tdmatch.Model, workers int, cache bool, batchWin time.Duration) *inprocTarget {
 	cacheSize := -1
 	if cache {
-		cacheSize = 0 // model default
+		cacheSize = 0 // default size
 	}
 	return &inprocTarget{s: tdmatch.NewServer(model, tdmatch.ServeConfig{
 		CacheSize:   cacheSize,

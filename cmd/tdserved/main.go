@@ -76,13 +76,13 @@ func main() {
 		secondPath = flag.String("second", "", "second corpus file (as passed to the training run)")
 		modelPath  = flag.String("model", "", "model snapshot written by tdmatch -save / SaveFile")
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		cacheSize  = flag.Int("cache", 0, "result-cache entries (0 = model default 4096, negative disables)")
-		batchWin   = flag.Duration("batch-window", 0, "micro-batch coalescing window (0 = model default 200µs, negative disables)")
+		cacheSize  = flag.Int("cache", 0, "result-cache entries (0 = 4096, negative disables)")
+		batchWin   = flag.Duration("batch-window", 0, "micro-batch coalescing window (0 = 200µs, negative = none: batch only what is already queued)")
 		workers    = flag.Int("workers", 0, "serving worker-pool size (0 = model default, GOMAXPROCS)")
 		defaultK   = flag.Int("k", 5, "matches returned when a request omits k")
 
 		walPath      = flag.String("wal", "", "write-ahead log path; empty serves without durability")
-		walSync      = flag.String("wal-sync", "", "WAL fsync policy: always, interval or never (empty = model config, default always)")
+		walSync      = flag.String("wal-sync", "", "WAL fsync policy: always, interval or never (empty = always)")
 		walInterval  = flag.Duration("wal-sync-interval", 0, "flush period under -wal-sync=interval (0 = default 100ms)")
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = default 8 MiB, negative disables)")
 		maxInflight  = flag.Int("max-inflight", 0, "admission cap on concurrent requests (0 = default 256, negative disables)")
@@ -107,8 +107,7 @@ func main() {
 		Workers:     *workers,
 	}, *defaultK, daemonOptions{
 		walPath:      *walPath,
-		walSync:      *walSync,
-		walInterval:  *walInterval,
+		wal:          tdmatch.WALOptions{Sync: *walSync, Interval: *walInterval},
 		maxBody:      *maxBody,
 		maxInflight:  *maxInflight,
 		queryTimeout: *queryTimeout,
@@ -167,8 +166,7 @@ func main() {
 // the corresponding limit.
 type daemonOptions struct {
 	walPath      string
-	walSync      string
-	walInterval  time.Duration
+	wal          tdmatch.WALOptions
 	maxBody      int64
 	maxInflight  int
 	queryTimeout time.Duration
@@ -263,14 +261,7 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 		return nil, err
 	}
 	if opts.walPath != "" {
-		wopts := model.WALOptions()
-		if opts.walSync != "" {
-			wopts.Sync = opts.walSync
-		}
-		if opts.walInterval > 0 {
-			wopts.Interval = opts.walInterval
-		}
-		w, err := tdmatch.OpenWAL(opts.walPath, wopts)
+		w, err := tdmatch.OpenWAL(opts.walPath, opts.wal)
 		if err != nil {
 			return nil, fmt.Errorf("opening wal %s: %w", opts.walPath, err)
 		}

@@ -3,7 +3,6 @@ package tdmatch
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/tdmatch/tdmatch/internal/match"
 )
@@ -203,35 +202,6 @@ type Config struct {
 	// disables auto-sealing so the delta grows until the next Compact.
 	SegmentMaxDocs int
 
-	// ServeCacheSize bounds the Server result cache in entries, summed
-	// across its shards (default 4096). Negative disables result caching;
-	// 0 selects the default. Each entry holds one (document, k) ranking,
-	// so the default is ~4096 × k Match values of resident memory.
-	ServeCacheSize int
-	// ServeBatchWindow is how long Server.TopK holds an uncached query to
-	// coalesce it with concurrent ones into a single worker-pool pass
-	// (default 200µs). Negative disables micro-batching; 0 selects the
-	// default. The wait is rounded up to whole milliseconds in practice:
-	// an idle Go runtime sleeps in epoll_wait, whose timeout
-	// runtime/netpoll_epoll.go rounds up to 1 ms, so on Linux a lone
-	// query waits about 1.1 ms at any window up to 1 ms (a 400-document
-	// model answered in 1.08–1.11 ms at the default against 5–7 µs with
-	// batching off, BenchmarkServeTopKColdBatched vs
-	// BenchmarkServeTopKCold, 2-vCPU Xeon) and about 2.2 ms at 1.5 ms.
-	ServeBatchWindow time.Duration
-
-	// WALSync selects the serving write-ahead log's fsync policy:
-	// "always" (fsync every append before it is acknowledged — the
-	// default and the only policy under which an acked mutation survives
-	// any crash), "interval" (fsync on a timer, amortizing the fsync cost
-	// across bursts at the risk of losing up to one interval of acked
-	// mutations) or "never" (leave flushing to the OS). Empty selects
-	// "always"; tdserved's -wal-sync flag overrides.
-	WALSync string
-	// WALSyncInterval is the flush period under WALSync "interval"
-	// (default 100ms).
-	WALSyncInterval time.Duration
-
 	// WalkBias enables kind-weighted walks, the typed-walk extension of
 	// the paper's future work (§VII). Nil keeps uniform random walks.
 	WalkBias *WalkBias
@@ -274,9 +244,6 @@ func Defaults() Config {
 		ChooseObjective:  true,
 		Workers:          runtime.GOMAXPROCS(0),
 		SegmentMaxDocs:   512,
-		ServeCacheSize:   4096,
-		ServeBatchWindow: 200 * time.Microsecond,
-		WALSync:          "always",
 	}
 }
 
@@ -313,15 +280,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegmentMaxDocs == 0 {
 		c.SegmentMaxDocs = d.SegmentMaxDocs
-	}
-	if c.ServeCacheSize == 0 {
-		c.ServeCacheSize = d.ServeCacheSize
-	}
-	if c.ServeBatchWindow == 0 {
-		c.ServeBatchWindow = d.ServeBatchWindow
-	}
-	if c.WALSync == "" {
-		c.WALSync = d.WALSync
 	}
 	return c
 }

@@ -30,8 +30,12 @@ type walRemovePayload struct {
 // WALOptions tunes OpenWAL. The zero value is the "always" fsync policy
 // on the real filesystem.
 type WALOptions struct {
-	// Sync is the fsync policy name: "always" (default), "interval" or
-	// "never" — see Config.WALSync for the tradeoffs.
+	// Sync is the fsync policy name: "always" (fsync every append before
+	// it is acknowledged — the default, and the only policy under which
+	// an acked mutation survives any crash), "interval" (fsync on a
+	// timer, amortizing the fsync cost across bursts at the risk of
+	// losing up to one interval of acked mutations) or "never" (leave
+	// flushing to the OS). Empty selects "always".
 	Sync string
 	// Interval is the flush period under "interval" (default 100ms).
 	Interval time.Duration
@@ -57,13 +61,6 @@ type WALStats struct {
 	Policy string `json:"policy"`
 	// RecoveredRecords is how many records Open recovered for replay.
 	RecoveredRecords int `json:"recovered_records"`
-}
-
-// WALOptions returns the log options the model's build-time Config
-// selected (Config.WALSync, Config.WALSyncInterval), the default a
-// serving daemon uses when no explicit policy overrides it.
-func (m *Model) WALOptions() WALOptions {
-	return WALOptions{Sync: m.cfg.WALSync, Interval: m.cfg.WALSyncInterval}
 }
 
 // WAL is the serving write-ahead log: every acknowledged Server.Ingest

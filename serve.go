@@ -32,20 +32,32 @@ const serveMaxBatch = 256
 // and memory without bound.
 const serveQueueDepth = 4 * serveMaxBatch
 
-// ServeConfig tunes a Server independently of the model's build-time
-// Config. The zero value inherits every setting from the model
-// (Config.ServeCacheSize, Config.ServeBatchWindow, Config.Workers).
+// defaultCacheEntries is the result-cache capacity, in entries summed
+// across shards, when ServeConfig.CacheSize is 0. Each entry holds one
+// (document, k) ranking, so this is about 4096 × k resident Match values.
+const defaultCacheEntries = 4096
+
+// defaultBatchWindow is the collector's batching window when
+// ServeConfig.BatchWindow is 0.
+const defaultBatchWindow = 200 * time.Microsecond
+
+// ServeConfig tunes a Server. The zero value is a 4096-entry result
+// cache, a 200µs batching window and the model's Config.Workers query
+// fan-out.
 type ServeConfig struct {
-	// CacheSize bounds the result cache in entries (0 inherits the
-	// model's Config.ServeCacheSize, default 4096; negative disables
-	// caching).
+	// CacheSize bounds the result cache in entries (0 selects 4096;
+	// negative disables caching).
 	CacheSize int
-	// BatchWindow is the micro-batching coalescing window (0 inherits
-	// the model's Config.ServeBatchWindow, default 200µs; negative
-	// disables batching so queries run on the caller's goroutine). The
-	// runtime's timers round the wait up to whole milliseconds, so a
-	// lone query pays about 1.1 ms at any window up to 1 ms; see
-	// Config.ServeBatchWindow.
+	// BatchWindow is how long the collector holds a batch open for more
+	// queries after the first arrives (0 selects 200µs). Negative means
+	// no window: the collector takes only what is already queued, so a
+	// lone query is scored at once and a batch forms only from queries
+	// that arrived while the previous one was scanning. The runtime
+	// rounds the wait up to whole milliseconds (an idle processor sleeps
+	// in epoll_wait, whose timeout runtime/netpoll_epoll.go rounds up to
+	// 1 ms), so on Linux a lone query pays about 1.1 ms at any window up
+	// to 1 ms (BenchmarkServeTopKColdBatched against
+	// BenchmarkServeTopKCold).
 	BatchWindow time.Duration
 	// Workers bounds the per-batch fan-out and the TopKBatch pool
 	// (0 inherits the model's Config.Workers, default GOMAXPROCS).
@@ -71,9 +83,10 @@ type ServeStats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	// CacheEntries is the current number of resident rankings.
 	CacheEntries int `json:"cache_entries"`
-	// Batches counts coalesced worker-pool passes; BatchedQueries counts
-	// the queries they served. BatchedQueries/Batches is the achieved
-	// coalescing factor (1 under no concurrency).
+	// Batches counts the collector's worker-pool passes; BatchedQueries
+	// counts the uncached TopK queries they served. A lone query is a
+	// batch of one, so BatchedQueries/Batches is the coalescing factor
+	// the load produced (1 under no concurrency).
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	// Reloads counts successful model swaps (initial load excluded).
@@ -186,18 +199,18 @@ type Server struct {
 	shed           atomic.Uint64
 }
 
-// NewServer wraps a trained or loaded model for serving. Zero fields of
-// sc inherit the model's Config; see ServeConfig. Callers that enable
-// micro-batching (the default) should Close the server to release its
-// collector goroutine.
+// NewServer wraps a trained or loaded model for serving; see ServeConfig
+// for the defaults of its zero fields. It starts the collector goroutine
+// every uncached TopK goes through, so callers should Close the server
+// to release it.
 func NewServer(m *Model, sc ServeConfig) *Server {
 	cacheSize := sc.CacheSize
 	if cacheSize == 0 {
-		cacheSize = m.cfg.ServeCacheSize
+		cacheSize = defaultCacheEntries
 	}
 	window := sc.BatchWindow
 	if window == 0 {
-		window = m.cfg.ServeBatchWindow
+		window = defaultBatchWindow
 	}
 	workers := sc.Workers
 	if workers <= 0 {
@@ -207,6 +220,7 @@ func NewServer(m *Model, sc ServeConfig) *Server {
 		cache:   newResultCache(cacheSize),
 		workers: workers,
 		window:  window,
+		reqs:    make(chan *topkReq, serveQueueDepth),
 		done:    make(chan struct{}),
 		wal:     sc.WAL,
 	}
@@ -217,16 +231,13 @@ func NewServer(m *Model, sc ServeConfig) *Server {
 	}
 	m.shareTrainer()
 	s.cur.Store(&served{model: m, gen: s.gen.Add(1), fp: m.indexFingerprint()})
-	if window > 0 {
-		s.reqs = make(chan *topkReq, serveQueueDepth)
-		s.wg.Add(1)
-		go s.run()
-	}
+	s.wg.Add(1)
+	go s.run()
 	return s
 }
 
-// Close stops the micro-batching collector and fails queries still
-// waiting on it with ErrServerClosed. Idempotent.
+// Close stops the collector and fails queries still waiting on it with
+// ErrServerClosed; TopK calls after Close fail the same way. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
 	s.wg.Wait()
@@ -339,9 +350,14 @@ func (s *Server) Remove(ids []string) error {
 // successfully are the covered log records dropped. Mutations that land
 // while the save runs get sequence numbers above the pinned horizon and
 // survive the rotation. With no WAL attached it is just a save.
+//
+// The pinned model gives up its trainer arenas (shareTrainer), so the
+// next Ingest warm-starts on a copy instead of fine-tuning, in place,
+// the term vectors the save is still reading.
 func (s *Server) Checkpoint(save func(*Model) error) error {
 	s.mutMu.Lock()
 	m := s.cur.Load().model
+	m.shareTrainer()
 	horizon := s.walSeq
 	s.mutMu.Unlock()
 	if err := save(m); err != nil {
@@ -422,8 +438,10 @@ func (s *Server) CompactCtx(ctx context.Context) error {
 
 // TopK returns the k documents of the other corpus most similar to docID,
 // like Model.TopK, but served: answered from the result cache when
-// possible, otherwise coalesced with concurrent queries into one
-// worker-pool pass. The returned slice is the caller's to keep.
+// possible, otherwise handed to the collector, which scores it together
+// with the queries that arrive within the batching window (or, with no
+// window, with those already queued) in one worker-pool pass. The
+// returned slice is the caller's to keep.
 // Equivalent to TopKCtx with context.Background().
 func (s *Server) TopK(docID string, k int) ([]Match, error) {
 	return s.TopKCtx(context.Background(), docID, k)
@@ -443,10 +461,6 @@ func (s *Server) TopKCtx(ctx context.Context, docID string, k int) ([]Match, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if s.reqs == nil {
-		resp := s.answer(cur, docID, k)
-		return resp.matches, resp.err
 	}
 	req := &topkReq{ctx: ctx, docID: docID, k: k, out: make(chan topkResp, 1)}
 	select {
@@ -549,38 +563,18 @@ func (s *Server) Stats() ServeStats {
 	return st
 }
 
-// answer resolves one query against a pinned model snapshot: cache probe,
-// then Model.TopK, then cache fill. Failures bump the error counter and
-// are not cached (a document can gain an embedding only via Reload, which
-// changes the key anyway).
-func (s *Server) answer(cur *served, docID string, k int) topkResp {
-	key := cacheKey{docID: docID, k: k, gen: cur.gen, fp: cur.fp}
-	if matches, ok := s.cache.get(key); ok {
-		return topkResp{matches: matches}
-	}
-	matches, err := cur.model.TopK(docID, k)
-	if err != nil {
-		s.errors.Add(1)
-		return topkResp{err: err}
-	}
-	// The cache gets its own copy: the returned slice is the caller's to
-	// keep (and mutate) without corrupting the resident entry.
-	resident := make([]Match, len(matches))
-	copy(resident, matches)
-	s.cache.put(key, resident)
-	return topkResp{matches: matches}
-}
-
-// run is the micro-batching collector: it blocks for the first uncached
-// query, gathers whatever else arrives within the batch window (up to
-// serveMaxBatch), and executes the batch as one worker-pool pass. One
-// pass per burst is the point — under concurrent load the pool sweep
-// amortizes scheduling and keeps index scans cache-warm.
+// run is the collector: it blocks for the first uncached query, gathers
+// more (up to serveMaxBatch), and executes the batch as one worker-pool
+// pass. With a window it gathers whatever arrives until the window
+// closes; with none it takes only what is already queued, so a lone
+// query runs at once and, under load, the queries that arrived during
+// one pass form the next.
 func (s *Server) run() {
 	defer s.wg.Done()
-	timer := time.NewTimer(s.window)
-	if !timer.Stop() {
-		<-timer.C
+	var timer *time.Timer
+	if s.window > 0 {
+		timer = time.NewTimer(s.window)
+		timer.Stop()
 	}
 	for {
 		var first *topkReq
@@ -590,25 +584,46 @@ func (s *Server) run() {
 			return
 		}
 		batch := append(make([]*topkReq, 0, 8), first)
-		timer.Reset(s.window)
-		fired := false
-	collect:
-		for len(batch) < serveMaxBatch {
-			select {
-			case r := <-s.reqs:
-				batch = append(batch, r)
-			case <-timer.C:
-				fired = true
-				break collect
-			case <-s.done:
-				return
-			}
-		}
-		if !fired && !timer.Stop() {
-			<-timer.C
+		if timer == nil {
+			batch = s.takeQueued(batch)
+		} else if batch = s.collectFor(timer, batch); batch == nil {
+			return
 		}
 		s.execBatch(batch)
 	}
+}
+
+// takeQueued appends the queries already queued to batch, up to
+// serveMaxBatch, without waiting.
+func (s *Server) takeQueued(batch []*topkReq) []*topkReq {
+	for len(batch) < serveMaxBatch {
+		select {
+		case r := <-s.reqs:
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
+}
+
+// collectFor appends the queries that arrive within one window to batch,
+// up to serveMaxBatch, timing the window with the collector's stopped
+// timer. It returns nil when the server closes meanwhile.
+func (s *Server) collectFor(timer *time.Timer, batch []*topkReq) []*topkReq {
+	timer.Reset(s.window)
+	defer timer.Stop()
+	for len(batch) < serveMaxBatch {
+		select {
+		case r := <-s.reqs:
+			batch = append(batch, r)
+		case <-timer.C:
+			return batch
+		case <-s.done:
+			return nil
+		}
+	}
+	return batch
 }
 
 // execBatch serves one coalesced batch against the current model,
@@ -628,11 +643,9 @@ func (s *Server) execBatch(batch []*topkReq) {
 	// to bound.
 	byK := make(map[int][]int, 1)
 	for i, r := range batch {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.out <- topkResp{err: err}
-				continue
-			}
+		if err := r.ctx.Err(); err != nil {
+			r.out <- topkResp{err: err}
+			continue
 		}
 		byK[r.k] = append(byK[r.k], i)
 	}
@@ -651,7 +664,10 @@ func (s *Server) execBatch(batch []*topkReq) {
 // answerBatch resolves a batch of same-k queries against a pinned model
 // snapshot: per-query cache probes first, then one pass of the blocked
 // multi-query kernels over the misses, then cache fills. Failures bump
-// the error counter and are not cached, like in answer.
+// the error counter and are not cached (a document can gain an embedding
+// only through a swap, which changes the key anyway). The cache gets its
+// own copy of each ranking: the returned slice is the caller's to keep
+// and mutate without corrupting the resident entry.
 func (s *Server) answerBatch(cur *served, docIDs []string, k int) []topkResp {
 	out := make([]topkResp, len(docIDs))
 	var missIDs []string

@@ -1,11 +1,15 @@
 package tdmatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -173,40 +177,70 @@ func TestServerTopKMatchesModelAndCaches(t *testing.T) {
 	}
 }
 
+// blockingCtx is a context whose second Err call closes entered and then
+// blocks until release is closed. TopKCtx
+// calls Err once on the caller's goroutine before queueing, and the
+// collector calls it again when it executes the batch, so a query
+// carrying this context holds the collector inside that batch.
+type blockingCtx struct {
+	context.Context
+	calls   atomic.Int32
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (c *blockingCtx) Err() error {
+	if c.calls.Add(1) == 2 {
+		close(c.entered)
+		<-c.release
+	}
+	return nil
+}
+
+// TestServerCoalescesConcurrentQueries pins batching with no window: the
+// queries that arrive while the collector is busy with one batch are all
+// served together by the next.
 func TestServerCoalescesConcurrentQueries(t *testing.T) {
 	m := buildServeTestModel(t, 1)
-	// Wide window, disabled cache: concurrent distinct queries must land
-	// in few batches.
-	s := NewServer(m, ServeConfig{CacheSize: -1, BatchWindow: 20 * time.Millisecond, Workers: 4})
+	s := NewServer(m, ServeConfig{CacheSize: -1, BatchWindow: -1, Workers: 4})
 	defer s.Close()
 
 	ids := m.second.IDs()
 	const rounds = 4
+	queued := rounds * len(ids)
 	var wg sync.WaitGroup
-	errs := make(chan error, rounds*len(ids))
+	errs := make(chan error, queued+1)
+	query := func(ctx context.Context, id string) {
+		defer wg.Done()
+		if _, err := s.TopKCtx(ctx, id, 2); err != nil {
+			errs <- fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	plug := &blockingCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	wg.Add(1)
+	go query(plug, ids[0])
+	<-plug.entered
 	for r := 0; r < rounds; r++ {
 		for _, id := range ids {
 			wg.Add(1)
-			go func(id string) {
-				defer wg.Done()
-				if _, err := s.TopK(id, 2); err != nil {
-					errs <- fmt.Errorf("%s: %w", id, err)
-				}
-			}(id)
+			go query(context.Background(), id)
 		}
 	}
+	for len(s.reqs) < queued {
+		time.Sleep(10 * time.Microsecond)
+	}
+	close(plug.release)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 	st := s.Stats()
-	total := uint64(rounds * len(ids))
-	if st.BatchedQueries != total {
-		t.Errorf("batched %d queries, want %d", st.BatchedQueries, total)
+	if st.BatchedQueries != uint64(queued+1) {
+		t.Errorf("batched %d queries, want %d", st.BatchedQueries, queued+1)
 	}
-	if st.Batches == 0 || st.Batches >= total {
-		t.Errorf("batches = %d for %d concurrent queries: no coalescing", st.Batches, total)
+	if st.Batches != 2 {
+		t.Errorf("batches = %d, want 2: the held one and one for the %d queries queued behind it", st.Batches, queued)
 	}
 }
 
@@ -314,6 +348,9 @@ func TestServerCloseFailsPendingQueries(t *testing.T) {
 	}
 }
 
+// TestServerDisabledCacheAndBatching checks the path with no cache and no
+// window: every query is scored and none is cached, and a lone
+// sequential query is a batch of its own.
 func TestServerDisabledCacheAndBatching(t *testing.T) {
 	m := buildServeTestModel(t, 1)
 	s := NewServer(m, ServeConfig{CacheSize: -1, BatchWindow: -1})
@@ -323,19 +360,99 @@ func TestServerDisabledCacheAndBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	const n = 3
+	for i := 0; i < n; i++ {
 		got, err := s.TopK(id, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("unbatched ranking %v != model ranking %v", got, want)
+			t.Errorf("served ranking %v != model ranking %v", got, want)
 		}
 	}
 	st := s.Stats()
-	if st.CacheHits != 0 || st.CacheEntries != 0 || st.Batches != 0 {
-		t.Errorf("disabled cache/batching still counted: %+v", st)
+	if st.CacheHits != 0 || st.CacheEntries != 0 {
+		t.Errorf("disabled cache still counted: %+v", st)
 	}
+	if st.Queries != n || st.Batches != n || st.BatchedQueries != n {
+		t.Errorf("%d lone queries: queries %d, batches %d, batched queries %d; want all %d",
+			n, st.Queries, st.Batches, st.BatchedQueries, n)
+	}
+}
+
+// TestServerLoneQueryIsNotHeld pins the negative BatchWindow: with
+// nothing else queued, an uncached query is scored as soon as the
+// collector receives it. A timed window would cost about 1 ms on Linux
+// whatever its nominal length, because an idle Go runtime rounds its
+// sleep up to a whole millisecond.
+func TestServerLoneQueryIsNotHeld(t *testing.T) {
+	m := buildServeTestModel(t, 1)
+	s := NewServer(m, ServeConfig{CacheSize: -1, BatchWindow: -1})
+	defer s.Close()
+	id := m.second.IDs()[0]
+	lat := make([]time.Duration, 101)
+	for i := range lat {
+		start := time.Now()
+		if _, err := s.TopK(id, 3); err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if med := lat[len(lat)/2]; med >= 500*time.Microsecond {
+		t.Errorf("median lone uncached TopK took %s, want under 0.5ms (min %s, max %s)", med, lat[0], lat[len(lat)-1])
+	}
+}
+
+// TestServerCheckpointBesideWarmIngest pins that a checkpoint saves a
+// model no ingest mutates. After a warm ingest the served model owns its
+// trainer arenas, and the next Ingest's clone would inherit them and
+// fine-tune, in place, the term vectors the off-lock save is reading;
+// Checkpoint must take that ownership away from the model it pins. The
+// ingest inside the first save checks this deterministically; the
+// concurrent rounds after it are for -race.
+func TestServerCheckpointBesideWarmIngest(t *testing.T) {
+	m := buildServeTestModel(t, 1)
+	s := NewServer(m, ServeConfig{Workers: 1})
+	defer s.Close()
+	doc := func(i int) []IngestDoc {
+		return []IngestDoc{{Side: 2, ID: fmt.Sprintf("reviews:ckpt%d", i), Values: []string{"a Tarantino crime story with Willis"}}}
+	}
+	if err := s.Ingest(doc(0)); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Checkpoint(func(pinned *Model) error {
+		_, before := pinned.termVectors()
+		if err := s.Ingest(doc(1)); err != nil {
+			return err
+		}
+		if _, after := pinned.termVectors(); !reflect.DeepEqual(before, after) {
+			return errors.New("an ingest during the save changed the pinned model's term vectors")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if err := s.Checkpoint(func(pinned *Model) error { return pinned.Save(io.Discard) }); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 2; i < 5; i++ {
+		if err := s.Ingest(doc(i)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
 }
 
 // TestServerIngestServesImmediatelyAndInvalidatesCache is the live-
