@@ -473,15 +473,15 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 // --- Incremental ingest: per-document latency vs the full rebuild. ---
 
 // ingestBenchText is the document every ingest benchmark op adds (under
-// a fresh ID): vocabulary the seed IMDb corpus knows, so the delta
-// walk/fine-tune path does representative work.
+// a fresh ID): vocabulary the seed IMDb corpus knows, so the fold-in
+// sums representative term vectors.
 const ingestBenchText = "a tense thriller remake where the detective confronts the syndicate boss"
 
 // BenchmarkIngestSingleDoc measures Model.Ingest of one text document
-// into the seed IMDb model: frozen-CSR graph patch, delta walks from
-// the affected neighborhood, warm-start fine-tune, index append. The
-// acceptance bar is >= 10x faster than BenchmarkEndToEndPipeline (the
-// full rebuild over the same corpora).
+// into the seed IMDb model: tokenize, fold the document's vector in
+// from the trained term vectors, index append. The acceptance bar is
+// >= 10x faster than BenchmarkEndToEndPipeline (the full rebuild over
+// the same corpora).
 func BenchmarkIngestSingleDoc(b *testing.B) {
 	first, second, cfg := benchEndToEndInputs(b)
 	cfg.Seed = 1
@@ -504,8 +504,8 @@ func BenchmarkIngestSingleDoc(b *testing.B) {
 }
 
 // BenchmarkIngestServerSingleDoc measures the full serving-layer ingest
-// (Server.Ingest): model clone, Model.Ingest on the clone, atomic swap
-// — the per-request cost of POST /v1/ingest.
+// (Server.Ingest): model clone, fold-in Model.Ingest on the clone,
+// atomic swap — the per-request cost of POST /v1/ingest.
 func BenchmarkIngestServerSingleDoc(b *testing.B) {
 	first, second, cfg := benchEndToEndInputs(b)
 	cfg.Seed = 1
@@ -630,12 +630,12 @@ func benchScaledModel(b *testing.B, mult int) *tdmatch.Model {
 	return model
 }
 
-// BenchmarkIngestSegmented measures per-document Model.Ingest against
-// corpora 1x, 4x and 16x the baseline size. The segmented core's claim
-// is O(delta) ingest: per-doc ns/op must stay flat (within roughly
-// ±20%) as the graph grows 16x — appends land in the mutable delta
-// segment and never touch sealed storage, where a monolithic design
-// would pay an index rebuild scaling with corpus size.
+// BenchmarkIngestSegmented measures per-document fold-in Model.Ingest
+// against corpora 1x, 4x and 16x the baseline size. The segmented
+// core's claim is O(delta) ingest: per-doc ns/op must stay flat (within
+// roughly ±20%) as the graph grows 16x — appends land in the mutable
+// delta segment and never touch sealed storage, where a monolithic
+// design would pay an index rebuild scaling with corpus size.
 func BenchmarkIngestSegmented(b *testing.B) {
 	for _, mult := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("scale%dx", mult), func(b *testing.B) {

@@ -21,11 +21,12 @@
 //	GET  /readyz     readiness: 200 when accepting traffic, 503 draining
 //
 // /v1/ingest and /v1/remove mutate the served model live: the daemon
-// clones it, applies the delta (graph patch + warm-start fine-tune on a
-// trained model, term fold-in on a snapshot-restored one, appendable
-// index update either way) and swaps the clone in atomically — queries
-// issued afterwards see the new corpus immediately, and the result
-// cache is invalidated by the generation bump.
+// clones it, applies the delta (a new document's vector is folded in
+// from the trained term vectors, and the serving index takes an
+// appended row or a tombstone) and swaps the clone in atomically —
+// queries issued afterwards see the new corpus immediately, and the
+// result cache is invalidated by the generation bump. Only compaction
+// (/v1/compact, or the -compact-above background loop) retrains.
 //
 // With -wal set, every acknowledged mutation is appended to a durable
 // write-ahead log before it becomes visible: a crashed daemon replays
@@ -278,7 +279,7 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 	}
 	d.modelInf.Store(&info)
 	d.server = tdmatch.NewServer(model, sc)
-	log.Printf("tdserved: training kernel %s (compaction and warm ingest)", tdmatch.TrainKernel())
+	log.Printf("tdserved: training kernel %s (compaction)", tdmatch.TrainKernel())
 	return d, nil
 }
 

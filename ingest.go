@@ -3,13 +3,11 @@ package tdmatch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/tdmatch/tdmatch/internal/corpus"
-	"github.com/tdmatch/tdmatch/internal/embed"
-	"github.com/tdmatch/tdmatch/internal/graph"
 	"github.com/tdmatch/tdmatch/internal/match"
-	"github.com/tdmatch/tdmatch/internal/pipeline"
 	"github.com/tdmatch/tdmatch/internal/textproc"
 )
 
@@ -62,22 +60,16 @@ func (m *Model) Staleness() int {
 	return n
 }
 
-// Ingest adds documents to the model without a full rebuild — the
-// incremental counterpart of Build. On a trained model the delta
-// pipeline stages run against the retained state: the graph is patched
-// in place (frozen-CSR insert), walks are seeded from the new
-// documents' neighborhood only, and training warm-starts from the
-// existing arenas so the new rows are fine-tuned into the established
-// embedding space while every previously served vector stays frozen.
-// On a snapshot-restored model (no trainer state) the new documents are
-// folded in from the snapshot's term vectors: each document's vector is
-// the sum of its known terms' trained vectors — cheaper and slightly
-// less faithful; the staleness counter tracks how far either
-// approximation has drifted and Compact is the full-rebuild escape
-// hatch. Delta documents get the full build treatment: the per-document
-// TF-IDF token filter (FilterTFIDF) scores them against the build's
-// retained document-frequency statistics, and external-resource
-// expansion fetches relations for the nodes they create.
+// Ingest adds documents to the model without retraining — the
+// incremental counterpart of Build. Each new document is folded in
+// from the trained term vectors: its vector is the sum of the trained
+// vectors of its known terms, tokenized the way the build tokenized
+// (terms the training vocabulary never saw contribute nothing). Every
+// model ingests this way, built or snapshot-restored, and every
+// previously served vector stays as it was. The build's TF-IDF filter,
+// expansion and synonym merging do not run on ingested documents; the
+// staleness counter tracks how far the approximation has drifted, and
+// Compact retrains over every document.
 //
 // Ingest mutates the model and must not run concurrently with queries;
 // Server.Ingest wraps it in a clone-and-swap for live serving.
@@ -85,7 +77,7 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if m.ps == nil && m.fold == nil {
+	if m.fold == nil {
 		return fmt.Errorf("tdmatch: model cannot ingest: it was restored from a snapshot without term vectors — rebuild with Build, or re-save with the current snapshot version")
 	}
 	var addFirst, addSecond []corpus.Document
@@ -111,14 +103,11 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 		if m.sideOf(d.ID) != 0 {
 			return fmt.Errorf("tdmatch: document %q: %w", d.ID, ErrDuplicateDocument)
 		}
-		if g := m.graph(); g != nil {
-			// Document IDs become graph metadata labels; reject collisions
-			// with non-document labels (attribute nodes like "movies/title")
-			// here, so the graph patch below can no longer fail after the
-			// corpora have been mutated.
-			if _, taken := g.MetaNode(d.ID); taken {
-				return fmt.Errorf("tdmatch: document ID %q collides with an existing graph label", d.ID)
-			}
+		// Document IDs become graph labels at the next Compact, beside the
+		// table attribute labels: an ID equal to one would fail every later
+		// rebuild, so it is rejected here, built model or restored alike.
+		if m.isAttributeLabel(d.ID) {
+			return fmt.Errorf("tdmatch: document ID %q collides with a table attribute label", d.ID)
 		}
 		doc, err := ingestDocument(c, d)
 		if err != nil {
@@ -159,14 +148,8 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 		appendedIDs = append(appendedIDs, doc.ID)
 	}
 
-	if m.ps != nil {
-		if err := m.ingestWarm(addFirst, addSecond); err != nil {
-			return err
-		}
-	} else {
-		m.ingestFold(append(append([]corpus.Document(nil), addFirst...), addSecond...))
-	}
-
+	m.ingestFold(addFirst)
+	m.ingestFold(addSecond)
 	if err := m.appendToIndex(m.firstIdx, addFirst); err != nil {
 		return err
 	}
@@ -178,42 +161,24 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 	return nil
 }
 
-// ingestWarm runs the delta pipeline stages against the retained state
-// and gathers the new documents' trained vectors. A spilled trainer
-// output arena is reloaded first, so serving-only processes that
-// called SpillTrainer keep full warm-start capability.
-func (m *Model) ingestWarm(addFirst, addSecond []corpus.Document) error {
-	if err := m.reloadSpill(); err != nil {
-		return err
-	}
-	st := m.ps
-	st.Delta = &pipeline.Delta{AddFirst: addFirst, AddSecond: addSecond}
-	err := pipeline.Run(st, pipeline.DeltaStages())
-	st.Delta = nil
-	st.Seqs = embed.Sequences{}
-	if err != nil {
-		return err
-	}
-	newDocs := make(map[string]graph.NodeID, len(addFirst)+len(addSecond))
-	for _, doc := range addFirst {
-		if node, ok := st.Build.DocNode[doc.ID]; ok {
-			newDocs[doc.ID] = node
+// isAttributeLabel reports whether id is the graph label of a table
+// attribute, "<corpus name>/<column>", of either corpus.
+func (m *Model) isAttributeLabel(id string) bool {
+	for _, c := range []*corpus.Corpus{m.first.c, m.second.c} {
+		if c.Kind != corpus.Table {
+			continue
+		}
+		if col, ok := strings.CutPrefix(id, c.Name+"/"); ok && slices.Contains(c.Columns, col) {
+			return true
 		}
 	}
-	for _, doc := range addSecond {
-		if node, ok := st.Build.DocNode[doc.ID]; ok {
-			newDocs[doc.ID] = node
-		}
-	}
-	m.gatherVectors(newDocs)
-	return nil
+	return false
 }
 
-// ingestFold computes fold-in vectors for the new documents of a
-// snapshot-restored model: the sum of the trained vectors of the
-// document's known terms (terms the training vocabulary never saw
-// contribute nothing; a document with no known term gets no embedding,
-// like an isolated node after a full build).
+// ingestFold computes the fold-in vectors of new documents: the sum of
+// the trained vectors of each document's known terms (a document with
+// no known term gets no embedding, like an isolated node after a full
+// build).
 func (m *Model) ingestFold(docs []corpus.Document) {
 	arena := make([]float32, len(docs)*m.dim)
 	used := 0
@@ -241,11 +206,10 @@ func (m *Model) ingestFold(docs []corpus.Document) {
 }
 
 // Remove deletes documents from the model: their corpus entries and
-// vectors go away, their index rows are tombstoned (rankings never
-// surface them again), and on a trained model their graph nodes are
-// removed in place — term nodes and the embedding space stay, so a
-// later re-ingest of similar content lands in familiar territory.
-// Unknown IDs are an error and nothing is removed.
+// vectors go away and their index rows are tombstoned (rankings never
+// surface them again). The term vectors stay, so a later re-ingest of
+// similar content lands in familiar territory. Unknown IDs are an error
+// and nothing is removed.
 //
 // Like Ingest, Remove mutates the model and must not run concurrently
 // with queries; Server.Remove wraps it in a clone-and-swap.
@@ -271,15 +235,6 @@ func (m *Model) Remove(ids []string) error {
 	}
 	m.first.c.RemoveBatch(firstIDs)
 	m.second.c.RemoveBatch(secondIDs)
-	if m.ps != nil {
-		st := m.ps
-		st.Delta = &pipeline.Delta{Remove: ids}
-		err := pipeline.Run(st, pipeline.DeltaStages())
-		st.Delta = nil
-		if err != nil {
-			return err
-		}
-	}
 	for _, id := range ids {
 		delete(m.vectors, id)
 	}
@@ -292,21 +247,21 @@ func (m *Model) Remove(ids []string) error {
 
 // Compact is the full-rebuild escape hatch: it re-runs the complete
 // build pipeline over the current corpora (including every ingested
-// document), replacing the incrementally-patched state — and the whole
-// serving segment stack, collapsed back to one sealed base segment —
-// with a freshly trained one. The fold watermark advances to the end of
-// the delta chain as it stands now, so Staleness drops to zero; the
-// chain itself is kept — it records which documents are absent from the
-// original corpus files, which a rebuild does not change. For rebuilds
-// under live traffic use Server.Compact, which runs this off to the
-// side and replays mutations that land mid-rebuild.
+// document), replacing the folded-in vectors, the term vectors and the
+// graph — and the whole serving segment stack, collapsed back to one
+// sealed base segment — with freshly trained ones. The fold watermark
+// advances to the end of the delta chain as it stands now, so Staleness
+// drops to zero; the chain itself is kept — it records which documents
+// are absent from the original corpus files, which a rebuild does not
+// change. For rebuilds under live traffic use Server.Compact, which runs
+// this off to the side and replays mutations that land mid-rebuild.
 func (m *Model) Compact() error {
 	nm := &Model{cfg: m.cfg.withDefaults(), first: m.first, second: m.second, buildCap: m.buildCap}
 	if err := nm.build(); err != nil {
 		return err
 	}
-	m.ps = nm.ps
-	m.fold = nil
+	m.g = nm.g
+	m.fold = nm.fold
 	m.vectors = nm.vectors
 	m.dim = nm.dim
 	m.firstIdx = nm.firstIdx
@@ -314,7 +269,6 @@ func (m *Model) Compact() error {
 	m.stats = nm.stats
 	m.folded = len(m.deltas)
 	m.staleBase = 0
-	m.spillPath = ""
 	// Drops the blockers, the combined-scorer caches and the monolithic
 	// exact indexes; the latter rebuild lazily over the fresh stack.
 	m.invalidateDerived()
@@ -357,9 +311,9 @@ func (m *Model) invalidateDerived() {
 
 // clone returns a deep-enough copy for the serving layer's
 // clone-mutate-swap: everything Ingest/Remove mutates is copied
-// (corpora, vector map, graph overlay state, delta chain), immutable
-// artefacts (vector rows, trained arenas, sealed index segments) are
-// shared. Index cloning is O(delta + tombstones) — the sealed segment
+// (corpora, vector map, delta chain), immutable artefacts (vector rows,
+// term vectors, the built graph, sealed index segments) are shared.
+// Index cloning is O(delta + tombstones) — the sealed segment
 // stack is shared outright, only the mutable delta segment and the
 // tombstone overlay are copied — so cloning never re-touches the full
 // arena the way a monolithic index clone would. The monolithic exact
@@ -372,11 +326,11 @@ func (m *Model) clone() *Model {
 		cfg:       m.cfg,
 		first:     first,
 		second:    second,
+		g:         m.g,
 		fold:      m.fold,
 		dim:       m.dim,
 		folded:    m.folded,
 		staleBase: m.staleBase,
-		spillPath: m.spillPath,
 		buildCap:  m.buildCap,
 		stats:     m.stats,
 		deltas:    append([]savedDelta(nil), m.deltas...),
@@ -385,9 +339,6 @@ func (m *Model) clone() *Model {
 	nm.vectors = make(map[string][]float32, len(m.vectors))
 	for id, v := range m.vectors {
 		nm.vectors[id] = v
-	}
-	if m.ps != nil {
-		nm.ps = m.ps.Clone(first.c, second.c)
 	}
 	nm.firstIdx = cloneIndex(m.firstIdx)
 	nm.secondIdx = cloneIndex(m.secondIdx)
@@ -407,10 +358,9 @@ func cloneIndex(idx match.VectorIndex) match.VectorIndex {
 	return idx
 }
 
-// foldState is the ingest state of a snapshot-restored model: the
-// trained term vectors plus the preprocessor that reproduces the
-// build's tokenization. Term vectors are read-only and shared across
-// clones.
+// foldState is the ingest state of a model: the trained term vectors
+// plus the preprocessor that reproduces the build's tokenization. Term
+// vectors are read-only and shared across clones.
 type foldState struct {
 	pre   textproc.Preprocessor
 	terms map[string][]float32
@@ -449,18 +399,6 @@ func ingestDocument(c *corpus.Corpus, d IngestDoc) (corpus.Document, error) {
 		doc.Values = []corpus.Value{{Text: strings.Join(d.Values, " ")}}
 	}
 	return doc, nil
-}
-
-// shareTrainer marks the model's trainer arenas as shared: the serving
-// layer calls it when it takes a caller-owned model (NewServer,
-// Reload), so the first ingest on the swap chain warm-starts by
-// copying instead of fine-tuning arenas the caller may still read
-// (Save, further Ingest on their own reference). Later clones in the
-// chain own their arenas exclusively and fine-tune in place.
-func (m *Model) shareTrainer() {
-	if m.ps != nil {
-		m.ps.OwnsEmbed = false
-	}
 }
 
 // ingestDocsOfSaved converts persisted delta documents back into the

@@ -2,7 +2,13 @@ package tdmatch
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/datasets"
+	"github.com/tdmatch/tdmatch/internal/metrics"
 )
 
 // ingestTestConfig is smallConfig at Workers 1: the ingest tests run
@@ -35,7 +41,6 @@ func TestIngestWarmAddsServableDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes0, edges0 := model.GraphSize()
 	err = model.Ingest([]IngestDoc{
 		{Side: 2, ID: "reviews:new", Values: []string{"Tarantino crime dialogue with Willis in fiction"}},
 		{Side: 1, ID: "movies:new", Values: []string{"Reservoir Dogs", "Tarantino", "Harvey Keitel", "R", "Crime"}},
@@ -45,10 +50,6 @@ func TestIngestWarmAddsServableDocument(t *testing.T) {
 	}
 	if model.Staleness() != 2 {
 		t.Errorf("staleness = %d, want 2", model.Staleness())
-	}
-	nodes1, edges1 := model.GraphSize()
-	if nodes1 <= nodes0 || edges1 <= edges0 {
-		t.Errorf("graph did not grow: %d/%d -> %d/%d", nodes0, edges0, nodes1, edges1)
 	}
 	if model.Vector("reviews:new") == nil || model.Vector("movies:new") == nil {
 		t.Fatal("ingested documents have no embedding")
@@ -99,8 +100,8 @@ func TestIngestWarmAddsServableDocument(t *testing.T) {
 	if err := model.Ingest([]IngestDoc{{Side: 1, ID: "movies:wide", Values: make([]string, 9)}}); err == nil {
 		t.Error("too many table values must be rejected")
 	}
-	// IDs become graph metadata labels — colliding with a non-document
-	// label (an attribute node) is rejected before anything mutates.
+	// IDs become graph labels at the next Compact — colliding with a
+	// table attribute label is rejected before anything mutates.
 	if err := model.Ingest([]IngestDoc{{Side: 1, ID: "movies/title", Values: []string{"x"}}}); err == nil {
 		t.Error("attribute-label collision must be rejected")
 	}
@@ -146,6 +147,160 @@ func TestIngestRollsBackPartialBatch(t *testing.T) {
 		{Side: 1, ID: "ok", Values: []string{"compliance"}, Parent: "root"},
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIngestRejectsAttributeLabelID: a document ID equal to a table
+// attribute label ("<corpus name>/<column>") would collide with the
+// attribute node when the next Compact builds the graph, and a WAL
+// replaying the ingest would repeat the failure on every restart. Built
+// and snapshot-loaded models reject it alike, leave their corpora
+// untouched, and compact afterwards.
+func TestIngestRejectsAttributeLabelID(t *testing.T) {
+	movies, reviews := fixtureCorpora(t)
+	built, err := Build(movies, reviews, ingestTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m2, r2 := fixtureCorpora(t)
+	loaded, err := LoadModel(&buf, m2, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model *Model
+	}{{"built", built}, {"loaded", loaded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.model
+			for _, d := range []IngestDoc{
+				{Side: 1, ID: "movies/title", Values: []string{"Reservoir Dogs"}},
+				{Side: 2, ID: "movies/genre", Values: []string{"a Tarantino crime story"}},
+			} {
+				if err := m.Ingest([]IngestDoc{d}); err == nil {
+					t.Errorf("ingest of %q succeeded, want a collision error", d.ID)
+				}
+				if m.sideOf(d.ID) != 0 {
+					t.Errorf("rejected document %q leaked into a corpus", d.ID)
+				}
+			}
+			// A label-shaped ID that names no column is an ordinary ID.
+			if err := m.Ingest([]IngestDoc{{Side: 2, ID: "movies/plot", Values: []string{"a Tarantino crime story"}}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Compact(); err != nil {
+				t.Fatalf("Compact after the rejected ingests: %v", err)
+			}
+			if _, err := m.TopK("movies/plot", 2); err != nil {
+				t.Errorf("ingested document does not answer after Compact: %v", err)
+			}
+		})
+	}
+}
+
+// TestCloneIngestLeavesOriginal pins clone isolation on the ingest path:
+// an Ingest on a clone leaves the original's term vectors bit for bit
+// as they were, since the serving layer saves and queries the original
+// while its clone mutates.
+func TestCloneIngestLeavesOriginal(t *testing.T) {
+	model := persistFixtureModel(t)
+	ids, before := model.termVectors()
+	if len(before) == 0 {
+		t.Fatal("built model has no term vectors")
+	}
+	work := model.clone()
+	if err := work.Ingest([]IngestDoc{
+		{Side: 2, ID: "reviews:clone", Values: []string{"Willis returns in a Tarantino crime sequel"}},
+		{Side: 1, ID: "movies:clone", Values: []string{"Die Hard", "McTiernan", "Bruce Willis", "R", "Action"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	afterIDs, after := model.termVectors()
+	if !slices.Equal(ids, afterIDs) {
+		t.Fatal("an ingest on a clone changed the original's term set")
+	}
+	changed := 0
+	for i := range before {
+		if math.Float32bits(before[i]) != math.Float32bits(after[i]) {
+			changed++
+		}
+	}
+	if changed > 0 {
+		t.Errorf("an ingest on a clone changed %d of the original's %d term-vector floats", changed, len(before))
+	}
+	if model.sideOf("reviews:clone") != 0 || model.Vector("reviews:clone") != nil {
+		t.Error("the clone's document leaked into the original")
+	}
+}
+
+// TestIngestHeldOutQualityOnIMDb is the quality bar of fold-in ingest on
+// documents no training saw: IMDb is built without every 10th query
+// review, those reviews are ingested one per call, and their rankings
+// are scored against ground truth — after the ingest, and again after
+// Compact retrains over them.
+func TestIngestHeldOutQualityOnIMDb(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			s, err := datasets.IMDb(datasets.IMDbConfig{
+				Seed: seed, Movies: 60, WithTitle: true, GeneralSentences: 150,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []string
+			var docs []IngestDoc
+			for i, q := range s.Queries {
+				if i%10 != 0 {
+					continue
+				}
+				doc, ok := s.Second.Doc(q)
+				if !ok {
+					t.Fatalf("query %s is not a review", q)
+				}
+				held = append(held, q)
+				docs = append(docs, IngestDoc{Side: 2, ID: q, Values: []string{doc.Text()}})
+			}
+			s.Second.RemoveBatch(held)
+			model, err := Build(&Corpus{c: s.First}, &Corpus{c: s.Second}, ingestTestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				if err := model.Ingest([]IngestDoc{d}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// MRR over the top 10, as the benchmark's quality metric scores
+			// it; a held-out review that ranks nothing counts with
+			// reciprocal rank 0.
+			heldMRR := func() float64 {
+				results := make(map[string][]string, len(held))
+				for _, q := range held {
+					matches, _ := model.TopK(q, 10)
+					results[q] = nil
+					for _, mt := range matches {
+						results[q] = append(results[q], mt.ID)
+					}
+				}
+				return metrics.EvaluateRanking(results, s.Truth, nil).MRR
+			}
+			ingested := heldMRR()
+			if err := model.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			compacted := heldMRR()
+			t.Logf("held-out MRR over %d reviews: %.3f after ingest, %.3f after Compact", len(held), ingested, compacted)
+			if ingested < 0.5 {
+				t.Errorf("held-out MRR after ingest = %.3f, want >= 0.5", ingested)
+			}
+			if compacted < 0.85 {
+				t.Errorf("held-out MRR after Compact = %.3f, want >= 0.85", compacted)
+			}
+		})
 	}
 }
 
@@ -302,8 +457,8 @@ func TestIngestParityOnIMDb(t *testing.T) {
 	}
 }
 
-// TestIngestFoldOnLoadedModel: a snapshot-restored model (no trainer
-// state) ingests via term-vector fold-in and serves the new document.
+// TestIngestFoldOnLoadedModel: a snapshot-restored model ingests from
+// the snapshot's term vectors and serves the new document.
 func TestIngestFoldOnLoadedModel(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)
 	model, err := Build(movies, reviews, ingestTestConfig())
@@ -416,10 +571,10 @@ func TestSaveLoadDeltaChain(t *testing.T) {
 }
 
 // TestIngestDeterministicSingleWorker pins the seed-determinism
-// invariant on the delta path: at Workers 1 and a fixed seed, two
+// invariant on the ingest path: at Workers 1 and a fixed seed, two
 // identical Build+Ingest runs must produce identical rankings for the
-// ingested document (the walk seed set is sorted, each (node, walk)
-// pair has its own RNG stream, and warm-start training is serial).
+// ingested document (training is serial, and the fold-in is a sum in
+// token order).
 func TestIngestDeterministicSingleWorker(t *testing.T) {
 	run := func() []Match {
 		movies, reviews := fixtureCorpora(t)

@@ -103,18 +103,13 @@ func (c Config) TrainTokens(seqs Sequences) int64 {
 // Out retains the output-side weight matrix (syn1) in the same layout.
 // It is dead weight for serving, but it is what makes warm-start
 // fine-tuning (Config.Initial) meaningful: the trained output rows are
-// the anchors new vocabulary rows train against. Callers that will
-// never fine-tune can drop it (Model.DropOut).
+// the anchors new vocabulary rows train against.
 type Model struct {
 	Dim   int
 	Arena []float32
 	Vecs  [][]float32
 	Out   []float32
 }
-
-// DropOut releases the output-side weights for models that will never
-// warm-start further training.
-func (m *Model) DropOut() { m.Out = nil }
 
 // Vector returns the embedding of token id (nil when out of range).
 func (m *Model) Vector(id int32) []float32 {

@@ -44,11 +44,12 @@ func neighborsSorted(g *Graph, id NodeID) []NodeID {
 // patching edges into a frozen CSR must leave exactly the adjacency a
 // thawed AddEdge sequence produces, and must not thaw the graph.
 func TestPatchEdgesMatchesThawedAddEdge(t *testing.T) {
-	res, _, _ := buildFixture(t, BuildConfig{Filter: FilterNone, ConnectMetadata: true})
+	cfg := BuildConfig{Filter: FilterNone, ConnectMetadata: true}
+	res, _, _ := buildFixture(t, cfg)
 	frozen := res.Graph
 	frozen.Freeze()
-	thawed := frozen.Clone()
-	thawed.thaw()
+	ref, _, _ := buildFixture(t, cfg)
+	thawed := ref.Graph
 
 	// New nodes against the frozen graph must not thaw it.
 	fa, err := frozen.AddMeta("movies:new", Tuple, First)
@@ -95,11 +96,12 @@ func TestPatchEdgesMatchesThawedAddEdge(t *testing.T) {
 // TestRemoveNodesFrozenMatchesThawed pins the frozen removal path
 // against the established thawed mark-and-compact.
 func TestRemoveNodesFrozenMatchesThawed(t *testing.T) {
-	res, _, _ := buildFixture(t, BuildConfig{Filter: FilterNone, ConnectMetadata: true})
+	cfg := BuildConfig{Filter: FilterNone, ConnectMetadata: true}
+	res, _, _ := buildFixture(t, cfg)
 	frozen := res.Graph
 	frozen.Freeze()
-	thawed := frozen.Clone()
-	thawed.thaw()
+	ref, _, _ := buildFixture(t, cfg)
+	thawed := ref.Graph
 
 	victims := []NodeID{res.DocNode["movies:t0"], res.DocNode["reviews:p1"]}
 	frozen.RemoveNodes(victims)

@@ -91,24 +91,19 @@ type Graph struct {
 	// frozen graph never rewrites it. Appended neighbors live in the
 	// ovAdj overlay (keyed by node, appended in patch order) and their
 	// edge keys in ovEdges, so patching costs O(patch) instead of
-	// O(total edges) and sibling clones can share the CSR arrays.
-	// Nodes added while frozen are not in csrOff at all — their
-	// adjacency is overlay-only. mergeOverlay folds everything back
-	// into one CSR; thaw folds it into per-node slices.
+	// O(total edges). Nodes added while frozen are not in csrOff at all
+	// — their adjacency is overlay-only. mergeOverlay folds everything
+	// back into one CSR; thaw folds it into per-node slices.
 	ovAdj   map[NodeID][]NodeID
 	ovEdges map[uint64]struct{}
 
 	dataIndex map[string]NodeID // canonical term -> data/external node
 	metaIndex map[string]NodeID // label -> metadata/attribute node
 
-	// edges holds the sealed edge set. After a frozen Clone both
-	// siblings share it (edgesShared set on both); any path that must
-	// write it calls ownEdges first, paying the O(E) copy only on the
-	// rare removal/thaw paths — the delta-ingest hot path writes
-	// ovEdges only.
-	edges       map[uint64]struct{}
-	edgesShared bool
-	nRemoved    int
+	// edges holds the sealed edge set; patches on a frozen graph write
+	// ovEdges instead.
+	edges    map[uint64]struct{}
+	nRemoved int
 }
 
 // New returns an empty graph with capacity hints.
@@ -194,31 +189,15 @@ func (g *Graph) NeighborParts(id NodeID) (base, overlay []NodeID) {
 	return base, g.ovAdj[id]
 }
 
-// ownEdges makes the sealed edge map private to this graph, copying it
-// if a frozen Clone left it shared with a sibling. Every writer of
-// g.edges must call it first.
-func (g *Graph) ownEdges() {
-	if !g.edgesShared {
-		return
-	}
-	own := make(map[uint64]struct{}, len(g.edges))
-	for k := range g.edges {
-		own[k] = struct{}{}
-	}
-	g.edges = own
-	g.edgesShared = false
-}
-
 // hasOverlay reports whether the frozen CSR is extended by a patch
 // overlay (appended neighbors or overlay-only nodes).
 func (g *Graph) hasOverlay() bool {
 	return len(g.ovAdj) > 0 || (g.csrOff != nil && len(g.labels)+1 > len(g.csrOff))
 }
 
-// foldOverlayEdges merges the overlay edge keys into the owned sealed
-// edge map and drops the overlay adjacency.
+// foldOverlayEdges merges the overlay edge keys into the sealed edge
+// map and drops the overlay adjacency.
 func (g *Graph) foldOverlayEdges() {
-	g.ownEdges()
 	for k := range g.ovEdges {
 		g.edges[k] = struct{}{}
 	}
@@ -296,11 +275,11 @@ func (g *Graph) addNode(label string, kind NodeKind, side Side) NodeID {
 	g.sides = append(g.sides, side)
 	g.removed = append(g.removed, false)
 	if g.csrOff != nil {
-		// Frozen: the sealed CSR (possibly shared with a clone) is never
-		// appended to — the new node's adjacency lives purely in the patch
-		// overlay until the next mergeOverlay/thaw. The delta-ingest path
-		// adds nodes against the frozen graph and wires their edges with
-		// PatchEdges, never paying a thaw.
+		// Frozen: the sealed CSR is never appended to — the new node's
+		// adjacency lives purely in the patch overlay until the next
+		// mergeOverlay/thaw. The delta stages add nodes against the
+		// frozen graph and wire their edges with PatchEdges, never paying
+		// a thaw.
 		return id
 	}
 	g.adj = append(g.adj, nil)
@@ -388,7 +367,6 @@ func (g *Graph) AddEdge(a, b NodeID) {
 		return
 	}
 	g.thaw()
-	g.ownEdges()
 	g.edges[k] = struct{}{}
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
@@ -396,8 +374,8 @@ func (g *Graph) AddEdge(a, b NodeID) {
 
 // PatchEdges inserts a batch of undirected edges. On a frozen graph the
 // new neighbor entries land in the patch overlay — O(patch) work that
-// never rewrites the sealed CSR arrays, which stay shared with any
-// clones — the "patch" half of the delta path's thaw-or-patch contract.
+// never rewrites the sealed CSR arrays — the "patch" half of the delta
+// path's thaw-or-patch contract.
 // On a thawed graph it is a plain AddEdge loop. Self loops, edges
 // touching removed nodes and duplicates (within the batch or against
 // existing edges) are skipped.
@@ -513,10 +491,8 @@ func (g *Graph) RemoveNodes(ids []NodeID) {
 	}
 	if g.csrOff != nil {
 		// Removal rewrites the CSR anyway, so fold any patch overlay in
-		// first and take ownership of the sealed edge map — the O(total)
-		// compaction this path always paid.
+		// first — the O(total) compaction this path always paid.
 		g.mergeOverlay()
-		g.ownEdges()
 		g.removeNodesFrozen(victim)
 		return
 	}
@@ -720,56 +696,4 @@ func (g *Graph) Edges(fn func(a, b NodeID)) {
 	for _, k := range keys {
 		fn(NodeID(k>>32), NodeID(uint32(k)))
 	}
-}
-
-// Clone returns an independent copy of the graph, preserving its frozen
-// state. On a frozen graph the sealed CSR arrays and edge map are
-// shared with the clone (both immutable until a removal/thaw, which
-// copies on write via ownEdges) and only the small patch overlay is
-// deep-copied, so cloning a built graph costs O(nodes) for the label
-// and index arrays instead of O(nodes + edges). A thawed graph is
-// deep-copied.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		labels:    append([]string(nil), g.labels...),
-		kinds:     append([]NodeKind(nil), g.kinds...),
-		sides:     append([]Side(nil), g.sides...),
-		removed:   append([]bool(nil), g.removed...),
-		dataIndex: make(map[string]NodeID, len(g.dataIndex)),
-		metaIndex: make(map[string]NodeID, len(g.metaIndex)),
-		nRemoved:  g.nRemoved,
-	}
-	if g.csrOff != nil {
-		ng.csrOff, ng.csrAdj = g.csrOff, g.csrAdj
-		g.edgesShared = true
-		ng.edges, ng.edgesShared = g.edges, true
-		if g.ovAdj != nil {
-			ng.ovAdj = make(map[NodeID][]NodeID, len(g.ovAdj))
-			for id, ov := range g.ovAdj {
-				ng.ovAdj[id] = append([]NodeID(nil), ov...)
-			}
-		}
-		if g.ovEdges != nil {
-			ng.ovEdges = make(map[uint64]struct{}, len(g.ovEdges))
-			for k := range g.ovEdges {
-				ng.ovEdges[k] = struct{}{}
-			}
-		}
-	} else {
-		ng.adj = make([][]NodeID, len(g.adj))
-		for i, a := range g.adj {
-			ng.adj[i] = append([]NodeID(nil), a...)
-		}
-		ng.edges = make(map[uint64]struct{}, len(g.edges))
-		for k := range g.edges {
-			ng.edges[k] = struct{}{}
-		}
-	}
-	for k, v := range g.dataIndex {
-		ng.dataIndex[k] = v
-	}
-	for k, v := range g.metaIndex {
-		ng.metaIndex[k] = v
-	}
-	return ng
 }

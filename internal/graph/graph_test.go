@@ -163,20 +163,6 @@ func TestEdgesIteration(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New(4)
-	a, b := g.EnsureData("a"), g.EnsureData("b")
-	g.AddEdge(a, b)
-	cp := g.Clone()
-	cp.RemoveNode(a)
-	if g.NumNodes() != 2 || g.NumEdges() != 1 {
-		t.Error("Clone shares state with original")
-	}
-	if cp.NumNodes() != 1 {
-		t.Error("clone mutation lost")
-	}
-}
-
 func TestKindHelpers(t *testing.T) {
 	if !Tuple.IsMetadata() || !Snippet.IsMetadata() || !Concept.IsMetadata() {
 		t.Error("tuple/snippet/concept must be metadata")
@@ -291,24 +277,11 @@ func TestFreezeThawOnMutation(t *testing.T) {
 	if g.Degree(a) != 0 || g.Degree(c) != 0 {
 		t.Fatal("removal after freeze did not drop edges")
 	}
-	// A frozen clone stays frozen and independent.
-	g2 := New(2)
-	x, y := g2.EnsureData("x"), g2.EnsureData("y")
-	g2.AddEdge(x, y)
-	g2.Freeze()
-	cp := g2.Clone()
-	if !cp.Frozen() {
-		t.Fatal("clone of frozen graph is not frozen")
-	}
-	cp.RemoveNode(x)
-	if g2.Degree(y) != 1 || !g2.Frozen() {
-		t.Fatal("clone mutation leaked into frozen original")
-	}
 }
 
 // TestRemoveNodesMatchesSerial checks the batch mark-and-compact removal
-// against one-at-a-time RemoveNode on a clone: identical survivors,
-// edges, degrees and index lookups.
+// against one-at-a-time RemoveNode on an identically built graph:
+// identical survivors, edges, degrees and index lookups.
 func TestRemoveNodesMatchesSerial(t *testing.T) {
 	build := func() (*Graph, []NodeID) {
 		g := New(16)
@@ -324,7 +297,7 @@ func TestRemoveNodesMatchesSerial(t *testing.T) {
 		return g, ids
 	}
 	serial, ids := build()
-	batch := serial.Clone()
+	batch, _ := build()
 	victims := []NodeID{ids[1], ids[3], ids[4], ids[3], ids[8]} // includes a duplicate
 	for _, v := range []NodeID{ids[1], ids[3], ids[4], ids[8]} {
 		serial.RemoveNode(v)

@@ -120,20 +120,6 @@ func (c *Canonicalizer) resolve(t string) string {
 	return t
 }
 
-// Clone returns an independent copy of the canonicalizer (the ingest
-// clone-mutate-swap path learns new terms without touching the served
-// model's table).
-func (c *Canonicalizer) Clone() *Canonicalizer {
-	if c == nil {
-		return nil
-	}
-	m := make(map[string]string, len(c.mapping))
-	for k, v := range c.mapping {
-		m[k] = v
-	}
-	return &Canonicalizer{mapping: m}
-}
-
 // Canonical resolves a term to its canonical form (itself when unmapped).
 func (c *Canonicalizer) Canonical(term string) string {
 	if c == nil {

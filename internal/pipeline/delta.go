@@ -105,10 +105,10 @@ func runTrainDelta(s *State) error {
 	start := time.Now()
 	cfg := s.Cfg.Embed
 	cfg.Initial = s.Embed
-	// A State that exclusively owns its arenas fine-tunes them in place —
-	// O(delta) instead of the O(vocabulary) copying warm start, with
-	// bit-identical output. Either way this State owns the result.
-	cfg.InPlace = s.OwnsEmbed
+	// The State is the only holder of its arenas, so it fine-tunes them
+	// in place — O(delta) instead of the O(vocabulary) copying warm
+	// start, with bit-identical output.
+	cfg.InPlace = true
 	// No frequent-token subsampling on fine-tunes. Subsampling keys on
 	// relative token frequency, and in a walk corpus every node's
 	// relative frequency shrinks as the graph grows — so the survivor
@@ -122,7 +122,6 @@ func runTrainDelta(s *State) error {
 		return err
 	}
 	s.Embed = em
-	s.OwnsEmbed = true
 	s.Stats.TrainTime += time.Since(start)
 	s.Stats.TrainTokens += cfg.TrainTokens(s.Seqs)
 	return nil

@@ -5,17 +5,16 @@
 // stages run in two regimes:
 //
 //   - FullStages rebuilds everything from the two corpora, the batch
-//     path the paper describes.
+//     path the paper describes. The public tdmatch.Build and Compact
+//     translate the public Config, run it, and keep the document and
+//     term vectors the serving indexes and ingest need.
 //   - DeltaStages applies a Delta (documents added to or removed from a
 //     built State): the graph is patched in place against its frozen
 //     CSR, walks are seeded only from the delta's neighborhood, and the
 //     embedder warm-starts from the existing arenas so new rows are
 //     fine-tuned into the established embedding space instead of
-//     retraining it.
-//
-// The public tdmatch.Build/Ingest/Remove calls are thin wrappers that
-// translate the public Config, run a stage list, and gather the
-// document vectors the serving indexes need.
+//     retraining it. No public call runs it; the benchmark harness
+//     times it stage by stage.
 package pipeline
 
 import (
@@ -77,8 +76,7 @@ type Stats struct {
 }
 
 // State is the explicit shared state the stages operate on. A full run
-// fills it from the two corpora; the State is then retained by the
-// trained model as the substrate every later delta run patches.
+// fills it from the two corpora; a later delta run patches it.
 type State struct {
 	// Cfg holds the stage parameters.
 	Cfg Config
@@ -94,15 +92,8 @@ type State struct {
 	// training is done.
 	Seqs embed.Sequences
 	// Embed is the trained embedding model over graph node IDs. Delta
-	// runs replace it with a warm-started fine-tune.
+	// runs fine-tune its arenas in place.
 	Embed *embed.Model
-	// OwnsEmbed reports that this State holds the only reference to
-	// Embed's arenas, so a delta run may fine-tune them in place
-	// (O(delta) per ingest) instead of copying the full vocabulary.
-	// Clone transfers ownership to the clone: the serving layer chains
-	// ingests through successive clones, and nothing reads the trainer
-	// arenas directly — document vectors are gathered as copies.
-	OwnsEmbed bool
 	// Delta is the pending delta of a DeltaStages run (nil otherwise).
 	Delta *Delta
 	// Stats aggregates stage statistics.
@@ -251,63 +242,7 @@ func runTrain(s *State) error {
 		return err
 	}
 	s.Embed = em
-	s.OwnsEmbed = true
 	s.Stats.TrainTime += time.Since(start)
 	s.Stats.TrainTokens += s.Cfg.Embed.TrainTokens(s.Seqs)
 	return nil
-}
-
-// Clone returns a State over the given (already cloned) corpora that
-// shares every immutable artefact with the original and deep-copies
-// everything a delta run mutates: the graph, the node maps and the
-// canonicalizer. The embedding model is shared, and ownership of its
-// arenas transfers to the clone (the original loses in-place fine-tune
-// rights and would fall back to the copying warm start) — the serving
-// layer's clone-mutate-swap chain always trains on the newest clone,
-// so in steady state every ingest fine-tunes in place. This keeps
-// cloning a served model cheap enough to run per ingest request.
-func (s *State) Clone(first, second *corpus.Corpus) *State {
-	ns := &State{
-		Cfg:       s.Cfg,
-		First:     first,
-		Second:    second,
-		Embed:     s.Embed,
-		OwnsEmbed: s.OwnsEmbed,
-		Stats:     s.Stats,
-	}
-	s.OwnsEmbed = false
-	if s.Build != nil {
-		docNode := make(map[string]graph.NodeID, len(s.Build.DocNode))
-		for k, v := range s.Build.DocNode {
-			docNode[k] = v
-		}
-		attrNode := make(map[string]graph.NodeID, len(s.Build.AttrNode))
-		for k, v := range s.Build.AttrNode {
-			attrNode[k] = v
-		}
-		ns.Build = &graph.Result{
-			Graph:         s.Build.Graph.Clone(),
-			DocNode:       docNode,
-			AttrNode:      attrNode,
-			Canon:         s.Build.Canon.Clone(),
-			Mergers:       s.Build.Mergers,
-			Pre:           s.Build.Pre,
-			PrimaryFirst:  s.Build.PrimaryFirst,
-			ConnectMeta:   s.Build.ConnectMeta,
-			FilteredTerms: s.Build.FilteredTerms,
-			TFIDFTopK:     s.Build.TFIDFTopK,
-			DFDocs:        s.Build.DFDocs,
-		}
-		for side, df := range s.Build.DF {
-			if df == nil {
-				continue
-			}
-			cp := make(map[string]int, len(df))
-			for k, v := range df {
-				cp[k] = v
-			}
-			ns.Build.DF[side] = cp
-		}
-	}
-	return ns
 }

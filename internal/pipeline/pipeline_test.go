@@ -174,28 +174,3 @@ func TestDeltaStageErrorsPropagate(t *testing.T) {
 		t.Fatalf("error %q does not name the failing stage", err)
 	}
 }
-
-// TestCloneIsolatesDeltaRuns: a delta applied to a cloned state must
-// not leak into the original's graph or maps.
-func TestCloneIsolatesDeltaRuns(t *testing.T) {
-	s := testState(t)
-	nodes0 := s.Build.Graph.NumNodes()
-	clone := s.Clone(s.First.Clone(), s.Second.Clone())
-	doc := corpus.Document{ID: "reviews:cloned", Values: []corpus.Value{{Text: "a Shyamalan thriller"}}}
-	if err := clone.Second.Append(doc); err != nil {
-		t.Fatal(err)
-	}
-	clone.Delta = &Delta{AddSecond: []corpus.Document{doc}}
-	if err := Run(clone, DeltaStages()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Build.DocNode["reviews:cloned"]; ok {
-		t.Error("clone's insert leaked into the original DocNode")
-	}
-	if s.Build.Graph.NumNodes() != nodes0 {
-		t.Error("clone's insert grew the original graph")
-	}
-	if _, ok := clone.Build.DocNode["reviews:cloned"]; !ok {
-		t.Error("clone did not record its own insert")
-	}
-}

@@ -14,7 +14,6 @@ import (
 
 	"github.com/tdmatch/tdmatch/internal/match"
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
-	"github.com/tdmatch/tdmatch/internal/textproc"
 	"github.com/tdmatch/tdmatch/internal/wal"
 )
 
@@ -245,26 +244,13 @@ func (sm *savedModel) validateSegments() error {
 }
 
 // termVectors gathers the trained term (data and external node) vectors
-// for the snapshot: from the live trainer arena on a trained model,
-// from the restored fold state otherwise. Sorted by term for
-// determinism; nil when the model carries neither.
+// of the fold state for the snapshot, sorted by term for determinism;
+// nil when the model has none (restored from a snapshot without them).
 func (m *Model) termVectors() ([]string, []float32) {
-	var terms map[string][]float32
-	switch {
-	case m.ps != nil:
-		g := m.ps.Build.Graph
-		nodes := g.DataNodes()
-		terms = make(map[string][]float32, len(nodes))
-		for _, node := range nodes {
-			if v := m.ps.Embed.Vector(int32(node)); v != nil {
-				terms[g.Label(node)] = v
-			}
-		}
-	case m.fold != nil:
-		terms = m.fold.terms
-	default:
+	if m.fold == nil {
 		return nil, nil
 	}
+	terms := m.fold.terms
 	ids := make([]string, 0, len(terms))
 	for term := range terms {
 		ids = append(ids, term)
@@ -524,14 +510,7 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 		for i, term := range sm.TermIDs {
 			terms[term] = sm.TermArena[i*sm.Dim : (i+1)*sm.Dim : (i+1)*sm.Dim]
 		}
-		m.fold = &foldState{
-			pre: textproc.Preprocessor{
-				RemoveStopwords: true,
-				Stem:            true,
-				MaxNGram:        cfg.MaxNGram,
-			},
-			terms: terms,
-		}
+		m.fold = &foldState{pre: preprocessor(cfg.MaxNGram), terms: terms}
 	}
 	// A version-6 snapshot binds its sealed segments directly onto the
 	// loaded (usually mapped) arenas; a version-5 one restores its

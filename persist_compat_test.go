@@ -28,15 +28,22 @@ var writePersistFixtures = flag.Bool("write-persist-fixtures", false,
 const persistFixtureDir = "testdata/persist"
 
 // frozenPersistFixtures are committed snapshots the generator can no
-// longer write, each with the removed index kind it was saved with: the
-// model v5.gob and v6.snap encode, served through the IVF index (3
-// partitions, 1 probe) or the SQ8 index (re-rank 6).
-// -write-persist-fixtures must leave them byte for byte as they are.
+// longer write. legacy names the removed index kind a snapshot was
+// saved with: the model v5.gob encodes, served through the IVF index (3
+// partitions, 1 probe) or the SQ8 index (re-rank 6). The others hold
+// vectors of the removed warm-start ingest: v4delta.gob and
+// v5segments.gob those of its ingested documents, v6.snap term vectors
+// that a warm ingest on a clone of the fixture model fine-tuned in
+// place. -write-persist-fixtures must leave them byte for byte as they
+// are.
 var frozenPersistFixtures = []struct{ file, legacy string }{
 	{"v6ivf.snap", "ivf"},
 	{"v5ivf.gob", "ivf"},
 	{"v6sq8.snap", "sq8"},
 	{"v5sq8.gob", "sq8"},
+	{"v4delta.gob", ""},
+	{"v5segments.gob", ""},
+	{"v6.snap", ""},
 }
 
 // loadFrozenModel binds one frozen snapshot of persistFixtureDir (saved
@@ -149,36 +156,6 @@ func TestWritePersistFixtures(t *testing.T) {
 	v4.FirstSegments, v4.SecondSegments = nil, nil
 	encodeFixture(t, filepath.Join(persistFixtureDir, "v4.gob"), v4)
 
-	// v4delta: the same model after one ingest and one removal, saved
-	// with its delta chain (version-4 form).
-	mutated := model.clone()
-	if err := mutated.Ingest([]IngestDoc{
-		{Side: 2, ID: "reviews:delta", Values: []string{"Willis returns in a Tarantino crime sequel"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mutated.Remove([]string{"reviews:p3"}); err != nil {
-		t.Fatal(err)
-	}
-	v4d := reSaved(t, mutated)
-	v4d.Version = 4
-	v4d.FirstSegments, v4d.SecondSegments = nil, nil
-	encodeFixture(t, filepath.Join(persistFixtureDir, "v4delta.gob"), v4d)
-
-	// v5segments: a model whose serving stack holds several sealed
-	// segments plus tombstones when saved — the manifest-restoration
-	// fixture. Built with a tiny auto-seal threshold so single-doc
-	// ingests pile up sealed segments.
-	segmented := persistFixtureSegmentedModel(t)
-	if err := segmented.SaveFile(filepath.Join(persistFixtureDir, "v5segments.gob")); err != nil {
-		t.Fatal(err)
-	}
-
-	// v6: the same trained model in the flat memory-mappable format.
-	if err := model.SaveFileV6(filepath.Join(persistFixtureDir, "v6.snap")); err != nil {
-		t.Fatal(err)
-	}
-
 	// v6hnsw: the same corpora served through the HNSW graph index — the
 	// only fixture carrying graph sections (levels, CSR offsets,
 	// adjacency), bound zero-copy via NewHNSWParts on load.
@@ -202,9 +179,10 @@ func reSaved(t *testing.T, m *Model) savedModel {
 	return sm
 }
 
-// persistFixtureSegmentedModel builds the deterministic multi-segment
-// fixture model: tiny auto-seal threshold, three single-doc ingests
-// (two seals), one sealed-row removal (a tombstone).
+// persistFixtureSegmentedModel builds a deterministic multi-segment
+// model of the committed v5segments.gob's shape: tiny auto-seal
+// threshold, three single-doc ingests (two seals), one sealed-row
+// removal (a tombstone).
 func persistFixtureSegmentedModel(t *testing.T) *Model {
 	t.Helper()
 	movies, reviews := fixtureCorpora(t)
@@ -321,7 +299,7 @@ func TestSnapshotBackCompat(t *testing.T) {
 			} else if !reflect.DeepEqual(got, baseline) {
 				t.Errorf("%s rankings diverge from %s", tc.file, baselineFrom)
 			}
-			if gotIngest := model.fold != nil || model.ps != nil; gotIngest != tc.ingest {
+			if gotIngest := model.fold != nil; gotIngest != tc.ingest {
 				t.Errorf("ingest support = %v, want %v", gotIngest, tc.ingest)
 			}
 		})
@@ -408,8 +386,9 @@ func TestSnapshotBackCompat(t *testing.T) {
 	})
 
 	// The multi-segment fixture must restore its saved segment
-	// boundaries and serve rankings identical to the live model it
-	// encodes (exact kinds: the stack is bit-equivalent to monolithic).
+	// boundaries and serve rankings identical to an exact flat scan over
+	// the vectors it stores (exact kinds: the stack is bit-equivalent to
+	// monolithic).
 	t.Run("v5segments.gob", func(t *testing.T) {
 		f, err := os.Open(filepath.Join(persistFixtureDir, "v5segments.gob"))
 		if err != nil {
@@ -433,23 +412,7 @@ func TestSnapshotBackCompat(t *testing.T) {
 			t.Errorf("restored stack has %d sealed segments on side 2, want >= 2 (%+v)",
 				second.Segments, second)
 		}
-		live := persistFixtureSegmentedModel(t)
-		for _, q := range append(loaded.first.IDs(), loaded.second.IDs()...) {
-			if loaded.Vector(q) == nil {
-				continue
-			}
-			got, err := loaded.TopK(q, 3)
-			if err != nil {
-				t.Fatalf("TopK(%s): %v", q, err)
-			}
-			want, err := live.TopK(q, 3)
-			if err != nil {
-				t.Fatalf("live TopK(%s): %v", q, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("restored segmented rankings diverge for %s:\ngot:  %v\nwant: %v", q, got, want)
-			}
-		}
+		assertExactParity(t, loaded)
 		if _, err := loaded.TopK("reviews:seg1", 3); err == nil {
 			t.Error("tombstoned document still servable after load")
 		}
@@ -465,6 +428,9 @@ func TestSnapshotBackCompat(t *testing.T) {
 // candidates its int8 scan kept.
 func TestLegacyIVFSnapshotsBindAsFlat(t *testing.T) {
 	for _, fx := range frozenPersistFixtures {
+		if fx.legacy == "" {
+			continue
+		}
 		t.Run(fx.file, func(t *testing.T) {
 			f, err := os.Open(filepath.Join(persistFixtureDir, fx.file))
 			if err != nil {

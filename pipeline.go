@@ -63,21 +63,18 @@ type Model struct {
 	first  *Corpus
 	second *Corpus
 
-	// ps is the retained pipeline state — the graph, node maps,
-	// canonicalizer and trainer arenas every incremental Ingest patches.
-	// Models restored from a snapshot carry no pipeline state (ps nil)
-	// and ingest via fold (when the snapshot stores term vectors).
-	// spillPath, when set by SpillTrainer, names the file holding the
-	// trainer's spilled output arena; the next warm ingest reloads it.
-	ps        *pipeline.State
-	fold      *foldState
-	spillPath string
+	// g is the graph as built, kept for GraphSize and WriteGraphDOT; nil
+	// for models restored from a snapshot. fold holds the trained term
+	// vectors every Ingest folds new documents in from: filled by the
+	// build, or restored from a snapshot that stores them. Both are
+	// read-only and shared across clones.
+	g    *graph.Graph
+	fold *foldState
 	// buildCap, when positive, replaces Config.Workers for the build-side
-	// work this model runs from now on: warm-start ingest and Compact
-	// (walks, training, index construction). The serving layer sets it
-	// on the clones it mutates (Server.workingCopy) so that training
-	// beside live queries leaves them a processor; query fan-out keeps
-	// Config.Workers.
+	// work of this model's Compact (walks, training, index construction).
+	// The serving layer sets it on the clones it mutates
+	// (Server.workingCopy) so that training beside live queries leaves
+	// them a processor; query fan-out keeps Config.Workers.
 	buildCap int
 
 	vectors map[string][]float32
@@ -129,9 +126,10 @@ type Model struct {
 // The pipeline is an explicit stage list (internal/pipeline) — graph
 // creation (§II), expansion (§III-A), compression (§III-B), walk
 // generation and embedding training (§IV-A) — followed by index
-// construction (§IV-B); each stage fills its slice of Stats. The stage
-// state is retained by the model, so Ingest and Remove can later run the
-// delta stages against it.
+// construction (§IV-B); each stage fills its slice of Stats. The model
+// keeps the trained term vectors, from which Ingest folds in new
+// documents, and the built graph; the rest of the stage state is
+// released.
 func Build(first, second *Corpus, cfg Config) (*Model, error) {
 	if first == nil || second == nil {
 		return nil, fmt.Errorf("tdmatch: Build requires two corpora")
@@ -152,16 +150,14 @@ func (m *Model) build() error {
 	if err := pipeline.Run(st, pipeline.FullStages()); err != nil {
 		return err
 	}
-	m.ps = st
+	m.g = st.Build.Graph
 	m.dim = m.cfg.Dim
-	m.copyStageStats()
-	m.gatherVectors(st.Build.DocNode)
+	m.copyStageStats(st.Stats)
+	m.gatherVectors(st.Embed, st.Build.DocNode)
+	m.fold = &foldState{pre: preprocessor(m.cfg.MaxNGram), terms: trainedTerms(st.Build.Graph, st.Embed)}
 	if err := m.buildIndexes(); err != nil {
 		return err
 	}
-	// The packed walk corpus is only needed between the walk and train
-	// stages; release it instead of pinning it in the retained state.
-	st.Seqs = embed.Sequences{}
 	m.stats.BuildTime = time.Since(start)
 	return nil
 }
@@ -175,15 +171,16 @@ func (m *Model) buildWorkers() int {
 	return m.cfg.Workers
 }
 
-// limitBuild bounds the workers of every later build-side pass of this
-// model — warm-start ingest on the retained pipeline state, Compact —
-// at n, and never raises them above Config.Workers.
+// limitBuild bounds the workers of this model's later Compact at n, and
+// never raises them above Config.Workers.
 func (m *Model) limitBuild(n int) {
 	m.buildCap = max(1, min(n, m.cfg.Workers))
-	if m.ps != nil {
-		m.ps.Cfg.Walk.Workers = m.buildCap
-		m.ps.Cfg.Embed.Workers = m.buildCap
-	}
+}
+
+// preprocessor is the tokenization every model builds and folds with:
+// stopwords removed, stemmed, terms of up to maxNGram tokens.
+func preprocessor(maxNGram int) textproc.Preprocessor {
+	return textproc.Preprocessor{RemoveStopwords: true, Stem: true, MaxNGram: maxNGram}
 }
 
 // pipelineConfig translates the public Config into the internal stage
@@ -191,11 +188,7 @@ func (m *Model) limitBuild(n int) {
 func (m *Model) pipelineConfig() pipeline.Config {
 	cfg := m.cfg
 	bc := graph.BuildConfig{
-		Pre: textproc.Preprocessor{
-			RemoveStopwords: true,
-			Stem:            true,
-			MaxNGram:        cfg.MaxNGram,
-		},
+		Pre:                  preprocessor(cfg.MaxNGram),
 		ConnectMetadata:      true,
 		DisableMetadataEdges: cfg.DisableMetadataEdges,
 		Bucketing:            cfg.Bucketing,
@@ -256,8 +249,7 @@ func (m *Model) pipelineConfig() pipeline.Config {
 
 // copyStageStats mirrors the stage-layer statistics into the public
 // Stats struct.
-func (m *Model) copyStageStats() {
-	ss := m.ps.Stats
+func (m *Model) copyStageStats(ss pipeline.Stats) {
 	m.stats.GraphNodes = ss.GraphNodes
 	m.stats.GraphEdges = ss.GraphEdges
 	m.stats.ExpandedNodes = ss.ExpandedNodes
@@ -271,18 +263,15 @@ func (m *Model) copyStageStats() {
 	m.stats.TrainTokens = ss.TrainTokens
 }
 
-// gatherVectors extracts the rows of the given documents out of the
-// trainer's vocabulary-sized arena into one compact per-document arena;
-// the vector map values are views into it. Used after a full build (all
-// documents) and after a delta run (the new documents only).
-func (m *Model) gatherVectors(docNode map[string]graph.NodeID) {
-	if m.vectors == nil {
-		m.vectors = make(map[string][]float32, len(docNode))
-	}
+// gatherVectors extracts the documents' rows out of the trainer's
+// vocabulary-sized arena into one compact per-document arena; the
+// vector map values are views into it.
+func (m *Model) gatherVectors(em *embed.Model, docNode map[string]graph.NodeID) {
+	m.vectors = make(map[string][]float32, len(docNode))
 	docArena := make([]float32, len(docNode)*m.dim)
 	used := 0
 	for docID, node := range docNode {
-		v := m.ps.Embed.Vector(int32(node))
+		v := em.Vector(int32(node))
 		if v == nil {
 			continue
 		}
@@ -291,6 +280,20 @@ func (m *Model) gatherVectors(docNode map[string]graph.NodeID) {
 		m.vectors[docID] = row
 		used++
 	}
+}
+
+// trainedTerms maps the label of every live data and external node of
+// the built graph to its trained vector: a view into the trainer's input
+// arena, which the returned map keeps alive.
+func trainedTerms(g *graph.Graph, em *embed.Model) map[string][]float32 {
+	nodes := g.DataNodes()
+	terms := make(map[string][]float32, len(nodes))
+	for _, node := range nodes {
+		if v := em.Vector(int32(node)); v != nil {
+			terms[g.Label(node)] = v
+		}
+	}
+	return terms
 }
 
 // buildIndexes constructs the per-side serving indexes (§IV-B): the
@@ -873,34 +876,24 @@ func runPool(n, workers int, run func(i int)) {
 	wg.Wait()
 }
 
-// graph returns the trained graph, nil for models restored with
-// LoadModel (which do not retain it).
-func (m *Model) graph() *graph.Graph {
-	if m.ps == nil || m.ps.Build == nil {
-		return nil
-	}
-	return m.ps.Build.Graph
-}
-
-// GraphSize returns the live node and edge counts of the trained graph.
+// GraphSize returns the live node and edge counts of the graph as the
+// last Build or Compact built it; ingested documents do not change it.
 // Models restored with LoadModel carry no graph and report zeros.
 func (m *Model) GraphSize() (nodes, edges int) {
-	g := m.graph()
-	if g == nil {
+	if m.g == nil {
 		return 0, 0
 	}
-	return g.NumNodes(), g.NumEdges()
+	return m.g.NumNodes(), m.g.NumEdges()
 }
 
-// WriteGraphDOT renders the trained graph in Graphviz DOT format for
-// inspection. It fails for models restored with LoadModel, which do not
-// retain the graph.
+// WriteGraphDOT renders the graph as the last Build or Compact built it
+// in Graphviz DOT format, for inspection. It fails for models restored
+// with LoadModel, which do not retain the graph.
 func (m *Model) WriteGraphDOT(w io.Writer, name string) error {
-	g := m.graph()
-	if g == nil {
+	if m.g == nil {
 		return fmt.Errorf("tdmatch: model has no graph (restored from a save?)")
 	}
-	return g.WriteDOT(w, name)
+	return m.g.WriteDOT(w, name)
 }
 
 func toMatches(scored []match.Scored) []Match {

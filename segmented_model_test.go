@@ -11,7 +11,7 @@ import (
 // up sealed segments, queries stay bit-identical to an exact scan over
 // the live vectors, and Compact collapses the stack back to one base.
 
-// TestSegmentedIngestStacksSegments drives enough warm ingests through
+// TestSegmentedIngestStacksSegments drives enough ingests through
 // a small auto-seal threshold to grow a multi-segment stack, and pins
 // the invariants the stack must keep while it grows: live-doc
 // accounting, bit-identity of TopK against a from-scratch flat index
@@ -216,9 +216,9 @@ func TestSegmentedWarmStartRecallOnIMDb(t *testing.T) {
 		total += len(wantIDs)
 	}
 	recall := float64(hits) / float64(total)
-	t.Logf("segmented warm-start recall@10 = %.4f over %d ranked slots", recall, total)
+	t.Logf("segmented re-ingest recall@10 = %.4f over %d ranked slots", recall, total)
 	if recall < 0.95 {
-		t.Errorf("segmented warm-start recall@10 = %.4f, want >= 0.95", recall)
+		t.Errorf("segmented re-ingest recall@10 = %.4f, want >= 0.95", recall)
 	}
 }
 

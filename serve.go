@@ -229,7 +229,6 @@ func NewServer(m *Model, sc ServeConfig) *Server {
 		// served state reflects everything up to the log's last record.
 		s.walSeq = s.wal.LastSeq()
 	}
-	m.shareTrainer()
 	s.cur.Store(&served{model: m, gen: s.gen.Add(1), fp: m.indexFingerprint()})
 	s.wg.Add(1)
 	go s.run()
@@ -256,7 +255,6 @@ func (s *Server) Reload(m *Model) error {
 	if m == nil {
 		return errors.New("tdmatch: Reload requires a model")
 	}
-	m.shareTrainer()
 	s.mutMu.Lock()
 	s.swap(m)
 	s.reloads++
@@ -273,15 +271,15 @@ func (s *Server) swap(m *Model) {
 }
 
 // workingCopy clones the served model for a mutation that will be
-// swapped in (Ingest, Remove, Compact), with its build-side work — the
-// warm-start fine-tune of an ingest, the retraining and index
-// construction of a compaction — held to one worker fewer than there
-// are processors. Trainer workers never block, so when they occupy every
-// processor a query waits for the scheduler to preempt one of them, twice
-// per request: 20 ms instead of 1.3 ms beside a two-worker compaction on
-// two CPUs. The processor left over is what keeps a query's latency
-// independent of whether the daemon is training. With a single processor
-// there is none to leave and the bound is one worker, as configured.
+// swapped in (Ingest, Remove, Compact), with the build-side work of a
+// compaction — retraining and index construction — held to one worker
+// fewer than there are processors. Trainer workers never block, so when
+// they occupy every processor a query waits for the scheduler to preempt
+// one of them, twice per request: 20 ms instead of 1.3 ms beside a
+// two-worker compaction on two CPUs. The processor left over is what
+// keeps a query's latency independent of whether the daemon is training.
+// With a single processor there is none to leave and the bound is one
+// worker, as configured.
 func (s *Server) workingCopy() *Model {
 	m := s.cur.Load().model.clone()
 	m.limitBuild(runtime.GOMAXPROCS(0) - 1)
@@ -289,9 +287,8 @@ func (s *Server) workingCopy() *Model {
 }
 
 // Ingest adds documents to the served model without downtime: the
-// current model is cloned, the clone ingests (Model.Ingest — graph
-// patch, warm-start fine-tune or term fold-in, index append), and the
-// clone is swapped in through the same atomic generation bump a Reload
+// current model is cloned, the clone ingests (Model.Ingest — term
+// fold-in, index append), and the clone is swapped in through the same atomic generation bump a Reload
 // uses. In-flight queries finish against the old model; the generation
 // and the mutated index fingerprints both key the result cache, so no
 // pre-ingest ranking can be served afterwards.
@@ -350,14 +347,9 @@ func (s *Server) Remove(ids []string) error {
 // successfully are the covered log records dropped. Mutations that land
 // while the save runs get sequence numbers above the pinned horizon and
 // survive the rotation. With no WAL attached it is just a save.
-//
-// The pinned model gives up its trainer arenas (shareTrainer), so the
-// next Ingest warm-starts on a copy instead of fine-tuning, in place,
-// the term vectors the save is still reading.
 func (s *Server) Checkpoint(save func(*Model) error) error {
 	s.mutMu.Lock()
 	m := s.cur.Load().model
-	m.shareTrainer()
 	horizon := s.walSeq
 	s.mutMu.Unlock()
 	if err := save(m); err != nil {

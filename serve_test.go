@@ -405,10 +405,8 @@ func TestServerLoneQueryIsNotHeld(t *testing.T) {
 }
 
 // TestServerCheckpointBesideWarmIngest pins that a checkpoint saves a
-// model no ingest mutates. After a warm ingest the served model owns its
-// trainer arenas, and the next Ingest's clone would inherit them and
-// fine-tune, in place, the term vectors the off-lock save is reading;
-// Checkpoint must take that ownership away from the model it pins. The
+// model no ingest mutates: an Ingest that lands while the off-lock save
+// runs must leave the pinned model's term vectors as they were. The
 // ingest inside the first save checks this deterministically; the
 // concurrent rounds after it are for -race.
 func TestServerCheckpointBesideWarmIngest(t *testing.T) {
@@ -728,12 +726,11 @@ func TestServerCompactUnderConcurrentTraffic(t *testing.T) {
 }
 
 // TestServerTrainingLeavesAProcessor pins the bound the serving layer
-// puts on build-side work: every training pass a Server starts beside
-// its queries — the warm-start fine-tune of an ingest, the rebuild of a
-// compaction, the warm ingests after it — runs with one worker fewer
-// than there are processors, never more than configured and never fewer
-// than one, while the query fan-out and the caller's own model keep
-// Config.Workers.
+// puts on build-side work: every compaction a Server starts beside its
+// queries, on the model it serves before and after ingests, runs with
+// one worker fewer than there are processors, never more than
+// configured and never fewer than one, while the query fan-out and the
+// caller's own model keep Config.Workers.
 func TestServerTrainingLeavesAProcessor(t *testing.T) {
 	for _, tc := range []struct{ workers, n, want int }{
 		{workers: 4, n: 3, want: 3},
@@ -758,19 +755,15 @@ func TestServerTrainingLeavesAProcessor(t *testing.T) {
 	}
 	// Built with one worker (hogwild training is racy and this test runs
 	// under -race), then presented as a model configured for four: the
-	// bound brings every pass below back to one.
+	// bound brings the compaction below back to one.
 	m.cfg.Workers = 4
-	m.ps.Cfg.Walk.Workers, m.ps.Cfg.Embed.Workers = 4, 4
 	s := NewServer(m, ServeConfig{})
 	defer s.Close()
-	trainWorkers := func(m *Model) [2]int {
-		return [2]int{m.ps.Cfg.Walk.Workers, m.ps.Cfg.Embed.Workers}
-	}
 	check := func(after string) {
 		t.Helper()
 		served := s.Model()
-		if got := trainWorkers(served); got != [2]int{1, 1} {
-			t.Errorf("after %s: walk/train workers = %v, want [1 1]", after, got)
+		if got := served.buildWorkers(); got != 1 {
+			t.Errorf("after %s: build workers = %d, want 1", after, got)
 		}
 		if served.cfg.Workers != 4 {
 			t.Errorf("after %s: query fan-out Workers = %d, want the configured 4", after, served.cfg.Workers)
@@ -780,7 +773,7 @@ func TestServerTrainingLeavesAProcessor(t *testing.T) {
 	if err := s.Ingest([]IngestDoc{{Side: 2, ID: "reviews:warm", Values: []string{"a Tarantino crime story with Willis"}}}); err != nil {
 		t.Fatal(err)
 	}
-	check("a warm ingest")
+	check("an ingest")
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -788,13 +781,13 @@ func TestServerTrainingLeavesAProcessor(t *testing.T) {
 	if err := s.Ingest([]IngestDoc{{Side: 2, ID: "reviews:later", Values: []string{"Brando in a Coppola crime classic"}}}); err != nil {
 		t.Fatal(err)
 	}
-	check("a warm ingest on the compacted model")
+	check("an ingest on the compacted model")
 	if _, err := s.TopK("reviews:later", 3); err != nil {
 		t.Errorf("ingested document does not answer: %v", err)
 	}
 
 	// The caller's model is not the one that was bounded.
-	if got := trainWorkers(m); got != [2]int{4, 4} || m.buildCap != 0 {
-		t.Errorf("caller's model: walk/train workers = %v, buildCap = %d; want [4 4] and 0", got, m.buildCap)
+	if got := m.buildWorkers(); got != 4 || m.buildCap != 0 {
+		t.Errorf("caller's model: build workers = %d, buildCap = %d; want 4 and 0", got, m.buildCap)
 	}
 }
