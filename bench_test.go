@@ -533,16 +533,29 @@ func BenchmarkIngestServerSingleDoc(b *testing.B) {
 // snapshot: open the file, decode, rebuild the serving indexes, answer
 // the first TopK. The baseline BenchmarkLoadSnapshotMmap is held
 // against.
-func BenchmarkLoadSnapshotGob(b *testing.B) { benchLoadSnapshot(b, "gob") }
+func BenchmarkLoadSnapshotGob(b *testing.B) {
+	benchLoadSnapshot(b, (*tdmatch.Model).SaveFile, tdmatch.OpenSnapshotFile)
+}
 
 // BenchmarkLoadSnapshotMmap measures cold start from a v6 snapshot
 // through the zero-copy path: mmap the file (lazy verification, the
 // daemon's trusted-checkpoint mode), bind the serving indexes onto the
 // mapping, answer the first TopK. The PR 9 acceptance bar is >= 10x
 // faster than BenchmarkLoadSnapshotGob.
-func BenchmarkLoadSnapshotMmap(b *testing.B) { benchLoadSnapshot(b, "mmap") }
+func BenchmarkLoadSnapshotMmap(b *testing.B) {
+	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, func(path string) (*tdmatch.Snapshot, error) {
+		return tdmatch.OpenSnapshotFileVerify(path, tdmatch.VerifyLazy)
+	})
+}
 
-func benchLoadSnapshot(b *testing.B, format string) {
+// BenchmarkLoadSnapshotMmapEager is BenchmarkLoadSnapshotMmap under
+// eager verification, the daemon's default: every section checksum is
+// digested before the bind.
+func BenchmarkLoadSnapshotMmapEager(b *testing.B) {
+	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, tdmatch.OpenSnapshotFile)
+}
+
+func benchLoadSnapshot(b *testing.B, save func(*tdmatch.Model, string) error, open func(string) (*tdmatch.Snapshot, error)) {
 	first, second, cfg := benchEndToEndInputs(b)
 	cfg.Seed = 1
 	model, err := tdmatch.Build(first, second, cfg)
@@ -550,24 +563,14 @@ func benchLoadSnapshot(b *testing.B, format string) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "model.snap")
-	if format == "gob" {
-		err = model.SaveFile(path)
-	} else {
-		err = model.SaveFileV6(path)
-	}
-	if err != nil {
+	if err := save(model, path); err != nil {
 		b.Fatal(err)
 	}
 	q := second.IDs()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var snap *tdmatch.Snapshot
-		if format == "gob" {
-			snap, err = tdmatch.OpenSnapshotFile(path)
-		} else {
-			snap, err = tdmatch.OpenSnapshotFileVerify(path, tdmatch.VerifyLazy)
-		}
+		snap, err := open(path)
 		if err != nil {
 			b.Fatal(err)
 		}

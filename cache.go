@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 )
 
 // cacheShardCount is the number of independently-locked cache shards; a
@@ -26,18 +28,14 @@ type cacheKey struct {
 // hash folds the key into 64 bits with FNV-1a over the document ID,
 // mixed with the numeric fields.
 func (k cacheKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv1a.Offset
 	for i := 0; i < len(k.docID); i++ {
 		h ^= uint64(k.docID[i])
-		h *= prime64
+		h *= fnv1a.Prime
 	}
 	for _, p := range [3]uint64{uint64(k.k), k.gen, k.fp} {
 		h ^= p
-		h *= prime64
+		h *= fnv1a.Prime
 	}
 	return h
 }

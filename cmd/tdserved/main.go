@@ -299,8 +299,8 @@ func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 		}
 		return nil, tdmatch.ModelInfo{}, fmt.Errorf("reading model snapshot %s: %w", d.modelPath, err)
 	}
-	log.Printf("tdserved: snapshot %s: load mode %s, opened in %s",
-		d.modelPath, snap.LoadMode(), time.Since(start).Round(time.Microsecond))
+	log.Printf("tdserved: snapshot %s: load mode %s, verify %s, opened in %s",
+		d.modelPath, snap.LoadMode(), d.verify, time.Since(start).Round(time.Microsecond))
 	info := snap.Info()
 	if info.LegacyIndex != "" {
 		log.Printf("tdserved: snapshot %s was saved with the removed %s index; serving its arena as an exact flat scan",

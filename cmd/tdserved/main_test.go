@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -714,6 +715,26 @@ func TestBadSnapshotFlagsRejected(t *testing.T) {
 	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
 		daemonOptions{snapVerify: "paranoid"}); err == nil {
 		t.Error("unknown -snapshot-verify accepted")
+	}
+}
+
+// TestLoadLineNamesVerifyMode pins the start-up load line: it names the
+// load mode and the -snapshot-verify mode the snapshot was opened under.
+func TestLoadLineNamesVerifyMode(t *testing.T) {
+	firstPath, secondPath, _, model := trainFixture(t, fixtureConfig(36))
+	v6Path := filepath.Join(t.TempDir(), "model.v6")
+	if err := model.SaveFileV6(v6Path); err != nil {
+		t.Fatal(err)
+	}
+	for _, verify := range []string{"", "eager", "lazy"} {
+		logged := &logBuffer{}
+		log.SetOutput(logged)
+		startDaemonWith(t, firstPath, secondPath, v6Path, daemonOptions{snapVerify: verify})
+		log.SetOutput(os.Stderr)
+		want := regexp.MustCompile(`load mode v6\+mmap, verify ` + cmp.Or(verify, "eager") + `, opened in \S+\n`)
+		if !want.MatchString(logged.String()) {
+			t.Errorf("-snapshot-verify %q: load line does not match %s: %s", verify, want, logged.String())
+		}
 	}
 }
 

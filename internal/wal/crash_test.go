@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 )
 
 // stormOps builds a deterministic pseudo-random operation stream: op
@@ -251,7 +253,7 @@ func resealFrames(b []byte) {
 		if n > maxPayload || end+frameTrailerSize > len(b) {
 			return
 		}
-		copy(b[end:], appendLeUint64(nil, fnv1a(b[off:end])))
+		copy(b[end:], appendLeUint64(nil, fnv1a.Sum(b[off:end])))
 		off = end + frameTrailerSize
 	}
 }

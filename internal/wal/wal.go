@@ -36,6 +36,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 )
 
 // ErrCorrupt reports a log whose middle fails validation: a record with
@@ -302,7 +304,7 @@ func parseFrame(data []byte, off int64) (rec Record, end int64, ok bool) {
 		return rec, 0, false
 	}
 	body := rest[:frameHeaderSize+n]
-	if leUint64(rest[frameHeaderSize+n:]) != fnv1a(body) {
+	if leUint64(rest[frameHeaderSize+n:]) != fnv1a.Sum(body) {
 		return rec, 0, false
 	}
 	rec.Op = rest[4]
@@ -610,22 +612,7 @@ func appendFrame(buf []byte, op uint8, seq uint64, payload []byte) []byte {
 	buf = append(buf, op)
 	buf = appendLeUint64(buf, seq)
 	buf = append(buf, payload...)
-	return appendLeUint64(buf, fnv1a(buf[start:]))
-}
-
-// fnv1a is the 64-bit FNV-1a digest, the same checksum the v5 snapshot
-// manifests use.
-func fnv1a(b []byte) uint64 {
-	const (
-		offset64 = uint64(14695981039346656037)
-		prime64  = uint64(1099511628211)
-	)
-	h := offset64
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	return appendLeUint64(buf, fnv1a.Sum(buf[start:]))
 }
 
 func leUint32(b []byte) uint32 {

@@ -3,6 +3,7 @@ package tdmatch
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 	"github.com/tdmatch/tdmatch/internal/match"
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
 	"github.com/tdmatch/tdmatch/internal/wal"
@@ -178,31 +180,19 @@ func (m *Model) savedSegments(idx match.VectorIndex) []savedSegment {
 // its vector row little-endian (zero bits past the stored row length,
 // matching the zero-padding Save applies to the snapshot arena).
 func segmentChecksum(ids []string, vectors map[string][]float32, dim int) uint64 {
-	const (
-		offset64 = uint64(14695981039346656037)
-		prime64  = uint64(1099511628211)
-	)
-	h := offset64
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
+	h := fnv1a.Offset
+	var rec []byte
 	for _, id := range ids {
-		for i := 0; i < len(id); i++ {
-			mix(id[i])
-		}
-		mix(0)
+		rec = append(append(rec[:0], id...), 0)
 		v := vectors[id]
 		for j := 0; j < dim; j++ {
 			var bits uint32
 			if j < len(v) {
 				bits = math.Float32bits(v[j])
 			}
-			mix(byte(bits))
-			mix(byte(bits >> 8))
-			mix(byte(bits >> 16))
-			mix(byte(bits >> 24))
+			rec = binary.LittleEndian.AppendUint32(rec, bits)
 		}
+		h = fnv1a.Update(h, rec)
 	}
 	return h
 }

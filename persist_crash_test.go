@@ -3,11 +3,13 @@ package tdmatch
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
 )
 
@@ -242,6 +244,46 @@ func TestSnapshotV6TargetedFlipsRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotV6FirstCorruptSectionNamed corrupts two section payloads
+// and requires every eager open to fail with the same error, naming the
+// one the section table lists first.
+func TestSnapshotV6FirstCorruptSectionNamed(t *testing.T) {
+	payload := v6SnapshotBytes(t)
+	nSecs := int(binary.LittleEndian.Uint32(payload[16:20]))
+	var nonEmpty []int
+	for s := 0; s < nSecs; s++ {
+		if binary.LittleEndian.Uint64(payload[v6HeaderSize+s*v6EntrySize+16:]) > 0 {
+			nonEmpty = append(nonEmpty, s)
+		}
+	}
+	if len(nonEmpty) < 3 {
+		t.Fatalf("fixture has %d non-empty sections, want at least 3", len(nonEmpty))
+	}
+	// The second non-empty section and the last one: neither is the
+	// table's first entry, so table order is what decides.
+	earlier, later := nonEmpty[1], nonEmpty[len(nonEmpty)-1]
+	corrupt := append([]byte(nil), payload...)
+	for _, s := range []int{earlier, later} {
+		e := corrupt[v6HeaderSize+s*v6EntrySize:]
+		off := binary.LittleEndian.Uint64(e[8:])
+		length := binary.LittleEndian.Uint64(e[16:])
+		corrupt[off+length/2] ^= 0x5a
+	}
+	e := payload[v6HeaderSize+earlier*v6EntrySize:]
+	want := fmt.Sprintf("section type %d index %d checksum mismatch",
+		binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]))
+	path := filepath.Join(t.TempDir(), "corrupt.v6")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := OpenSnapshotFile(path)
+		if err == nil || err.Error() != "tdmatch: corrupt v6 snapshot: "+want {
+			t.Fatalf("open %d failed with %v, want it to name the earlier section (%s)", i, err, want)
+		}
+	}
+}
+
 // TestSnapshotV5ChecksumCatchesVectorTamper pins the checksum itself:
 // flipping one bit inside a stored vector row — which plain gob
 // decoding would happily accept — must fail validation.
@@ -325,7 +367,7 @@ func resealV6(b []byte) {
 	}
 	binary.LittleEndian.PutUint64(b[24:], uint64(len(b)))
 	if end := v6HeaderSize + int64(binary.LittleEndian.Uint32(b[16:]))*v6EntrySize; end <= int64(len(b)) {
-		binary.LittleEndian.PutUint64(b[32:], fnv1a(b[v6HeaderSize:end]))
+		binary.LittleEndian.PutUint64(b[32:], fnv1a.Sum(b[v6HeaderSize:end]))
 	}
-	binary.LittleEndian.PutUint64(b[40:], fnv1a(b[:40]))
+	binary.LittleEndian.PutUint64(b[40:], fnv1a.Sum(b[:40]))
 }

@@ -45,6 +45,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 	"github.com/tdmatch/tdmatch/internal/match"
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
 )
@@ -91,8 +92,10 @@ type VerifyMode int
 
 const (
 	// VerifyEager checks every section's FNV-1a checksum and the
-	// cross-section invariants at open — one sequential pass over the
-	// file, the default and what the durability tests exercise.
+	// cross-section invariants at open — the default and what the
+	// durability tests exercise. The sections are digested three at a
+	// time in lockstep, so verification costs about one pass over the
+	// longest section; the first mismatch in table order is reported.
 	VerifyEager VerifyMode = iota
 	// VerifyLazy validates only the header, section table and structural
 	// bounds; payload checksums are skipped. This is the microsecond
@@ -101,6 +104,17 @@ const (
 	// wrong scores, not a failed open.
 	VerifyLazy
 )
+
+// String names the mode as tdserved's -snapshot-verify flag spells it.
+func (v VerifyMode) String() string {
+	switch v {
+	case VerifyEager:
+		return "eager"
+	case VerifyLazy:
+		return "lazy"
+	}
+	return fmt.Sprintf("VerifyMode(%d)", int(v))
+}
 
 // v6Meta is the JSON-encoded metadata section: everything the gob
 // savedModel carries outside the big arrays. IVFClusters, IVFNProbe and
@@ -144,17 +158,6 @@ type v6Segment struct {
 type v6State struct {
 	first  []v6Segment
 	second []v6Segment
-}
-
-// fnv1a digests b with 64-bit FNV-1a, the checksum of the v6 header,
-// section table and payloads.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }
 
 func v6AlignUp(n int64) int64 {
@@ -420,6 +423,11 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 	}
 
 	// Lay the sections out 64-byte aligned after the header and table.
+	payloads := make([][]byte, len(secs))
+	for i := range secs {
+		payloads[i] = secs[i].payload
+	}
+	sums := fnv1a.Sums(payloads)
 	off := v6AlignUp(int64(v6HeaderSize + len(secs)*v6EntrySize))
 	table := make([]byte, len(secs)*v6EntrySize)
 	for i := range secs {
@@ -429,7 +437,7 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 		binary.LittleEndian.PutUint32(e[4:], secs[i].idx)
 		binary.LittleEndian.PutUint64(e[8:], uint64(off))
 		binary.LittleEndian.PutUint64(e[16:], uint64(len(secs[i].payload)))
-		binary.LittleEndian.PutUint64(e[24:], fnv1a(secs[i].payload))
+		binary.LittleEndian.PutUint64(e[24:], sums[i])
 		off = v6AlignUp(off + int64(len(secs[i].payload)))
 	}
 	fileSize := off
@@ -441,8 +449,8 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 	binary.LittleEndian.PutUint32(header[16:], uint32(len(secs)))
 	binary.LittleEndian.PutUint32(header[20:], 0)
 	binary.LittleEndian.PutUint64(header[24:], uint64(fileSize))
-	binary.LittleEndian.PutUint64(header[32:], fnv1a(table))
-	binary.LittleEndian.PutUint64(header[40:], fnv1a(header[:40]))
+	binary.LittleEndian.PutUint64(header[32:], fnv1a.Sum(table))
+	binary.LittleEndian.PutUint64(header[40:], fnv1a.Sum(header[:40]))
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	pos := int64(0)
@@ -544,7 +552,7 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 	if string(data[:8]) != v6Magic {
 		return fail("bad magic")
 	}
-	if got := binary.LittleEndian.Uint64(data[40:48]); got != fnv1a(data[:40]) {
+	if got := binary.LittleEndian.Uint64(data[40:48]); got != fnv1a.Sum(data[:40]) {
 		return fail("header checksum mismatch")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != savedModelVersionV6 {
@@ -563,19 +571,20 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 		return fail("section count %d exceeds file size", nSecs)
 	}
 	table := data[v6HeaderSize:tableEnd]
-	if got := binary.LittleEndian.Uint64(data[32:40]); got != fnv1a(table) {
+	if got := binary.LittleEndian.Uint64(data[32:40]); got != fnv1a.Sum(table) {
 		return fail("section table checksum mismatch")
 	}
 
 	sections := make(map[v6SecKey][]byte, nSecs)
-	checksums := make(map[v6SecKey]uint64, nSecs)
+	// The same payloads in table order, so eager verification digests
+	// them in one call and names the first mismatch the table lists.
+	payloads := make([][]byte, nSecs)
 	for i := 0; i < nSecs; i++ {
 		e := table[i*v6EntrySize:]
 		typ := binary.LittleEndian.Uint32(e)
 		idx := binary.LittleEndian.Uint32(e[4:])
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
-		sum := binary.LittleEndian.Uint64(e[24:])
 		if off%v6Align != 0 || off < uint64(tableEnd) || off > uint64(len(data)) ||
 			length > uint64(len(data))-off {
 			return fail("section %d (type %d) offset %d length %d out of bounds", i, typ, off, length)
@@ -585,12 +594,14 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 			return fail("duplicate section type %d index %d", typ, idx)
 		}
 		sections[key] = data[off : off+length : off+length]
-		checksums[key] = sum
+		payloads[i] = sections[key]
 	}
 	if mode == VerifyEager {
-		for key, payload := range sections {
-			if fnv1a(payload) != checksums[key] {
-				return fail("section type %d index %d checksum mismatch", key.typ, key.idx)
+		for i, sum := range fnv1a.Sums(payloads) {
+			e := table[i*v6EntrySize:]
+			if sum != binary.LittleEndian.Uint64(e[24:]) {
+				return fail("section type %d index %d checksum mismatch",
+					binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]))
 			}
 		}
 	}

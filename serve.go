@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/tdmatch/tdmatch/internal/fnv1a"
 )
 
 // ErrServerClosed is returned by Server queries issued after Close.
@@ -693,9 +695,8 @@ func (s *Server) answerBatch(cur *served, docIDs []string, k int) []topkResp {
 // indexFingerprint digests the serving-index configuration of both sides
 // into the identity the result cache keys on (see match.VectorIndex).
 func (m *Model) indexFingerprint() uint64 {
-	const prime64 = 1099511628211
 	h := m.firstIdx.Fingerprint()
-	h = (h ^ m.secondIdx.Fingerprint()) * prime64
-	h = (h ^ uint64(m.dim)) * prime64
+	h = (h ^ m.secondIdx.Fingerprint()) * fnv1a.Prime
+	h = (h ^ uint64(m.dim)) * fnv1a.Prime
 	return h
 }
