@@ -10,10 +10,14 @@ package tdmatch_test
 // the benchmarks measure the cost of regenerating each artefact.
 
 import (
+	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tdmatch/tdmatch"
@@ -553,6 +557,68 @@ func BenchmarkLoadSnapshotMmap(b *testing.B) {
 // digested before the bind.
 func BenchmarkLoadSnapshotMmapEager(b *testing.B) {
 	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, tdmatch.OpenSnapshotFile)
+}
+
+// BenchmarkLoadSnapshotFileEager is the daemon's cold start through
+// LoadSnapshotFile under eager verification: the section checksums run
+// on their own goroutine while the callback loads both corpora from
+// their files and binds, then the first TopK. Unlike the benchmarks
+// above it pays for the corpus load, which the checksums hide behind.
+func BenchmarkLoadSnapshotFileEager(b *testing.B) {
+	s := benchIMDbScenario(b)
+	dir := b.TempDir()
+	firstPath := filepath.Join(dir, "movies.csv")
+	secondPath := filepath.Join(dir, "reviews.txt")
+	var table bytes.Buffer
+	w := csv.NewWriter(&table)
+	w.Write(s.First.Columns)
+	w.WriteAll(rowsOf(s))
+	var text bytes.Buffer
+	for _, d := range s.Second.Docs {
+		text.WriteString(strings.ReplaceAll(d.Text(), "\n", " ") + "\n")
+	}
+	for path, data := range map[string][]byte{firstPath: table.Bytes(), secondPath: text.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	loadCorpora := func(firstName, secondName string) (*tdmatch.Corpus, *tdmatch.Corpus) {
+		first, err := tdmatch.LoadCorpus(firstPath, firstName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		second, err := tdmatch.LoadCorpus(secondPath, secondName)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return first, second
+	}
+	first, second := loadCorpora("movies", "reviews")
+	_, _, cfg := benchEndToEndInputs(b)
+	cfg.Seed = 1
+	model, err := tdmatch.Build(first, second, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, "model.snap")
+	if err := model.SaveFileV6(path); err != nil {
+		b.Fatal(err)
+	}
+	q := second.IDs()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := tdmatch.LoadSnapshotFile(path, tdmatch.VerifyEager, func(snap *tdmatch.Snapshot) (*tdmatch.Model, error) {
+			info := snap.Info()
+			return snap.Bind(loadCorpora(info.FirstName, info.SecondName))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.TopK(q, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchLoadSnapshot(b *testing.B, save func(*tdmatch.Model, string) error, open func(string) (*tdmatch.Snapshot, error)) {

@@ -37,6 +37,13 @@
 // in memory until the snapshot is re-saved, and a reload from disk
 // reverts them.
 //
+// A v6 snapshot is memory-mapped and bound zero-copy. Under the default
+// -snapshot-verify eager its section checksums are checked on one core
+// while the corpora load and the model binds on the other, so a cold
+// start costs about the longer of the two; no request is served and no
+// reload swaps before every check has passed. -snapshot-verify lazy
+// skips the payload checksums, for files trusted by construction.
+//
 // SIGHUP triggers the same reload as POST /v1/reload: the daemon re-reads
 // the corpus and snapshot files and swaps the new model in behind the
 // in-flight queries. Retrain with cmd/tdmatch, overwrite the snapshot,
@@ -285,45 +292,72 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 
 // load reads the corpus files and the model snapshot — the shared path
 // of startup and hot reload. The snapshot is opened exactly once
-// (OpenSnapshotFileVerify), so the served model and the reported
-// ModelInfo can never diverge even when a retraining job overwrites the
-// file mid-reload, and a large vector arena is never decoded twice: a
-// v6 snapshot is memory-mapped and bound zero-copy, gob versions decode
-// through the classic path.
+// (LoadSnapshotFile), so the served model and the reported ModelInfo
+// can never diverge even when a retraining job overwrites the file
+// mid-reload, and a large vector arena is never decoded twice: a v6
+// snapshot is memory-mapped and bound zero-copy, gob versions decode
+// through the classic path. Under eager verification the checksums run
+// on a second core while bindCorpora loads the corpora and binds, and
+// load returns a model only after they have passed; on any failure the
+// mapping is released.
 func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	start := time.Now()
-	snap, err := tdmatch.OpenSnapshotFileVerify(d.modelPath, d.verify)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) || errors.Is(err, os.ErrPermission) {
-			return nil, tdmatch.ModelInfo{}, fmt.Errorf("opening model snapshot: %w", err)
-		}
+	var (
+		snap    *tdmatch.Snapshot
+		info    tdmatch.ModelInfo
+		opened  time.Duration
+		bindErr error
+	)
+	model, err := tdmatch.LoadSnapshotFile(d.modelPath, d.verify, func(s *tdmatch.Snapshot) (*tdmatch.Model, error) {
+		snap, info, opened = s, s.Info(), time.Since(start)
+		m, err := d.bindCorpora(s, info)
+		bindErr = err
+		return m, err
+	})
+	switch {
+	case err == nil:
+	case bindErr != nil && errors.Is(err, bindErr):
+		return nil, info, err
+	case errors.Is(err, os.ErrNotExist) || errors.Is(err, os.ErrPermission):
+		return nil, tdmatch.ModelInfo{}, fmt.Errorf("opening model snapshot: %w", err)
+	default:
 		return nil, tdmatch.ModelInfo{}, fmt.Errorf("reading model snapshot %s: %w", d.modelPath, err)
 	}
-	log.Printf("tdserved: snapshot %s: load mode %s, verify %s, opened in %s",
-		d.modelPath, snap.LoadMode(), d.verify, time.Since(start).Round(time.Microsecond))
-	info := snap.Info()
+	line := fmt.Sprintf("tdserved: snapshot %s: load mode %s, verify %s, opened in %s",
+		d.modelPath, snap.LoadMode(), d.verify, opened.Round(time.Microsecond))
+	if v := snap.VerifyTime(); v > 0 {
+		line += fmt.Sprintf(", verified in %s beside corpus load and bind", v.Round(time.Microsecond))
+	}
+	log.Print(line)
+	fi, si := model.IndexStats()
+	log.Printf("tdserved: index %s: first %s; second %s", fi.Kind, indexLine(fi), indexLine(si))
+	return model, info, nil
+}
+
+// bindCorpora is the part of a load that needs the decoded snapshot but
+// not its payload checksums: it loads the corpora the snapshot names,
+// binds the model onto them and checks that they cover it.
+func (d *daemon) bindCorpora(snap *tdmatch.Snapshot, info tdmatch.ModelInfo) (*tdmatch.Model, error) {
 	if info.LegacyIndex != "" {
 		log.Printf("tdserved: snapshot %s was saved with the removed %s index; serving its arena as an exact flat scan",
 			d.modelPath, info.LegacyIndex)
 	}
 	first, err := tdmatch.LoadCorpus(d.firstPath, info.FirstName)
 	if err != nil {
-		return nil, info, fmt.Errorf("loading first corpus: %w", err)
+		return nil, fmt.Errorf("loading first corpus: %w", err)
 	}
 	second, err := tdmatch.LoadCorpus(d.secondPath, info.SecondName)
 	if err != nil {
-		return nil, info, fmt.Errorf("loading second corpus: %w", err)
+		return nil, fmt.Errorf("loading second corpus: %w", err)
 	}
 	model, err := snap.Bind(first, second)
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
 	if err := validateCoverage(model, info, first, second); err != nil {
-		return nil, info, err
+		return nil, err
 	}
-	fi, si := model.IndexStats()
-	log.Printf("tdserved: index %s: first %s; second %s", fi.Kind, indexLine(fi), indexLine(si))
-	return model, info, nil
+	return model, nil
 }
 
 // indexLine formats one side's IndexStats for the startup log line that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -719,7 +720,9 @@ func TestBadSnapshotFlagsRejected(t *testing.T) {
 }
 
 // TestLoadLineNamesVerifyMode pins the start-up load line: it names the
-// load mode and the -snapshot-verify mode the snapshot was opened under.
+// load mode and the -snapshot-verify mode the snapshot was opened under,
+// and under eager verification how long the checksums took beside the
+// corpus load and bind.
 func TestLoadLineNamesVerifyMode(t *testing.T) {
 	firstPath, secondPath, _, model := trainFixture(t, fixtureConfig(36))
 	v6Path := filepath.Join(t.TempDir(), "model.v6")
@@ -731,10 +734,129 @@ func TestLoadLineNamesVerifyMode(t *testing.T) {
 		log.SetOutput(logged)
 		startDaemonWith(t, firstPath, secondPath, v6Path, daemonOptions{snapVerify: verify})
 		log.SetOutput(os.Stderr)
-		want := regexp.MustCompile(`load mode v6\+mmap, verify ` + cmp.Or(verify, "eager") + `, opened in \S+\n`)
+		verified := `, verified in \S+ beside corpus load and bind`
+		if verify == "lazy" {
+			verified = ""
+		}
+		want := regexp.MustCompile(`load mode v6\+mmap, verify ` + cmp.Or(verify, "eager") + `, opened in \S+` + verified + `\n`)
 		if !want.MatchString(logged.String()) {
 			t.Errorf("-snapshot-verify %q: load line does not match %s: %s", verify, want, logged.String())
 		}
+	}
+}
+
+// flipInSection returns a copy of a v6 snapshot with the first byte of
+// the first section of type typ flipped — for the metadata JSON, its
+// opening brace. The section is read off the file's own table (64-byte
+// header, then 32-byte entries: u32 type, u32 index, u64 offset, u64
+// length, u64 checksum).
+func flipInSection(t *testing.T, snap []byte, typ uint32) []byte {
+	t.Helper()
+	n := int(binary.LittleEndian.Uint32(snap[16:20]))
+	for i := 0; i < n; i++ {
+		e := snap[64+32*i:]
+		if binary.LittleEndian.Uint32(e) != typ {
+			continue
+		}
+		if binary.LittleEndian.Uint64(e[16:]) == 0 {
+			t.Fatalf("section type %d is empty", typ)
+		}
+		corrupt := append([]byte(nil), snap...)
+		corrupt[binary.LittleEndian.Uint64(e[8:])] ^= 0xff
+		return corrupt
+	}
+	t.Fatalf("snapshot has no section of type %d", typ)
+	return nil
+}
+
+// replaceFile swaps path's contents atomically, as a snapshot writer
+// does: a served v6 model aliases the mapped file, which must not be
+// rewritten in place.
+func replaceFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptPayloadRejectedAtStartAndReload flips one byte inside the
+// term arena, and separately inside the metadata JSON, of a
+// structurally valid v6 snapshot. Eager verification runs beside the
+// corpus load and bind, yet start-up must fail with exactly the
+// checksum error OpenSnapshotFile gives — the metadata flip included,
+// which a loader that decoded before it verified would report as a
+// JSON error. Lazy verification starts on the term-arena flip, and a
+// reload of either file answers 500 with the old model still serving.
+func TestCorruptPayloadRejectedAtStartAndReload(t *testing.T) {
+	firstPath, secondPath, _, model := trainFixture(t, fixtureConfig(37))
+	dir := t.TempDir()
+	pristinePath := filepath.Join(dir, "model.v6")
+	if err := model.SaveFileV6(pristinePath); err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := os.ReadFile(pristinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ts := startDaemonWith(t, firstPath, secondPath, pristinePath, daemonOptions{})
+	var before topkResponse
+	if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: "reviews:p0", K: 3}, &before); status != http.StatusOK {
+		t.Fatalf("topk status %d", status)
+	}
+
+	const metaJSON, termArena = 1, 5
+	for _, sec := range []struct {
+		name string
+		typ  uint32
+	}{{"term arena", termArena}, {"metadata", metaJSON}} {
+		t.Run(sec.name, func(t *testing.T) {
+			corrupt := flipInSection(t, pristine, sec.typ)
+			path := filepath.Join(t.TempDir(), "corrupt.v6")
+			if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, openErr := tdmatch.OpenSnapshotFile(path)
+			if openErr == nil || !strings.Contains(openErr.Error(), fmt.Sprintf("section type %d index 0 checksum mismatch", sec.typ)) {
+				t.Fatalf("OpenSnapshotFile = %v, want the section's checksum mismatch", openErr)
+			}
+			for _, verify := range []string{"", "eager"} {
+				_, err := newDaemon(firstPath, secondPath, path, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{snapVerify: verify})
+				if err == nil || !strings.Contains(err.Error(), openErr.Error()) {
+					t.Errorf("-snapshot-verify %q: newDaemon = %v, want %q", verify, err, openErr)
+				}
+			}
+			lazy, err := newDaemon(firstPath, secondPath, path, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{snapVerify: "lazy"})
+			switch {
+			case sec.typ == termArena && err != nil:
+				t.Fatalf("-snapshot-verify lazy refused a file whose structure is intact: %v", err)
+			case sec.typ == termArena:
+				lazy.server.Close()
+			case err == nil || !strings.Contains(err.Error(), "metadata: invalid character"):
+				// What eager would report if it decoded before it verified.
+				t.Errorf("-snapshot-verify lazy on the metadata flip = %v, want a JSON error", err)
+			}
+
+			reloads := d.server.Stats().Reloads
+			replaceFile(t, pristinePath, corrupt)
+			var body map[string]string
+			if status := postJSON(t, ts.URL+"/v1/reload", struct{}{}, &body); status != http.StatusInternalServerError ||
+				!strings.Contains(body["error"], openErr.Error()) {
+				t.Errorf("reload of the flipped file: status %d, body %v; want 500 naming %q", status, body, openErr)
+			}
+			if got := d.server.Stats().Reloads; got != reloads {
+				t.Errorf("failed reload swapped: reloads %d -> %d", reloads, got)
+			}
+			var after topkResponse
+			if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: "reviews:p0", K: 3}, &after); status != http.StatusOK ||
+				!reflect.DeepEqual(after, before) {
+				t.Errorf("after a failed reload topk = %d %+v, want the old model's %+v", status, after, before)
+			}
+			replaceFile(t, pristinePath, pristine)
+		})
 	}
 }
 

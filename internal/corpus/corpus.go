@@ -7,6 +7,7 @@ package corpus
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tdmatch/tdmatch/internal/textproc"
 )
@@ -120,14 +121,25 @@ func NewText(name string, snippets []string, ids []string) (*Corpus, error) {
 		return nil, fmt.Errorf("corpus %s: %d ids for %d snippets", name, len(ids), len(snippets))
 	}
 	c := &Corpus{Name: name, Kind: Text, Docs: make([]Document, len(snippets))}
+	if ids == nil {
+		ids = positionalIDs(name+":p", len(snippets))
+	}
 	for i, s := range snippets {
-		id := fmt.Sprintf("%s:p%d", name, i)
-		if ids != nil {
-			id = ids[i]
-		}
-		c.Docs[i] = Document{ID: id, Values: []Value{{Text: s}}}
+		c.Docs[i] = Document{ID: ids[i], Values: []Value{{Text: s}}}
 	}
 	return c, c.buildIndex()
+}
+
+// positionalIDs returns prefix followed by each index in [0, n): the
+// IDs of a corpus whose caller supplied none.
+func positionalIDs(prefix string, n int) []string {
+	ids := make([]string, n)
+	buf := []byte(prefix)
+	for i := range ids {
+		buf = strconv.AppendInt(buf[:len(prefix)], int64(i), 10)
+		ids[i] = string(buf)
+	}
+	return ids
 }
 
 // NewTable builds a table corpus from a schema and rows. Row i gets ID
@@ -138,13 +150,12 @@ func NewTable(name string, columns []string, rows [][]string, ids []string) (*Co
 		return nil, fmt.Errorf("corpus %s: %d ids for %d rows", name, len(ids), len(rows))
 	}
 	c := &Corpus{Name: name, Kind: Table, Columns: columns, Docs: make([]Document, len(rows))}
+	if ids == nil {
+		ids = positionalIDs(name+":t", len(rows))
+	}
 	for i, row := range rows {
 		if len(row) > len(columns) {
 			return nil, fmt.Errorf("corpus %s: row %d has %d values for %d columns", name, i, len(row), len(columns))
-		}
-		id := fmt.Sprintf("%s:t%d", name, i)
-		if ids != nil {
-			id = ids[i]
 		}
 		vals := make([]Value, len(columns))
 		for j := range columns {
@@ -154,7 +165,7 @@ func NewTable(name string, columns []string, rows [][]string, ids []string) (*Co
 			}
 			vals[j] = Value{Column: columns[j], Text: v}
 		}
-		c.Docs[i] = Document{ID: id, Values: vals}
+		c.Docs[i] = Document{ID: ids[i], Values: vals}
 	}
 	return c, c.buildIndex()
 }

@@ -63,6 +63,46 @@ func TestNewTable(t *testing.T) {
 	}
 }
 
+// TestPositionalIDs pins the IDs NewTable and NewText assign when the
+// caller supplies none, byte for byte what "%s:t%d" and "%s:p%d" format,
+// across the one- to five-digit boundaries.
+func TestPositionalIDs(t *testing.T) {
+	const n = 12001
+	rows := make([][]string, n)
+	snippets := make([]string, n)
+	for i := range rows {
+		rows[i] = []string{"v"}
+		snippets[i] = "s"
+	}
+	table, err := NewTable("movies", []string{"title"}, rows, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := NewText("reviews", snippets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		row         int
+		table, text string
+	}{
+		{0, "movies:t0", "reviews:p0"},
+		{9, "movies:t9", "reviews:p9"},
+		{10, "movies:t10", "reviews:p10"},
+		{12000, "movies:t12000", "reviews:p12000"},
+	} {
+		if got := table.Docs[tc.row].ID; got != tc.table {
+			t.Errorf("table row %d: ID %q, want %q", tc.row, got, tc.table)
+		}
+		if got := text.Docs[tc.row].ID; got != tc.text {
+			t.Errorf("text row %d: ID %q, want %q", tc.row, got, tc.text)
+		}
+		if _, ok := table.Doc(tc.table); !ok {
+			t.Errorf("table lookup of %q failed", tc.table)
+		}
+	}
+}
+
 func TestTableShortRowPadding(t *testing.T) {
 	c, err := NewTable("t", []string{"a", "b", "c"}, [][]string{{"1"}}, nil)
 	if err != nil {

@@ -48,7 +48,8 @@ func (m *Mapping) Len() int { return len(m.data) }
 // Close releases the mapping. After Close every view previously
 // derived from Data is invalid; the zero-copy snapshot loader
 // therefore keeps the Mapping pinned for the model's lifetime and only
-// calls Close on open-error paths before any view escapes.
+// calls Close when a load fails, once nothing that reads the views —
+// its verifier goroutine, the model it dropped — is left.
 func (m *Mapping) Close() error {
 	if m == nil || m.data == nil {
 		return nil

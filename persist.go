@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 	"unsafe"
 
 	"github.com/tdmatch/tdmatch/internal/fnv1a"
@@ -333,7 +334,15 @@ type Snapshot struct {
 	v6      *v6State
 	backing *mmapfile.Mapping
 	mode    string
+	// verifyTime is how long LoadSnapshotFile's verifier ran.
+	verifyTime time.Duration
 }
+
+// VerifyTime reports how long the eager payload checks of a v6 snapshot
+// took on their own goroutine beside the bind, once LoadSnapshotFile has
+// returned its model. It is zero for a snapshot opened any other way,
+// under VerifyLazy and for gob files.
+func (s *Snapshot) VerifyTime() time.Duration { return s.verifyTime }
 
 // LoadMode reports how the snapshot payload was loaded: "gob" (decoded
 // copy, versions 1–5), "v6+mmap" (zero-copy PROT_READ mapping) or
@@ -536,6 +545,10 @@ func segmentIDs(segs []savedSegment) [][]string {
 // SaveFileV6, auto-detecting the format: a v6 snapshot is
 // memory-mapped and bound zero-copy (the mapping stays pinned for the
 // model's lifetime), gob versions decode through the classic path.
+// Verification finishes before Bind starts: Bind applies the snapshot's
+// delta chain to first and second, which the caller owns, so a corrupt
+// file must be rejected before they are touched. A caller that loads
+// fresh corpora for the snapshot overlaps the two with LoadSnapshotFile.
 func LoadModelFile(path string, first, second *Corpus) (*Model, error) {
 	snap, err := OpenSnapshotFile(path)
 	if err != nil {

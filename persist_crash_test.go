@@ -284,6 +284,65 @@ func TestSnapshotV6FirstCorruptSectionNamed(t *testing.T) {
 	}
 }
 
+// TestSnapshotV6DuplicateSegmentIDRejected rewrites one side-2 segment
+// manifest so that it lists a document another segment holds, and
+// re-seals every checksum: only the ID-uniqueness check can catch the
+// file. OpenSnapshotFile and LoadSnapshotFile must fail with the same
+// error — the latter although its bind ran beside the check — and lazy
+// verification, which skips the check, must open it.
+func TestSnapshotV6DuplicateSegmentIDRejected(t *testing.T) {
+	payload := v6SnapshotBytes(t)
+	l, err := parseV6Layout(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const from, to = "reviews:seg2", "reviews:seg0"
+	var holder, target int = -1, -1
+	for i, sec := range l.payloads {
+		e := l.table[i*v6EntrySize:]
+		if binary.LittleEndian.Uint32(e) != secSegManifest || binary.LittleEndian.Uint32(e[4:])>>16 != 1 {
+			continue
+		}
+		if bytes.Contains(sec, []byte(to)) {
+			holder = i
+		}
+		if bytes.Contains(sec, []byte(from)) {
+			target = i
+		}
+	}
+	if holder < 0 || target < 0 || holder == target {
+		t.Fatalf("fixture layout changed: %s in manifest %d, %s in manifest %d", to, holder, from, target)
+	}
+	corrupt := append([]byte(nil), payload...)
+	e := corrupt[v6HeaderSize+target*v6EntrySize:]
+	off := binary.LittleEndian.Uint64(e[8:])
+	sec := corrupt[off : off+binary.LittleEndian.Uint64(e[16:])]
+	copy(sec[bytes.Index(sec, []byte(from)):], to)
+	binary.LittleEndian.PutUint64(e[24:], fnv1a.Sum(sec))
+	resealV6(corrupt)
+
+	path := filepath.Join(t.TempDir(), "dup.v6")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("tdmatch: corrupt v6 snapshot: document %q appears in two side-2 segments", to)
+	if _, err := OpenSnapshotFile(path); err == nil || err.Error() != want {
+		t.Fatalf("OpenSnapshotFile = %v, want %s", err, want)
+	}
+	bound := false
+	m, err := LoadSnapshotFile(path, VerifyEager, func(s *Snapshot) (*Model, error) {
+		bound = true
+		movies, reviews := fixtureCorpora(t)
+		return s.Bind(movies, reviews)
+	})
+	if m != nil || err == nil || err.Error() != want || !bound {
+		t.Fatalf("LoadSnapshotFile returned a model %v, error %v (bound %v); want %s after a bind", m != nil, err, bound, want)
+	}
+	if _, err := OpenSnapshotFileVerify(path, VerifyLazy); err != nil {
+		t.Errorf("lazy open rejected a structurally valid file: %v", err)
+	}
+}
+
 // TestSnapshotV5ChecksumCatchesVectorTamper pins the checksum itself:
 // flipping one bit inside a stored vector row — which plain gob
 // decoding would happily accept — must fail validation.

@@ -92,10 +92,13 @@ type VerifyMode int
 
 const (
 	// VerifyEager checks every section's FNV-1a checksum and the
-	// cross-section invariants at open — the default and what the
-	// durability tests exercise. The sections are digested three at a
-	// time in lockstep, so verification costs about one pass over the
-	// longest section; the first mismatch in table order is reported.
+	// cross-section invariants — the default and what the durability
+	// tests exercise. The sections are digested three at a time in
+	// lockstep, so verification costs about one pass over the longest
+	// section; the first mismatch in table order is reported.
+	// OpenSnapshotFile runs the checks before it returns; LoadSnapshotFile
+	// runs them on a second goroutine beside the caller's corpus load and
+	// Bind, and returns the model only once they have passed.
 	VerifyEager VerifyMode = iota
 	// VerifyLazy validates only the header, section table and structural
 	// bounds; payload checksums are skipped. This is the microsecond
@@ -535,50 +538,94 @@ func (m *Model) SaveFileV6Stats(path string) (SaveStats, error) {
 // v6SecKey addresses one parsed section by (type, index).
 type v6SecKey struct{ typ, idx uint32 }
 
-// parseV6 validates a v6 payload and assembles the zero-copy Snapshot.
-// Structural validation (header and table checksums, bounds, string
-// tables, arena lengths) always runs, so a corrupt file can never
-// panic the binder; VerifyEager additionally checks every payload
-// checksum and the cross-segment ID uniqueness the gob path enforces.
-// backing, when non-nil, is the mapping data aliases; the Snapshot
-// pins it and hands it to the bound Model.
+// corruptV6 formats the error every v6 integrity failure reports.
+func corruptV6(format string, args ...interface{}) error {
+	return fmt.Errorf("tdmatch: corrupt v6 snapshot: "+format, args...)
+}
+
+// isV6 reports whether data starts with the v6 magic.
+func isV6(data []byte) bool {
+	return len(data) >= len(v6Magic) && string(data[:len(v6Magic)]) == v6Magic
+}
+
+// v6Layout is a v6 file past the structural checks: the header and
+// section-table checksums match, every section lies in bounds at an
+// aligned offset, and no (type, index) key repeats.
+type v6Layout struct {
+	table    []byte
+	sections map[v6SecKey][]byte
+	// payloads are the sections in table order, so verifySums digests
+	// them in one call and names the first mismatch the table lists.
+	payloads [][]byte
+}
+
+// parseV6 validates a v6 payload and assembles the zero-copy Snapshot
+// in the three steps every v6 load shares: the structural checks
+// (parseV6Layout, microseconds), the payload checks (verifySums and
+// verifyUnique, VerifyEager only) and the decode. The structural checks
+// and the decode's own bounds (string tables, arena lengths) always
+// run, so a corrupt file can never panic the binder. backing, when
+// non-nil, is the mapping data aliases; the Snapshot pins it and hands
+// it to the bound Model.
 func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot, error) {
-	fail := func(format string, args ...interface{}) (*Snapshot, error) {
-		return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: "+format, args...)
+	l, err := parseV6Layout(data)
+	if err != nil {
+		return nil, err
 	}
+	if mode == VerifyEager {
+		if err := l.verifySums(); err != nil {
+			return nil, err
+		}
+	}
+	snap, err := l.decode(backing)
+	if err != nil {
+		return nil, err
+	}
+	if mode == VerifyEager {
+		if err := snap.v6.verifyUnique(); err != nil {
+			return nil, err
+		}
+	}
+	return snap, nil
+}
+
+// parseV6Layout runs the structural checks: header, table checksum,
+// section bounds and duplicate keys.
+func parseV6Layout(data []byte) (*v6Layout, error) {
 	if len(data) < v6HeaderSize {
-		return fail("%d bytes, need at least the %d-byte header", len(data), v6HeaderSize)
+		return nil, corruptV6("%d bytes, need at least the %d-byte header", len(data), v6HeaderSize)
 	}
 	if string(data[:8]) != v6Magic {
-		return fail("bad magic")
+		return nil, corruptV6("bad magic")
 	}
 	if got := binary.LittleEndian.Uint64(data[40:48]); got != fnv1a.Sum(data[:40]) {
-		return fail("header checksum mismatch")
+		return nil, corruptV6("header checksum mismatch")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != savedModelVersionV6 {
 		return nil, fmt.Errorf("tdmatch: unsupported model version %d", v)
 	}
 	if hs := binary.LittleEndian.Uint32(data[12:16]); hs != v6HeaderSize {
-		return fail("header size %d", hs)
+		return nil, corruptV6("header size %d", hs)
 	}
 	fileSize := binary.LittleEndian.Uint64(data[24:32])
 	if fileSize != uint64(len(data)) {
-		return fail("file size %d, have %d bytes (truncated or padded)", fileSize, len(data))
+		return nil, corruptV6("file size %d, have %d bytes (truncated or padded)", fileSize, len(data))
 	}
 	nSecs := int(binary.LittleEndian.Uint32(data[16:20]))
 	tableEnd := int64(v6HeaderSize) + int64(nSecs)*v6EntrySize
 	if nSecs < 1 || tableEnd > int64(len(data)) {
-		return fail("section count %d exceeds file size", nSecs)
+		return nil, corruptV6("section count %d exceeds file size", nSecs)
 	}
 	table := data[v6HeaderSize:tableEnd]
 	if got := binary.LittleEndian.Uint64(data[32:40]); got != fnv1a.Sum(table) {
-		return fail("section table checksum mismatch")
+		return nil, corruptV6("section table checksum mismatch")
 	}
 
-	sections := make(map[v6SecKey][]byte, nSecs)
-	// The same payloads in table order, so eager verification digests
-	// them in one call and names the first mismatch the table lists.
-	payloads := make([][]byte, nSecs)
+	l := &v6Layout{
+		table:    table,
+		sections: make(map[v6SecKey][]byte, nSecs),
+		payloads: make([][]byte, nSecs),
+	}
 	for i := 0; i < nSecs; i++ {
 		e := table[i*v6EntrySize:]
 		typ := binary.LittleEndian.Uint32(e)
@@ -587,25 +634,58 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 		length := binary.LittleEndian.Uint64(e[16:])
 		if off%v6Align != 0 || off < uint64(tableEnd) || off > uint64(len(data)) ||
 			length > uint64(len(data))-off {
-			return fail("section %d (type %d) offset %d length %d out of bounds", i, typ, off, length)
+			return nil, corruptV6("section %d (type %d) offset %d length %d out of bounds", i, typ, off, length)
 		}
 		key := v6SecKey{typ, idx}
-		if _, dup := sections[key]; dup {
-			return fail("duplicate section type %d index %d", typ, idx)
+		if _, dup := l.sections[key]; dup {
+			return nil, corruptV6("duplicate section type %d index %d", typ, idx)
 		}
-		sections[key] = data[off : off+length : off+length]
-		payloads[i] = sections[key]
+		l.sections[key] = data[off : off+length : off+length]
+		l.payloads[i] = l.sections[key]
 	}
-	if mode == VerifyEager {
-		for i, sum := range fnv1a.Sums(payloads) {
-			e := table[i*v6EntrySize:]
-			if sum != binary.LittleEndian.Uint64(e[24:]) {
-				return fail("section type %d index %d checksum mismatch",
-					binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]))
+	return l, nil
+}
+
+// verifySums checks every section's FNV-1a checksum, digesting the
+// sections three at a time, and names the first mismatch in table
+// order. It only reads the payloads, so it may run beside decode and
+// Bind over the same bytes.
+func (l *v6Layout) verifySums() error {
+	for i, sum := range fnv1a.Sums(l.payloads) {
+		e := l.table[i*v6EntrySize:]
+		if sum != binary.LittleEndian.Uint64(e[24:]) {
+			return corruptV6("section type %d index %d checksum mismatch",
+				binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]))
+		}
+	}
+	return nil
+}
+
+// verifyUnique checks the cross-segment ID uniqueness the gob path
+// enforces: no document appears in two segments of one side.
+func (st *v6State) verifyUnique() error {
+	for side, segs := range [][]v6Segment{st.first, st.second} {
+		seen := make(map[string]struct{})
+		for _, seg := range segs {
+			for _, id := range seg.ids {
+				if _, dup := seen[id]; dup {
+					return corruptV6("document %q appears in two side-%d segments", id, side+1)
+				}
+				seen[id] = struct{}{}
 			}
 		}
 	}
+	return nil
+}
 
+// decode assembles the Snapshot from the structurally valid sections:
+// metadata, string tables and typed views of the arenas, each checked
+// against the others' lengths.
+func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
+	fail := func(format string, args ...interface{}) (*Snapshot, error) {
+		return nil, corruptV6(format, args...)
+	}
+	sections := l.sections
 	metaJSON, ok := sections[v6SecKey{secMetaJSON, 0}]
 	if !ok {
 		return fail("missing metadata section")
@@ -670,7 +750,7 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 			key := uint32(side)<<16 | uint32(ord)
 			man, ok := sections[v6SecKey{secSegManifest, key}]
 			if !ok {
-				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: missing side-%d segment %d manifest", side+1, ord)
+				return nil, corruptV6("missing side-%d segment %d manifest", side+1, ord)
 			}
 			ids, err := decodeStringTable(man)
 			if err != nil {
@@ -682,20 +762,20 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 			}
 			ar, ok := sections[v6SecKey{secSegArena, key}]
 			if !ok {
-				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: missing side-%d segment %d arena", side+1, ord)
+				return nil, corruptV6("missing side-%d segment %d arena", side+1, ord)
 			}
 			if segs[ord].arena, err = castF32(ar); err != nil {
 				return nil, err
 			}
 			if len(segs[ord].arena) != len(ids)*meta.Dim {
-				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d arena holds %d floats for %d rows",
+				return nil, corruptV6("side-%d segment %d arena holds %d floats for %d rows",
 					side+1, ord, len(segs[ord].arena), len(ids))
 			}
 			levels, haveLevels := sections[v6SecKey{secSegHNSWLevels, key}]
 			offs, haveOffs := sections[v6SecKey{secSegHNSWOffs, key}]
 			adj, haveAdj := sections[v6SecKey{secSegHNSWAdj, key}]
 			if haveLevels != haveOffs || haveLevels != haveAdj {
-				return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d has a partial HNSW graph", side+1, ord)
+				return nil, corruptV6("side-%d segment %d has a partial HNSW graph", side+1, ord)
 			}
 			if haveLevels {
 				if segs[ord].levels, err = castI32(levels); err != nil {
@@ -708,7 +788,7 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 					return nil, err
 				}
 				if len(segs[ord].levels) != len(ids) {
-					return nil, fmt.Errorf("tdmatch: corrupt v6 snapshot: side-%d segment %d carries %d HNSW levels for %d rows",
+					return nil, corruptV6("side-%d segment %d carries %d HNSW levels for %d rows",
 						side+1, ord, len(segs[ord].levels), len(ids))
 				}
 			}
@@ -722,19 +802,6 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 	second, err := parseSide(1, meta.SecondSegs)
 	if err != nil {
 		return nil, err
-	}
-	if mode == VerifyEager {
-		for side, segs := range [][]v6Segment{first, second} {
-			seen := make(map[string]struct{})
-			for _, seg := range segs {
-				for _, id := range seg.ids {
-					if _, dup := seen[id]; dup {
-						return fail("document %q appears in two side-%d segments", id, side+1)
-					}
-					seen[id] = struct{}{}
-				}
-			}
-		}
 	}
 
 	loadMode := "v6+heap"
@@ -768,10 +835,12 @@ func parseV6(data []byte, mode VerifyMode, backing *mmapfile.Mapping) (*Snapshot
 
 // OpenSnapshotFile opens a snapshot file of any supported version with
 // eager verification: a v6 file is memory-mapped (PROT_READ, shared
-// page cache across processes) and every section checksum is checked;
-// gob files (v1–v5) decode through the classic path. The returned
-// Snapshot pins the mapping; it is released only when the process
-// exits (models bound from it alias the pages for their lifetime).
+// page cache across processes) and every section checksum is checked
+// before it returns; gob files (v1–v5) decode through the classic path.
+// The returned Snapshot pins the mapping; it is released only when the
+// process exits (models bound from it alias the pages for their
+// lifetime). LoadSnapshotFile runs the same checks beside the caller's
+// corpus load and Bind instead of before them.
 func OpenSnapshotFile(path string) (*Snapshot, error) {
 	return OpenSnapshotFileVerify(path, VerifyEager)
 }
@@ -784,8 +853,14 @@ func OpenSnapshotFileVerify(path string, mode VerifyMode) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openMapping(mf, mode)
+}
+
+// openMapping parses an opened snapshot file serially. A v6 Snapshot
+// keeps the mapping; every other outcome releases it.
+func openMapping(mf *mmapfile.Mapping, mode VerifyMode) (*Snapshot, error) {
 	data := mf.Data()
-	if len(data) >= len(v6Magic) && string(data[:len(v6Magic)]) == v6Magic {
+	if isV6(data) {
 		snap, err := parseV6(data, mode, mf)
 		if err != nil {
 			mf.Close()
@@ -801,6 +876,89 @@ func OpenSnapshotFileVerify(path string, mode VerifyMode) (*Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
+}
+
+// LoadSnapshotFile opens the snapshot at path once and returns the
+// model bind builds from it, which a caller uses to load the corpora
+// the snapshot names (Snapshot.Info) and Bind onto them.
+//
+// Under VerifyEager a v6 file's payload checks — the section checksums,
+// then the cross-segment ID uniqueness — run on their own goroutine
+// over the same mapping that the decode and bind read, so cold start
+// costs about the longer of the two rather than their sum. The model is
+// returned only after every check has passed, and a failed check is
+// the error returned in place of any decode or bind error: a corrupt
+// file fails with exactly the error OpenSnapshotFile gives. Binding
+// bytes not yet verified is what VerifyLazy always does; the structural
+// checks, which run first on every path, keep it from panicking.
+// Snapshot.VerifyTime reports how long the checks took.
+//
+// Under VerifyLazy, and for gob files, it is the open, then bind. On any
+// error the mapping is released and bind's model dropped, so bind must
+// not keep the Snapshot, or anything it bound, past a failed load.
+// LoadModelFile does not overlap the checks, because its Bind mutates
+// corpora the caller owns.
+func LoadSnapshotFile(path string, mode VerifyMode, bind func(*Snapshot) (*Model, error)) (*Model, error) {
+	mf, err := mmapfile.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if mode != VerifyEager || !isV6(mf.Data()) {
+		snap, err := openMapping(mf, mode)
+		if err != nil {
+			return nil, err
+		}
+		m, err := bind(snap)
+		if err != nil {
+			mf.Close()
+			return nil, err
+		}
+		return m, nil
+	}
+
+	l, err := parseV6Layout(mf.Data())
+	if err != nil {
+		mf.Close()
+		return nil, err
+	}
+	// The verifier checks uniqueness over the decoded segment IDs, which
+	// arrive on decoded (nil when the decode failed) long before the
+	// checksums finish.
+	decoded := make(chan *v6State, 1)
+	type verdict struct {
+		err  error
+		took time.Duration
+	}
+	verified := make(chan verdict, 1)
+	go func() {
+		start := time.Now()
+		err := l.verifySums()
+		if st := <-decoded; err == nil && st != nil {
+			err = st.verifyUnique()
+		}
+		verified <- verdict{err, time.Since(start)}
+	}()
+
+	var m *Model
+	snap, err := l.decode(mf)
+	if err != nil {
+		decoded <- nil
+	} else {
+		decoded <- snap.v6
+		m, err = bind(snap)
+	}
+	// The mapping is released only after the verifier has stopped
+	// reading it.
+	v := <-verified
+	if v.err != nil {
+		err = v.err
+	}
+	if err != nil {
+		mf.Close()
+		return nil, err
+	}
+	snap.verifyTime = v.took
+	return m, nil
 }
 
 // bindSegmentedV6 reconstructs both serving stacks from a v6 payload:

@@ -2,6 +2,7 @@ package tdmatch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -245,6 +246,159 @@ func TestSaveV6LazyVerifyServesIdentically(t *testing.T) {
 	if got := rankAllMatches(t, loaded); !reflect.DeepEqual(got, want) {
 		t.Error("lazy-verified load diverges from the live model")
 	}
+}
+
+// bindFixture is a LoadSnapshotFile callback over fresh fixture corpora,
+// the daemon's pattern of loading corpora for the snapshot it opened.
+func bindFixture(t *testing.T) func(*Snapshot) (*Model, error) {
+	return func(s *Snapshot) (*Model, error) {
+		movies, reviews := fixtureCorpora(t)
+		return s.Bind(movies, reviews)
+	}
+}
+
+// TestLoadSnapshotFileMatchesOpen holds the overlapped load to the
+// serial one. On every committed v6 fixture it binds the same rankings
+// as OpenSnapshotFile + Bind, under both verify modes; and for one byte
+// flipped inside every section it fails with exactly OpenSnapshotFile's
+// error, although the bind has run on the corrupt bytes beside the
+// checksums wherever they still decode. CI runs it under -race: the
+// verifier reads the mapping while the decode and bind do.
+func TestLoadSnapshotFileMatchesOpen(t *testing.T) {
+	for _, file := range []string{"v6.snap", "v6hnsw.snap", "v6ivf.snap", "v6sq8.snap"} {
+		t.Run(file, func(t *testing.T) {
+			path := filepath.Join(persistFixtureDir, file)
+			snap, err := OpenSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := bindFixture(t)(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rankAllMatches(t, serial)
+			for _, mode := range []VerifyMode{VerifyEager, VerifyLazy} {
+				var bound *Snapshot
+				loaded, err := LoadSnapshotFile(path, mode, func(s *Snapshot) (*Model, error) {
+					bound = s
+					return bindFixture(t)(s)
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				if got := rankAllMatches(t, loaded); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: LoadSnapshotFile rankings diverge from OpenSnapshotFile + Bind", mode)
+				}
+				if verified := bound.VerifyTime() > 0; verified != (mode == VerifyEager) {
+					t.Errorf("%s: VerifyTime() = %v", mode, bound.VerifyTime())
+				}
+			}
+
+			pristine, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptPath := filepath.Join(t.TempDir(), file)
+			nSecs := int(binary.LittleEndian.Uint32(pristine[16:20]))
+			boundCorrupt := 0
+			for s := 0; s < nSecs; s++ {
+				e := pristine[v6HeaderSize+s*v6EntrySize:]
+				off := binary.LittleEndian.Uint64(e[8:])
+				length := binary.LittleEndian.Uint64(e[16:])
+				if length == 0 {
+					continue
+				}
+				corrupt := append([]byte(nil), pristine...)
+				corrupt[off+length/2] ^= 0x5a
+				if err := os.WriteFile(corruptPath, corrupt, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, wantErr := OpenSnapshotFile(corruptPath)
+				if wantErr == nil {
+					t.Fatalf("section %d: OpenSnapshotFile accepted a flipped payload", s)
+				}
+				m, err := LoadSnapshotFile(corruptPath, VerifyEager, func(s *Snapshot) (*Model, error) {
+					boundCorrupt++
+					return bindFixture(t)(s)
+				})
+				if m != nil || err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("section %d (type %d): LoadSnapshotFile returned a model %v, error %v; want %v",
+						s, binary.LittleEndian.Uint32(e), m != nil, err, wantErr)
+				}
+			}
+			if boundCorrupt == 0 {
+				t.Error("no flipped file reached the bind: the overlap went untested")
+			}
+		})
+	}
+}
+
+// TestLoadSnapshotFileReleasesMappingOnFailure: a failed load unmaps
+// the file whatever failed — Bind, a check of the caller's after a
+// successful Bind, or verification — so repeated failed reloads cannot
+// pile up mappings. Linux only: it reads /proc/self/maps.
+func TestLoadSnapshotFileReleasesMappingOnFailure(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	pristine, err := os.ReadFile(filepath.Join(persistFixtureDir, "v6.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "release.v6")
+	corruptPath := filepath.Join(dir, "corrupt.v6")
+	corrupt := append([]byte(nil), pristine...)
+	corrupt[len(corrupt)/2] ^= 0x5a
+	for p, b := range map[string][]byte{path: pristine, corruptPath: corrupt} {
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapped := func(p string) bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(maps, []byte(p))
+	}
+
+	errUncovered := fmt.Errorf("corpora do not cover the snapshot")
+	failures := []func(*Snapshot) (*Model, error){
+		func(s *Snapshot) (*Model, error) {
+			movies, _ := fixtureCorpora(t)
+			return s.Bind(movies, movies) // wrong corpus names
+		},
+		func(s *Snapshot) (*Model, error) {
+			if _, err := bindFixture(t)(s); err != nil {
+				return nil, err
+			}
+			return nil, errUncovered
+		},
+	}
+	for i := 0; i < 20; i++ {
+		mode := []VerifyMode{VerifyEager, VerifyLazy}[i%2]
+		if _, err := LoadSnapshotFile(path, mode, failures[i/2%2]); err == nil {
+			t.Fatalf("load %d succeeded", i)
+		}
+		if _, err := LoadSnapshotFile(corruptPath, VerifyEager, bindFixture(t)); err == nil {
+			t.Fatalf("load %d of the corrupt file succeeded", i)
+		}
+	}
+	for _, p := range []string{path, corruptPath} {
+		if mapped(p) {
+			t.Errorf("%s is still mapped after 20 failed loads", p)
+		}
+	}
+	// The probe sees a live mapping: a successful load keeps its own.
+	m, err := LoadSnapshotFile(path, VerifyEager, bindFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped(path) {
+		t.Error("/proc/self/maps does not show a loaded snapshot's mapping")
+	}
+	runtime.KeepAlive(m)
 }
 
 // TestV6InfoMatchesGobInfo pins that the v6 metadata section carries
