@@ -172,9 +172,9 @@ type Config struct {
 	// hogwild-parallel; set 1 for bit-reproducible output.
 	Workers int
 
-	// Index selects the serving index for TopK and MatchAll (default
-	// IndexFlat, the paper's exact scan). TopKCombined and TopKBlocked
-	// always use the exact index regardless.
+	// Index selects the serving index for TopK, TopKBatch and MatchAll
+	// (default IndexFlat, the paper's exact scan): the kind of every
+	// sealed segment of both sides' segment stacks.
 	Index IndexKind
 	// HNSWM caps the neighbor count per node on the upper layers of an
 	// IndexHNSW graph (the bottom layer allows 2×HNSWM). 0 selects the

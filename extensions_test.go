@@ -2,75 +2,8 @@ package tdmatch
 
 import "testing"
 
-// Tests for the §VII future-work extensions: blocking and walk bias.
-
-func TestTopKBlockedMatchesPlainOnSharedTokens(t *testing.T) {
-	movies, reviews := fixtureCorpora(t)
-	model, err := Build(movies, reviews, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range reviews.IDs() {
-		plain, err := model.TopK(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocked, err := model.TopKBlocked(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// On this fixture every review shares tokens with its true tuple,
-		// so the blocked winner must equal the full-scan winner whenever
-		// the winner is a candidate; at minimum the calls must succeed and
-		// return a result.
-		if len(blocked) == 0 || len(plain) == 0 {
-			t.Fatalf("empty rankings for %s", q)
-		}
-	}
-}
-
-func TestTopKBlockedRestrictsCandidates(t *testing.T) {
-	movies, err := NewTable("movies", []string{"title", "star"},
-		[][]string{
-			{"Alpha Story", "Willis"},
-			{"Beta Tale", "Brando"},
-			{"Gamma Saga", "Weaver"},
-		}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reviews, err := NewText("reviews", []string{
-		"willis stars in the alpha story",
-		"brando leads the beta tale",
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := Build(movies, reviews, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := model.TopKBlocked("reviews:p0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range blocked {
-		if m.ID == "movies:t2" {
-			t.Error("blocking leaked a tuple sharing no tokens")
-		}
-	}
-}
-
-func TestTopKBlockedUnknownDoc(t *testing.T) {
-	movies, reviews := fixtureCorpora(t)
-	model, err := Build(movies, reviews, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := model.TopKBlocked("ghost:p9", 2); err == nil {
-		t.Error("want error for unknown document")
-	}
-}
+// Tests for the §VII future-work extensions: walk bias and node2vec
+// walks. Blocking runs through internal/match and internal/experiments.
 
 func TestBuildWithWalkBias(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)

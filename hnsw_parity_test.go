@@ -16,6 +16,31 @@ import (
 // block must describe the graph, and a v6 snapshot must re-save
 // byte-identically after a zero-copy bind.
 
+// flatBaseline returns the exact ranking for a query against the other
+// side: a flat index over the model's vectors of that corpus, in corpus
+// order.
+func (m *Model) flatBaseline(t *testing.T, docID string, k int) []Match {
+	t.Helper()
+	targets := m.second
+	if m.sideOf(docID) == 2 {
+		targets = m.first
+	}
+	ids := targets.IDs()
+	vecs := make([][]float32, len(ids))
+	for i, id := range ids {
+		vecs[i] = m.Vector(id)
+	}
+	idx, err := match.NewIndex(ids, vecs, m.dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := m.Vector(docID)
+	if q == nil {
+		t.Fatalf("query %s has no vector", docID)
+	}
+	return toMatches(idx.TopK(q, k))
+}
+
 // TestHNSWRecallOnIMDb is the graph-quality bar on the seed dataset
 // with a beam narrow enough that the graph is actually searched (ef 24
 // over a 60-row target index; the full-corpus delegation path would
@@ -98,9 +123,9 @@ func TestHNSWV6ResaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ok := servingBase(loaded.firstIdx).(*match.HNSW)
+	h, ok := loaded.firstIdx.Base().(*match.HNSW)
 	if !ok {
-		t.Fatalf("base segment is %T, want *match.HNSW", servingBase(loaded.firstIdx))
+		t.Fatalf("base segment is %T, want *match.HNSW", loaded.firstIdx.Base())
 	}
 	if !h.Borrowed() {
 		t.Error("v6-bound HNSW does not borrow the snapshot's graph sections")

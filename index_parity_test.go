@@ -34,21 +34,6 @@ func buildIMDbModel(t *testing.T, mutate func(*Config)) *Model {
 	return model
 }
 
-// flatBaseline returns the exact ranking for a query against the other
-// side's flat index.
-func (m *Model) flatBaseline(t *testing.T, docID string, k int) []Match {
-	t.Helper()
-	idx := m.secondFlat
-	if m.sideOf(docID) == 2 {
-		idx = m.firstFlat
-	}
-	q := m.vectors[docID]
-	if q == nil {
-		t.Fatalf("query %s has no vector", docID)
-	}
-	return toMatches(idx.TopK(q, k))
-}
-
 // TestCrossKernelDeterminismOnIMDb is the deterministic-ordering
 // invariant: on the seed IMDb dataset, every ranking path — the serial
 // single-query scan, the blocked multi-query kernel at several worker
@@ -139,6 +124,9 @@ func TestBuildStagesPopulateStats(t *testing.T) {
 	}
 }
 
+// TestConcurrentServingPaths reads one model from many goroutines at
+// once through every query path: the model holds no lock and builds
+// nothing lazily, so under -race any write a query made would show.
 func TestConcurrentServingPaths(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)
 	cfg := smallConfig()
@@ -147,10 +135,7 @@ func TestConcurrentServingPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := map[string][]float32{}
-	for _, id := range append(movies.IDs(), reviews.IDs()...) {
-		ext[id] = []float32{1, 0}
-	}
+	queries := append(movies.IDs(), reviews.IDs()...)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -160,50 +145,16 @@ func TestConcurrentServingPaths(t *testing.T) {
 				if _, err := model.TopK(q, 2); err != nil {
 					t.Error(err)
 				}
-				if _, err := model.TopKBlocked(q, 2); err != nil {
-					t.Error(err)
+			}
+			for _, res := range model.TopKBatchWorkers(queries, 2, 2) {
+				if res.Err != nil {
+					t.Error(res.Err)
 				}
-				if _, err := model.TopKCombined(q, 2, ext, 2, 0.5); err != nil {
-					t.Error(err)
-				}
+			}
+			if all := model.MatchAllWorkers(true, 2, 2); len(all) == 0 {
+				t.Error("MatchAllWorkers ranked no query")
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-func TestTopKCombinedCachesExternalIndex(t *testing.T) {
-	movies, reviews := fixtureCorpora(t)
-	model, err := Build(movies, reviews, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := map[string][]float32{}
-	for _, id := range append(movies.IDs(), reviews.IDs()...) {
-		ext[id] = []float32{1, 0}
-	}
-	if _, err := model.TopKCombined("reviews:p0", 2, ext, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	cached := model.extCache[0].idx
-	if cached == nil {
-		t.Fatal("first TopKCombined call must populate the side cache")
-	}
-	if _, err := model.TopKCombined("reviews:p1", 2, ext, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if model.extCache[0].idx != cached {
-		t.Error("same extVectors map must reuse the cached index")
-	}
-	// A different map (same content) must rebuild.
-	ext2 := map[string][]float32{}
-	for id, v := range ext {
-		ext2[id] = v
-	}
-	if _, err := model.TopKCombined("reviews:p0", 2, ext2, 2, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if model.extCache[0].idx == cached {
-		t.Error("different extVectors map must rebuild the index")
-	}
 }

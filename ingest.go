@@ -156,7 +156,6 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 	if err := m.appendToIndex(m.secondIdx, addSecond); err != nil {
 		return err
 	}
-	m.invalidateDerived()
 	m.deltas = append(m.deltas, savedDelta{Added: record})
 	return nil
 }
@@ -240,7 +239,6 @@ func (m *Model) Remove(ids []string) error {
 	}
 	m.firstIdx.Remove(firstIDs)
 	m.secondIdx.Remove(secondIDs)
-	m.invalidateDerived()
 	m.deltas = append(m.deltas, savedDelta{Removed: append([]string(nil), ids...)})
 	return nil
 }
@@ -248,7 +246,7 @@ func (m *Model) Remove(ids []string) error {
 // Compact is the full-rebuild escape hatch: it re-runs the complete
 // build pipeline over the current corpora (including every ingested
 // document), replacing the folded-in vectors, the term vectors and the
-// graph — and the whole serving segment stack, collapsed back to one
+// graph — and both sides' segment stacks, each collapsed back to one
 // sealed base segment — with freshly trained ones. The fold watermark
 // advances to the end of the delta chain as it stands now, so Staleness
 // drops to zero; the chain itself is kept — it records which documents
@@ -269,16 +267,13 @@ func (m *Model) Compact() error {
 	m.stats = nm.stats
 	m.folded = len(m.deltas)
 	m.staleBase = 0
-	// Drops the blockers, the combined-scorer caches and the monolithic
-	// exact indexes; the latter rebuild lazily over the fresh stack.
-	m.invalidateDerived()
 	return nil
 }
 
 // appendToIndex appends the documents' vectors to a serving index (a
 // segment stack lands them in its mutable delta). Documents without an
 // embedding become zero rows, exactly as after a full build.
-func (m *Model) appendToIndex(idx match.VectorIndex, docs []corpus.Document) error {
+func (m *Model) appendToIndex(idx *match.Segmented, docs []corpus.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
@@ -293,22 +288,6 @@ func (m *Model) appendToIndex(idx match.VectorIndex, docs []corpus.Document) err
 	return idx.Append(ids, arena)
 }
 
-// invalidateDerived drops the lazily-built serving caches that depend
-// on corpus or index composition: the token blockers, the external
-// combined-scorer indexes and the monolithic exact indexes (rebuilt on
-// the next TopKCombined/TopKBlocked call over the stack's live rows).
-func (m *Model) invalidateDerived() {
-	m.blkMu.Lock()
-	m.firstBlk, m.secondBlk = nil, nil
-	m.blkMu.Unlock()
-	m.extMu.Lock()
-	m.extCache = [2]extIndexCache{}
-	m.extMu.Unlock()
-	m.flatMu.Lock()
-	m.firstFlat, m.secondFlat = nil, nil
-	m.flatMu.Unlock()
-}
-
 // clone returns a deep-enough copy for the serving layer's
 // clone-mutate-swap: everything Ingest/Remove mutates is copied
 // (corpora, vector map, delta chain), immutable artefacts (vector rows,
@@ -316,9 +295,7 @@ func (m *Model) invalidateDerived() {
 // Index cloning is O(delta + tombstones) — the sealed segment
 // stack is shared outright, only the mutable delta segment and the
 // tombstone overlay are copied — so cloning never re-touches the full
-// arena the way a monolithic index clone would. The monolithic exact
-// caches are not carried over; a clone rebuilds them on first
-// TopKCombined/TopKBlocked use.
+// arena.
 func (m *Model) clone() *Model {
 	first := &Corpus{c: m.first.c.Clone()}
 	second := &Corpus{c: m.second.c.Clone()}
@@ -340,22 +317,9 @@ func (m *Model) clone() *Model {
 	for id, v := range m.vectors {
 		nm.vectors[id] = v
 	}
-	nm.firstIdx = cloneIndex(m.firstIdx)
-	nm.secondIdx = cloneIndex(m.secondIdx)
+	nm.firstIdx = m.firstIdx.Clone()
+	nm.secondIdx = m.secondIdx.Clone()
 	return nm
-}
-
-// cloneIndex clones a serving index for the swap chain: segment stacks
-// share their sealed segments (O(delta)); anything else falls back to
-// a full copy.
-func cloneIndex(idx match.VectorIndex) match.VectorIndex {
-	if seg, ok := idx.(*match.Segmented); ok {
-		return seg.Clone()
-	}
-	if flat, ok := idx.(*match.Index); ok {
-		return flat.Clone()
-	}
-	return idx
 }
 
 // foldState is the ingest state of a model: the trained term vectors

@@ -24,7 +24,12 @@ func ingestTestConfig() Config {
 // ingestDocOf converts a live document back into its IngestDoc form —
 // the re-ingest half of the remove+ingest parity tests.
 func ingestDocOf(m *Model, id string) IngestDoc {
-	side, doc, ok := m.docOf(id)
+	side := m.sideOf(id)
+	c := m.first.c
+	if side == 2 {
+		c = m.second.c
+	}
+	doc, ok := c.Doc(id)
 	if !ok {
 		panic("ingestDocOf: unknown document " + id)
 	}
@@ -77,10 +82,7 @@ func TestIngestWarmAddsServableDocument(t *testing.T) {
 	if !found {
 		t.Error("ingested movie absent from a corpus-covering ranking")
 	}
-	// Batch and blocked paths keep working after the mutation.
-	if _, err := model.TopKBlocked("reviews:new", 3); err != nil {
-		t.Fatal(err)
-	}
+	// The batch path keeps working after the mutation.
 	for _, res := range model.TopKBatch([]string{"reviews:new", "movies:new"}, 3) {
 		if res.Err != nil {
 			t.Fatal(res.Err)

@@ -69,8 +69,8 @@ func TestPatchEdgesMatchesThawedAddEdge(t *testing.T) {
 	old, _ := frozen.DataNode("tarantino")
 	pairs := [][2]NodeID{
 		{fa, fd}, {fa, old}, {fa, fd}, // duplicate in batch
-		{fd, fd},                      // self loop
-		{old, fa},                     // duplicate reversed
+		{fd, fd},  // self loop
+		{old, fa}, // duplicate reversed
 	}
 	frozen.PatchEdges(pairs)
 	if !frozen.Frozen() {

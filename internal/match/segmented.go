@@ -131,6 +131,17 @@ func (s *Segmented) IDs() []string {
 	return append(out, s.delta.IDs()...)
 }
 
+// Rows returns the number of resident rows across all segments,
+// tombstoned ones included (overlay and delta-internal alike): the
+// length of IDs, counted without building it.
+func (s *Segmented) Rows() int {
+	n := s.delta.rows()
+	for _, seg := range s.sealed {
+		n += seg.flat.rows()
+	}
+	return n
+}
+
 // Dim returns the vector dimensionality.
 func (s *Segmented) Dim() int { return s.dim }
 

@@ -204,6 +204,9 @@ func checkParity(seg *Segmented, oracle map[string][]float32, queries [][]float3
 	if seg.Len() != len(oracle) {
 		return fmt.Errorf("Len = %d, oracle has %d live docs", seg.Len(), len(oracle))
 	}
+	if rows := len(seg.IDs()); seg.Rows() != rows {
+		return fmt.Errorf("Rows = %d, IDs lists %d resident rows", seg.Rows(), rows)
+	}
 	ids := make([]string, 0, len(oracle))
 	for id := range oracle {
 		ids = append(ids, id)

@@ -162,12 +162,8 @@ func (m *Model) Save(w io.Writer) error {
 // savedSegments captures a side's serving segment stack for a v5
 // snapshot: one live-ID list per segment in stack order (mutable delta
 // last), each checksummed together with the vector rows it will rebind
-// to. Nil when the side serves an unsegmented index.
-func (m *Model) savedSegments(idx match.VectorIndex) []savedSegment {
-	seg, ok := idx.(*match.Segmented)
-	if !ok {
-		return nil
-	}
+// to.
+func (m *Model) savedSegments(seg *match.Segmented) []savedSegment {
 	manifest := seg.SegmentManifest()
 	out := make([]savedSegment, len(manifest))
 	for i, ids := range manifest {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/fnv1a"
@@ -340,6 +341,69 @@ func TestSnapshotV6DuplicateSegmentIDRejected(t *testing.T) {
 	}
 	if _, err := OpenSnapshotFileVerify(path, VerifyLazy); err != nil {
 		t.Errorf("lazy open rejected a structurally valid file: %v", err)
+	}
+}
+
+// TestSnapshotV6SegmentCountRejected re-seals the committed flat
+// fixture with metadata declaring no segment entries, then one, for
+// either side. SaveV6 always writes a base segment plus the mutable
+// delta, so both counts must fail OpenSnapshotFile and LoadSnapshotFile
+// with the segment-count error before anything binds.
+func TestSnapshotV6SegmentCountRejected(t *testing.T) {
+	payload, err := os.ReadFile(filepath.Join(persistFixtureDir, "v6.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := parseV6Layout(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := -1
+	for i := range l.payloads {
+		if binary.LittleEndian.Uint32(l.table[i*v6EntrySize:]) == secMetaJSON {
+			meta = i
+		}
+	}
+	if meta < 0 {
+		t.Fatal("fixture has no metadata section")
+	}
+	dir := t.TempDir()
+	for _, field := range []string{"FirstSegs", "SecondSegs"} {
+		for _, count := range []string{"0", "1"} {
+			corrupt := append([]byte(nil), payload...)
+			e := corrupt[v6HeaderSize+meta*v6EntrySize:]
+			off := binary.LittleEndian.Uint64(e[8:])
+			sec := corrupt[off : off+binary.LittleEndian.Uint64(e[16:])]
+			key := []byte(`"` + field + `":`)
+			at := bytes.Index(sec, key)
+			if at < 0 {
+				t.Fatalf("metadata has no %s field", field)
+			}
+			at += len(key)
+			end := at
+			for sec[end] >= '0' && sec[end] <= '9' {
+				end++
+			}
+			// Pad with JSON whitespace so the section keeps its length.
+			copy(sec[at:end], count+strings.Repeat(" ", end-at-1))
+			binary.LittleEndian.PutUint64(e[24:], fnv1a.Sum(sec))
+			resealV6(corrupt)
+			path := filepath.Join(dir, field+count+".v6")
+			if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			const want = "segment counts"
+			if _, err := OpenSnapshotFile(path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: OpenSnapshotFile = %v, want a %q error", field, count, err, want)
+			}
+			m, err := LoadSnapshotFile(path, VerifyEager, func(s *Snapshot) (*Model, error) {
+				movies, reviews := fixtureCorpora(t)
+				return s.Bind(movies, reviews)
+			})
+			if m != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: LoadSnapshotFile returned a model %v, error %v; want a %q error", field, count, m != nil, err, want)
+			}
+		}
 	}
 }
 

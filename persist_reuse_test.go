@@ -327,7 +327,7 @@ func checkSidesBuildConcurrently(t *testing.T, trained *Model) {
 		if st := m.Stats(); st.IndexBuildTime[0] <= 0 || st.IndexBuildTime[1] <= 0 {
 			t.Errorf("Workers %d: IndexBuildTime = %v, want both sides timed", workers, st.IndexBuildTime)
 		}
-		base := servingBase(m.secondIdx)
+		base := m.secondIdx.Base()
 		switch trained.cfg.Index {
 		case IndexFlat:
 			if _, ok := base.(*match.Index); !ok {

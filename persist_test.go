@@ -10,15 +10,6 @@ import (
 	"github.com/tdmatch/tdmatch/internal/match"
 )
 
-// servingBase unwraps a model's serving index to the base segment's
-// kind-carrying index (flat or HNSW) for type assertions.
-func servingBase(idx match.VectorIndex) match.VectorIndex {
-	if seg, ok := idx.(*match.Segmented); ok {
-		return seg.Base()
-	}
-	return idx
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	movies, reviews := fixtureCorpora(t)
 	model, err := Build(movies, reviews, smallConfig())
@@ -110,8 +101,8 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 		loaded.cfg.HNSWEfConstruct != 4 || loaded.cfg.Seed != cfg.Seed {
 		t.Errorf("index config not restored: %+v", loaded.cfg)
 	}
-	if _, ok := servingBase(loaded.firstIdx).(*match.HNSW); !ok {
-		t.Errorf("loaded serving index is %T, want *match.HNSW", servingBase(loaded.firstIdx))
+	if _, ok := loaded.firstIdx.Base().(*match.HNSW); !ok {
+		t.Errorf("loaded serving index is %T, want *match.HNSW", loaded.firstIdx.Base())
 	}
 	// Approximate rankings must equal the trained model's: same seed,
 	// same graph, same beam.
@@ -139,7 +130,7 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 // model keeps them and no longer names the removed kind.
 func TestSaveLoadSQ8SnapshotServesIdenticalRankings(t *testing.T) {
 	loaded := loadFrozenModel(t, "v5sq8.gob")
-	if base, ok := servingBase(loaded.firstIdx).(*match.Index); !ok {
+	if base, ok := loaded.firstIdx.Base().(*match.Index); !ok {
 		t.Fatalf("loaded serving index is %T, want *match.Index", base)
 	}
 	flat := loadFrozenModel(t, "v5.gob")

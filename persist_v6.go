@@ -297,17 +297,6 @@ type v6SectionData struct {
 	offset   int64
 }
 
-// segmentManifestFor captures a side's segment layout for the writer:
-// the live IDs of every segment in stack order with the mutable delta
-// last, or the whole corpus as a single base segment when the side
-// serves unsegmented.
-func (m *Model) segmentManifestFor(idx match.VectorIndex, c interface{ IDs() []string }) [][]string {
-	if seg, ok := idx.(*match.Segmented); ok {
-		return seg.SegmentManifest()
-	}
-	return [][]string{c.IDs(), nil}
-}
-
 // SaveStats reports what one version-6 save did with the model's sealed
 // serving segments. A daemon whose saves keep rebuilding (tombstones it
 // never compacts away) shows here, without a profiler.
@@ -359,8 +348,8 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 	}
 	termIDs, termArena := m.termVectors()
 
-	firstMan := m.segmentManifestFor(m.firstIdx, m.first.c)
-	secondMan := m.segmentManifestFor(m.secondIdx, m.second.c)
+	firstMan := m.firstIdx.SegmentManifest()
+	secondMan := m.secondIdx.SegmentManifest()
 	meta := v6Meta{
 		Dim:             m.dim,
 		FirstName:       m.first.Name(),
@@ -392,9 +381,8 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 		add(secTermIDs, 0, encodeStringTable(termIDs))
 		add(secTermArena, 0, f32Bytes(termArena))
 	}
-	stacks := [2]match.VectorIndex{m.firstIdx, m.secondIdx}
+	stacks := [2]*match.Segmented{m.firstIdx, m.secondIdx}
 	for side, man := range [][][]string{firstMan, secondMan} {
-		stack, _ := stacks[side].(*match.Segmented)
 		for ord, segIDs := range man {
 			key := uint32(side)<<16 | uint32(ord)
 			add(secSegManifest, key, encodeStringTable(segIDs))
@@ -403,8 +391,8 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 			}
 			var seg match.VectorIndex
 			var flat *match.Index
-			if reuse && stack != nil {
-				seg, flat = m.reusableSegment(stack, side, ord)
+			if reuse {
+				seg, flat = m.reusableSegment(stacks[side], side, ord)
 			}
 			if seg != nil {
 				st.SegmentsReused++
@@ -697,11 +685,11 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 	if meta.Dim <= 0 {
 		return fail("dimension %d", meta.Dim)
 	}
-	// A side is absent (0) or a base segment through the mutable delta,
-	// which makes at least two entries.
+	// A side is a base segment through the mutable delta, which makes
+	// at least two entries: SaveV6 has never written fewer.
 	const maxSegs = 1 << 20
 	for _, n := range []int{meta.FirstSegs, meta.SecondSegs} {
-		if n < 0 || n == 1 || n > maxSegs {
+		if n < 2 || n > maxSegs {
 			return fail("segment counts %d/%d", meta.FirstSegs, meta.SecondSegs)
 		}
 	}
@@ -968,71 +956,54 @@ func LoadSnapshotFile(path string, mode VerifyMode, bind func(*Snapshot) (*Model
 // O(n) cost paid at bind.
 func (m *Model) bindSegmentedV6(first, second []v6Segment) error {
 	var err error
-	if m.firstIdx, m.firstFlat, err = m.bindSideV6(0, first); err != nil {
+	if m.firstIdx, err = m.bindSideV6(0, first); err != nil {
 		return err
 	}
-	if m.secondIdx, m.secondFlat, err = m.bindSideV6(1, second); err != nil {
-		return err
-	}
-	return nil
+	m.secondIdx, err = m.bindSideV6(1, second)
+	return err
 }
 
 // bindSideV6 assembles one side's segment stack from parsed v6
-// segments, mirroring buildSide's layout decisions (base wrap, seal
-// ordinals, delta regather, single-segment exact cache) over borrowed
-// arenas instead of regathered ones.
-func (m *Model) bindSideV6(side int, segs []v6Segment) (match.VectorIndex, *match.Index, error) {
-	if len(segs) == 0 {
-		// No manifest (never written by SaveV6, tolerated for robustness):
-		// rebuild the classic single-segment layout from the vector map.
-		c := m.first.c
-		if side == 1 {
-			c = m.second.c
-		}
-		return m.buildSide(c, side, nil)
-	}
+// segments (parseV6 guarantees at least a base and the delta), mirroring
+// buildSide's layout decisions (base wrap, seal ordinals, delta
+// regather) over borrowed arenas instead of regathered ones.
+func (m *Model) bindSideV6(side int, segs []v6Segment) (*match.Segmented, error) {
 	base, err := m.bindFlatV6(segs[0])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	baseIdx, err := m.bindSegmentV6(base, side, 0, segs[0])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stack, err := match.NewSegmented(baseIdx, m.dim, m.sealFunc(side), m.cfg.SegmentMaxDocs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	single := true
 	ordinal := 1
 	for _, seg := range segs[1 : len(segs)-1] {
 		if len(seg.ids) == 0 {
 			continue // all-tombstoned segment, compacted away on restore
 		}
-		single = false
 		flat, err := m.bindFlatV6(seg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		idx, err := m.bindSegmentV6(flat, side, ordinal, seg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := stack.AppendSealed(idx); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ordinal++
 	}
 	if delta := segs[len(segs)-1]; len(delta.ids) > 0 {
-		single = false
 		if err := stack.Append(delta.ids, m.gatherArena(delta.ids)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	if single {
-		return stack, base, nil
-	}
-	return stack, nil, nil
+	return stack, nil
 }
 
 // bindFlatV6 builds the flat index of one sealed segment: borrowed

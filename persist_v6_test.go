@@ -74,8 +74,8 @@ func ingestSegments(t *testing.T, model *Model) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if seg := model.secondIdx.(*match.Segmented); seg.DeltaLen() > 0 {
-			if err := seg.Seal(); err != nil {
+		if model.secondIdx.DeltaLen() > 0 {
+			if err := model.secondIdx.Seal(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -458,9 +458,9 @@ func TestV6LoadIsZeroCopyAndCopyOnWrite(t *testing.T) {
 	if loaded.backing == nil {
 		t.Fatal("v6-loaded model carries no backing mapping")
 	}
-	base, ok := servingBase(loaded.firstIdx).(*match.Index)
+	base, ok := loaded.firstIdx.Base().(*match.Index)
 	if !ok {
-		t.Fatalf("base segment is %T, want *match.Index", servingBase(loaded.firstIdx))
+		t.Fatalf("base segment is %T, want *match.Index", loaded.firstIdx.Base())
 	}
 	if !base.Borrowed() {
 		t.Error("v6-loaded base segment does not borrow the snapshot arena")

@@ -3,7 +3,6 @@ package tdmatch
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 	"time"
 
@@ -47,17 +46,10 @@ type Stats struct {
 	BuildTime time.Duration
 }
 
-// extIndexCache memoizes the external-scorer index TopKCombined builds
-// over one target side, keyed on the identity of the caller's vector map.
-// src retains the keyed map so its address cannot be recycled for a new
-// map while the cache entry is alive.
-type extIndexCache struct {
-	src map[string][]float32
-	dim int
-	idx *match.Index
-}
-
-// Model is a trained matcher over two corpora.
+// Model is a trained matcher over two corpora. It holds no lock and no
+// lazily built state: queries only read it, so any number may run at
+// once. Ingest, Remove and Compact mutate it and must not run beside
+// queries; the serving layer mutates a clone and swaps it in.
 type Model struct {
 	cfg    Config
 	first  *Corpus
@@ -79,20 +71,12 @@ type Model struct {
 
 	vectors map[string][]float32
 	dim     int
-	// firstIdx/secondIdx are the serving indexes: LSM-style segment
-	// stacks (match.Segmented) whose sealed base wraps the full build
-	// per Config.Index (flat or HNSW) and whose small mutable delta
-	// absorbs ingests — what makes Ingest and clone O(delta) at any
-	// corpus size. firstFlat/secondFlat are
-	// monolithic exact indexes over each side's live rows, backing
-	// TopKCombined and TopKBlocked; they are built eagerly by Build,
-	// invalidated by mutations and clones, and lazily rebuilt under
-	// flatMu on first use.
-	firstIdx   match.VectorIndex
-	secondIdx  match.VectorIndex
-	flatMu     sync.Mutex
-	firstFlat  *match.Index
-	secondFlat *match.Index
+	// firstIdx/secondIdx are the serving indexes, one LSM-style segment
+	// stack per side: the sealed base wraps the full build per
+	// Config.Index (flat or HNSW) and the small mutable delta absorbs
+	// ingests — what makes Ingest and clone O(delta) at any corpus size.
+	firstIdx  *match.Segmented
+	secondIdx *match.Segmented
 
 	// deltas is the persistence delta chain: one record per Ingest or
 	// Remove call since the model was built (or loaded), re-applied by
@@ -106,12 +90,7 @@ type Model struct {
 	folded    int
 	staleBase int
 
-	blkMu     sync.Mutex
-	firstBlk  *match.Blocker
-	secondBlk *match.Blocker
-	extMu     sync.Mutex
-	extCache  [2]extIndexCache
-	stats     Stats
+	stats Stats
 
 	// backing pins the mmap a zero-copy (v6) snapshot load bound this
 	// model's arenas onto: the vector map, term vectors and sealed index
@@ -310,22 +289,20 @@ func (m *Model) buildIndexes() error {
 // single-segment layout over the side's whole corpus. Snapshot.Bind
 // passes a version-5 snapshot's manifests so a restored stack keeps
 // its saved segment boundaries. The two sides are independent — they
-// read the shared vector map and write their own index, cache and Stats
-// slots — so they build as two pool tasks, concurrently when
-// Config.Workers (or a serving clone's lower buildCap) allows.
+// read the shared vector map and write their own index and Stats slots
+// — so they build as two pool tasks, concurrently when Config.Workers
+// (or a serving clone's lower buildCap) allows.
 func (m *Model) buildSegmentedIndexes(firstSegs, secondSegs [][]string) error {
 	corpora := [2]*corpus.Corpus{m.first.c, m.second.c}
 	manifests := [2][][]string{firstSegs, secondSegs}
-	var idx [2]match.VectorIndex
-	var flat [2]*match.Index
+	var idx [2]*match.Segmented
 	var errs [2]error
 	runPool(2, m.buildWorkers(), func(side int) {
 		start := time.Now()
-		idx[side], flat[side], errs[side] = m.buildSide(corpora[side], side, manifests[side])
+		idx[side], errs[side] = m.buildSide(corpora[side], side, manifests[side])
 		m.stats.IndexBuildTime[side] = time.Since(start)
 	})
 	m.firstIdx, m.secondIdx = idx[0], idx[1]
-	m.firstFlat, m.secondFlat = flat[0], flat[1]
 	if errs[0] != nil {
 		return errs[0]
 	}
@@ -334,41 +311,33 @@ func (m *Model) buildSegmentedIndexes(firstSegs, secondSegs [][]string) error {
 
 // buildSide assembles one side's segment stack: manifest[0] becomes the
 // sealed base (wrapped per Config.Index), the middle entries are
-// re-sealed in order, and the last entry fills the mutable delta. The
-// monolithic exact cache is populated only for the single-segment
-// layout; multi-segment restores leave it to the lazy exactFlat
-// rebuild.
-func (m *Model) buildSide(c *corpus.Corpus, side int, manifest [][]string) (match.VectorIndex, *match.Index, error) {
+// re-sealed in order, and the last entry fills the mutable delta.
+func (m *Model) buildSide(c *corpus.Corpus, side int, manifest [][]string) (*match.Segmented, error) {
 	if len(manifest) == 0 {
 		manifest = [][]string{c.IDs(), nil}
 	}
 	flat, err := m.buildFlatIDs(manifest[0])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stack, err := match.NewSegmented(m.cfg.wrapSegment(flat, side, 0), m.dim, m.sealFunc(side), m.cfg.SegmentMaxDocs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	single := true
 	for i, ids := range manifest[1:] {
 		if len(ids) == 0 {
 			continue
 		}
-		single = false
 		if err := stack.Append(ids, m.gatherArena(ids)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if i < len(manifest)-2 { // not the delta entry
 			if err := stack.Seal(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	if single {
-		return stack, flat, nil
-	}
-	return stack, nil, nil
+	return stack, nil
 }
 
 // gatherArena copies the documents' vectors into one contiguous arena
@@ -384,36 +353,6 @@ func (m *Model) gatherArena(ids []string) []float32 {
 
 func (m *Model) buildFlatIDs(ids []string) (*match.Index, error) {
 	return match.NewIndexArena(ids, m.gatherArena(ids), m.dim)
-}
-
-// exactFlat returns the side's (1 = first corpus, 2 = second)
-// monolithic exact index, rebuilding it over the serving stack's live
-// rows when a mutation or clone invalidated it — TopKCombined and
-// TopKBlocked are exact-only surfaces and pay this O(side) rebuild at
-// most once per mutation, not per query.
-func (m *Model) exactFlat(side int) (*match.Index, error) {
-	m.flatMu.Lock()
-	defer m.flatMu.Unlock()
-	slot, idx := &m.firstFlat, m.firstIdx
-	if side == 2 {
-		slot, idx = &m.secondFlat, m.secondIdx
-	}
-	if *slot == nil {
-		var ids []string
-		if seg, ok := idx.(*match.Segmented); ok {
-			for _, segIDs := range seg.SegmentManifest() {
-				ids = append(ids, segIDs...)
-			}
-		} else {
-			ids = idx.IDs()
-		}
-		flat, err := m.buildFlatIDs(ids)
-		if err != nil {
-			return nil, err
-		}
-		*slot = flat
-	}
-	return *slot, nil
 }
 
 // segmentSeedStride spaces the seeds of sealed delta segments apart
@@ -486,11 +425,7 @@ func (m *Model) SegmentStats() (first, second SegmentStats) {
 	return segmentStatsOf(m.firstIdx), segmentStatsOf(m.secondIdx)
 }
 
-func segmentStatsOf(idx match.VectorIndex) SegmentStats {
-	seg, ok := idx.(*match.Segmented)
-	if !ok {
-		return SegmentStats{}
-	}
+func segmentStatsOf(seg *match.Segmented) SegmentStats {
 	return SegmentStats{
 		Segments:   seg.Segments(),
 		DeltaDocs:  seg.DeltaLen(),
@@ -521,18 +456,9 @@ func (m *Model) IndexStats() (first, second IndexStats) {
 	return m.indexStatsOf(m.firstIdx), m.indexStatsOf(m.secondIdx)
 }
 
-func (m *Model) indexStatsOf(idx match.VectorIndex) IndexStats {
-	st := IndexStats{Kind: m.cfg.Index.String()}
-	base := idx
-	if seg, ok := idx.(*match.Segmented); ok {
-		st.LiveRows = seg.Len()
-		st.Rows = seg.Len() + seg.Tombstones()
-		base = seg.Base()
-	} else {
-		st.LiveRows = idx.Len()
-		st.Rows = len(idx.IDs())
-	}
-	if h, ok := base.(*match.HNSW); ok {
+func (m *Model) indexStatsOf(seg *match.Segmented) IndexStats {
+	st := IndexStats{Kind: m.cfg.Index.String(), Rows: seg.Rows(), LiveRows: seg.Len()}
+	if h, ok := seg.Base().(*match.HNSW); ok {
 		st.MaxLevel = h.MaxLevel()
 		st.AvgDegree = h.AvgDegree()
 		st.Ef = h.Ef()
@@ -593,29 +519,22 @@ func (m *Model) Vector(docID string) []float32 { return m.vectors[docID] }
 // Callers must not mutate the returned slices.
 func (m *Model) Vectors() map[string][]float32 { return m.vectors }
 
-// docOf resolves a document ID to its side (1 or 2) and document; side 0
-// and ok false for unknown IDs.
-func (m *Model) docOf(docID string) (int, corpus.Document, bool) {
-	if d, ok := m.first.c.Doc(docID); ok {
-		return 1, d, true
-	}
-	if d, ok := m.second.c.Doc(docID); ok {
-		return 2, d, true
-	}
-	return 0, corpus.Document{}, false
-}
-
 // sideOf reports which corpus a document belongs to: 1, 2, or 0 (unknown).
 func (m *Model) sideOf(docID string) int {
-	side, _, _ := m.docOf(docID)
-	return side
+	if _, ok := m.first.c.Doc(docID); ok {
+		return 1
+	}
+	if _, ok := m.second.c.Doc(docID); ok {
+		return 2
+	}
+	return 0
 }
 
 // TopK returns the k documents of the *other* corpus most similar to the
 // given document (§IV-B), served by the configured index. The query may
 // come from either corpus.
 func (m *Model) TopK(docID string, k int) ([]Match, error) {
-	var idx match.VectorIndex
+	var idx *match.Segmented
 	switch m.sideOf(docID) {
 	case 1:
 		idx = m.secondIdx
@@ -629,73 +548,6 @@ func (m *Model) TopK(docID string, k int) ([]Match, error) {
 		return nil, fmt.Errorf("tdmatch: document %q has no embedding (pruned or isolated)", docID)
 	}
 	return toMatches(idx.TopK(q, k)), nil
-}
-
-// extIndex returns the cached external-scorer index over the given
-// target side, rebuilding it only when the caller passes a different
-// vector map (identity, not content: mutating a cached map between
-// calls is not supported) or dimension. side is 1 for the first corpus,
-// 2 for the second; the index is built position-aligned with that
-// side's flat index (including tombstoned rows, which never surface),
-// so TopKCombined stays correct after ingests and removals.
-func (m *Model) extIndex(side int, flat *match.Index, extVectors map[string][]float32, extDim int) (*match.Index, error) {
-	m.extMu.Lock()
-	defer m.extMu.Unlock()
-	cached := &m.extCache[side-1]
-	if cached.idx != nil && cached.dim == extDim &&
-		reflect.ValueOf(cached.src).Pointer() == reflect.ValueOf(extVectors).Pointer() {
-		return cached.idx, nil
-	}
-	ids := flat.IDs()
-	extVecs := make([][]float32, len(ids))
-	for i, id := range ids {
-		extVecs[i] = extVectors[id]
-	}
-	idx, err := match.NewIndex(ids, extVecs, extDim)
-	if err != nil {
-		return nil, err
-	}
-	*cached = extIndexCache{src: extVectors, dim: extDim, idx: idx}
-	return idx, nil
-}
-
-// TopKCombined averages the model's cosine scores with an external scorer's
-// vectors (e.g. a pre-trained sentence embedder), reproducing the Fig. 10
-// combination. extVectors must map document IDs of both corpora to vectors
-// of consistent dimension extDim; weight balances model vs external (0.5 =
-// plain average). The external index is cached per side on the identity of
-// extVectors, so repeated calls with the same map pay the build once.
-func (m *Model) TopKCombined(docID string, k int, extVectors map[string][]float32, extDim int, weight float64) ([]Match, error) {
-	var sideNo int
-	switch m.sideOf(docID) {
-	case 1:
-		sideNo = 2
-	case 2:
-		sideNo = 1
-	default:
-		return nil, fmt.Errorf("tdmatch: unknown document %q", docID)
-	}
-	idx, err := m.exactFlat(sideNo)
-	if err != nil {
-		return nil, err
-	}
-	q := m.vectors[docID]
-	if q == nil {
-		return nil, fmt.Errorf("tdmatch: document %q has no embedding", docID)
-	}
-	extQ := extVectors[docID]
-	if extQ == nil {
-		return toMatches(idx.TopK(q, k)), nil
-	}
-	extIdx, err := m.extIndex(sideNo, idx, extVectors, extDim)
-	if err != nil {
-		return nil, err
-	}
-	scored, err := idx.TopKCombined(extIdx, q, extQ, 1-weight, weight, k)
-	if err != nil {
-		return nil, err
-	}
-	return toMatches(scored), nil
 }
 
 // MatchAll ranks, for every document of the query corpus, the top-k
@@ -801,11 +653,11 @@ func (m *Model) TopKBatchWorkers(docIDs []string, k, workers int) []BatchResult 
 		}
 	}
 	type chunk struct {
-		idx   match.VectorIndex
+		idx   *match.Segmented
 		slots []int
 	}
 	var chunks []chunk
-	addChunks := func(idx match.VectorIndex, slots []int) {
+	addChunks := func(idx *match.Segmented, slots []int) {
 		size := batchChunk(len(slots), workers)
 		for lo := 0; lo < len(slots); lo += size {
 			hi := lo + size
@@ -922,51 +774,4 @@ func kindWeights(b *WalkBias) map[graph.NodeKind]float64 {
 	set(b.Metadata, graph.Tuple, graph.Snippet, graph.Concept)
 	set(b.External, graph.External)
 	return w
-}
-
-// TopKBlocked is TopK restricted to candidates that share at least one
-// processed token with the query document — the blocking speed-up the
-// paper plans as future work (§VII). When no candidate shares a token the
-// full ranking is returned.
-func (m *Model) TopKBlocked(docID string, k int) ([]Match, error) {
-	side, doc, ok := m.docOf(docID)
-	if !ok {
-		return nil, fmt.Errorf("tdmatch: unknown document %q", docID)
-	}
-	var targets *corpus.Corpus
-	var blocker **match.Blocker
-	targetSide := 2
-	if side == 1 {
-		targets, blocker = m.second.c, &m.secondBlk
-	} else {
-		targetSide = 1
-		targets, blocker = m.first.c, &m.firstBlk
-	}
-	idx, err := m.exactFlat(targetSide)
-	if err != nil {
-		return nil, err
-	}
-	q := m.vectors[docID]
-	if q == nil {
-		return nil, fmt.Errorf("tdmatch: document %q has no embedding", docID)
-	}
-	m.blkMu.Lock()
-	if *blocker == nil {
-		// Position-align the blocker with the exact index (not the corpus):
-		// a lazily rebuilt index holds live rows only, but the eager
-		// post-build one may keep tombstoned rows, whose documents are gone
-		// from the corpus — they get no postings and are skipped by the
-		// scoring kernel anyway.
-		indexIDs := idx.IDs()
-		texts := make([]string, len(indexIDs))
-		for i, id := range indexIDs {
-			if d, ok := targets.Doc(id); ok {
-				texts[i] = d.Text()
-			}
-		}
-		*blocker = match.NewBlocker(texts)
-	}
-	blk := *blocker
-	m.blkMu.Unlock()
-	return toMatches(idx.TopKBlocked(blk, doc.Text(), q, k)), nil
 }

@@ -83,6 +83,30 @@ func TestSegmentedIngestStacksSegments(t *testing.T) {
 	assertExactParity(t, model)
 }
 
+// TestIndexStatsCountDeltaTombstones ingests a side-2 document and
+// removes it again: the removed row stays resident in the mutable delta
+// as a delta-internal tombstone until Compact, and IndexStats.Rows must
+// count it beside the live rows.
+func TestIndexStatsCountDeltaTombstones(t *testing.T) {
+	movies, reviews := fixtureCorpora(t)
+	model, err := Build(movies, reviews, ingestTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := reviews.Len()
+	if err := model.Ingest([]IngestDoc{{Side: 2, ID: "reviews:gone", Values: []string{"a Tarantino crime story"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.Remove([]string{"reviews:gone"}); err != nil {
+		t.Fatal(err)
+	}
+	_, second := model.IndexStats()
+	if resident := len(model.secondIdx.IDs()); second.Rows != resident || second.Rows != live+1 || second.LiveRows != live {
+		t.Errorf("IndexStats = rows %d, live %d; want rows %d (resident IDs %d), live %d",
+			second.Rows, second.LiveRows, live+1, resident, live)
+	}
+}
+
 // assertExactParity checks TopK for every embedded document against a
 // from-scratch flat index built over the model's live vectors.
 func assertExactParity(t *testing.T, m *Model) {
@@ -92,12 +116,8 @@ func assertExactParity(t *testing.T, m *Model) {
 		if side == 2 {
 			c = m.second
 		}
-		seg, ok := m.indexOf(side).(*match.Segmented)
-		if !ok {
-			t.Fatalf("side %d serving index is %T, want *match.Segmented", side, m.indexOf(side))
-		}
 		var ids []string
-		for _, segIDs := range seg.SegmentManifest() {
+		for _, segIDs := range m.indexOf(side).SegmentManifest() {
 			ids = append(ids, segIDs...)
 		}
 		arena := make([]float32, 0, len(ids)*m.dim)
@@ -138,7 +158,7 @@ func assertExactParity(t *testing.T, m *Model) {
 }
 
 // indexOf returns a side's serving index (test helper).
-func (m *Model) indexOf(side int) match.VectorIndex {
+func (m *Model) indexOf(side int) *match.Segmented {
 	if side == 1 {
 		return m.secondIdx // side-1 queries rank side-2 documents
 	}

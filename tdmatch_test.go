@@ -211,44 +211,6 @@ func TestBuildNilCorpus(t *testing.T) {
 	}
 }
 
-func TestTopKCombined(t *testing.T) {
-	movies, reviews := fixtureCorpora(t)
-	model, err := Build(movies, reviews, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// External vectors that put p0 exactly on t3: with weight 1 the
-	// external scorer dominates.
-	ext := map[string][]float32{}
-	for _, id := range append(movies.IDs(), reviews.IDs()...) {
-		ext[id] = []float32{1, 0}
-	}
-	ext["reviews:p0"] = []float32{0, 1}
-	ext["movies:t3"] = []float32{0, 1}
-	got, err := model.TopKCombined("reviews:p0", 1, ext, 2, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != "movies:t3" {
-		t.Errorf("external-dominated winner = %s, want movies:t3", got[0].ID)
-	}
-	// Weight 0 must equal the plain model ranking.
-	plain, _ := model.TopK("reviews:p0", 1)
-	comb, err := model.TopKCombined("reviews:p0", 1, ext, 2, 0.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comb[0].ID != plain[0].ID {
-		t.Errorf("weight-0 combined %s != plain %s", comb[0].ID, plain[0].ID)
-	}
-	// Missing external query vector: falls back to plain.
-	delete(ext, "reviews:p1")
-	fb, err := model.TopKCombined("reviews:p1", 1, ext, 2, 0.9)
-	if err != nil || len(fb) != 1 {
-		t.Errorf("fallback failed: %v %v", fb, err)
-	}
-}
-
 func TestTaxonomyCorpusAPI(t *testing.T) {
 	tax, err := NewTaxonomy("tax", []TaxonomyNode{
 		{ID: "tax:root", Text: "audit"},
