@@ -70,6 +70,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -385,13 +386,7 @@ func validateCoverage(model *tdmatch.Model, info tdmatch.ModelInfo, first, secon
 			info.Docs, total)
 	}
 	for _, c := range []*tdmatch.Corpus{first, second} {
-		covered := 0
-		for _, id := range c.IDs() {
-			if model.Vector(id) != nil {
-				covered++
-			}
-		}
-		if covered == 0 {
+		if !slices.ContainsFunc(c.IDs(), func(id string) bool { return model.Vector(id) != nil }) {
 			return fmt.Errorf("no document of corpus %q has a stored vector — wrong corpus files for this snapshot?",
 				c.Name())
 		}

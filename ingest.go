@@ -187,8 +187,8 @@ func (m *Model) ingestFold(docs []corpus.Document) {
 		for _, v := range doc.Values {
 			toks := m.fold.pre.Tokens(v.Text)
 			for _, term := range textproc.NGrams(toks, m.fold.maxNGram()) {
-				tv, ok := m.fold.terms[term]
-				if !ok {
+				tv := m.fold.vector(term, m.dim)
+				if tv == nil {
 					continue
 				}
 				known++
@@ -323,11 +323,23 @@ func (m *Model) clone() *Model {
 }
 
 // foldState is the ingest state of a model: the trained term vectors
-// plus the preprocessor that reproduces the build's tokenization. Term
-// vectors are read-only and shared across clones.
+// plus the preprocessor that reproduces the build's tokenization. The
+// term table is read-only and shared across clones: ids, strictly
+// increasing, and arena, term i's vector at row i — the layout a
+// snapshot stores, so a load binds it as it stands.
 type foldState struct {
 	pre   textproc.Preprocessor
-	terms map[string][]float32
+	ids   []string
+	arena []float32
+}
+
+// vector returns term's trained vector of dim floats, or nil.
+func (f *foldState) vector(term string, dim int) []float32 {
+	i, ok := slices.BinarySearch(f.ids, term)
+	if !ok {
+		return nil
+	}
+	return f.arena[i*dim : (i+1)*dim : (i+1)*dim]
 }
 
 // maxNGram returns the term length bound of the restored preprocessor.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -204,13 +205,55 @@ func TestIngestRejectsAttributeLabelID(t *testing.T) {
 	}
 }
 
+// TestIngestFoldBitIdenticalAfterRoundTrip: the documents a Build folds
+// in get bit for bit the vectors its v6 and gob reloads give them, so the
+// term table a load adopts in place is the table the build gathered.
+func TestIngestFoldBitIdenticalAfterRoundTrip(t *testing.T) {
+	built := persistFixtureModel(t)
+	dir := t.TempDir()
+	v6Path, gobPath := filepath.Join(dir, "m.v6"), filepath.Join(dir, "m.gob")
+	if err := built.SaveFileV6(v6Path); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.SaveFile(gobPath); err != nil {
+		t.Fatal(err)
+	}
+	docs := []IngestDoc{
+		{Side: 2, ID: "reviews:fold", Values: []string{"Willis returns in a Tarantino crime sequel"}},
+		{Side: 1, ID: "movies:fold", Values: []string{"Die Hard", "McTiernan", "Bruce Willis", "R", "Action"}},
+	}
+	if err := built.Ingest(docs); err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	for _, path := range []string{v6Path, gobPath} {
+		movies, reviews := fixtureCorpora(t)
+		loaded, err := LoadModelFile(path, movies, reviews)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.Ingest(docs); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			want, got := built.Vector(d.ID), loaded.Vector(d.ID)
+			if want == nil || !slices.EqualFunc(want, got, sameBits) {
+				t.Errorf("%s: %s folds in as %v after the round trip, %v before", filepath.Base(path), d.ID, got, want)
+			}
+		}
+	}
+}
+
 // TestCloneIngestLeavesOriginal pins clone isolation on the ingest path:
 // an Ingest on a clone leaves the original's term vectors bit for bit
 // as they were, since the serving layer saves and queries the original
 // while its clone mutates.
 func TestCloneIngestLeavesOriginal(t *testing.T) {
 	model := persistFixtureModel(t)
-	ids, before := model.termVectors()
+	// termVectors returns the live table: copy it, or the comparison
+	// below would read one slice twice.
+	ids, live := model.termVectors()
+	ids, before := slices.Clone(ids), slices.Clone(live)
 	if len(before) == 0 {
 		t.Fatal("built model has no term vectors")
 	}

@@ -230,24 +230,27 @@ func (sm *savedModel) validateSegments() error {
 	return nil
 }
 
-// termVectors gathers the trained term (data and external node) vectors
-// of the fold state for the snapshot, sorted by term for determinism;
-// nil when the model has none (restored from a snapshot without them).
+// termVectors returns the fold state's trained term table as a snapshot
+// stores it: the terms, strictly increasing, and their vectors in that
+// order. Both are the live, read-only table. Nil when the model has none
+// (restored from a snapshot without them).
 func (m *Model) termVectors() ([]string, []float32) {
 	if m.fold == nil {
 		return nil, nil
 	}
-	terms := m.fold.terms
-	ids := make([]string, 0, len(terms))
-	for term := range terms {
-		ids = append(ids, term)
+	return m.fold.ids, m.fold.arena
+}
+
+// checkTermOrder rejects a stored term table that is not strictly
+// increasing: fold-in finds terms by binary search, and every writer
+// has stored sorted, unique terms.
+func checkTermOrder(ids []string) error {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return fmt.Errorf("tdmatch: corrupt snapshot: term table not strictly increasing at entry %d", i)
+		}
 	}
-	sort.Strings(ids)
-	arena := make([]float32, len(ids)*m.dim)
-	for i, term := range ids {
-		copy(arena[i*m.dim:(i+1)*m.dim], terms[term])
-	}
-	return ids, arena
+	return nil
 }
 
 // SaveFile writes the model to a file, atomically: the snapshot is
@@ -446,6 +449,12 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 		return nil, fmt.Errorf("tdmatch: model was trained on corpora %q/%q, got %q/%q",
 			sm.FirstName, sm.SecondName, first.Name(), second.Name())
 	}
+	if s.v6 == nil {
+		// A v6 term table was checked when it was decoded.
+		if err := checkTermOrder(sm.TermIDs); err != nil {
+			return nil, err
+		}
+	}
 	for _, delta := range sm.Deltas {
 		for _, sd := range delta.Added {
 			c := first.c
@@ -501,11 +510,7 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 			return nil, fmt.Errorf("tdmatch: term arena holds %d floats for %d terms of dim %d",
 				len(sm.TermArena), len(sm.TermIDs), sm.Dim)
 		}
-		terms := make(map[string][]float32, len(sm.TermIDs))
-		for i, term := range sm.TermIDs {
-			terms[term] = sm.TermArena[i*sm.Dim : (i+1)*sm.Dim : (i+1)*sm.Dim]
-		}
-		m.fold = &foldState{pre: preprocessor(cfg.MaxNGram), terms: terms}
+		m.fold = &foldState{pre: preprocessor(cfg.MaxNGram), ids: sm.TermIDs, arena: sm.TermArena}
 	}
 	// A version-6 snapshot binds its sealed segments directly onto the
 	// loaded (usually mapped) arenas; a version-5 one restores its

@@ -3,10 +3,12 @@ package tdmatch
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -319,8 +321,7 @@ func TestSnapshotV6DuplicateSegmentIDRejected(t *testing.T) {
 	off := binary.LittleEndian.Uint64(e[8:])
 	sec := corrupt[off : off+binary.LittleEndian.Uint64(e[16:])]
 	copy(sec[bytes.Index(sec, []byte(from)):], to)
-	binary.LittleEndian.PutUint64(e[24:], fnv1a.Sum(sec))
-	resealV6(corrupt)
+	resealSection(corrupt, target)
 
 	path := filepath.Join(t.TempDir(), "dup.v6")
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
@@ -386,8 +387,7 @@ func TestSnapshotV6SegmentCountRejected(t *testing.T) {
 			}
 			// Pad with JSON whitespace so the section keeps its length.
 			copy(sec[at:end], count+strings.Repeat(" ", end-at-1))
-			binary.LittleEndian.PutUint64(e[24:], fnv1a.Sum(sec))
-			resealV6(corrupt)
+			resealSection(corrupt, meta)
 			path := filepath.Join(dir, field+count+".v6")
 			if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 				t.Fatal(err)
@@ -404,6 +404,131 @@ func TestSnapshotV6SegmentCountRejected(t *testing.T) {
 				t.Errorf("%s %s: LoadSnapshotFile returned a model %v, error %v; want a %q error", field, count, m != nil, err, want)
 			}
 		}
+	}
+}
+
+// openAllWays opens a v6 file through OpenSnapshotFile, a lazy open and
+// LoadSnapshotFile, and returns their errors in that order, with
+// whether LoadSnapshotFile's bind ran.
+func openAllWays(t *testing.T, path string) (open, lazy, load error, bound bool) {
+	t.Helper()
+	_, open = OpenSnapshotFile(path)
+	_, lazy = OpenSnapshotFileVerify(path, VerifyLazy)
+	m, load := LoadSnapshotFile(path, VerifyEager, func(s *Snapshot) (*Model, error) {
+		bound = true
+		return bindFixture(t)(s)
+	})
+	if m != nil && load != nil {
+		t.Fatalf("LoadSnapshotFile returned a model and the error %v", load)
+	}
+	return open, lazy, load, bound
+}
+
+// TestSnapshotV6FlagsChecked: a header flag bit no writer sets, and a
+// CRC32C section checksum with its high half set, are structural errors.
+// Eager and lazy opens and LoadSnapshotFile all reject the re-sealed
+// file, before anything binds, whatever its sections hold.
+func TestSnapshotV6FlagsChecked(t *testing.T) {
+	payload := v6SnapshotBytes(t)
+	unknown := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(unknown[20:], v6FlagCRC32C|4)
+	resealV6(unknown)
+	high := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(high[v6HeaderSize+v6EntrySize+28:], 1)
+	resealV6(high)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"unknown-flag", unknown, "tdmatch: corrupt v6 snapshot: unknown header flags 0x5"},
+		{"high-half", high, fmt.Sprintf("tdmatch: corrupt v6 snapshot: section 1 (type %d) CRC32C checksum %#x exceeds 32 bits",
+			secDocIDs, binary.LittleEndian.Uint64(high[v6HeaderSize+v6EntrySize+24:]))},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open, lazy, load, bound := openAllWays(t, path)
+		for _, err := range []error{open, lazy, load} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: got %v, want %s", c.name, err, c.want)
+			}
+		}
+		if bound {
+			t.Errorf("%s: LoadSnapshotFile bound a file that failed its structural checks", c.name)
+		}
+	}
+}
+
+// TestSnapshotV6TermTableOrderRejected swaps the first two entries of the
+// committed flat fixture's term table and re-seals it: fold-in finds
+// terms by binary search, so a table that is not strictly increasing
+// fails eager and lazy opens and LoadSnapshotFile alike. The gob formats
+// reject it at Bind, before the delta chain touches the corpora.
+func TestSnapshotV6TermTableOrderRejected(t *testing.T) {
+	const want = "tdmatch: corrupt snapshot: term table not strictly increasing at entry 1"
+	payload, err := os.ReadFile(filepath.Join(persistFixtureDir, "v6.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := parseV6Layout(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := -1
+	for i := range l.payloads {
+		if binary.LittleEndian.Uint32(l.table[i*v6EntrySize:]) == secTermIDs {
+			terms = i
+		}
+	}
+	if terms < 0 {
+		t.Fatal("fixture has no term table")
+	}
+	ids, err := decodeStringTable(l.payloads[terms])
+	if err != nil || len(ids) < 2 {
+		t.Fatalf("fixture term table: %d terms, %v", len(ids), err)
+	}
+	ids = slices.Clone(ids)
+	ids[0], ids[1] = ids[1], ids[0]
+	corrupt := append([]byte(nil), payload...)
+	off := binary.LittleEndian.Uint64(l.table[terms*v6EntrySize+8:])
+	copy(corrupt[off:off+uint64(len(l.payloads[terms]))], encodeStringTable(ids))
+	resealSection(corrupt, terms)
+	path := filepath.Join(t.TempDir(), "swapped.v6")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open, lazy, load, _ := openAllWays(t, path)
+	for _, err := range []error{open, lazy, load} {
+		if err == nil || err.Error() != want {
+			t.Errorf("v6: got %v, want %s", err, want)
+		}
+	}
+
+	gobFile, err := os.ReadFile(filepath.Join(persistFixtureDir, "v4delta.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sm savedModel
+	if err := gob.NewDecoder(bytes.NewReader(gobFile)).Decode(&sm); err != nil {
+		t.Fatal(err)
+	}
+	if len(sm.TermIDs) < 2 || len(sm.Deltas) == 0 {
+		t.Fatalf("v4delta.gob: %d terms, %d deltas", len(sm.TermIDs), len(sm.Deltas))
+	}
+	sm.TermIDs[0], sm.TermIDs[1] = sm.TermIDs[1], sm.TermIDs[0]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sm); err != nil {
+		t.Fatal(err)
+	}
+	movies, reviews := fixtureCorpora(t)
+	if _, err := LoadModel(&buf, movies, reviews); err == nil || err.Error() != want {
+		t.Errorf("gob: got %v, want %s", err, want)
+	}
+	if got := len(movies.IDs()) + len(reviews.IDs()); got != pristineDocCount(t) {
+		t.Errorf("the rejected gob load left the corpora with %d documents, want %d", got, pristineDocCount(t))
 	}
 }
 
@@ -446,10 +571,12 @@ func TestSnapshotV5ChecksumCatchesVectorTamper(t *testing.T) {
 // onto the fixture corpora may panic, and a bound model serves a query
 // from each side without panicking (a torn payload may only score
 // wrong). The seeds are the committed v6 fixtures (flat, HNSW, and the
-// frozen IVF and SQ8 ones); the corpus under testdata/fuzz/FuzzParseV6
-// replays what earlier runs found.
+// frozen IVF and SQ8 ones, all with FNV-1a section checksums); the
+// corpus under testdata/fuzz/FuzzParseV6 adds the flat fixture re-saved
+// with CRC32C section checksums, the same with an unknown header flag
+// bit, and replays what earlier runs found.
 //
-// FNV-1a guards against torn writes, not against a forger, so before
+// The checksums guard against torn writes, not against a forger, so before
 // parsing the harness re-seals the file size and the header and table
 // checksums over the mutated bytes: mutations of the section table then
 // reach the structural checks instead of stopping at a checksum.
@@ -493,4 +620,38 @@ func resealV6(b []byte) {
 		binary.LittleEndian.PutUint64(b[32:], fnv1a.Sum(b[v6HeaderSize:end]))
 	}
 	binary.LittleEndian.PutUint64(b[40:], fnv1a.Sum(b[:40]))
+}
+
+// resealSection rewrites section i's stored checksum to match its
+// payload under the file's own flags, then reseals the header and table.
+func resealSection(b []byte, i int) {
+	e := b[v6HeaderSize+i*v6EntrySize:]
+	off := binary.LittleEndian.Uint64(e[8:])
+	sec := b[off : off+binary.LittleEndian.Uint64(e[16:])]
+	binary.LittleEndian.PutUint64(e[24:], v6SectionSum(binary.LittleEndian.Uint32(b[20:]), sec))
+	resealV6(b)
+}
+
+// fnvTwin returns the FNV twin of a v6 file SaveV6 wrote: the same bytes
+// with flags 0 and every section checksum the FNV-1a of its payload, then
+// the table and header resealed — the file the writer produced before
+// its section checksums became CRC32C. Digests and committed files
+// recorded from that writer compare against the twin, which shows that
+// nothing but checksum bytes changed.
+func fnvTwin(t testing.TB, b []byte) []byte {
+	t.Helper()
+	l, err := parseV6Layout(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.flags != v6FlagCRC32C {
+		t.Fatalf("header flags %#x, want CRC32C sections", l.flags)
+	}
+	twin := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(twin[20:], 0)
+	for i, p := range l.payloads {
+		binary.LittleEndian.PutUint64(twin[v6HeaderSize+i*v6EntrySize+24:], fnv1a.Sum(p))
+	}
+	resealV6(twin)
+	return twin
 }

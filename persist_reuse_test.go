@@ -30,10 +30,11 @@ const reuseRows = 160
 var reuseKinds = []struct {
 	name   string
 	mutate func(*Config)
-	// sha256 of a fresh Build's SaveV6 output, recorded at the commit
-	// before sealed segments were written from the live index: the bytes
-	// of a snapshot did not change with it. Training is pure Go float32
-	// arithmetic, which other architectures' compilers may fuse
+	// sha256 of the FNV twin (fnvTwin) of a fresh Build's SaveV6 output.
+	// It was recorded from the plain output before sealed segments were
+	// written from the live index and before section checksums became
+	// CRC32C; neither change altered any other byte. Training is pure Go
+	// float32 arithmetic, which other architectures' compilers may fuse
 	// differently, so the pin holds on amd64.
 	sha string
 }{
@@ -131,9 +132,9 @@ func TestSaveV6ReuseMatchesRebuild(t *testing.T) {
 			if st.SegmentsReused != 2 || st.SegmentsRebuilt != 0 {
 				t.Fatalf("fresh Build: reused %d, rebuilt %d segments, want 2 and 0", st.SegmentsReused, st.SegmentsRebuilt)
 			}
-			sum := sha256.Sum256(reused)
+			sum := sha256.Sum256(fnvTwin(t, reused))
 			if got := hex.EncodeToString(sum[:]); got != kind.sha && runtime.GOARCH == "amd64" {
-				t.Errorf("fresh Build snapshot sha256 = %s, recorded %s", got, kind.sha)
+				t.Errorf("fresh Build snapshot's FNV twin sha256 = %s, recorded %s", got, kind.sha)
 			}
 
 			path := filepath.Join(t.TempDir(), "m.v6")
@@ -349,8 +350,9 @@ func checkSidesBuildConcurrently(t *testing.T, trained *Model) {
 
 // TestCommittedV6SnapshotsResaveByteIdentical: the committed version-6
 // fixtures, written before sealed segments were saved from the live
-// index, load and re-save to the very bytes on disk — every section of
-// them through the reuse path.
+// index and before section checksums became CRC32C, load and re-save —
+// every section of them through the reuse path — to a file whose FNV
+// twin is the very bytes on disk: only checksum bytes differ.
 func TestCommittedV6SnapshotsResaveByteIdentical(t *testing.T) {
 	for _, file := range []string{"v6.snap", "v6hnsw.snap"} {
 		want, err := os.ReadFile(filepath.Join(persistFixtureDir, file))
@@ -363,8 +365,8 @@ func TestCommittedV6SnapshotsResaveByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		reused, rebuilt, st := saveBothWays(t, loaded)
-		if !bytes.Equal(reused, want) || !bytes.Equal(rebuilt, want) {
-			t.Errorf("%s: re-saving the loaded fixture changed its bytes", file)
+		if !bytes.Equal(fnvTwin(t, reused), want) || !bytes.Equal(rebuilt, reused) {
+			t.Errorf("%s: re-saving the loaded fixture changed more than its checksums", file)
 		}
 		if st.SegmentsReused != 2 || st.SegmentsRebuilt != 0 {
 			t.Errorf("%s: reused %d, rebuilt %d segments, want 2 and 0", file, st.SegmentsReused, st.SegmentsRebuilt)

@@ -258,16 +258,26 @@ func bindFixture(t *testing.T) func(*Snapshot) (*Model, error) {
 }
 
 // TestLoadSnapshotFileMatchesOpen holds the overlapped load to the
-// serial one. On every committed v6 fixture it binds the same rankings
-// as OpenSnapshotFile + Bind, under both verify modes; and for one byte
-// flipped inside every section it fails with exactly OpenSnapshotFile's
-// error, although the bind has run on the corrupt bytes beside the
-// checksums wherever they still decode. CI runs it under -race: the
-// verifier reads the mapping while the decode and bind do.
+// serial one. On every committed v6 fixture (FNV-1a section checksums)
+// and on a freshly saved file (CRC32C section checksums) it binds the
+// same rankings as OpenSnapshotFile + Bind, under both verify modes; and
+// for one byte flipped inside every section it fails with exactly
+// OpenSnapshotFile's error, although the bind has run on the corrupt
+// bytes beside the checksums wherever they still decode. CI runs it
+// under -race: the verifier reads the mapping while the decode and bind
+// do.
 func TestLoadSnapshotFileMatchesOpen(t *testing.T) {
+	var paths []string
 	for _, file := range []string{"v6.snap", "v6hnsw.snap", "v6ivf.snap", "v6sq8.snap"} {
+		paths = append(paths, filepath.Join(persistFixtureDir, file))
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh.snap")
+	if err := persistFixtureSegmentedModel(t).SaveFileV6(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(paths, fresh) {
+		file := filepath.Base(path)
 		t.Run(file, func(t *testing.T) {
-			path := filepath.Join(persistFixtureDir, file)
 			snap, err := OpenSnapshotFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -297,6 +307,13 @@ func TestLoadSnapshotFileMatchesOpen(t *testing.T) {
 			pristine, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			wantFlags := uint32(0)
+			if path == fresh {
+				wantFlags = v6FlagCRC32C
+			}
+			if flags := binary.LittleEndian.Uint32(pristine[20:]); flags != wantFlags {
+				t.Fatalf("header flags %#x, want %#x", flags, wantFlags)
 			}
 			corruptPath := filepath.Join(t.TempDir(), file)
 			nSecs := int(binary.LittleEndian.Uint32(pristine[16:20]))

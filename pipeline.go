@@ -3,6 +3,8 @@ package tdmatch
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -133,7 +135,11 @@ func (m *Model) build() error {
 	m.dim = m.cfg.Dim
 	m.copyStageStats(st.Stats)
 	m.gatherVectors(st.Embed, st.Build.DocNode)
-	m.fold = &foldState{pre: preprocessor(m.cfg.MaxNGram), terms: trainedTerms(st.Build.Graph, st.Embed)}
+	ids, arena, err := trainedTerms(st.Build.Graph, st.Embed, m.dim)
+	if err != nil {
+		return err
+	}
+	m.fold = &foldState{pre: preprocessor(m.cfg.MaxNGram), ids: ids, arena: arena}
 	if err := m.buildIndexes(); err != nil {
 		return err
 	}
@@ -261,18 +267,33 @@ func (m *Model) gatherVectors(em *embed.Model, docNode map[string]graph.NodeID) 
 	}
 }
 
-// trainedTerms maps the label of every live data and external node of
-// the built graph to its trained vector: a view into the trainer's input
-// arena, which the returned map keeps alive.
-func trainedTerms(g *graph.Graph, em *embed.Model) map[string][]float32 {
-	nodes := g.DataNodes()
-	terms := make(map[string][]float32, len(nodes))
-	for _, node := range nodes {
+// trainedTerms gathers the fold state's term table from the built graph:
+// the label of every live data and external node with a trained vector,
+// sorted, and those vectors in that order in one arena of rows of dim
+// floats. The graph keys both kinds by label, so no label repeats, which
+// the table's binary search relies on.
+func trainedTerms(g *graph.Graph, em *embed.Model, dim int) ([]string, []float32, error) {
+	type term struct {
+		label string
+		v     []float32
+	}
+	var terms []term
+	for _, node := range g.DataNodes() {
 		if v := em.Vector(int32(node)); v != nil {
-			terms[g.Label(node)] = v
+			terms = append(terms, term{g.Label(node), v})
 		}
 	}
-	return terms
+	slices.SortFunc(terms, func(a, b term) int { return strings.Compare(a.label, b.label) })
+	ids := make([]string, len(terms))
+	arena := make([]float32, len(terms)*dim)
+	for i, t := range terms {
+		if i > 0 && t.label == ids[i-1] {
+			return nil, nil, fmt.Errorf("tdmatch: two trained terms labelled %q", t.label)
+		}
+		ids[i] = t.label
+		copy(arena[i*dim:(i+1)*dim], t.v)
+	}
+	return ids, arena, nil
 }
 
 // buildIndexes constructs the per-side serving indexes (§IV-B): the

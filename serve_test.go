@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -420,7 +421,8 @@ func TestServerCheckpointBesideWarmIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := s.Checkpoint(func(pinned *Model) error {
-		_, before := pinned.termVectors()
+		_, live := pinned.termVectors()
+		before := slices.Clone(live)
 		if err := s.Ingest(doc(1)); err != nil {
 			return err
 		}
