@@ -250,8 +250,7 @@ func benchTopKIndex(b *testing.B) (*match.Index, [][]float32) {
 
 // reportRecallAt10 attaches an approximate index's recall@10 against
 // the exact flat ranking to the benchmark, measured over a fixed sample
-// of fixture queries. tools/benchjson parses the metric into the
-// trajectory's recall_at_10 field, so retrieval quality is tracked per
+// of fixture queries, so go test -bench prints retrieval quality per
 // index kind right next to its ns/op. Call it after the timed loop with
 // the timer stopped: ResetTimer clears previously reported metrics.
 func reportRecallAt10(b *testing.B, flat *match.Index, approx match.VectorIndex, vecs [][]float32) {
@@ -322,7 +321,7 @@ func BenchmarkTopKHNSW(b *testing.B) {
 
 // BenchmarkBuildHNSW measures the one-time graph construction cost over
 // the shared 10k x 96 fixture — the build-side price of the query-side
-// speedup, tracked next to it in BENCH_build.json.
+// speedup that BenchmarkTopKHNSW times.
 func BenchmarkBuildHNSW(b *testing.B) {
 	flat, _ := benchTopKIndex(b)
 	b.ReportAllocs()

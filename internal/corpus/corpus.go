@@ -179,26 +179,41 @@ type Node struct {
 }
 
 // NewStructured builds a structured-text corpus (taxonomy). Parents must
-// either be empty or reference a node present in the slice.
+// either be empty or reference a node present in the slice, and every
+// parent chain must end at a root: a node may not be its own ancestor.
 func NewStructured(name string, nodes []Node) (*Corpus, error) {
 	c := &Corpus{Name: name, Kind: Structured, Docs: make([]Document, len(nodes))}
-	ids := make(map[string]struct{}, len(nodes))
 	for i, n := range nodes {
 		if n.ID == "" {
 			return nil, fmt.Errorf("corpus %s: node %d has empty ID", name, i)
 		}
-		ids[n.ID] = struct{}{}
 		c.Docs[i] = Document{ID: n.ID, Values: []Value{{Text: n.Text}}, Parent: n.Parent}
+	}
+	if err := c.buildIndex(); err != nil {
+		return nil, err
 	}
 	for _, n := range nodes {
 		if n.Parent == "" {
 			continue
 		}
-		if _, ok := ids[n.Parent]; !ok {
+		if _, ok := c.byID[n.Parent]; !ok {
 			return nil, fmt.Errorf("corpus %s: node %s references unknown parent %s", name, n.ID, n.Parent)
 		}
 	}
-	return c, c.buildIndex()
+	// Walk i climbs from node i until it reaches a root or a node an
+	// earlier walk climbed through; stopping on its own trail is a cycle.
+	walkOf := make(map[string]int, len(nodes))
+	for i, n := range nodes {
+		id := n.ID
+		for id != "" && walkOf[id] == 0 {
+			walkOf[id] = i + 1
+			id = c.Docs[c.byID[id]].Parent
+		}
+		if id != "" && walkOf[id] == i+1 {
+			return nil, fmt.Errorf("corpus %s: node %s is its own ancestor", name, id)
+		}
+	}
+	return c, nil
 }
 
 func (c *Corpus) buildIndex() error {
@@ -335,18 +350,24 @@ func (c *Corpus) DistinctTokens(pre textproc.Preprocessor) int {
 
 // Paths returns, for a structured corpus, the root-to-node ID path of every
 // document (inclusive). For roots the path is just the node itself. Used by
-// the taxonomy evaluation measures (paper §V-B).
+// the taxonomy evaluation measures (paper §V-B). NewStructured rejects
+// parent cycles, but Remove and Append can still close one: a walk stops
+// before a node it has already passed, so a path on such a cycle starts
+// at the node whose parent closes it.
 func (c *Corpus) Paths() map[string][]string {
 	out := make(map[string][]string, len(c.Docs))
+	onWalk := make(map[string]bool)
 	var walk func(id string) []string
 	walk = func(id string) []string {
 		if p, ok := out[id]; ok {
 			return p
 		}
 		d, ok := c.Doc(id)
-		if !ok {
+		if !ok || onWalk[id] {
 			return nil
 		}
+		onWalk[id] = true
+		defer delete(onWalk, id)
 		var path []string
 		if d.Parent != "" {
 			parent := walk(d.Parent)

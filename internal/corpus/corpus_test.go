@@ -182,6 +182,46 @@ func TestPaths(t *testing.T) {
 	}
 }
 
+func TestParentCycles(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes []Node
+		cycle []string
+	}{
+		{"two-cycle", []Node{{ID: "a", Parent: "b"}, {ID: "b", Parent: "a"}}, []string{"a", "b"}},
+		{"self-parent", []Node{{ID: "r"}, {ID: "a", Parent: "a"}}, []string{"a"}},
+		{"three-cycle beside a tree", []Node{{ID: "r"}, {ID: "x", Parent: "r"}, {ID: "a", Parent: "c"},
+			{ID: "b", Parent: "a"}, {ID: "c", Parent: "b"}}, []string{"a", "b", "c"}},
+	} {
+		_, err := NewStructured("tax", tc.nodes)
+		named := false
+		for _, id := range tc.cycle {
+			named = named || err != nil && strings.Contains(err.Error(), "node "+id+" is its own ancestor")
+		}
+		if !named {
+			t.Errorf("%s: err = %v, want one naming a node of %v", tc.name, err, tc.cycle)
+		}
+	}
+
+	// Remove leaves a's parent dangling; re-appending r under a closes
+	// a -> r -> a, which Paths must walk without looping.
+	c, err := NewStructured("tax", []Node{{ID: "r"}, {ID: "a", Parent: "r"}, {ID: "b", Parent: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Remove("r")
+	if err := c.Append(Document{ID: "r", Parent: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	paths := c.Paths()
+	for _, id := range c.IDs() {
+		p := paths[id]
+		if len(p) == 0 || p[len(p)-1] != id {
+			t.Errorf("path(%s) = %v, want it to end in %s", id, p, id)
+		}
+	}
+}
+
 func TestDistinctTokens(t *testing.T) {
 	c, _ := NewText("p", []string{"the movie movie", "a great movie"}, nil)
 	pre := textproc.Preprocessor{MaxNGram: 1} // no stop removal, no stemming

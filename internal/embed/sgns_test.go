@@ -188,9 +188,9 @@ func FuzzTrainPairKernel(f *testing.F) {
 // (embed's own default, which leaves a four-lane tail) — over an output
 // arena that fits L2 (1,024 rows) and one that does not (32,768 rows,
 // 12 MB at dim 96), where the first load of each sampled row is a miss.
-// One op is 65,536 steps, so that the fixed `-benchtime 2x` of
-// tools/benchjson and CI still times a warm loop: ns/op ÷ 65,536 is the
-// cost of a step.
+// One op is 65,536 steps, so that CI's one-iteration smoke
+// (`-benchtime=1x`) still times a warm loop: ns/op ÷ 65,536 is the cost
+// of a step.
 func BenchmarkTrainPair(b *testing.B) {
 	const stepsPerOp = 1 << 16
 	for _, dim := range []int{48, 96, 100} {
