@@ -558,12 +558,42 @@ func BenchmarkLoadSnapshotMmapEager(b *testing.B) {
 	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, tdmatch.OpenSnapshotFile)
 }
 
-// BenchmarkLoadSnapshotFileEager is the daemon's cold start through
-// LoadSnapshotFile under eager verification: the section checksums run
-// on their own goroutine while the callback loads both corpora from
-// their files and binds, then the first TopK. Unlike the benchmarks
-// above it pays for the corpus load, which the checksums hide behind.
+// BenchmarkLoadSnapshotFileEager is the cold start through
+// LoadSnapshotFile under eager verification with the corpora parsed: the
+// section checksums run on their own goroutine while the callback loads
+// both corpora from their files and binds, then the first TopK. Unlike
+// the benchmarks above it pays for the corpus load, which the checksums
+// hide behind.
 func BenchmarkLoadSnapshotFileEager(b *testing.B) {
+	benchLoadSnapshotFile(b, func(snap *tdmatch.Snapshot, firstPath, secondPath string) (*tdmatch.Model, error) {
+		info := snap.Info()
+		first, err := tdmatch.LoadCorpus(firstPath, info.FirstName)
+		if err != nil {
+			return nil, err
+		}
+		second, err := tdmatch.LoadCorpus(secondPath, info.SecondName)
+		if err != nil {
+			return nil, err
+		}
+		return snap.Bind(first, second)
+	})
+}
+
+// BenchmarkLoadSnapshotFileDeferred is tdserved's cold start: as
+// BenchmarkLoadSnapshotFileEager, but the callback is
+// Snapshot.BindFiles, which checksums the two corpus files, finds them
+// matching the snapshot's fingerprint and binds without parsing them.
+func BenchmarkLoadSnapshotFileDeferred(b *testing.B) {
+	benchLoadSnapshotFile(b, func(snap *tdmatch.Snapshot, firstPath, secondPath string) (*tdmatch.Model, error) {
+		m, _, err := snap.BindFiles(firstPath, secondPath)
+		return m, err
+	})
+}
+
+// benchLoadSnapshotFile writes the seed IMDb corpora to files, trains on
+// them, saves a v6 snapshot and times LoadSnapshotFile (eager) with the
+// given bind, then the first TopK.
+func benchLoadSnapshotFile(b *testing.B, bind func(snap *tdmatch.Snapshot, firstPath, secondPath string) (*tdmatch.Model, error)) {
 	s := benchIMDbScenario(b)
 	dir := b.TempDir()
 	firstPath := filepath.Join(dir, "movies.csv")
@@ -581,18 +611,14 @@ func BenchmarkLoadSnapshotFileEager(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	loadCorpora := func(firstName, secondName string) (*tdmatch.Corpus, *tdmatch.Corpus) {
-		first, err := tdmatch.LoadCorpus(firstPath, firstName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		second, err := tdmatch.LoadCorpus(secondPath, secondName)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return first, second
+	first, err := tdmatch.LoadCorpus(firstPath, "movies")
+	if err != nil {
+		b.Fatal(err)
 	}
-	first, second := loadCorpora("movies", "reviews")
+	second, err := tdmatch.LoadCorpus(secondPath, "reviews")
+	if err != nil {
+		b.Fatal(err)
+	}
 	_, _, cfg := benchEndToEndInputs(b)
 	cfg.Seed = 1
 	model, err := tdmatch.Build(first, second, cfg)
@@ -608,8 +634,7 @@ func BenchmarkLoadSnapshotFileEager(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := tdmatch.LoadSnapshotFile(path, tdmatch.VerifyEager, func(snap *tdmatch.Snapshot) (*tdmatch.Model, error) {
-			info := snap.Info()
-			return snap.Bind(loadCorpora(info.FirstName, info.SecondName))
+			return bind(snap, firstPath, secondPath)
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -39,10 +39,19 @@
 //
 // A v6 snapshot is memory-mapped and bound zero-copy. Under the default
 // -snapshot-verify eager its section checksums are checked on one core
-// while the corpora load and the model binds on the other, so a cold
-// start costs about the longer of the two; no request is served and no
-// reload swaps before every check has passed. -snapshot-verify lazy
-// skips the payload checksums, for files trusted by construction.
+// while the model binds on the other, so a cold start costs about the
+// longer of the two; no request is served and no reload swaps before
+// every check has passed. -snapshot-verify lazy skips the payload
+// checksums, for files trusted by construction.
+//
+// Queries never read a document's text. A v6 snapshot saved from a
+// model trained on corpus files records each file's size and CRC32C;
+// when -first and -second still match them, the daemon starts without
+// parsing the corpora, and the first ingest, removal or compaction
+// parses them (re-checking them, and refusing the mutation when they
+// have changed and no longer cover the snapshot). Any other snapshot,
+// or a file that no longer matches, is parsed at start and checked to
+// cover the snapshot, as before.
 //
 // SIGHUP triggers the same reload as POST /v1/reload: the daemon re-reads
 // the corpus and snapshot files and swaps the new model in behind the
@@ -70,7 +79,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -282,6 +290,9 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 		if n := w.Stats().RecoveredRecords; n > 0 {
 			log.Printf("tdserved: wal %s: recovered %d records, applied %d", opts.walPath, n, applied)
 		}
+		if t := model.CorpusParseTime(); t > 0 {
+			log.Printf("tdserved: wal replay parsed the deferred corpora in %s", t.Round(time.Microsecond))
+		}
 		d.wal = w
 		sc.WAL = w
 	}
@@ -291,28 +302,31 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 	return d, nil
 }
 
-// load reads the corpus files and the model snapshot — the shared path
-// of startup and hot reload. The snapshot is opened exactly once
-// (LoadSnapshotFile), so the served model and the reported ModelInfo
-// can never diverge even when a retraining job overwrites the file
-// mid-reload, and a large vector arena is never decoded twice: a v6
+// load opens the model snapshot and binds it to the corpus files — the
+// shared path of startup and hot reload. The snapshot is opened exactly
+// once (LoadSnapshotFile), so the served model and the reported
+// ModelInfo can never diverge even when a retraining job overwrites the
+// file mid-reload, and a large vector arena is never decoded twice: a v6
 // snapshot is memory-mapped and bound zero-copy, gob versions decode
-// through the classic path. Under eager verification the checksums run
-// on a second core while bindCorpora loads the corpora and binds, and
-// load returns a model only after they have passed; on any failure the
-// mapping is released.
+// through the classic path. The corpus files are parsed only when they
+// must be (Snapshot.BindFiles): a v6 snapshot that fingerprints them,
+// and still matches them, binds without them, and the first mutation
+// parses them. Under eager verification the checksums run on a second
+// core while bindCorpora binds, and load returns a model only after
+// they have passed; on any failure the mapping is released.
 func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	start := time.Now()
 	var (
 		snap    *tdmatch.Snapshot
 		info    tdmatch.ModelInfo
 		opened  time.Duration
+		corpora string
 		bindErr error
 	)
 	model, err := tdmatch.LoadSnapshotFile(d.modelPath, d.verify, func(s *tdmatch.Snapshot) (*tdmatch.Model, error) {
 		snap, info, opened = s, s.Info(), time.Since(start)
-		m, err := d.bindCorpora(s, info)
-		bindErr = err
+		m, note, err := d.bindCorpora(s, info)
+		corpora, bindErr = note, err
 		return m, err
 	})
 	switch {
@@ -327,38 +341,34 @@ func (d *daemon) load() (*tdmatch.Model, tdmatch.ModelInfo, error) {
 	line := fmt.Sprintf("tdserved: snapshot %s: load mode %s, verify %s, opened in %s",
 		d.modelPath, snap.LoadMode(), d.verify, opened.Round(time.Microsecond))
 	if v := snap.VerifyTime(); v > 0 {
-		line += fmt.Sprintf(", verified in %s beside corpus load and bind", v.Round(time.Microsecond))
+		line += fmt.Sprintf(", verified in %s beside the bind", v.Round(time.Microsecond))
 	}
-	log.Print(line)
+	log.Print(line + ", " + corpora)
 	fi, si := model.IndexStats()
 	log.Printf("tdserved: index %s: first %s; second %s", fi.Kind, indexLine(fi), indexLine(si))
 	return model, info, nil
 }
 
 // bindCorpora is the part of a load that needs the decoded snapshot but
-// not its payload checksums: it loads the corpora the snapshot names,
-// binds the model onto them and checks that they cover it.
-func (d *daemon) bindCorpora(snap *tdmatch.Snapshot, info tdmatch.ModelInfo) (*tdmatch.Model, error) {
+// not its payload checksums: it binds the model to the corpus files,
+// which parses them unless the snapshot's fingerprint of them still
+// matches, and checks that parsed corpora cover the model. The note
+// says which of the two happened.
+func (d *daemon) bindCorpora(snap *tdmatch.Snapshot, info tdmatch.ModelInfo) (*tdmatch.Model, string, error) {
 	if info.LegacyIndex != "" {
 		log.Printf("tdserved: snapshot %s was saved with the removed %s index; serving its arena as an exact flat scan",
 			d.modelPath, info.LegacyIndex)
 	}
-	first, err := tdmatch.LoadCorpus(d.firstPath, info.FirstName)
-	if err != nil {
-		return nil, fmt.Errorf("loading first corpus: %w", err)
+	return snap.BindFiles(d.firstPath, d.secondPath)
+}
+
+// logCorpusParse logs what the mutation that just swapped its model in
+// spent parsing the corpus files, when it was the first mutation of a
+// model bound without them.
+func (d *daemon) logCorpusParse(op string) {
+	if t := d.server.Model().CorpusParseTime(); t > 0 {
+		log.Printf("tdserved: %s parsed the deferred corpora in %s", op, t.Round(time.Microsecond))
 	}
-	second, err := tdmatch.LoadCorpus(d.secondPath, info.SecondName)
-	if err != nil {
-		return nil, fmt.Errorf("loading second corpus: %w", err)
-	}
-	model, err := snap.Bind(first, second)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateCoverage(model, info, first, second); err != nil {
-		return nil, err
-	}
-	return model, nil
 }
 
 // indexLine formats one side's IndexStats for the startup log line that
@@ -370,28 +380,6 @@ func indexLine(st tdmatch.IndexStats) string {
 		s += fmt.Sprintf(", max level %d, avg degree %.1f, ef %d", st.MaxLevel, st.AvgDegree, st.Ef)
 	}
 	return s
-}
-
-// validateCoverage sanity-checks that the snapshot actually describes
-// the corpora on disk. The daemon names the corpora from the snapshot's
-// own metadata, so LoadModel's name check cannot catch an operator
-// pointing -first/-second at the wrong files — but wrong files show up
-// as stored vectors that resolve to no document, or documents with no
-// vector at all. Refusing to start beats silently serving errors (or,
-// worse, rankings from another dataset).
-func validateCoverage(model *tdmatch.Model, info tdmatch.ModelInfo, first, second *tdmatch.Corpus) error {
-	total := first.Len() + second.Len()
-	if info.Docs > total {
-		return fmt.Errorf("snapshot stores %d vectors but the corpora hold only %d documents — wrong -first/-second files?",
-			info.Docs, total)
-	}
-	for _, c := range []*tdmatch.Corpus{first, second} {
-		if !slices.ContainsFunc(c.IDs(), func(id string) bool { return model.Vector(id) != nil }) {
-			return fmt.Errorf("no document of corpus %q has a stored vector — wrong corpus files for this snapshot?",
-				c.Name())
-		}
-	}
-	return nil
 }
 
 // reload re-reads everything from disk and swaps the model in atomically.
@@ -525,6 +513,7 @@ func (d *daemon) compactLoop(ctx context.Context, threshold int, interval time.D
 			continue
 		}
 		backoff = 0
+		d.logCorpusParse("background compaction")
 		if d.wal != nil {
 			if err := d.checkpoint(); err != nil {
 				log.Printf("tdserved: checkpoint after background compaction failed: %v", err)
@@ -798,6 +787,7 @@ func (d *daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
+	d.logCorpusParse("ingest")
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Status:    "ok",
 		Docs:      len(docs),
@@ -825,6 +815,7 @@ func (d *daemon) handleRemove(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
+	d.logCorpusParse("remove")
 	writeJSON(w, http.StatusOK, mutateResponse{
 		Status:    "ok",
 		Docs:      len(req.IDs),
@@ -848,6 +839,7 @@ func (d *daemon) handleCompact(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
+	d.logCorpusParse("compaction")
 	log.Printf("tdserved: %s", d.compactionLine())
 	checkpointed := false
 	if d.wal != nil {

@@ -45,7 +45,7 @@ Phoenix wanders a Shyamalan village thriller
 // trainFixture trains a model over the on-disk corpora with the given
 // config, saves the snapshot, and returns the file paths plus the
 // in-process model for parity checks.
-func trainFixture(t *testing.T, cfg tdmatch.Config) (firstPath, secondPath, modelPath string, model *tdmatch.Model) {
+func trainFixture(t testing.TB, cfg tdmatch.Config) (firstPath, secondPath, modelPath string, model *tdmatch.Model) {
 	t.Helper()
 	dir := t.TempDir()
 	firstPath = filepath.Join(dir, "movies.csv")
@@ -721,27 +721,156 @@ func TestBadSnapshotFlagsRejected(t *testing.T) {
 
 // TestLoadLineNamesVerifyMode pins the start-up load line: it names the
 // load mode and the -snapshot-verify mode the snapshot was opened under,
-// and under eager verification how long the checksums took beside the
-// corpus load and bind.
+// under eager verification how long the checksums took beside the bind,
+// and what happened to the corpora: deferred when the v6 snapshot's
+// fingerprint of the files matches them, parsed (and how long that took)
+// with the reason otherwise. The first mutation of a deferred model logs
+// its parse once.
 func TestLoadLineNamesVerifyMode(t *testing.T) {
-	firstPath, secondPath, _, model := trainFixture(t, fixtureConfig(36))
+	firstPath, secondPath, gobPath, model := trainFixture(t, fixtureConfig(36))
 	v6Path := filepath.Join(t.TempDir(), "model.v6")
 	if err := model.SaveFileV6(v6Path); err != nil {
 		t.Fatal(err)
 	}
-	for _, verify := range []string{"", "eager", "lazy"} {
+	loadLine := func(t *testing.T, first, second, modelPath string, opts daemonOptions) (*daemon, *httptest.Server, *logBuffer) {
+		t.Helper()
 		logged := &logBuffer{}
 		log.SetOutput(logged)
-		startDaemonWith(t, firstPath, secondPath, v6Path, daemonOptions{snapVerify: verify})
-		log.SetOutput(os.Stderr)
-		verified := `, verified in \S+ beside corpus load and bind`
+		t.Cleanup(func() { log.SetOutput(os.Stderr) })
+		d, ts := startDaemonWith(t, first, second, modelPath, opts)
+		return d, ts, logged
+	}
+	const deferred = `, corpora deferred \(fingerprint match\)\n`
+	for _, verify := range []string{"", "eager", "lazy"} {
+		_, _, logged := loadLine(t, firstPath, secondPath, v6Path, daemonOptions{snapVerify: verify})
+		verified := `, verified in \S+ beside the bind`
 		if verify == "lazy" {
 			verified = ""
 		}
-		want := regexp.MustCompile(`load mode v6\+mmap, verify ` + cmp.Or(verify, "eager") + `, opened in \S+` + verified + `\n`)
+		want := regexp.MustCompile(`load mode v6\+mmap, verify ` + cmp.Or(verify, "eager") + `, opened in \S+` + verified + deferred)
 		if !want.MatchString(logged.String()) {
 			t.Errorf("-snapshot-verify %q: load line does not match %s: %s", verify, want, logged.String())
 		}
+	}
+
+	// A gob snapshot, and a v6 one whose fingerprint no longer matches an
+	// edited file, are parsed at start.
+	edited := filepath.Join(t.TempDir(), "reviews.txt")
+	if err := os.WriteFile(edited, []byte(reviewsTXT+"an extra review of a Tarantino crime drama\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, second, model, want string
+	}{
+		{"gob", secondPath, gobPath, `load mode gob, verify eager, opened in \S+, corpora parsed in \S+ \(gob snapshot\)\n`},
+		{"edited", edited, v6Path, `verified in \S+ beside the bind, corpora parsed in \S+ \(second corpus file differs from the snapshot's fingerprint\)\n`},
+	} {
+		_, _, logged := loadLine(t, firstPath, tc.second, tc.model, daemonOptions{})
+		if want := regexp.MustCompile(tc.want); !want.MatchString(logged.String()) {
+			t.Errorf("%s: load line does not match %s: %s", tc.name, want, logged.String())
+		}
+	}
+
+	// The first mutation of the deferred model logs its parse; the next
+	// one, which clones a model that has its corpora, parses nothing.
+	_, ts, logged := loadLine(t, firstPath, secondPath, v6Path, daemonOptions{})
+	for i := range 2 {
+		doc := ingestDocJSON{Side: 2, ID: fmt.Sprintf("reviews:late%d", i), Values: []string{"Willis returns in a Tarantino crime drama"}}
+		if code := postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Docs: []ingestDocJSON{doc}}, nil); code != http.StatusOK {
+			t.Fatalf("ingest %d = %d", i, code)
+		}
+	}
+	parsed := regexp.MustCompile(`ingest parsed the deferred corpora in \S+\n`)
+	if n := len(parsed.FindAllString(logged.String(), -1)); n != 1 {
+		t.Errorf("two ingests logged %d corpus parses, want 1: %s", n, logged.String())
+	}
+}
+
+// TestV6WrongCorpusFilesRefusedAtStartup is TestWrongCorpusFilesRefusedAtStartup
+// over a v6 snapshot that fingerprints its corpus files: swapped and
+// truncated files still refuse to start, matching files start without
+// being parsed, a file edited after the save falls back to parsing and
+// the coverage check, and a file that changes after start fails the
+// first ingest with the coverage error while the loaded model keeps
+// serving.
+func TestV6WrongCorpusFilesRefusedAtStartup(t *testing.T) {
+	firstPath, secondPath, modelPath, model := trainFixture(t, fixtureConfig(1))
+	if err := model.SaveFileV6(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	refuse := func(name, first, second, want string) {
+		t.Helper()
+		d, err := newDaemon(first, second, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{})
+		if err == nil {
+			d.server.Close()
+			t.Errorf("%s: daemon started", name)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: newDaemon = %v, want %q", name, err, want)
+		}
+	}
+	refuse("text file in place of the table", secondPath, secondPath, `no document of corpus "movies" has a stored vector`)
+
+	dir := t.TempDir()
+	tiny := filepath.Join(dir, "tiny.csv")
+	if err := os.WriteFile(tiny, []byte("title,director,star,genre\nOnly Movie,Nobody,Noone,None\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tinyTxt := filepath.Join(dir, "tiny.txt")
+	if err := os.WriteFile(tinyTxt, []byte("one lonely review\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuse("truncated corpora", tiny, tinyTxt, "but the corpora hold only 2 documents")
+
+	// Matching files start without a parse; an edited one is parsed, and
+	// passes the coverage check when it still describes the snapshot.
+	edited := filepath.Join(dir, "reviews.txt")
+	if err := os.WriteFile(edited, []byte(reviewsTXT+"one more review\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ second, note string }{
+		{secondPath, "corpora deferred (fingerprint match)"},
+		{edited, "corpora parsed in"},
+	} {
+		logged := &logBuffer{}
+		log.SetOutput(logged)
+		d, err := newDaemon(firstPath, tc.second, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{})
+		log.SetOutput(os.Stderr)
+		if err != nil {
+			t.Fatalf("daemon refused %s: %v", tc.second, err)
+		}
+		d.server.Close()
+		if !strings.Contains(logged.String(), tc.note) {
+			t.Errorf("start over %s: load line lacks %q: %s", tc.second, tc.note, logged.String())
+		}
+	}
+
+	// The files change under a running daemon: the first ingest parses
+	// them, finds them changed and not covering the model, and fails;
+	// the model it would have replaced keeps serving.
+	live := filepath.Join(dir, "movies.csv")
+	if err := os.WriteFile(live, []byte(moviesCSV), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, ts := startDaemonWith(t, live, secondPath, modelPath, daemonOptions{})
+	var before topkResponse
+	if code := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: "reviews:p0", K: 3}, &before); code != http.StatusOK {
+		t.Fatalf("topk = %d", code)
+	}
+	if err := os.WriteFile(live, []byte(reviewsTXT), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	doc := ingestDocJSON{Side: 2, ID: "reviews:late", Values: []string{"Willis returns"}}
+	code := postJSON(t, ts.URL+"/v1/ingest", ingestRequest{Docs: []ingestDocJSON{doc}}, &body)
+	if code != http.StatusBadRequest || !strings.Contains(body["error"], "wrong corpus files") {
+		t.Errorf("ingest over changed files = %d %v, want 400 with the coverage error", code, body)
+	}
+	var after topkResponse
+	if code := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: "reviews:p0", K: 3}, &after); code != http.StatusOK || !reflect.DeepEqual(after, before) {
+		t.Errorf("after the refused ingest topk = %d %+v, want %+v", code, after, before)
+	}
+	if got := d.server.Stats().Ingests; got != 0 {
+		t.Errorf("refused ingest counted: %d ingests", got)
 	}
 }
 

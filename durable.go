@@ -103,7 +103,9 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 // and those are recognized (ErrDuplicateDocument on ingest,
 // ErrUnknownDocument on remove) and skipped. Any other failure aborts
 // the replay — the log does not match the model, and serving a silently
-// diverged state would be worse than refusing to start.
+// diverged state would be worse than refusing to start. On a model
+// Snapshot.BindFiles bound without its corpora, the first replayed
+// mutation parses them, once for the whole replay.
 func (w *WAL) Replay(m *Model) (int, error) {
 	applied := 0
 	for _, r := range w.recovered {

@@ -71,6 +71,11 @@ func (m *Model) Staleness() int {
 // staleness counter tracks how far the approximation has drifted, and
 // Compact retrains over every document.
 //
+// A model Snapshot.BindFiles bound without its corpora parses them
+// first (so do Remove and Compact); when they have changed since the
+// snapshot and no longer cover it, the mutation fails and the model
+// stays as it was.
+//
 // Ingest mutates the model and must not run concurrently with queries;
 // Server.Ingest wraps it in a clone-and-swap for live serving.
 func (m *Model) Ingest(docs []IngestDoc) error {
@@ -79,6 +84,9 @@ func (m *Model) Ingest(docs []IngestDoc) error {
 	}
 	if m.fold == nil {
 		return fmt.Errorf("tdmatch: model cannot ingest: it was restored from a snapshot without term vectors — rebuild with Build, or re-save with the current snapshot version")
+	}
+	if err := m.readCorpora(); err != nil {
+		return err
 	}
 	var addFirst, addSecond []corpus.Document
 	var record []savedDoc
@@ -232,6 +240,9 @@ func (m *Model) Remove(ids []string) error {
 			return fmt.Errorf("tdmatch: %w %q", ErrUnknownDocument, id)
 		}
 	}
+	if err := m.readCorpora(); err != nil {
+		return err
+	}
 	m.first.c.RemoveBatch(firstIDs)
 	m.second.c.RemoveBatch(secondIDs)
 	for _, id := range ids {
@@ -254,6 +265,9 @@ func (m *Model) Remove(ids []string) error {
 // change. For rebuilds under live traffic use Server.Compact, which runs
 // this off to the side and replays mutations that land mid-rebuild.
 func (m *Model) Compact() error {
+	if err := m.readCorpora(); err != nil {
+		return err
+	}
 	nm := &Model{cfg: m.cfg.withDefaults(), first: m.first, second: m.second, buildCap: m.buildCap}
 	if err := nm.build(); err != nil {
 		return err
@@ -291,18 +305,19 @@ func (m *Model) appendToIndex(idx *match.Segmented, docs []corpus.Document) erro
 // clone returns a deep-enough copy for the serving layer's
 // clone-mutate-swap: everything Ingest/Remove mutates is copied
 // (corpora, vector map, delta chain), immutable artefacts (vector rows,
-// term vectors, the built graph, sealed index segments) are shared.
+// term vectors, the built graph, sealed index segments, the deferred
+// corpus files) are shared. The clone of a model bound without its
+// corpora is bound without them too: the mutation it is made for
+// parses them into the clone, never into the served model.
 // Index cloning is O(delta + tombstones) — the sealed segment
 // stack is shared outright, only the mutable delta segment and the
 // tombstone overlay are copied — so cloning never re-touches the full
 // arena.
 func (m *Model) clone() *Model {
-	first := &Corpus{c: m.first.c.Clone()}
-	second := &Corpus{c: m.second.c.Clone()}
 	nm := &Model{
 		cfg:       m.cfg,
-		first:     first,
-		second:    second,
+		deferred:  m.deferred,
+		files:     m.files,
 		g:         m.g,
 		fold:      m.fold,
 		dim:       m.dim,
@@ -312,6 +327,10 @@ func (m *Model) clone() *Model {
 		stats:     m.stats,
 		deltas:    append([]savedDelta(nil), m.deltas...),
 		backing:   m.backing,
+	}
+	if m.deferred == nil {
+		nm.first = &Corpus{c: m.first.c.Clone()}
+		nm.second = &Corpus{c: m.second.c.Clone()}
 	}
 	nm.vectors = make(map[string][]float32, len(m.vectors))
 	for id, v := range m.vectors {

@@ -128,14 +128,25 @@ func ReadStructuredJSON(r io.Reader, name string) (*Corpus, error) {
 // Load dispatches on the file extension: .csv and .tsv become tables,
 // .json becomes a structured corpus, anything else is read as text lines.
 func Load(path, name string) (*Corpus, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f, path, name)
+}
+
+// Read is Load over a reader holding the contents of the file at path;
+// only path's extension is used, to pick the format.
+func Read(r io.Reader, path, name string) (*Corpus, error) {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".csv":
-		return LoadCSV(path, name, "", ',')
+		return ReadCSV(r, name, "", ',')
 	case ".tsv":
-		return LoadCSV(path, name, "", '\t')
+		return ReadCSV(r, name, "", '\t')
 	case ".json":
-		return LoadStructuredJSON(path, name)
+		return ReadStructuredJSON(r, name)
 	default:
-		return LoadTextLines(path, name)
+		return ReadTextLines(r, name)
 	}
 }

@@ -64,7 +64,7 @@ var _ VectorIndex = (*Segmented)(nil)
 // seal wraps future sealed segments; maxDelta is the delta row count
 // that triggers an automatic seal on Append (<= 0 never auto-seals).
 func NewSegmented(base VectorIndex, dim int, seal SealFunc, maxDelta int) (*Segmented, error) {
-	delta, err := NewIndexArena(nil, nil, dim)
+	delta, err := newDelta(dim)
 	if err != nil {
 		return nil, err
 	}
@@ -109,6 +109,18 @@ func segFlat(v VectorIndex) *Index {
 // priming, lookup only reads.
 func primeLookup(flat *Index) {
 	flat.lookup("")
+}
+
+// newDelta returns an empty mutable delta segment with its position map
+// primed: Has reads the delta's map beside concurrent queries, so no
+// delta may build it lazily.
+func newDelta(dim int) (*Index, error) {
+	delta, err := NewIndexArena(nil, nil, dim)
+	if err != nil {
+		return nil, err
+	}
+	primeLookup(delta)
+	return delta, nil
 }
 
 // Len returns the number of live documents across all segments.
@@ -233,7 +245,8 @@ func (s *Segmented) liveIn(i int, id string) bool {
 	return !gone
 }
 
-// Has reports whether id is a live document of any segment.
+// Has reports whether id is a live document of any segment. It only
+// reads, so it may run beside queries.
 func (s *Segmented) Has(id string) bool {
 	if _, ok := s.delta.lookup(id); ok {
 		return true
@@ -305,7 +318,7 @@ func (s *Segmented) Seal() error {
 	if s.delta.Len() == 0 {
 		if s.delta.rows() > 0 {
 			// All-tombstone delta: drop the dead rows, keep the stack as is.
-			delta, err := NewIndexArena(nil, nil, s.dim)
+			delta, err := newDelta(s.dim)
 			if err != nil {
 				return err
 			}
@@ -332,7 +345,7 @@ func (s *Segmented) Seal() error {
 	// shared backing array write.
 	s.sealed = append(append([]sealedSeg(nil), s.sealed...), sealedSeg{idx: idx, flat: sf})
 	s.deadBySeg = append(append([]int(nil), s.deadBySeg...), 0)
-	delta, err := NewIndexArena(nil, nil, s.dim)
+	delta, err := newDelta(s.dim)
 	if err != nil {
 		return err
 	}
@@ -392,7 +405,7 @@ func (s *Segmented) Compact() error {
 	s.sealed = []sealedSeg{{idx: idx, flat: sf}}
 	s.deadBySeg = []int{0}
 	s.dead = map[deadKey]struct{}{}
-	delta, err := NewIndexArena(nil, nil, s.dim)
+	delta, err := newDelta(s.dim)
 	if err != nil {
 		return err
 	}
@@ -439,10 +452,12 @@ func compactFlat(dim int, flats []*Index, deadOf func(seg int, id string) bool, 
 // segments and deep-copying only the delta and the tombstone overlay —
 // O(delta + tombstones), never O(corpus).
 func (s *Segmented) Clone() *Segmented {
+	delta := s.delta.Clone()
+	primeLookup(delta)
 	ns := &Segmented{
 		dim:       s.dim,
 		sealed:    s.sealed,
-		delta:     s.delta.Clone(),
+		delta:     delta,
 		dead:      make(map[deadKey]struct{}, len(s.dead)),
 		deadBySeg: append([]int(nil), s.deadBySeg...),
 		seal:      s.seal,

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 	"unsafe"
@@ -136,12 +137,13 @@ func (m *Model) Save(w io.Writer) error {
 		copy(arena[i*m.dim:(i+1)*m.dim], m.vectors[id])
 	}
 	termIDs, termArena := m.termVectors()
+	firstName, secondName := m.corpusNames()
 	enc := gob.NewEncoder(w)
 	return enc.Encode(savedModel{
 		Version:         savedModelVersion,
 		Dim:             m.dim,
-		FirstName:       m.first.Name(),
-		SecondName:      m.second.Name(),
+		FirstName:       firstName,
+		SecondName:      secondName,
 		VectorIDs:       ids,
 		Arena:           arena,
 		Index:           uint8(m.cfg.Index),
@@ -335,6 +337,9 @@ type Snapshot struct {
 	mode    string
 	// verifyTime is how long LoadSnapshotFile's verifier ran.
 	verifyTime time.Duration
+	// files is the corpus file fingerprint a v6 snapshot records, nil
+	// when it records none (and for gob versions).
+	files *[2]fileSum
 }
 
 // VerifyTime reports how long the eager payload checks of a v6 snapshot
@@ -439,7 +444,8 @@ func (s *Snapshot) Info() ModelInfo {
 // callers whose corpus files were refreshed), removed ones deleted — so
 // a snapshot saved after live ingests binds correctly against the
 // pre-ingest corpus files. When the snapshot stores term vectors the
-// restored model supports fold-in Ingest.
+// restored model supports fold-in Ingest. The model keeps the corpus
+// file fingerprint the snapshot records, whichever corpora it is given.
 func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 	if first == nil || second == nil {
 		return nil, fmt.Errorf("tdmatch: Bind requires two corpora")
@@ -455,24 +461,85 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 			return nil, err
 		}
 	}
-	for _, delta := range sm.Deltas {
-		for _, sd := range delta.Added {
-			c := first.c
-			if sd.Side == 2 {
-				c = second.c
-			}
-			if _, present := c.Doc(sd.ID); present {
-				continue
-			}
-			if err := c.Append(documentOfSaved(sd)); err != nil {
-				return nil, fmt.Errorf("tdmatch: applying snapshot delta: %w", err)
-			}
-		}
-		// One compaction pass per side and record; unknown IDs (the other
-		// side's) are ignored by RemoveBatch.
-		first.c.RemoveBatch(delta.Removed)
-		second.c.RemoveBatch(delta.Removed)
+	if err := applyDeltas(first, second, sm.Deltas); err != nil {
+		return nil, err
 	}
+	return s.bind(&Model{first: first, second: second})
+}
+
+// BindFiles binds the snapshot to the corpus files at firstPath and
+// secondPath, read under the names the snapshot records. When the
+// snapshot is a v6 file that records the fingerprint (size and CRC32C)
+// of the files its base corpora were read from, and both files match
+// it, the model is bound without parsing them: queries never read a
+// corpus, and the first Ingest, Remove or Compact parses them into the
+// model it mutates, re-checks them and applies the delta chain as Bind
+// does. Any other snapshot or file pair is parsed and bound with Bind,
+// and then checked to cover the snapshot (see checkCoverage): wrong
+// files fail here instead of serving errors.
+//
+// The returned note says which path ran, for the start-up log:
+// "corpora deferred (fingerprint match)", or "corpora parsed in T"
+// followed by the reason.
+func (s *Snapshot) BindFiles(firstPath, secondPath string) (*Model, string, error) {
+	files := &corpusFiles{
+		names: [2]string{s.sm.FirstName, s.sm.SecondName},
+		paths: [2]string{firstPath, secondPath},
+	}
+	why, err := s.parseReason(files.paths)
+	if err != nil {
+		return nil, "", err
+	}
+	if why == "" {
+		m, err := s.bind(&Model{deferred: files})
+		return m, "corpora deferred (fingerprint match)", err
+	}
+	start := time.Now()
+	cs, err := files.load()
+	if err != nil {
+		return nil, "", err
+	}
+	parsed := time.Since(start)
+	m, err := s.Bind(cs[0], cs[1])
+	if err != nil {
+		return nil, "", err
+	}
+	if err := m.checkCoverage(cs[0], cs[1]); err != nil {
+		return nil, "", err
+	}
+	return m, fmt.Sprintf("corpora parsed in %s (%s)", parsed.Round(time.Microsecond), why), nil
+}
+
+// sideNames names the two corpora in errors and notes.
+var sideNames = [2]string{"first", "second"}
+
+// parseReason says why BindFiles must parse the corpus files at paths
+// before binding, or returns "" when both match the snapshot's
+// fingerprint.
+func (s *Snapshot) parseReason(paths [2]string) (string, error) {
+	switch {
+	case s.v6 == nil:
+		return "gob snapshot", nil
+	case s.files == nil:
+		return "snapshot records no corpus fingerprint", nil
+	}
+	for side, path := range paths {
+		sum, err := sumFile(path)
+		if err != nil {
+			return "", fmt.Errorf("tdmatch: loading %s corpus: %w", sideNames[side], err)
+		}
+		if sum != s.files[side] {
+			return sideNames[side] + " corpus file differs from the snapshot's fingerprint", nil
+		}
+	}
+	return "", nil
+}
+
+// bind completes m, which carries either its corpora (the delta chain
+// applied) or, for a v6 snapshot only, the deferred corpus files, with
+// the snapshot's vectors, configuration and serving indexes.
+func (s *Snapshot) bind(m *Model) (*Model, error) {
+	sm := &s.sm
 	vectors := sm.Vectors
 	if sm.Version >= 2 {
 		if len(sm.Arena) != len(sm.VectorIDs)*sm.Dim {
@@ -493,18 +560,15 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 	if sm.MaxNGram > 0 {
 		cfg.MaxNGram = sm.MaxNGram
 	}
-	m := &Model{
-		cfg:     cfg,
-		first:   first,
-		second:  second,
-		dim:     sm.Dim,
-		vectors: vectors,
-		deltas:  sm.Deltas,
-		// The whole restored delta chain is already reflected in the saved
-		// vectors; only the snapshot's own staleness figure carries over.
-		folded:    len(sm.Deltas),
-		staleBase: sm.Staleness,
-	}
+	m.cfg = cfg
+	m.files = s.files
+	m.dim = sm.Dim
+	m.vectors = vectors
+	m.deltas = sm.Deltas
+	// The whole restored delta chain is already reflected in the saved
+	// vectors; only the snapshot's own staleness figure carries over.
+	m.folded = len(sm.Deltas)
+	m.staleBase = sm.Staleness
 	if len(sm.TermIDs) > 0 {
 		if len(sm.TermArena) != len(sm.TermIDs)*sm.Dim {
 			return nil, fmt.Errorf("tdmatch: term arena holds %d floats for %d terms of dim %d",
@@ -515,7 +579,7 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 	// A version-6 snapshot binds its sealed segments directly onto the
 	// loaded (usually mapped) arenas; a version-5 one restores its
 	// serving segment boundaries by regathering; older payloads (nil
-	// manifests) rebuild one monolithic base segment.
+	// manifests) rebuild one monolithic base segment over the corpora.
 	if s.v6 != nil {
 		m.backing = s.backing
 		if err := m.bindSegmentedV6(s.v6.first, s.v6.second); err != nil {
@@ -527,6 +591,120 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// applyDeltas re-applies a delta chain to the base corpora in order:
+// ingested documents are appended (skipped when already present),
+// removed ones deleted.
+func applyDeltas(first, second *Corpus, deltas []savedDelta) error {
+	for _, delta := range deltas {
+		for _, sd := range delta.Added {
+			c := first.c
+			if sd.Side == 2 {
+				c = second.c
+			}
+			if _, present := c.Doc(sd.ID); present {
+				continue
+			}
+			if err := c.Append(documentOfSaved(sd)); err != nil {
+				return fmt.Errorf("tdmatch: applying snapshot delta: %w", err)
+			}
+		}
+		// One compaction pass per side and record; unknown IDs (the other
+		// side's) are ignored by RemoveBatch.
+		first.c.RemoveBatch(delta.Removed)
+		second.c.RemoveBatch(delta.Removed)
+	}
+	return nil
+}
+
+// corpusFiles names the corpus files of a model bound without parsing
+// them: the names the snapshot trained them under, and their paths.
+type corpusFiles struct {
+	names [2]string
+	paths [2]string
+}
+
+// load parses the two files under their names.
+func (f *corpusFiles) load() ([2]*Corpus, error) {
+	var cs [2]*Corpus
+	for side, path := range f.paths {
+		c, err := loadCorpusFile(path, f.names[side])
+		if err != nil {
+			return cs, fmt.Errorf("tdmatch: loading %s corpus: %w", sideNames[side], err)
+		}
+		cs[side] = c
+	}
+	return cs, nil
+}
+
+// corpusNames returns the names of the model's two corpora.
+func (m *Model) corpusNames() (first, second string) {
+	if m.deferred != nil {
+		return m.deferred.names[0], m.deferred.names[1]
+	}
+	return m.first.Name(), m.second.Name()
+}
+
+// readCorpora parses the corpus files of a model bound without them
+// into it, before the model's first mutation reads them: it applies the
+// delta chain as Bind does and, unless both files still match the
+// recorded fingerprint, checks that they cover the model. A failure
+// leaves the model deferred and fails the mutation. It does nothing for
+// a model that has its corpora.
+func (m *Model) readCorpora() error {
+	if m.deferred == nil {
+		return nil
+	}
+	start := time.Now()
+	cs, err := m.deferred.load()
+	if err != nil {
+		return err
+	}
+	same := m.files != nil && *cs[0].file == m.files[0] && *cs[1].file == m.files[1]
+	if err := applyDeltas(cs[0], cs[1], m.deltas); err != nil {
+		return err
+	}
+	if !same {
+		if err := m.checkCoverage(cs[0], cs[1]); err != nil {
+			return err
+		}
+	}
+	m.first, m.second, m.deferred = cs[0], cs[1], nil
+	m.parseTime = time.Since(start)
+	return nil
+}
+
+// loadCorpusFile is the parse corpusFiles.load runs, LoadCorpus; tests
+// count the parses through it.
+var loadCorpusFile = LoadCorpus
+
+// CorpusParseTime reports how long this model spent parsing its corpus
+// files when Snapshot.BindFiles bound it without them and a mutation
+// (Ingest, Remove or Compact) then needed them. It is zero for every
+// other model, and for a clone of this one.
+func (m *Model) CorpusParseTime() time.Duration { return m.parseTime }
+
+// checkCoverage checks that corpora parsed from files describe the
+// model just bound from a snapshot, which no mutation has changed yet.
+// A caller that names the corpora from the snapshot's own metadata gets
+// no protection from Bind's name check when pointed at the wrong files,
+// but wrong files show up as stored vectors that resolve to no
+// document, or as a corpus none of whose documents has a vector.
+// Refusing beats silently serving errors (or, worse, rankings from
+// another dataset).
+func (m *Model) checkCoverage(first, second *Corpus) error {
+	if stored, total := len(m.vectors), first.Len()+second.Len(); stored > total {
+		return fmt.Errorf("tdmatch: snapshot stores %d vectors but the corpora hold only %d documents — wrong corpus files?",
+			stored, total)
+	}
+	for _, c := range []*Corpus{first, second} {
+		if !slices.ContainsFunc(c.IDs(), func(id string) bool { return m.vectors[id] != nil }) {
+			return fmt.Errorf("tdmatch: no document of corpus %q has a stored vector — wrong corpus files for this snapshot?",
+				c.Name())
+		}
+	}
+	return nil
 }
 
 // segmentIDs strips the checksums off a validated manifest, leaving the

@@ -568,13 +568,15 @@ func TestSnapshotV5ChecksumCatchesVectorTamper(t *testing.T) {
 // FuzzParseV6 holds the v6 reader to the promise of parseV6's doc: the
 // structural checks run under every VerifyMode, so under VerifyLazy —
 // no payload checksums — neither parsing a mutated file nor binding it
-// onto the fixture corpora may panic, and a bound model serves a query
-// from each side without panicking (a torn payload may only score
-// wrong). The seeds are the committed v6 fixtures (flat, HNSW, and the
-// frozen IVF and SQ8 ones, all with FNV-1a section checksums); the
-// corpus under testdata/fuzz/FuzzParseV6 adds the flat fixture re-saved
-// with CRC32C section checksums, the same with an unknown header flag
-// bit, and replays what earlier runs found.
+// onto the fixture corpora, or without them as BindFiles does over
+// matching files, may panic, and a bound model serves a query from each
+// side without panicking (a torn payload may only score wrong). The
+// seeds are the committed v6 fixtures (flat, HNSW, and the frozen IVF
+// and SQ8 ones, all with FNV-1a section checksums); the corpus under
+// testdata/fuzz/FuzzParseV6 adds the flat fixture re-saved with CRC32C
+// section checksums, the same with an unknown header flag bit, a model
+// trained on corpus files (its metadata carries their fingerprints),
+// and replays what earlier runs found.
 //
 // The checksums guard against torn writes, not against a forger, so before
 // parsing the harness re-seals the file size and the header and table
@@ -597,6 +599,13 @@ func FuzzParseV6(f *testing.F) {
 			return
 		}
 		snap.Info()
+		files := &corpusFiles{names: [2]string{snap.sm.FirstName, snap.sm.SecondName}}
+		if m, err := snap.bind(&Model{deferred: files}); err == nil {
+			for _, id := range []string{"movies:t0", "reviews:p0"} {
+				m.TopK(id, 3)
+			}
+			m.MatchAll(true, 3)
+		}
 		movies, reviews := fixtureCorpora(t)
 		m, err := snap.Bind(movies, reviews)
 		if err != nil {

@@ -77,9 +77,27 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // v6FlagCRC32C, otherwise its FNV-1a.
 func v6SectionSum(flags uint32, p []byte) uint64 {
 	if flags&v6FlagCRC32C != 0 {
-		return uint64(crc32.Checksum(p, castagnoli))
+		return uint64(crc32c(p))
 	}
 	return fnv1a.Sum(p)
+}
+
+// crc32cChunk bounds one call into the CRC32C assembly, which the
+// runtime cannot preempt: between chunks a stop-the-world (a GC cycle
+// the bind beside the verifier starts) waits well under a millisecond,
+// where one call over a multi-megabyte arena held every goroutine for
+// about 4 ms.
+const crc32cChunk = 256 << 10
+
+// crc32c is the CRC32C (Castagnoli) of p, computed crc32cChunk bytes at
+// a time.
+func crc32c(p []byte) uint32 {
+	var sum uint32
+	for len(p) > crc32cChunk {
+		sum = crc32.Update(sum, castagnoli, p[:crc32cChunk])
+		p = p[crc32cChunk:]
+	}
+	return crc32.Update(sum, castagnoli, p)
 }
 
 // Section types of the v6 layout.
@@ -147,7 +165,10 @@ func (v VerifyMode) String() string {
 // savedModel carries outside the big arrays. IVFClusters, IVFNProbe and
 // ExactRecall belonged to the removed IVF kind and SQ8Rerank to the
 // removed SQ8 kind; they stay in the layout, always written as zero and
-// never read, so files keep their bytes.
+// never read, so files keep their bytes. FirstFile and SecondFile
+// fingerprint the files the base corpora were read from; a model whose
+// corpora were built in memory omits them, and writes the bytes it
+// wrote before they existed.
 type v6Meta struct {
 	Dim             int
 	FirstName       string
@@ -166,6 +187,8 @@ type v6Meta struct {
 	Deltas          []savedDelta
 	FirstSegs       int
 	SecondSegs      int
+	FirstFile       *fileSum `json:",omitempty"`
+	SecondFile      *fileSum `json:",omitempty"`
 }
 
 // v6Segment is one serving segment parsed from a v6 snapshot: sealed
@@ -374,10 +397,11 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 
 	firstMan := m.firstIdx.SegmentManifest()
 	secondMan := m.secondIdx.SegmentManifest()
+	firstName, secondName := m.corpusNames()
 	meta := v6Meta{
 		Dim:             m.dim,
-		FirstName:       m.first.Name(),
-		SecondName:      m.second.Name(),
+		FirstName:       firstName,
+		SecondName:      secondName,
 		Index:           uint8(m.cfg.Index),
 		HNSWM:           m.cfg.HNSWM,
 		HNSWEf:          m.cfg.HNSWEf,
@@ -388,6 +412,9 @@ func (m *Model) saveV6(w io.Writer, reuse bool) (SaveStats, error) {
 		Deltas:          m.deltas,
 		FirstSegs:       len(firstMan),
 		SecondSegs:      len(secondMan),
+	}
+	if m.files != nil {
+		meta.FirstFile, meta.SecondFile = &m.files[0], &m.files[1]
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
@@ -826,6 +853,10 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 	if backing != nil && backing.Mapped() {
 		loadMode = "v6+mmap"
 	}
+	var files *[2]fileSum
+	if meta.FirstFile != nil && meta.SecondFile != nil {
+		files = &[2]fileSum{*meta.FirstFile, *meta.SecondFile}
+	}
 	return &Snapshot{
 		sm: savedModel{
 			Version:         savedModelVersionV6,
@@ -848,6 +879,7 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 		v6:      &v6State{first: first, second: second},
 		backing: backing,
 		mode:    loadMode,
+		files:   files,
 	}, nil
 }
 
@@ -897,8 +929,8 @@ func openMapping(mf *mmapfile.Mapping, mode VerifyMode) (*Snapshot, error) {
 }
 
 // LoadSnapshotFile opens the snapshot at path once and returns the
-// model bind builds from it, which a caller uses to load the corpora
-// the snapshot names (Snapshot.Info) and Bind onto them.
+// model bind builds from it: with Snapshot.BindFiles, or by loading the
+// corpora the snapshot names (Snapshot.Info) and Binding onto them.
 //
 // Under VerifyEager a v6 file's payload checks — the section checksums,
 // then the cross-segment ID uniqueness — run on their own goroutine

@@ -53,9 +53,22 @@ type Stats struct {
 // once. Ingest, Remove and Compact mutate it and must not run beside
 // queries; the serving layer mutates a clone and swaps it in.
 type Model struct {
-	cfg    Config
+	cfg Config
+	// first and second are the corpora, nil while deferred is set: no
+	// query reads them, only Ingest, Remove and Compact do.
 	first  *Corpus
 	second *Corpus
+	// deferred names the corpus files of a model Snapshot.BindFiles bound
+	// without parsing them; its first mutation parses them into first
+	// and second (readCorpora) and clears it. Shared across clones.
+	deferred *corpusFiles
+	// files fingerprints the files the base corpora — the corpora before
+	// the delta chain — were read from: recorded by LoadCorpus, carried
+	// by Build, Bind and Compact, written by SaveV6. Nil when unknown.
+	files *[2]fileSum
+	// parseTime is how long this model's readCorpora took; zero when it
+	// parsed nothing, and for every clone.
+	parseTime time.Duration
 
 	// g is the graph as built, kept for GraphSize and WriteGraphDOT; nil
 	// for models restored from a snapshot. fold holds the trained term
@@ -116,6 +129,9 @@ func Build(first, second *Corpus, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("tdmatch: Build requires two corpora")
 	}
 	m := &Model{cfg: cfg.withDefaults(), first: first, second: second}
+	if first.file != nil && second.file != nil {
+		m.files = &[2]fileSum{*first.file, *second.file}
+	}
 	if err := m.build(); err != nil {
 		return nil, err
 	}
@@ -540,12 +556,14 @@ func (m *Model) Vector(docID string) []float32 { return m.vectors[docID] }
 // Callers must not mutate the returned slices.
 func (m *Model) Vectors() map[string][]float32 { return m.vectors }
 
-// sideOf reports which corpus a document belongs to: 1, 2, or 0 (unknown).
+// sideOf reports which corpus a document belongs to: 1, 2, or 0
+// (unknown). It asks the serving indexes, which hold a row for every
+// live document of their side, so queries never read the corpora.
 func (m *Model) sideOf(docID string) int {
-	if _, ok := m.first.c.Doc(docID); ok {
+	if m.firstIdx.Has(docID) {
 		return 1
 	}
-	if _, ok := m.second.c.Doc(docID); ok {
+	if m.secondIdx.Has(docID) {
 		return 2
 	}
 	return 0
@@ -610,11 +628,11 @@ func batchChunk(n, workers int) int {
 // Batching and worker count never change results: every path selects
 // with the same kernel and tie rule.
 func (m *Model) MatchAllWorkers(fromSecond bool, k, workers int) map[string][]Match {
-	c, idx := m.first.c, m.secondIdx
+	from, idx := m.firstIdx, m.secondIdx
 	if fromSecond {
-		c, idx = m.second.c, m.firstIdx
+		from, idx = m.secondIdx, m.firstIdx
 	}
-	ids := c.IDs()
+	ids := slices.Concat(from.SegmentManifest()...)
 	results := make([][]Match, len(ids))
 	size := batchChunk(len(ids), workers)
 	batches := (len(ids) + size - 1) / size

@@ -22,7 +22,11 @@
 package tdmatch
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
 
 	"github.com/tdmatch/tdmatch/internal/corpus"
 	"github.com/tdmatch/tdmatch/internal/kb"
@@ -31,6 +35,9 @@ import (
 // Corpus is one input collection: a table, a taxonomy, or free text.
 type Corpus struct {
 	c *corpus.Corpus
+	// file identifies the file LoadCorpus read the corpus from; nil for a
+	// corpus built in memory.
+	file *fileSum
 }
 
 // NewText builds a text corpus from snippets (sentences or paragraphs —
@@ -81,12 +88,44 @@ func NewTaxonomy(name string, nodes []TaxonomyNode) (*Corpus, error) {
 // LoadCorpus reads a corpus from disk, dispatching on the extension:
 // .csv/.tsv become tables, .json (an array of {id, text, parent} objects)
 // becomes a taxonomy, anything else is read as one text document per line.
+// It records the file's size and CRC32C, which a model built on the
+// corpus stores in its v6 snapshots: Snapshot.BindFiles compares them
+// with the files it is pointed at and, when both match, binds without
+// parsing them.
 func LoadCorpus(path, name string) (*Corpus, error) {
-	c, err := corpus.Load(path, name)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{c: c}, nil
+	c, err := corpus.Read(bytes.NewReader(data), path, name)
+	if err != nil {
+		return nil, err
+	}
+	return &Corpus{c: c, file: &fileSum{Size: int64(len(data)), CRC32C: crc32c(data)}}, nil
+}
+
+// fileSum identifies the contents of a corpus file by its size and
+// CRC32C (Castagnoli), the fingerprint a v6 snapshot stores for each of
+// its base corpus files.
+type fileSum struct {
+	Size   int64
+	CRC32C uint32
+}
+
+// sumFile fingerprints the file at path, streaming it through the
+// checksum rather than holding it in memory.
+func sumFile(path string) (fileSum, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return fileSum{}, err
+	}
+	defer f.Close()
+	h := crc32.New(castagnoli)
+	n, err := io.Copy(h, f)
+	if err != nil {
+		return fileSum{}, err
+	}
+	return fileSum{Size: n, CRC32C: h.Sum32()}, nil
 }
 
 // Name returns the corpus name.
