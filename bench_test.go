@@ -532,21 +532,12 @@ func BenchmarkIngestServerSingleDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSnapshotGob measures cold start from a gob (v5)
-// snapshot: open the file, decode, rebuild the serving indexes, answer
-// the first TopK. The baseline BenchmarkLoadSnapshotMmap is held
-// against.
-func BenchmarkLoadSnapshotGob(b *testing.B) {
-	benchLoadSnapshot(b, (*tdmatch.Model).SaveFile, tdmatch.OpenSnapshotFile)
-}
-
 // BenchmarkLoadSnapshotMmap measures cold start from a v6 snapshot
 // through the zero-copy path: mmap the file (lazy verification, the
 // daemon's trusted-checkpoint mode), bind the serving indexes onto the
-// mapping, answer the first TopK. The PR 9 acceptance bar is >= 10x
-// faster than BenchmarkLoadSnapshotGob.
+// mapping, answer the first TopK.
 func BenchmarkLoadSnapshotMmap(b *testing.B) {
-	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, func(path string) (*tdmatch.Snapshot, error) {
+	benchLoadSnapshot(b, func(path string) (*tdmatch.Snapshot, error) {
 		return tdmatch.OpenSnapshotFileVerify(path, tdmatch.VerifyLazy)
 	})
 }
@@ -555,7 +546,7 @@ func BenchmarkLoadSnapshotMmap(b *testing.B) {
 // eager verification, the daemon's default: every section checksum is
 // digested before the bind.
 func BenchmarkLoadSnapshotMmapEager(b *testing.B) {
-	benchLoadSnapshot(b, (*tdmatch.Model).SaveFileV6, tdmatch.OpenSnapshotFile)
+	benchLoadSnapshot(b, tdmatch.OpenSnapshotFile)
 }
 
 // BenchmarkLoadSnapshotFileEager is the cold start through
@@ -645,7 +636,9 @@ func benchLoadSnapshotFile(b *testing.B, bind func(snap *tdmatch.Snapshot, first
 	}
 }
 
-func benchLoadSnapshot(b *testing.B, save func(*tdmatch.Model, string) error, open func(string) (*tdmatch.Snapshot, error)) {
+// benchLoadSnapshot saves the end-to-end model as v6 and times open,
+// Bind and the first TopK.
+func benchLoadSnapshot(b *testing.B, open func(string) (*tdmatch.Snapshot, error)) {
 	first, second, cfg := benchEndToEndInputs(b)
 	cfg.Seed = 1
 	model, err := tdmatch.Build(first, second, cfg)
@@ -653,7 +646,7 @@ func benchLoadSnapshot(b *testing.B, save func(*tdmatch.Model, string) error, op
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "model.snap")
-	if err := save(model, path); err != nil {
+	if err := model.SaveFileV6(path); err != nil {
 		b.Fatal(err)
 	}
 	q := second.IDs()[0]

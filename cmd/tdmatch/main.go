@@ -10,12 +10,12 @@
 //	tdmatch -first movies.csv -second reviews.txt -k 5
 //	tdmatch -first tax.json -second docs.txt -kb triples.tsv -expand
 //	tdmatch -first movies.csv -second reviews.txt -index hnsw -hnsw-ef 64
-//	tdmatch -first movies.csv -second reviews.txt -save model.gob
+//	tdmatch -first movies.csv -second reviews.txt -save model.snap
 //
 // The optional -kb file holds tab-separated (subject, predicate, object)
 // triples used for graph expansion; -synonyms holds comma-separated
 // synonym groups (first entry is canonical), one group per line. -save
-// writes the trained model snapshot for cmd/tdserved to serve.
+// writes the trained model as a v6 snapshot for cmd/tdserved to serve.
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 		fromFirst  = flag.Bool("from-first", false, "query from the first corpus instead of the second")
 		dotPath    = flag.String("dot", "", "write the built graph in Graphviz DOT format to this file")
 		savePath   = flag.String("save", "", "write the trained model snapshot to this file (serve it with tdserved)")
-		saveFormat = flag.String("snapshot-format", "v6", "snapshot format for -save: v6 (flat, mmap-loadable) or gob")
 		indexKind  = flag.String("index", "flat", "serving index: flat (exact scan) or hnsw (graph ANN + exact re-rank)")
 		hnswM      = flag.Int("hnsw-m", 0, "HNSW neighbors per node per layer (0 = default 16)")
 		hnswEf     = flag.Int("hnsw-ef", 0, "HNSW query beam width (0 = default 96)")
@@ -56,10 +55,6 @@ func main() {
 	flag.Parse()
 	if *firstPath == "" || *secondPath == "" {
 		fmt.Fprintln(os.Stderr, "tdmatch: -first and -second are required")
-		os.Exit(2)
-	}
-	if *saveFormat != "v6" && *saveFormat != "gob" {
-		fmt.Fprintf(os.Stderr, "tdmatch: unknown -snapshot-format %q (want v6 or gob)\n", *saveFormat)
 		os.Exit(2)
 	}
 	kind, err := tdmatch.ParseIndexKind(*indexKind)
@@ -119,12 +114,8 @@ func main() {
 	}
 
 	if *savePath != "" {
-		if *saveFormat == "gob" {
-			fatal(model.SaveFile(*savePath))
-		} else {
-			fatal(model.SaveFileV6(*savePath))
-		}
-		fmt.Fprintf(os.Stderr, "saved model snapshot to %s (%s)\n", *savePath, *saveFormat)
+		fatal(model.SaveFileV6(*savePath))
+		fmt.Fprintf(os.Stderr, "saved model snapshot to %s (v6)\n", *savePath)
 	}
 
 	for q, matches := range model.MatchAll(!*fromFirst, *k) {

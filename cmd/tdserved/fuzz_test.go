@@ -28,10 +28,7 @@ var fuzzEndpoints = []string{"/v1/topk", "/v1/batch", "/v1/ingest", "/v1/remove"
 // testdata/fuzz/FuzzHandlers adds a table-side ingest, an ingest whose
 // ID is an attribute label and an over-cap body.
 func FuzzHandlers(f *testing.F) {
-	firstPath, secondPath, modelPath, model := trainFixture(f, fixtureConfig(5))
-	if err := model.SaveFileV6(modelPath); err != nil {
-		f.Fatal(err)
-	}
+	firstPath, secondPath, modelPath, _ := trainFixture(f, fixtureConfig(5))
 	log.SetOutput(io.Discard)
 	f.Cleanup(func() { log.SetOutput(os.Stderr) })
 	d, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{maxBody: 4 << 10})

@@ -1,12 +1,12 @@
 // Command tdserved is the long-running serving daemon: it loads a model
-// snapshot persisted with SaveFile (see cmd/tdmatch's -save) plus the two
-// corpora it was trained on, and serves JSON-over-HTTP matching queries
-// behind a result cache and a micro-batching worker pool.
+// snapshot (see cmd/tdmatch's -save) plus the two corpora it was trained
+// on, and serves JSON-over-HTTP matching queries behind a result cache
+// and a micro-batching worker pool.
 //
 // Usage:
 //
-//	tdmatch  -first movies.csv -second reviews.txt -save model.gob
-//	tdserved -first movies.csv -second reviews.txt -model model.gob -addr :8080
+//	tdmatch  -first movies.csv -second reviews.txt -save model.snap
+//	tdserved -first movies.csv -second reviews.txt -model model.snap -addr :8080
 //
 // Endpoints:
 //
@@ -91,7 +91,7 @@ func main() {
 	var (
 		firstPath  = flag.String("first", "", "first corpus file (as passed to the training run)")
 		secondPath = flag.String("second", "", "second corpus file (as passed to the training run)")
-		modelPath  = flag.String("model", "", "model snapshot written by tdmatch -save / SaveFile")
+		modelPath  = flag.String("model", "", "model snapshot written by tdmatch -save (v6; a gob file of versions 1-5 loads too, and the first checkpoint rewrites it as v6)")
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		cacheSize  = flag.Int("cache", 0, "result-cache entries (0 = 4096, negative disables)")
 		batchWin   = flag.Duration("batch-window", 0, "micro-batch coalescing window (0 = 200µs, negative = none: batch only what is already queued)")
@@ -108,7 +108,6 @@ func main() {
 		exitSnapshot = flag.Bool("exit-snapshot", false, "save the model snapshot (and rotate the WAL) on graceful shutdown")
 		compactAbove = flag.Int("compact-above", 0, "staleness threshold for background compaction (0 disables)")
 		compactEvery = flag.Duration("compact-interval", 30*time.Second, "background compaction poll period")
-		snapFormat   = flag.String("snapshot-format", "v6", "format for checkpoint and exit snapshots: v6 (flat, mmap-loadable) or gob; loads auto-detect")
 		snapVerify   = flag.String("snapshot-verify", "eager", "v6 snapshot verification at load: eager (every section checksum) or lazy (header and structure only)")
 	)
 	flag.Parse()
@@ -128,7 +127,6 @@ func main() {
 		maxBody:      *maxBody,
 		maxInflight:  *maxInflight,
 		queryTimeout: *queryTimeout,
-		snapFormat:   *snapFormat,
 		snapVerify:   *snapVerify,
 	})
 	if err != nil {
@@ -187,10 +185,8 @@ type daemonOptions struct {
 	maxBody      int64
 	maxInflight  int
 	queryTimeout time.Duration
-	// snapFormat selects the format checkpoint/exit snapshots are written
-	// in ("v6", the default, or "gob"); snapVerify the v6 load-time
-	// verification depth ("eager", the default, or "lazy").
-	snapFormat string
+	// snapVerify is the v6 load-time verification depth ("eager", the
+	// default, or "lazy").
 	snapVerify string
 }
 
@@ -220,10 +216,8 @@ type daemon struct {
 	maxBody      int64
 	queryTimeout time.Duration
 
-	// snapFormat is the checkpoint output format ("v6" or "gob");
-	// verify the v6 load-time verification mode.
-	snapFormat string
-	verify     tdmatch.VerifyMode
+	// verify is the v6 load-time verification mode.
+	verify tdmatch.VerifyMode
 
 	reloadMu sync.Mutex
 	modelInf atomic.Pointer[tdmatch.ModelInfo]
@@ -256,14 +250,6 @@ func newDaemon(firstPath, secondPath, modelPath string, sc tdmatch.ServeConfig, 
 	}
 	if opts.queryTimeout > 0 {
 		d.queryTimeout = opts.queryTimeout
-	}
-	switch opts.snapFormat {
-	case "", "v6":
-		d.snapFormat = "v6"
-	case "gob":
-		d.snapFormat = "gob"
-	default:
-		return nil, fmt.Errorf("unknown -snapshot-format %q (want v6 or gob)", opts.snapFormat)
 	}
 	switch opts.snapVerify {
 	case "", "eager":
@@ -410,27 +396,20 @@ func (d *daemon) reload() error {
 	return nil
 }
 
-// checkpoint saves the served model to the snapshot path (atomically —
-// both savers rename a synced sidecar into place and fsync the parent
-// directory) in the configured -snapshot-format, and rotates the WAL
-// past everything the snapshot now contains.
+// checkpoint saves the served model to the snapshot path as v6
+// (atomically: the saver renames a synced sidecar into place and fsyncs
+// the parent directory), and rotates the WAL past everything the
+// snapshot now contains. A daemon started on a gob snapshot rewrites it
+// as v6 here.
 func (d *daemon) checkpoint() error {
 	return d.server.Checkpoint(d.saveModelFile)
 }
 
-// saveModelFile writes one snapshot in the daemon's configured format
-// and logs what it cost. A v6 save serializes clean sealed segments from
-// the live index and rebuilds those holding tombstones: a daemon whose
-// log keeps showing rebuilds is paying for removals it never compacts.
+// saveModelFile writes one v6 snapshot and logs what it cost. A save
+// serializes clean sealed segments from the live index and rebuilds
+// those holding tombstones: a daemon whose log keeps showing rebuilds is
+// paying for removals it never compacts.
 func (d *daemon) saveModelFile(m *tdmatch.Model) error {
-	if d.snapFormat == "gob" {
-		start := time.Now()
-		if err := m.SaveFile(d.modelPath); err != nil {
-			return err
-		}
-		log.Printf("tdserved: saved %s (gob): %d ms", d.modelPath, time.Since(start).Milliseconds())
-		return nil
-	}
 	st, err := m.SaveFileV6Stats(d.modelPath)
 	if err != nil {
 		return err

@@ -50,7 +50,7 @@ func trainFixture(t testing.TB, cfg tdmatch.Config) (firstPath, secondPath, mode
 	dir := t.TempDir()
 	firstPath = filepath.Join(dir, "movies.csv")
 	secondPath = filepath.Join(dir, "reviews.txt")
-	modelPath = filepath.Join(dir, "model.gob")
+	modelPath = filepath.Join(dir, "model.snap")
 	if err := os.WriteFile(firstPath, []byte(moviesCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func trainFixture(t testing.TB, cfg tdmatch.Config) (firstPath, secondPath, mode
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := model.SaveFile(modelPath); err != nil {
+	if err := model.SaveFileV6(modelPath); err != nil {
 		t.Fatal(err)
 	}
 	return firstPath, secondPath, modelPath, model
@@ -132,26 +132,38 @@ Brando leads the godfather crime family in Coppola's masterpiece
 Weaver fights the alien in deep space horror
 `
 
-// TestRoundTripIVFSnapshotServesIdenticalTopK: a committed snapshot
-// saved with a removed index kind (IVF or SQ8, v6 and gob) starts the
-// daemon, which logs that it serves the snapshot as an exact flat scan,
-// reports index "flat" in /v1/stats, and serves over HTTP exactly the
-// rankings of the in-process model bound from the same file.
-func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
+// persistFixtureDir holds the root package's committed snapshot
+// fixtures.
+var persistFixtureDir = filepath.Join("..", "..", "testdata", "persist")
+
+// writePersistCorpora writes persistMoviesCSV and persistReviewsTXT to
+// a temporary directory and returns their paths.
+func writePersistCorpora(t *testing.T) (firstPath, secondPath string) {
+	t.Helper()
 	dir := t.TempDir()
-	firstPath := filepath.Join(dir, "movies.csv")
-	secondPath := filepath.Join(dir, "reviews.txt")
+	firstPath = filepath.Join(dir, "movies.csv")
+	secondPath = filepath.Join(dir, "reviews.txt")
 	if err := os.WriteFile(firstPath, []byte(persistMoviesCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(secondPath, []byte(persistReviewsTXT), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return firstPath, secondPath
+}
+
+// TestRoundTripIVFSnapshotServesIdenticalTopK: a committed snapshot
+// saved with a removed index kind (IVF or SQ8, v6 and gob) starts the
+// daemon, which logs that it serves the snapshot as an exact flat scan,
+// reports index "flat" in /v1/stats, and serves over HTTP exactly the
+// rankings of the in-process model bound from the same file.
+func TestRoundTripIVFSnapshotServesIdenticalTopK(t *testing.T) {
+	firstPath, secondPath := writePersistCorpora(t)
 	for _, fx := range []struct{ name, kind string }{
 		{"v6ivf.snap", "ivf"}, {"v5ivf.gob", "ivf"}, {"v6sq8.snap", "sq8"}, {"v5sq8.gob", "sq8"},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
-			modelPath := filepath.Join("..", "..", "testdata", "persist", fx.name)
+			modelPath := filepath.Join(persistFixtureDir, fx.name)
 			logged := &logBuffer{}
 			log.SetOutput(logged)
 			_, ts := startDaemon(t, firstPath, secondPath, modelPath)
@@ -283,9 +295,11 @@ func TestStatsAndHealthz(t *testing.T) {
 // TestWrongCorpusFilesRefusedAtStartup: the daemon names corpora from
 // the snapshot's own metadata, so the name check in Bind cannot catch an
 // operator pointing -first/-second at the wrong files — coverage
-// validation must.
+// validation must. The snapshot is the committed v5 gob fixture, which
+// records no corpus fingerprint.
 func TestWrongCorpusFilesRefusedAtStartup(t *testing.T) {
-	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(1))
+	firstPath, secondPath := writePersistCorpora(t)
+	modelPath := filepath.Join(persistFixtureDir, "v5.gob")
 
 	// Swapped format: a text file where the table was — document IDs get
 	// the p-prefix, matching none of the snapshot's t-prefixed vectors.
@@ -379,7 +393,7 @@ func TestReloadSwapsUnderConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := retrained.SaveFile(modelPath); err != nil {
+	if err := retrained.SaveFileV6(modelPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -449,8 +463,15 @@ func TestReloadSwapsUnderConcurrentTraffic(t *testing.T) {
 	}
 
 	// A reload against a broken snapshot must fail loudly and keep the
-	// old model serving.
-	if err := os.WriteFile(modelPath, []byte("not a model"), 0o644); err != nil {
+	// old model serving. The broken file is renamed into place, as
+	// tdmatch -save replaces a snapshot: the served model maps the file
+	// at modelPath, and truncating a mapped file in place faults the
+	// process on its next read of the mapping.
+	broken := modelPath + ".broken"
+	if err := os.WriteFile(broken, []byte("not a model"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(broken, modelPath); err != nil {
 		t.Fatal(err)
 	}
 	if status := postJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); status != http.StatusInternalServerError {
@@ -571,14 +592,10 @@ func TestIngestOverHTTPServesImmediately(t *testing.T) {
 // TestV6SnapshotDaemonRoundTrip is the daemon-level v6 round trip: a
 // model saved in the flat mmap format starts the daemon (zero-copy
 // load), serves rankings identical to the in-process model, and a
-// checkpoint in the default format rewrites the file as v6 — which the
-// next daemon start loads again.
+// checkpoint rewrites the file as v6 — which the next daemon start
+// loads again.
 func TestV6SnapshotDaemonRoundTrip(t *testing.T) {
 	firstPath, secondPath, modelPath, model := trainFixture(t, fixtureConfig(17))
-	// Re-save the fixture in v6 over the gob file trainFixture wrote.
-	if err := model.SaveFileV6(modelPath); err != nil {
-		t.Fatal(err)
-	}
 
 	d, ts := startDaemonWith(t, firstPath, secondPath, modelPath, daemonOptions{})
 	if got := d.info().Version; got != 6 {
@@ -598,8 +615,8 @@ func TestV6SnapshotDaemonRoundTrip(t *testing.T) {
 		t.Fatalf("v6-served rankings diverge:\ngot:  %v\nwant: %v", resp.Matches, want)
 	}
 
-	// The default checkpoint format is v6: the rewritten file must open
-	// with the v6 magic and restart the daemon.
+	// The checkpoint writes v6: the rewritten file must open with the v6
+	// magic and restart the daemon.
 	if err := d.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -619,18 +636,55 @@ func TestV6SnapshotDaemonRoundTrip(t *testing.T) {
 	if got := d2.info().Version; got != 6 {
 		t.Fatalf("restart loaded snapshot version %d, want 6", got)
 	}
+}
 
-	// And -snapshot-format=gob keeps the classic format available.
-	d3, _ := startDaemonWith(t, firstPath, secondPath, modelPath, daemonOptions{snapFormat: "gob"})
-	if err := d3.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := tdmatch.ReadModelInfoFile(modelPath)
+// TestGobSnapshotMigratesAtCheckpoint: a daemon started on a gob
+// snapshot (the committed v5 fixture) serves it, and its first
+// checkpoint rewrites the file as v6, which the next start maps
+// zero-copy and serves with the same rankings.
+func TestGobSnapshotMigratesAtCheckpoint(t *testing.T) {
+	firstPath, secondPath := writePersistCorpora(t)
+	raw, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 5 {
-		t.Fatalf("gob checkpoint wrote version %d, want 5", info.Version)
+	modelPath := filepath.Join(t.TempDir(), "model.gob")
+	if err := os.WriteFile(modelPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := func() (*daemon, *httptest.Server, string) {
+		logged := &logBuffer{}
+		log.SetOutput(logged)
+		defer log.SetOutput(os.Stderr)
+		d, ts := startDaemon(t, firstPath, secondPath, modelPath)
+		return d, ts, logged.String()
+	}
+	rankings := func(ts *httptest.Server) map[string][]matchJSON {
+		out := map[string][]matchJSON{}
+		for _, id := range []string{"movies:t0", "movies:t2", "reviews:p0", "reviews:p3"} {
+			var got topkResponse
+			if status := postJSON(t, ts.URL+"/v1/topk", topkRequest{ID: id, K: 4}, &got); status != http.StatusOK {
+				t.Fatalf("topk(%s) status %d", id, status)
+			}
+			out[id] = got.Matches
+		}
+		return out
+	}
+
+	d, ts, logged := start()
+	if !strings.Contains(logged, "load mode gob,") || d.info().Version != 5 {
+		t.Fatalf("first start did not load the gob snapshot (version %d): %s", d.info().Version, logged)
+	}
+	want := rankings(ts)
+	if err := d.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d2, ts2, logged := start()
+	if !strings.Contains(logged, "load mode v6+mmap,") || d2.info().Version != 6 {
+		t.Fatalf("restart after the checkpoint did not map a v6 snapshot (version %d): %s", d2.info().Version, logged)
+	}
+	if got := rankings(ts2); !reflect.DeepEqual(got, want) {
+		t.Errorf("rankings changed across the migration:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 
@@ -645,9 +699,6 @@ func TestHNSWSnapshotDaemonRoundTrip(t *testing.T) {
 	cfg.HNSWEf = 8
 	cfg.HNSWEfConstruct = 16
 	firstPath, secondPath, modelPath, model := trainFixture(t, cfg)
-	if err := model.SaveFileV6(modelPath); err != nil {
-		t.Fatal(err)
-	}
 
 	d, ts := startDaemonWith(t, firstPath, secondPath, modelPath, daemonOptions{})
 	info := d.info()
@@ -710,10 +761,6 @@ func TestHNSWSnapshotDaemonRoundTrip(t *testing.T) {
 func TestBadSnapshotFlagsRejected(t *testing.T) {
 	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(35))
 	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
-		daemonOptions{snapFormat: "msgpack"}); err == nil {
-		t.Error("unknown -snapshot-format accepted")
-	}
-	if _, err := newDaemon(firstPath, secondPath, modelPath, tdmatch.ServeConfig{Workers: 1}, 5,
 		daemonOptions{snapVerify: "paranoid"}); err == nil {
 		t.Error("unknown -snapshot-verify accepted")
 	}
@@ -727,11 +774,7 @@ func TestBadSnapshotFlagsRejected(t *testing.T) {
 // with the reason otherwise. The first mutation of a deferred model logs
 // its parse once.
 func TestLoadLineNamesVerifyMode(t *testing.T) {
-	firstPath, secondPath, gobPath, model := trainFixture(t, fixtureConfig(36))
-	v6Path := filepath.Join(t.TempDir(), "model.v6")
-	if err := model.SaveFileV6(v6Path); err != nil {
-		t.Fatal(err)
-	}
+	firstPath, secondPath, v6Path, _ := trainFixture(t, fixtureConfig(36))
 	loadLine := func(t *testing.T, first, second, modelPath string, opts daemonOptions) (*daemon, *httptest.Server, *logBuffer) {
 		t.Helper()
 		logged := &logBuffer{}
@@ -753,19 +796,21 @@ func TestLoadLineNamesVerifyMode(t *testing.T) {
 		}
 	}
 
-	// A gob snapshot, and a v6 one whose fingerprint no longer matches an
-	// edited file, are parsed at start.
+	// A gob snapshot (the committed v5 fixture, over its corpora), and a
+	// v6 one whose fingerprint no longer matches an edited file, are
+	// parsed at start.
 	edited := filepath.Join(t.TempDir(), "reviews.txt")
 	if err := os.WriteFile(edited, []byte(reviewsTXT+"an extra review of a Tarantino crime drama\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	gobFirst, gobSecond := writePersistCorpora(t)
 	for _, tc := range []struct {
-		name, second, model, want string
+		name, first, second, model, want string
 	}{
-		{"gob", secondPath, gobPath, `load mode gob, verify eager, opened in \S+, corpora parsed in \S+ \(gob snapshot\)\n`},
-		{"edited", edited, v6Path, `verified in \S+ beside the bind, corpora parsed in \S+ \(second corpus file differs from the snapshot's fingerprint\)\n`},
+		{"gob", gobFirst, gobSecond, filepath.Join(persistFixtureDir, "v5.gob"), `load mode gob, verify eager, opened in \S+, corpora parsed in \S+ \(gob snapshot\)\n`},
+		{"edited", firstPath, edited, v6Path, `verified in \S+ beside the bind, corpora parsed in \S+ \(second corpus file differs from the snapshot's fingerprint\)\n`},
 	} {
-		_, _, logged := loadLine(t, firstPath, tc.second, tc.model, daemonOptions{})
+		_, _, logged := loadLine(t, tc.first, tc.second, tc.model, daemonOptions{})
 		if want := regexp.MustCompile(tc.want); !want.MatchString(logged.String()) {
 			t.Errorf("%s: load line does not match %s: %s", tc.name, want, logged.String())
 		}
@@ -794,10 +839,7 @@ func TestLoadLineNamesVerifyMode(t *testing.T) {
 // first ingest with the coverage error while the loaded model keeps
 // serving.
 func TestV6WrongCorpusFilesRefusedAtStartup(t *testing.T) {
-	firstPath, secondPath, modelPath, model := trainFixture(t, fixtureConfig(1))
-	if err := model.SaveFileV6(modelPath); err != nil {
-		t.Fatal(err)
-	}
+	firstPath, secondPath, modelPath, _ := trainFixture(t, fixtureConfig(1))
 	refuse := func(name, first, second, want string) {
 		t.Helper()
 		d, err := newDaemon(first, second, modelPath, tdmatch.ServeConfig{Workers: 1}, 5, daemonOptions{})

@@ -189,7 +189,8 @@ type Config struct {
 	// HNSWEfConstruct is the construction-time beam width of an
 	// IndexHNSW index (0 = default 128). Wider construction beams find
 	// better neighbors — higher recall per unit of query beam — at
-	// build-time cost.
+	// build-time cost. Build, and every snapshot reader, refuse an HNSW
+	// parameter above 65,536.
 	HNSWEfConstruct int
 
 	// SegmentMaxDocs caps the mutable delta segment of the segmented

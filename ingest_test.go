@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -166,7 +167,7 @@ func TestIngestRejectsAttributeLabelID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := built.Save(&buf); err != nil {
+	if err := built.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2, r2 := fixtureCorpora(t)
@@ -206,16 +207,13 @@ func TestIngestRejectsAttributeLabelID(t *testing.T) {
 }
 
 // TestIngestFoldBitIdenticalAfterRoundTrip: the documents a Build folds
-// in get bit for bit the vectors its v6 and gob reloads give them, so the
-// term table a load adopts in place is the table the build gathered.
+// in get bit for bit the vectors its v6 reloads, mapped and streamed onto
+// the heap, give them, so the term table a load adopts in place is the
+// table the build gathered.
 func TestIngestFoldBitIdenticalAfterRoundTrip(t *testing.T) {
 	built := persistFixtureModel(t)
-	dir := t.TempDir()
-	v6Path, gobPath := filepath.Join(dir, "m.v6"), filepath.Join(dir, "m.gob")
-	if err := built.SaveFileV6(v6Path); err != nil {
-		t.Fatal(err)
-	}
-	if err := built.SaveFile(gobPath); err != nil {
+	path := filepath.Join(t.TempDir(), "m.v6")
+	if err := built.SaveFileV6(path); err != nil {
 		t.Fatal(err)
 	}
 	docs := []IngestDoc{
@@ -225,10 +223,18 @@ func TestIngestFoldBitIdenticalAfterRoundTrip(t *testing.T) {
 	if err := built.Ingest(docs); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaders := map[string]func(first, second *Corpus) (*Model, error){
+		"mmap": func(first, second *Corpus) (*Model, error) { return LoadModelFile(path, first, second) },
+		"heap": func(first, second *Corpus) (*Model, error) { return LoadModel(bytes.NewReader(raw), first, second) },
+	}
 	sameBits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
-	for _, path := range []string{v6Path, gobPath} {
+	for mode, load := range loaders {
 		movies, reviews := fixtureCorpora(t)
-		loaded, err := LoadModelFile(path, movies, reviews)
+		loaded, err := load(movies, reviews)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +244,7 @@ func TestIngestFoldBitIdenticalAfterRoundTrip(t *testing.T) {
 		for _, d := range docs {
 			want, got := built.Vector(d.ID), loaded.Vector(d.ID)
 			if want == nil || !slices.EqualFunc(want, got, sameBits) {
-				t.Errorf("%s: %s folds in as %v after the round trip, %v before", filepath.Base(path), d.ID, got, want)
+				t.Errorf("%s: %s folds in as %v after the round trip, %v before", mode, d.ID, got, want)
 			}
 		}
 	}
@@ -511,7 +517,7 @@ func TestIngestFoldOnLoadedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2, r2 := fixtureCorpora(t)
@@ -520,7 +526,7 @@ func TestIngestFoldOnLoadedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.fold == nil {
-		t.Fatal("v4 snapshot did not restore fold-in state")
+		t.Fatal("the snapshot did not restore fold-in state")
 	}
 	if err := loaded.Ingest([]IngestDoc{
 		{Side: 2, ID: "reviews:new", Values: []string{"Tarantino and Willis in a crime thriller"}},
@@ -576,7 +582,7 @@ func TestSaveLoadDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/datasets"
@@ -287,6 +289,58 @@ func TestRankAllShape(t *testing.T) {
 	for q, ids := range res {
 		if len(ids) != 7 {
 			t.Errorf("query %s got %d results", q, len(ids))
+		}
+	}
+}
+
+// TestSupervisedScoresAreAFunctionOfTheSeed trains the RANK*, DITTO*,
+// TAPAS* and L-BE* stand-ins twice from the same seeds, the pretrained
+// model at Workers 1, and requires every ranking to agree in IDs and in
+// the raw float bits of its scores: no sum that feeds a feature, a
+// weight or a score may depend on map iteration order.
+func TestSupervisedScoresAreAFunctionOfTheSeed(t *testing.T) {
+	run := func() map[string][]string {
+		s, err := datasets.IMDb(datasets.IMDbConfig{Seed: 11, Movies: 12, WithTitle: true, GeneralSentences: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := pretrained.Train(s.General, embed.Config{Dim: 24, Window: 4, Epochs: 2, Seed: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := SupervisedConfig{Seed: 3, Epochs: 2}
+		var rankers []Ranker
+		for _, build := range []func(*datasets.Scenario, *pretrained.Model, SupervisedConfig) (*PairModel, error){NewRank, NewDitto, NewTapas} {
+			r, err := build(s, pm, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rankers = append(rankers, r)
+		}
+		ml, err := NewMultiLabel(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]string{}
+		for _, r := range append(rankers, ml) {
+			for _, q := range s.Queries {
+				for _, sc := range r.Rank(q, 5) {
+					out[r.Name()] = append(out[r.Name()], fmt.Sprintf("%s %s %#x", q, sc.ID, math.Float64bits(sc.Score)))
+				}
+			}
+		}
+		return out
+	}
+	first, second := run(), run()
+	for name, want := range first {
+		got := second[name]
+		i := 0
+		for i < len(want) && i < len(got) && got[i] == want[i] {
+			i++
+		}
+		if i < len(want) || i < len(got) {
+			t.Errorf("%s: the rerun diverges at ranked entry %d (%d and %d entries):\n%q\n%q",
+				name, i, len(want), len(got), want[i:min(i+1, len(want))], got[i:min(i+1, len(got))])
 		}
 	}
 }

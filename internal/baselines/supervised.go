@@ -1,8 +1,10 @@
 package baselines
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/tdmatch/tdmatch/internal/datasets"
@@ -240,23 +242,31 @@ func NewMultiLabel(s *datasets.Scenario, cfg SupervisedConfig) (*MultiLabel, err
 	return m, nil
 }
 
-// hashFeatures maps a document to a sparse hashed bag-of-words vector.
-func (m *MultiLabel) hashFeatures(queryID string) map[int]float64 {
+// hashedFeature is one nonzero slot of a hashed bag-of-words vector.
+type hashedFeature struct {
+	slot int
+	v    float64
+}
+
+// hashFeatures maps a document to a unit-norm hashed bag-of-words
+// vector: its nonzero slots in increasing order, so that every sum over
+// them, and with them the trained weights, is a function of the seed.
+func (m *MultiLabel) hashFeatures(queryID string) []hashedFeature {
 	d, _ := m.s.Second.Doc(queryID)
-	out := map[int]float64{}
-	toks := m.pre.Tokens(d.Text())
-	for _, t := range toks {
-		h := fnv32(t) % uint32(m.dim)
-		out[int(h)]++
+	counts := map[int]float64{}
+	for _, t := range m.pre.Tokens(d.Text()) {
+		counts[int(fnv32(t)%uint32(m.dim))]++
 	}
+	out := make([]hashedFeature, 0, len(counts))
 	var norm float64
-	for _, v := range out {
-		norm += v * v
+	for _, slot := range slices.Sorted(maps.Keys(counts)) {
+		out = append(out, hashedFeature{slot, counts[slot]})
+		norm += counts[slot] * counts[slot]
 	}
 	if norm > 0 {
 		inv := 1 / math.Sqrt(norm)
-		for k := range out {
-			out[k] *= inv
+		for i := range out {
+			out[i].v *= inv
 		}
 	}
 	return out
@@ -289,15 +299,17 @@ func (m *MultiLabel) trainFold(annotated []string, fold int) [][]float64 {
 				}
 			}
 			// Positive labels plus a sample of negatives: full one-vs-rest
-			// over hundreds of labels is wasteful at these sizes.
+			// over hundreds of labels is wasteful at these sizes. An update
+			// reads and writes its own label's row only, so the order the
+			// positive labels are visited in does not change the weights.
 			update := func(label int, y float64) {
 				var s float64
-				for k, v := range feats {
-					s += w[label][k] * v
+				for _, f := range feats {
+					s += w[label][f.slot] * f.v
 				}
 				g := (y - sigmoid(s)) * m.cfg.LR
-				for k, v := range feats {
-					w[label][k] += g * v
+				for _, f := range feats {
+					w[label][f.slot] += g * f.v
 				}
 			}
 			for label := range pos {
@@ -328,8 +340,8 @@ func (m *MultiLabel) Rank(queryID string, k int) []match.Scored {
 	feats := m.hashFeatures(queryID)
 	return match.TopKFunc(m.s.Targets, func(i int) float64 {
 		var s float64
-		for kk, v := range feats {
-			s += w[i][kk] * v
+		for _, f := range feats {
+			s += w[i][f.slot] * f.v
 		}
 		return s
 	}, k)

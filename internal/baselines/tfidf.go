@@ -8,7 +8,9 @@
 package baselines
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/tdmatch/tdmatch/internal/textproc"
 )
@@ -50,11 +52,14 @@ func (t *TFIDF) idf(tok string) float64 {
 	return math.Log(float64(1+t.n) / float64(1+t.df[tok]))
 }
 
+// weigh builds the unit-norm vector of a term-frequency map. The norm is
+// summed in term order, so a vector is a function of its text, not of
+// map iteration order.
 func (t *TFIDF) weigh(tf map[string]int) map[string]float64 {
 	v := make(map[string]float64, len(tf))
 	var norm float64
-	for tok, f := range tf {
-		w := (1 + math.Log(float64(f))) * t.idf(tok)
+	for _, tok := range slices.Sorted(maps.Keys(tf)) {
+		w := (1 + math.Log(float64(tf[tok]))) * t.idf(tok)
 		v[tok] = w
 		norm += w * w
 	}
@@ -80,15 +85,16 @@ func (t *TFIDF) Embed(text string) map[string]float64 {
 }
 
 // CosineSparse returns the dot product of two unit-norm sparse vectors
-// (= cosine similarity).
+// (= cosine similarity), summed in term order so that equal vectors give
+// equal bits.
 func CosineSparse(a, b map[string]float64) float64 {
 	if len(b) < len(a) {
 		a, b = b, a
 	}
 	var s float64
-	for tok, w := range a {
+	for _, tok := range slices.Sorted(maps.Keys(a)) {
 		if w2, ok := b[tok]; ok {
-			s += w * w2
+			s += a[tok] * w2
 		}
 	}
 	return s

@@ -35,7 +35,7 @@ type FS interface {
 	// SyncDir fsyncs the directory itself, making previously completed
 	// renames inside it durable: POSIX only guarantees a rename survives
 	// power loss once the parent directory's metadata has reached stable
-	// storage. Atomic-replace protocols (snapshot SaveFile, checkpoint
+	// storage. Atomic-replace protocols (snapshot SaveFileV6, checkpoint
 	// swap) must call it after Rename.
 	SyncDir(dir string) error
 }

@@ -7,24 +7,25 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 	"unsafe"
 
 	"github.com/tdmatch/tdmatch/internal/fnv1a"
-	"github.com/tdmatch/tdmatch/internal/match"
 	"github.com/tdmatch/tdmatch/internal/mmapfile"
 	"github.com/tdmatch/tdmatch/internal/wal"
 )
 
-// savedModel is the gob-encoded form of a trained model: the learned
-// document vectors plus enough metadata to validate a reload and rebuild
-// the configured serving indexes. The graph itself is not persisted — it
-// is only needed for training.
+// savedModel is the decoded form of a snapshot: the learned document
+// vectors plus enough metadata to validate a reload and rebuild the
+// configured serving indexes. Gob snapshots (versions 1–5, read only)
+// decode into it whole; a v6 file fills its metadata and, on a heap
+// bind, its arenas. The graph itself is not persisted — it is only
+// needed for training.
 //
 // Version 5 adds the per-side segment manifests: each side's serving
 // segment stack as lists of live document IDs with FNV-1a checksums
@@ -118,66 +119,14 @@ type savedDoc struct {
 	Texts   []string
 }
 
+// savedModelVersion is the newest gob snapshot version ReadSnapshot
+// accepts. Gob snapshots are read only: SaveV6 writes every snapshot.
 const savedModelVersion = 5
-
-// Save writes the trained document embeddings (as one contiguous arena)
-// and the serving-index configuration to w. The graph is not saved; a
-// loaded model can match but not retrain.
-func (m *Model) Save(w io.Writer) error {
-	ids := make([]string, 0, len(m.vectors))
-	for id := range m.vectors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	// Gather rows into the snapshot arena with one copy per document; the
-	// map values are views into the trainer's flat arena (or a loaded
-	// snapshot's), and short/missing rows stay zero-padded.
-	arena := make([]float32, len(ids)*m.dim)
-	for i, id := range ids {
-		copy(arena[i*m.dim:(i+1)*m.dim], m.vectors[id])
-	}
-	termIDs, termArena := m.termVectors()
-	firstName, secondName := m.corpusNames()
-	enc := gob.NewEncoder(w)
-	return enc.Encode(savedModel{
-		Version:         savedModelVersion,
-		Dim:             m.dim,
-		FirstName:       firstName,
-		SecondName:      secondName,
-		VectorIDs:       ids,
-		Arena:           arena,
-		Index:           uint8(m.cfg.Index),
-		HNSWM:           m.cfg.HNSWM,
-		HNSWEf:          m.cfg.HNSWEf,
-		HNSWEfConstruct: m.cfg.HNSWEfConstruct,
-		Seed:            m.cfg.Seed,
-		Deltas:          m.deltas,
-		TermIDs:         termIDs,
-		TermArena:       termArena,
-		MaxNGram:        m.cfg.MaxNGram,
-		Staleness:       m.Staleness(),
-		FirstSegments:   m.savedSegments(m.firstIdx),
-		SecondSegments:  m.savedSegments(m.secondIdx),
-	})
-}
-
-// savedSegments captures a side's serving segment stack for a v5
-// snapshot: one live-ID list per segment in stack order (mutable delta
-// last), each checksummed together with the vector rows it will rebind
-// to.
-func (m *Model) savedSegments(seg *match.Segmented) []savedSegment {
-	manifest := seg.SegmentManifest()
-	out := make([]savedSegment, len(manifest))
-	for i, ids := range manifest {
-		out[i] = savedSegment{IDs: ids, Checksum: segmentChecksum(ids, m.vectors, m.dim)}
-	}
-	return out
-}
 
 // segmentChecksum digests one segment manifest entry with FNV-1a 64:
 // per ID, the ID bytes, a NUL separator, then the dim float32 bits of
 // its vector row little-endian (zero bits past the stored row length,
-// matching the zero-padding Save applies to the snapshot arena).
+// matching the zero-padding of the snapshot arena).
 func segmentChecksum(ids []string, vectors map[string][]float32, dim int) uint64 {
 	h := fnv1a.Offset
 	var rec []byte
@@ -205,10 +154,6 @@ func (sm *savedModel) validateSegments() error {
 	if len(sm.FirstSegments) == 0 && len(sm.SecondSegments) == 0 {
 		return nil
 	}
-	if len(sm.Arena) != len(sm.VectorIDs)*sm.Dim {
-		return fmt.Errorf("tdmatch: arena holds %d floats for %d vectors of dim %d",
-			len(sm.Arena), len(sm.VectorIDs), sm.Dim)
-	}
 	vectors := make(map[string][]float32, len(sm.VectorIDs))
 	for i, id := range sm.VectorIDs {
 		vectors[id] = sm.Arena[i*sm.Dim : (i+1)*sm.Dim]
@@ -229,6 +174,65 @@ func (sm *savedModel) validateSegments() error {
 			}
 		}
 	}
+	return nil
+}
+
+// maxHNSWKnob bounds the HNSW parameters Build accepts and a snapshot
+// may carry: a graph build allocates M links per row and
+// EfConstruct-wide beams, and a query beam adds the tombstone count to
+// Ef, so a forged value would be an unbounded allocation or an
+// overflow. No graph needs more.
+const maxHNSWKnob = 1 << 16
+
+// check validates the shape of a decoded payload, of any version, before
+// Bind can touch a corpus. Dim must be the length of the stored rows:
+// the arena holds exactly one Dim-float row per document ID (and the
+// term arena one per term), and at least one document is stored, so
+// every per-document allocation of the bind is bounded by the payload.
+// HNSW parameters above maxHNSWKnob are refused; zero and negative ones
+// select the defaults.
+func (sm *savedModel) check() error {
+	if sm.Dim <= 0 || len(sm.VectorIDs) == 0 {
+		return fmt.Errorf("tdmatch: corrupt snapshot: %d vectors of dimension %d", len(sm.VectorIDs), sm.Dim)
+	}
+	if !holdsRows(sm.Arena, len(sm.VectorIDs), sm.Dim) {
+		return fmt.Errorf("tdmatch: arena holds %d floats for %d vectors of dim %d",
+			len(sm.Arena), len(sm.VectorIDs), sm.Dim)
+	}
+	if !holdsRows(sm.TermArena, len(sm.TermIDs), sm.Dim) {
+		return fmt.Errorf("tdmatch: term arena holds %d floats for %d terms of dim %d",
+			len(sm.TermArena), len(sm.TermIDs), sm.Dim)
+	}
+	if max(sm.HNSWM, sm.HNSWEf, sm.HNSWEfConstruct) > maxHNSWKnob {
+		return fmt.Errorf("tdmatch: corrupt snapshot: HNSW parameters %d/%d/%d exceed %d",
+			sm.HNSWM, sm.HNSWEf, sm.HNSWEfConstruct, maxHNSWKnob)
+	}
+	return nil
+}
+
+// holdsRows reports whether arena is exactly n rows of dim > 0 floats,
+// without the overflow n*dim can take on forged values.
+func holdsRows(arena []float32, n, dim int) bool {
+	return len(arena)%dim == 0 && len(arena)/dim == n
+}
+
+// arenaOfV1 converts a version-1 payload's per-document map into the
+// sorted ID list and arena of later versions. Dim must be the longest
+// stored row; shorter rows are zero-padded, as the bind pads them.
+func (sm *savedModel) arenaOfV1() error {
+	longest := 0
+	for _, v := range sm.Vectors {
+		longest = max(longest, len(v))
+	}
+	if longest != sm.Dim {
+		return fmt.Errorf("tdmatch: corrupt snapshot: dimension %d, longest stored vector %d", sm.Dim, longest)
+	}
+	sm.VectorIDs = slices.Sorted(maps.Keys(sm.Vectors))
+	sm.Arena = make([]float32, len(sm.VectorIDs)*sm.Dim)
+	for i, id := range sm.VectorIDs {
+		copy(sm.Arena[i*sm.Dim:], sm.Vectors[id])
+	}
+	sm.Vectors = nil
 	return nil
 }
 
@@ -255,19 +259,14 @@ func checkTermOrder(ids []string) error {
 	return nil
 }
 
-// SaveFile writes the model to a file, atomically: the snapshot is
-// written and fsynced to a sidecar (path + ".tmp"), renamed into
-// place, and the parent directory is fsynced, so a crash mid-save (or
-// right after the rename) leaves either the previous or the new
-// snapshot intact — never a truncated file or a lost rename. This is
-// the invariant the serving WAL's checkpoint protocol depends on
-// (Server.Checkpoint rotates the log only after this returns).
-func (m *Model) SaveFile(path string) error {
-	return saveFileAtomic(path, m.Save)
-}
-
-// saveFileAtomic runs the atomic-replace protocol against the real
-// filesystem.
+// saveFileAtomic writes a snapshot file atomically against the real
+// filesystem: the snapshot is written and fsynced to a sidecar (path +
+// ".tmp"), renamed into place, and the parent directory is fsynced, so
+// a crash mid-save (or right after the rename) leaves either the
+// previous or the new snapshot intact — never a truncated file or a
+// lost rename. This is the invariant the serving WAL's checkpoint
+// protocol depends on (Server.Checkpoint rotates the log only after the
+// save returns).
 func saveFileAtomic(path string, save func(io.Writer) error) error {
 	return saveFileFS(path, wal.OSFS{}, save)
 }
@@ -305,7 +304,8 @@ func saveFileFS(path string, fsys wal.FS, save func(io.Writer) error) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// LoadModel reads embeddings written by Save and reconstructs a matcher
+// LoadModel reads a snapshot written by SaveV6 (or a legacy gob one,
+// versions 1–5) and reconstructs a matcher
 // over the same two corpora, rebuilding the serving indexes the model was
 // saved with. The corpora must be the ones the model was trained on
 // (names are checked; document IDs missing a stored vector are matched as
@@ -359,7 +359,8 @@ func (s *Snapshot) LoadMode() string {
 	return s.mode
 }
 
-// ReadSnapshot decodes a payload written by Save or SaveV6 without
+// ReadSnapshot decodes a payload written by SaveV6, or a legacy gob one
+// (versions 1–5), without
 // reconstructing the serving indexes, auto-detecting the format by
 // magic. Bind turns it into a servable Model. Reading a v6 payload
 // from a stream copies it onto the heap; use OpenSnapshotFile to get
@@ -383,7 +384,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return readGobSnapshot(br)
 }
 
-// readGobSnapshot decodes a gob (version 1–5) snapshot payload.
+// readGobSnapshot decodes a gob (version 1–5) snapshot payload and
+// validates it whole, so a corrupt one fails before Bind mutates any
+// corpus state.
 func readGobSnapshot(r io.Reader) (*Snapshot, error) {
 	var sm savedModel
 	if err := gob.NewDecoder(r).Decode(&sm); err != nil {
@@ -391,6 +394,17 @@ func readGobSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if sm.Version < 1 || sm.Version > savedModelVersion {
 		return nil, fmt.Errorf("tdmatch: unsupported model version %d", sm.Version)
+	}
+	if sm.Version == 1 {
+		if err := sm.arenaOfV1(); err != nil {
+			return nil, err
+		}
+	}
+	if err := sm.check(); err != nil {
+		return nil, err
+	}
+	if err := checkTermOrder(sm.TermIDs); err != nil {
+		return nil, err
 	}
 	if err := sm.validateSegments(); err != nil {
 		return nil, err
@@ -411,10 +425,6 @@ func (sm *savedModel) indexKind() (kind IndexKind, legacy string) {
 
 // Info returns the snapshot's metadata.
 func (s *Snapshot) Info() ModelInfo {
-	docs := len(s.sm.VectorIDs)
-	if s.sm.Version < 2 {
-		docs = len(s.sm.Vectors)
-	}
 	deltaDocs := 0
 	for _, d := range s.sm.Deltas {
 		deltaDocs += len(d.Added) + len(d.Removed)
@@ -425,7 +435,7 @@ func (s *Snapshot) Info() ModelInfo {
 		Dim:             s.sm.Dim,
 		FirstName:       s.sm.FirstName,
 		SecondName:      s.sm.SecondName,
-		Docs:            docs,
+		Docs:            len(s.sm.VectorIDs),
 		Index:           kind,
 		LegacyIndex:     legacy,
 		HNSWM:           s.sm.HNSWM,
@@ -454,12 +464,6 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 	if sm.FirstName != first.Name() || sm.SecondName != second.Name() {
 		return nil, fmt.Errorf("tdmatch: model was trained on corpora %q/%q, got %q/%q",
 			sm.FirstName, sm.SecondName, first.Name(), second.Name())
-	}
-	if s.v6 == nil {
-		// A v6 term table was checked when it was decoded.
-		if err := checkTermOrder(sm.TermIDs); err != nil {
-			return nil, err
-		}
 	}
 	if err := applyDeltas(first, second, sm.Deltas); err != nil {
 		return nil, err
@@ -540,16 +544,9 @@ func (s *Snapshot) parseReason(paths [2]string) (string, error) {
 // the snapshot's vectors, configuration and serving indexes.
 func (s *Snapshot) bind(m *Model) (*Model, error) {
 	sm := &s.sm
-	vectors := sm.Vectors
-	if sm.Version >= 2 {
-		if len(sm.Arena) != len(sm.VectorIDs)*sm.Dim {
-			return nil, fmt.Errorf("tdmatch: arena holds %d floats for %d vectors of dim %d",
-				len(sm.Arena), len(sm.VectorIDs), sm.Dim)
-		}
-		vectors = make(map[string][]float32, len(sm.VectorIDs))
-		for i, id := range sm.VectorIDs {
-			vectors[id] = sm.Arena[i*sm.Dim : (i+1)*sm.Dim : (i+1)*sm.Dim]
-		}
+	vectors := make(map[string][]float32, len(sm.VectorIDs))
+	for i, id := range sm.VectorIDs {
+		vectors[id] = sm.Arena[i*sm.Dim : (i+1)*sm.Dim : (i+1)*sm.Dim]
 	}
 	cfg := Defaults()
 	cfg.Index, _ = sm.indexKind()
@@ -570,10 +567,6 @@ func (s *Snapshot) bind(m *Model) (*Model, error) {
 	m.folded = len(sm.Deltas)
 	m.staleBase = sm.Staleness
 	if len(sm.TermIDs) > 0 {
-		if len(sm.TermArena) != len(sm.TermIDs)*sm.Dim {
-			return nil, fmt.Errorf("tdmatch: term arena holds %d floats for %d terms of dim %d",
-				len(sm.TermArena), len(sm.TermIDs), sm.Dim)
-		}
 		m.fold = &foldState{pre: preprocessor(cfg.MaxNGram), ids: sm.TermIDs, arena: sm.TermArena}
 	}
 	// A version-6 snapshot binds its sealed segments directly onto the
@@ -720,10 +713,11 @@ func segmentIDs(segs []savedSegment) [][]string {
 	return out
 }
 
-// LoadModelFile reads a model from a file written by SaveFile or
-// SaveFileV6, auto-detecting the format: a v6 snapshot is
+// LoadModelFile reads a model from a file written by SaveFileV6, or a
+// legacy gob snapshot, auto-detecting the format: a v6 snapshot is
 // memory-mapped and bound zero-copy (the mapping stays pinned for the
-// model's lifetime), gob versions decode through the classic path.
+// model's lifetime), gob versions decode through the read-only legacy
+// path.
 // Verification finishes before Bind starts: Bind applies the snapshot's
 // delta chain to first and second, which the caller owns, so a corrupt
 // file must be rejected before they are touched. A caller that loads
@@ -771,7 +765,7 @@ type ModelInfo struct {
 }
 
 // ReadModelInfo decodes only the snapshot metadata from a stream written
-// by Save. It reads (and discards) the full payload, but skips index
+// by SaveV6 (or a legacy gob one). It reads (and discards) the full payload, but skips index
 // reconstruction; callers that will also load the model should decode
 // once via ReadSnapshot instead.
 func ReadModelInfo(r io.Reader) (ModelInfo, error) {
@@ -783,7 +777,7 @@ func ReadModelInfo(r io.Reader) (ModelInfo, error) {
 }
 
 // ReadModelInfoFile reads the snapshot metadata from a file written by
-// SaveFile.
+// SaveFileV6 (or a legacy gob one).
 func ReadModelInfoFile(path string) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {

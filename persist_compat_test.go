@@ -8,19 +8,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/match"
 )
 
-// writePersistFixtures regenerates the committed snapshot fixtures:
+// writePersistFixtures regenerates the one committed snapshot fixture
+// the current code can still write, v6hnsw.snap:
 //
 //	go test -run TestWritePersistFixtures -write-persist-fixtures
 //
-// Only needed when the fixture model or a snapshot version changes.
+// Only needed when the fixture model changes.
 var writePersistFixtures = flag.Bool("write-persist-fixtures", false,
-	"regenerate testdata/persist/*.gob")
+	"regenerate testdata/persist/v6hnsw.snap")
 
 // persistFixtureDir holds one committed snapshot per format version,
 // all encoding the same trained model, plus a v4 snapshot with a live
@@ -28,15 +28,22 @@ var writePersistFixtures = flag.Bool("write-persist-fixtures", false,
 const persistFixtureDir = "testdata/persist"
 
 // frozenPersistFixtures are committed snapshots the generator can no
-// longer write. legacy names the removed index kind a snapshot was
-// saved with: the model v5.gob encodes, served through the IVF index (3
-// partitions, 1 probe) or the SQ8 index (re-rank 6). The others hold
-// vectors of the removed warm-start ingest: v4delta.gob and
-// v5segments.gob those of its ingested documents, v6.snap term vectors
-// that a warm ingest on a clone of the fixture model fine-tuned in
-// place. -write-persist-fixtures must leave them byte for byte as they
-// are.
+// longer write. The gob ones are frozen because no gob writer remains:
+// v1.gob–v5.gob encode one training of persistFixtureModel's
+// configuration.
+// legacy names the removed index kind a snapshot was saved with: the
+// model v5.gob encodes, served through the IVF index (3 partitions, 1
+// probe) or the SQ8 index (re-rank 6). The others hold vectors of the
+// removed warm-start ingest: v4delta.gob and v5segments.gob those of
+// its ingested documents, v6.snap term vectors that a warm ingest on a
+// clone of the fixture model fine-tuned in place.
+// -write-persist-fixtures must leave them byte for byte as they are.
 var frozenPersistFixtures = []struct{ file, legacy string }{
+	{"v1.gob", ""},
+	{"v2.gob", ""},
+	{"v3.gob", ""},
+	{"v4.gob", ""},
+	{"v5.gob", ""},
 	{"v6ivf.snap", "ivf"},
 	{"v5ivf.gob", "ivf"},
 	{"v6sq8.snap", "sq8"},
@@ -46,9 +53,8 @@ var frozenPersistFixtures = []struct{ file, legacy string }{
 	{"v6.snap", ""},
 }
 
-// loadFrozenModel binds one frozen snapshot of persistFixtureDir (saved
-// with a removed index kind, so it serves as flat) to the fixture
-// corpora.
+// loadFrozenModel binds one frozen snapshot of persistFixtureDir to the
+// fixture corpora.
 func loadFrozenModel(t *testing.T, file string) *Model {
 	t.Helper()
 	movies, reviews := fixtureCorpora(t)
@@ -57,6 +63,21 @@ func loadFrozenModel(t *testing.T, file string) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// readGobFixture decodes one committed gob fixture of persistFixtureDir
+// into its payload, for tests that tamper with it.
+func readGobFixture(t *testing.T, file string) savedModel {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(persistFixtureDir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sm savedModel
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sm); err != nil {
+		t.Fatal(err)
+	}
+	return sm
 }
 
 // persistFixtureModel trains the deterministic model the fixtures
@@ -73,27 +94,11 @@ func persistFixtureModel(t *testing.T) *Model {
 	return model
 }
 
-// encodeFixture writes one savedModel as a gob file.
-func encodeFixture(t *testing.T, path string, sm savedModel) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(sm); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWritePersistFixtures regenerates the committed fixtures; a no-op
-// (skipped) without the -write-persist-fixtures flag.
+// TestWritePersistFixtures regenerates v6hnsw.snap; a no-op (skipped)
+// without the -write-persist-fixtures flag.
 func TestWritePersistFixtures(t *testing.T) {
 	if !*writePersistFixtures {
 		t.Skip("pass -write-persist-fixtures to regenerate")
-	}
-	if err := os.MkdirAll(persistFixtureDir, 0o755); err != nil {
-		t.Fatal(err)
 	}
 	frozen := map[string][]byte{}
 	for _, fx := range frozenPersistFixtures {
@@ -110,73 +115,13 @@ func TestWritePersistFixtures(t *testing.T) {
 			}
 		}
 	}()
-	model := persistFixtureModel(t)
 
-	ids := make([]string, 0, len(model.vectors))
-	for id := range model.vectors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	arena := make([]float32, len(ids)*model.dim)
-	vectors := make(map[string][]float32, len(ids))
-	for i, id := range ids {
-		copy(arena[i*model.dim:(i+1)*model.dim], model.vectors[id])
-		vectors[id] = model.vectors[id]
-	}
-	base := savedModel{
-		Dim:        model.dim,
-		FirstName:  model.first.Name(),
-		SecondName: model.second.Name(),
-	}
-
-	v1 := base
-	v1.Version = 1
-	v1.Vectors = vectors
-	encodeFixture(t, filepath.Join(persistFixtureDir, "v1.gob"), v1)
-
-	v2 := base
-	v2.Version = 2
-	v2.VectorIDs, v2.Arena = ids, arena
-	encodeFixture(t, filepath.Join(persistFixtureDir, "v2.gob"), v2)
-
-	v3 := v2
-	v3.Version = 3
-	encodeFixture(t, filepath.Join(persistFixtureDir, "v3.gob"), v3)
-
-	// v5: the current Save output (term vectors, MaxNGram, segment
-	// manifests, no deltas).
-	if err := model.SaveFile(filepath.Join(persistFixtureDir, "v5.gob")); err != nil {
-		t.Fatal(err)
-	}
-
-	// v4: the version-4 encoding — the current payload minus the
-	// segment manifests.
-	v4 := reSaved(t, model)
-	v4.Version = 4
-	v4.FirstSegments, v4.SecondSegments = nil, nil
-	encodeFixture(t, filepath.Join(persistFixtureDir, "v4.gob"), v4)
-
-	// v6hnsw: the same corpora served through the HNSW graph index — the
+	// v6hnsw: the shared corpora served through the HNSW graph index — the
 	// only fixture carrying graph sections (levels, CSR offsets,
 	// adjacency), bound zero-copy via NewHNSWParts on load.
 	if err := persistFixtureHNSWModel(t).SaveFileV6(filepath.Join(persistFixtureDir, "v6hnsw.snap")); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// reSaved round-trips a model through Save and returns the decoded
-// payload, for fixture writers that derive older versions from it.
-func reSaved(t *testing.T, m *Model) savedModel {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var sm savedModel
-	if err := gob.NewDecoder(&buf).Decode(&sm); err != nil {
-		t.Fatal(err)
-	}
-	return sm
 }
 
 // persistFixtureSegmentedModel builds a deterministic multi-segment
@@ -230,12 +175,48 @@ func persistFixtureHNSWModel(t *testing.T) *Model {
 	return model
 }
 
+// checkMigrates writes model, bound from the gob snapshot snap, with
+// SaveFileV6, reopens the file with OpenSnapshotFile and binds it to
+// fresh fixture corpora: the migration a daemon's first checkpoint
+// performs. The v6 file must report snap's Info apart from Version, and
+// serve the rankings of model, scores included, from the same segment
+// stack.
+func checkMigrates(t *testing.T, snap *Snapshot, model *Model) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "migrated.snap")
+	if err := model.SaveFileV6(path); err != nil {
+		t.Fatal(err)
+	}
+	v6, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snap.Info()
+	want.Version = 6
+	if got := v6.Info(); got != want {
+		t.Errorf("migrated info = %+v, want %+v", got, want)
+	}
+	movies, reviews := fixtureCorpora(t)
+	migrated, err := v6.Bind(movies, reviews)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rankAllMatches(t, migrated), rankAllMatches(t, model); !reflect.DeepEqual(got, want) {
+		t.Errorf("migrated rankings diverge:\ngot:  %v\nwant: %v", got, want)
+	}
+	wf, ws := model.SegmentStats()
+	if gf, gs := migrated.SegmentStats(); gf != wf || gs != ws {
+		t.Errorf("migrated segment stats %+v/%+v, want %+v/%+v", gf, gs, wf, ws)
+	}
+}
+
 // TestSnapshotBackCompat is the consolidated persistence back-compat
 // coverage: every committed snapshot version (v1 per-document map, v2
 // arena, v3 arena+re-rank field, v4 ingest payload, v5 segment manifests,
 // v6 flat mmap layout) must load against the fixture corpora and serve
 // identical TopK rankings — same documents, same order — since all of
-// them encode the same trained vectors.
+// them encode the same trained vectors. Every gob fixture also migrates:
+// rewritten as v6 it serves the same rankings (checkMigrates).
 func TestSnapshotBackCompat(t *testing.T) {
 	type ranked map[string][]string
 	rankAll := func(t *testing.T, m *Model) ranked {
@@ -302,6 +283,9 @@ func TestSnapshotBackCompat(t *testing.T) {
 			if gotIngest := model.fold != nil; gotIngest != tc.ingest {
 				t.Errorf("ingest support = %v, want %v", gotIngest, tc.ingest)
 			}
+			if tc.version < 6 {
+				checkMigrates(t, snap, model)
+			}
 		})
 	}
 
@@ -338,6 +322,7 @@ func TestSnapshotBackCompat(t *testing.T) {
 		if _, err := model.TopK("reviews:p3", 3); err == nil {
 			t.Error("removed document still servable after load")
 		}
+		checkMigrates(t, snap, model)
 	})
 
 	// The HNSW fixture restores the graph index from its committed
@@ -416,6 +401,7 @@ func TestSnapshotBackCompat(t *testing.T) {
 		if _, err := loaded.TopK("reviews:seg1", 3); err == nil {
 			t.Error("tombstoned document still servable after load")
 		}
+		checkMigrates(t, snap, loaded)
 	})
 }
 

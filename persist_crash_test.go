@@ -21,15 +21,14 @@ import (
 // ReadSnapshot cleanly — no panic, and never a partial Bind that leaves
 // the corpora half-mutated.
 
-// segmentedSnapshot saves the multi-segment fixture model to bytes.
+// segmentedSnapshot returns the committed multi-segment v5 fixture.
 func segmentedSnapshot(t *testing.T) []byte {
 	t.Helper()
-	model := persistFixtureSegmentedModel(t)
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	b, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5segments.gob"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // pristineDocCount binds nothing and just counts the fixture corpora's
@@ -507,14 +506,7 @@ func TestSnapshotV6TermTableOrderRejected(t *testing.T) {
 		}
 	}
 
-	gobFile, err := os.ReadFile(filepath.Join(persistFixtureDir, "v4delta.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sm savedModel
-	if err := gob.NewDecoder(bytes.NewReader(gobFile)).Decode(&sm); err != nil {
-		t.Fatal(err)
-	}
+	sm := readGobFixture(t, "v4delta.gob")
 	if len(sm.TermIDs) < 2 || len(sm.Deltas) == 0 {
 		t.Fatalf("v4delta.gob: %d terms, %d deltas", len(sm.TermIDs), len(sm.Deltas))
 	}
@@ -536,8 +528,7 @@ func TestSnapshotV6TermTableOrderRejected(t *testing.T) {
 // flipping one bit inside a stored vector row — which plain gob
 // decoding would happily accept — must fail validation.
 func TestSnapshotV5ChecksumCatchesVectorTamper(t *testing.T) {
-	model := persistFixtureSegmentedModel(t)
-	sm := reSaved(t, model)
+	sm := readGobFixture(t, "v5segments.gob")
 	if len(sm.FirstSegments) == 0 || len(sm.Arena) == 0 {
 		t.Fatal("fixture payload has no segment manifest or arena")
 	}
@@ -614,6 +605,39 @@ func FuzzParseV6(f *testing.F) {
 		for _, id := range []string{"movies:t0", "reviews:p0"} {
 			m.TopK(id, 3)
 		}
+	})
+}
+
+// FuzzReadGobSnapshot holds the legacy gob reader, the one parser of
+// version 1–5 snapshots, to "no panic and no unbounded allocation":
+// ReadSnapshot on arbitrary bytes, then Bind onto the fixture corpora and
+// one TopK on the bound model. The seeds are the nine committed gob
+// fixtures; the corpus under testdata/fuzz/FuzzReadGobSnapshot replays
+// what earlier runs found.
+func FuzzReadGobSnapshot(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join(persistFixtureDir, "*.gob"))
+	if err != nil || len(files) != 9 {
+		f.Fatalf("want the nine committed gob fixtures, found %d (%v)", len(files), err)
+	}
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		snap.Info()
+		movies, reviews := fixtureCorpora(t)
+		m, err := snap.Bind(movies, reviews)
+		if err != nil {
+			return
+		}
+		m.TopK("reviews:p0", 3)
 	})
 }
 

@@ -17,7 +17,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadModel(&buf, movies, reviews)
@@ -59,8 +59,8 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := model.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := model.SaveFileV6(path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadModelFile(path, movies, reviews)
@@ -70,7 +70,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if loaded.Vector("movies:t0") == nil {
 		t.Error("loaded model lost tuple vector")
 	}
-	if _, err := LoadModelFile(filepath.Join(t.TempDir(), "missing.gob"), movies, reviews); err == nil {
+	if _, err := LoadModelFile(filepath.Join(t.TempDir(), "missing.snap"), movies, reviews); err == nil {
 		t.Error("want error for missing file")
 	}
 }
@@ -90,7 +90,7 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadModel(&buf, movies, reviews)
@@ -100,6 +100,13 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 	if loaded.cfg.Index != IndexHNSW || loaded.cfg.HNSWM != 2 || loaded.cfg.HNSWEf != 1 ||
 		loaded.cfg.HNSWEfConstruct != 4 || loaded.cfg.Seed != cfg.Seed {
 		t.Errorf("index config not restored: %+v", loaded.cfg)
+	}
+	// A parameter the snapshot readers refuse is refused at Build, so no
+	// saved model is unreadable.
+	over := cfg
+	over.HNSWEf = maxHNSWKnob + 1
+	if _, err := Build(movies, reviews, over); err == nil {
+		t.Error("Build accepted an HNSW parameter the snapshot readers refuse")
 	}
 	if _, ok := loaded.firstIdx.Base().(*match.HNSW); !ok {
 		t.Errorf("loaded serving index is %T, want *match.HNSW", loaded.firstIdx.Base())
@@ -126,8 +133,8 @@ func TestSaveLoadRestoresIndexChoice(t *testing.T) {
 // TestSaveLoadSQ8SnapshotServesIdenticalRankings: the frozen gob
 // snapshot saved with the removed SQ8 index (re-rank 6) loads onto a flat
 // serving index and serves the rankings of v5.gob, the same training
-// saved flat — scores included. A Save/LoadModel round trip of the loaded
-// model keeps them and no longer names the removed kind.
+// saved flat — scores included. A SaveV6/ReadSnapshot round trip of the
+// loaded model keeps them and no longer names the removed kind.
 func TestSaveLoadSQ8SnapshotServesIdenticalRankings(t *testing.T) {
 	loaded := loadFrozenModel(t, "v5sq8.gob")
 	if base, ok := loaded.firstIdx.Base().(*match.Index); !ok {
@@ -135,7 +142,7 @@ func TestSaveLoadSQ8SnapshotServesIdenticalRankings(t *testing.T) {
 	}
 	flat := loadFrozenModel(t, "v5.gob")
 	var buf bytes.Buffer
-	if err := loaded.Save(&buf); err != nil {
+	if err := loaded.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
@@ -174,7 +181,7 @@ func TestLoadModelArenaValidation(t *testing.T) {
 }
 
 // Version-by-version load coverage lives in persist_compat_test.go
-// (TestSnapshotBackCompat), which loads the committed v1–v4 fixtures
+// (TestSnapshotBackCompat), which loads the committed v1–v6 fixtures
 // and asserts identical rankings across formats.
 
 func TestReadModelInfo(t *testing.T) {
@@ -187,8 +194,8 @@ func TestReadModelInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := model.SaveFile(path); err != nil {
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if err := model.SaveFileV6(path); err != nil {
 		t.Fatal(err)
 	}
 	info, err := ReadModelInfoFile(path)
@@ -196,13 +203,13 @@ func TestReadModelInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ModelInfo{
-		Version: savedModelVersion, Dim: cfg.Dim, FirstName: "movies", SecondName: "reviews",
+		Version: 6, Dim: cfg.Dim, FirstName: "movies", SecondName: "reviews",
 		Docs: len(model.Vectors()), Index: IndexHNSW, HNSWM: 4, HNSWEf: 8,
 	}
 	if info != want {
 		t.Errorf("info = %+v, want %+v", info, want)
 	}
-	if _, err := ReadModelInfoFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, err := ReadModelInfoFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
 		t.Error("want error for missing file")
 	}
 	if _, err := ReadModelInfo(bytes.NewReader([]byte("not a gob"))); err == nil {
@@ -217,7 +224,7 @@ func TestSnapshotDecodeOnceBindMatchesLoadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
@@ -269,7 +276,7 @@ func TestLoadModelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
+	if err := model.SaveV6(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong corpus names are rejected.

@@ -6,8 +6,9 @@ package tdmatch
 // serving segment — are stored as raw contiguous sections described by
 // a fixed header and a section table, so loading can mmap the file and
 // bind the serving indexes directly onto the mapping with zero decode
-// and zero copy. The gob formats (v1–v5) remain readable through the
-// existing path; ReadSnapshot auto-detects by magic.
+// and zero copy. It is the only format written; the gob formats (v1–v5)
+// stay readable through the legacy decode path, and ReadSnapshot
+// auto-detects by magic.
 //
 // Layout (all integers little-endian):
 //
@@ -548,8 +549,10 @@ func (m *Model) reusableSegment(stack *match.Segmented, side, ord int) (match.Ve
 // v6Padding is the zero source for inter-section alignment padding.
 var v6Padding [v6Align]byte
 
-// SaveFileV6 writes the model to a file in format v6 with the same
-// atomic tmp+fsync+rename+dirsync protocol as SaveFile.
+// SaveFileV6 writes the model to a file in format v6, atomically: the
+// snapshot is written and fsynced to a sidecar (path + ".tmp"), renamed
+// into place, and the parent directory is fsynced, so a crash leaves
+// either the previous or the new snapshot intact.
 func (m *Model) SaveFileV6(path string) error {
 	_, err := m.SaveFileV6Stats(path)
 	return err
@@ -764,9 +767,6 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(docArena) != len(docIDs)*meta.Dim {
-		return fail("arena holds %d floats for %d vectors of dim %d", len(docArena), len(docIDs), meta.Dim)
-	}
 
 	var termIDs []string
 	var termArena []float32
@@ -780,9 +780,6 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 		}
 		if termArena, err = castF32(taSec); err != nil {
 			return nil, err
-		}
-		if len(termArena) != len(termIDs)*meta.Dim {
-			return fail("term arena holds %d floats for %d terms of dim %d", len(termArena), len(termIDs), meta.Dim)
 		}
 		if err := checkTermOrder(termIDs); err != nil {
 			return nil, err
@@ -857,7 +854,7 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 	if meta.FirstFile != nil && meta.SecondFile != nil {
 		files = &[2]fileSum{*meta.FirstFile, *meta.SecondFile}
 	}
-	return &Snapshot{
+	snap := &Snapshot{
 		sm: savedModel{
 			Version:         savedModelVersionV6,
 			Dim:             meta.Dim,
@@ -880,7 +877,13 @@ func (l *v6Layout) decode(backing *mmapfile.Mapping) (*Snapshot, error) {
 		backing: backing,
 		mode:    loadMode,
 		files:   files,
-	}, nil
+	}
+	// The arena lengths, the dimension and the HNSW parameters are checked
+	// as for a gob payload.
+	if err := snap.sm.check(); err != nil {
+		return nil, err
+	}
+	return snap, nil
 }
 
 // OpenSnapshotFile opens a snapshot file of any supported version with

@@ -8,14 +8,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/match"
 )
 
 // v6TestConfigs enumerates the serving configurations the v6 format must
-// round-trip bit-identically to the gob path: every index kind, plus
-// multi-segment stacks with tombstones and a live delta.
+// round-trip bit-identically: every index kind, plus multi-segment
+// stacks with tombstones and a live delta.
 var v6TestConfigs = []struct {
 	name      string
 	mutate    func(*Config)
@@ -110,35 +111,25 @@ func rankAllMatches(t *testing.T, m *Model) map[string][]Match {
 // TestSaveV6BitIdenticalToGob is the format-parity pin: for every index
 // kind (flat, HNSW) and for multi-segment stacks, a model loaded from a
 // v6 snapshot — through both the zero-copy mmap path and the streamed
-// heap path — must serve TopK rankings bit-identical (IDs and scores) to
-// the same model loaded from a gob snapshot. The "ivf" and "sq8" cases
-// hold the frozen snapshots saved with those removed kinds to the same
-// pin: the gob and the v6 one serve identically. "segmented-sq8" grows
-// the model bound from the SQ8 one into a multi-segment stack and holds
-// its saves to it.
+// heap path — must serve TopK rankings bit-identical (IDs and scores),
+// from the same segment stack, to the model that was saved. The "ivf"
+// and "sq8" cases hold the frozen v6 snapshots saved with those removed
+// kinds to their frozen gob twins. "segmented-sq8" grows the model bound
+// from the SQ8 one into a multi-segment stack and holds its save to it.
 func TestSaveV6BitIdenticalToGob(t *testing.T) {
 	for _, tc := range v6TestConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			model := buildV6TestModel(t, tc.mutate, tc.segmented)
-
-			var gobBuf bytes.Buffer
-			if err := model.Save(&gobBuf); err != nil {
-				t.Fatal(err)
-			}
 			v6Path := filepath.Join(t.TempDir(), "model.v6")
 			if err := model.SaveFileV6(v6Path); err != nil {
 				t.Fatal(err)
 			}
-			checkV6ServesLikeGob(t, gobBuf.Bytes(), v6Path)
+			checkV6ServesLike(t, model, v6Path)
 		})
 	}
 	for _, kind := range removedIndexKinds {
 		t.Run(kind, func(t *testing.T) {
-			gobBytes, err := os.ReadFile(filepath.Join(persistFixtureDir, "v5"+kind+".gob"))
-			if err != nil {
-				t.Fatalf("frozen fixture missing: %v", err)
-			}
-			checkV6ServesLikeGob(t, gobBytes, filepath.Join(persistFixtureDir, "v6"+kind+".snap"))
+			checkV6ServesLike(t, loadFrozenModel(t, "v5"+kind+".gob"), filepath.Join(persistFixtureDir, "v6"+kind+".snap"))
 		})
 	}
 	t.Run("segmented-sq8", func(t *testing.T) {
@@ -147,29 +138,20 @@ func TestSaveV6BitIdenticalToGob(t *testing.T) {
 		if _, second := model.SegmentStats(); second.Segments != 4 || second.Tombstones != 1 {
 			t.Fatalf("ingests did not stack segments as planned: %+v", second)
 		}
-		var gobBuf bytes.Buffer
-		if err := model.Save(&gobBuf); err != nil {
-			t.Fatal(err)
-		}
 		v6Path := filepath.Join(t.TempDir(), "model.v6")
 		if err := model.SaveFileV6(v6Path); err != nil {
 			t.Fatal(err)
 		}
-		checkV6ServesLikeGob(t, gobBuf.Bytes(), v6Path)
+		checkV6ServesLike(t, model, v6Path)
 	})
 }
 
-// checkV6ServesLikeGob binds the gob snapshot and the v6 file at v6Path,
-// the latter through both the mmap and the streamed heap path, and
-// requires bit-identical rankings and segment stats.
-func checkV6ServesLikeGob(t *testing.T, gobBytes []byte, v6Path string) {
+// checkV6ServesLike binds the v6 file at v6Path through both the mmap
+// and the streamed heap path, and requires the rankings and segment
+// stats of ref, bit for bit.
+func checkV6ServesLike(t *testing.T, ref *Model, v6Path string) {
 	t.Helper()
-	gm, gr := fixtureCorpora(t)
-	gobModel, err := LoadModel(bytes.NewReader(gobBytes), gm, gr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rankAllMatches(t, gobModel)
+	want := rankAllMatches(t, ref)
 
 	// The zero-copy path: open, check mode, bind.
 	snap, err := OpenSnapshotFile(v6Path)
@@ -191,7 +173,7 @@ func checkV6ServesLikeGob(t *testing.T, gobBytes []byte, v6Path string) {
 		t.Fatal(err)
 	}
 	if got := rankAllMatches(t, mmapModel); !reflect.DeepEqual(got, want) {
-		t.Errorf("mmap-loaded rankings diverge from gob-loaded")
+		t.Errorf("mmap-loaded rankings diverge from the reference model's")
 	}
 
 	// The streamed heap path (ReadSnapshot auto-detects by magic).
@@ -213,14 +195,27 @@ func checkV6ServesLikeGob(t *testing.T, gobBytes []byte, v6Path string) {
 		t.Fatal(err)
 	}
 	if got := rankAllMatches(t, heapModel); !reflect.DeepEqual(got, want) {
-		t.Errorf("heap-loaded rankings diverge from gob-loaded")
+		t.Errorf("heap-loaded rankings diverge from the reference model's")
 	}
 
-	// Segment boundaries restore exactly, not merely equivalently.
-	gf, gs := gobModel.SegmentStats()
-	mf, ms := mmapModel.SegmentStats()
-	if gf != mf || gs != ms {
-		t.Errorf("segment stats diverge: gob %+v/%+v, v6 %+v/%+v", gf, gs, mf, ms)
+	// Segment boundaries restore exactly, not merely equivalently: each
+	// side serves the reference's live IDs segment by segment, in order,
+	// less the segments removals emptied, which a save drops.
+	liveManifest := func(m *Model) [2][][]string {
+		var out [2][][]string
+		for side, seg := range []*match.Segmented{m.firstIdx, m.secondIdx} {
+			out[side] = slices.DeleteFunc(seg.SegmentManifest(), func(ids []string) bool { return len(ids) == 0 })
+		}
+		return out
+	}
+	wantSegs := liveManifest(ref)
+	for _, m := range []*Model{mmapModel, heapModel} {
+		if got := liveManifest(m); !reflect.DeepEqual(got, wantSegs) {
+			t.Errorf("segment manifests diverge:\ngot:  %v\nwant: %v", got, wantSegs)
+		}
+		if _, second := m.SegmentStats(); second.Tombstones != 0 {
+			t.Errorf("a v6 load carries %d tombstones, want them compacted by the save", second.Tombstones)
+		}
 	}
 }
 
@@ -419,8 +414,9 @@ func TestLoadSnapshotFileReleasesMappingOnFailure(t *testing.T) {
 }
 
 // TestV6InfoMatchesGobInfo pins that the v6 metadata section carries
-// everything ModelInfo reports, identically to the gob encoding of the
-// same model (modulo the format version itself).
+// everything ModelInfo reports: the figures of the model that was saved,
+// HNSW knobs, delta chain and staleness included. TestSnapshotBackCompat
+// holds the v6 rewrite of every gob fixture to that fixture's gob Info.
 func TestV6InfoMatchesGobInfo(t *testing.T) {
 	model := buildV6TestModel(t, func(c *Config) {
 		c.Index = IndexHNSW
@@ -428,27 +424,24 @@ func TestV6InfoMatchesGobInfo(t *testing.T) {
 		c.HNSWEf = 8
 		c.HNSWEfConstruct = 16
 	}, true)
-	var gobBuf, v6Buf bytes.Buffer
-	if err := model.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
+	var v6Buf bytes.Buffer
 	if err := model.SaveV6(&v6Buf); err != nil {
-		t.Fatal(err)
-	}
-	gobInfo, err := ReadModelInfo(&gobBuf)
-	if err != nil {
 		t.Fatal(err)
 	}
 	v6Info, err := ReadModelInfo(&v6Buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v6Info.Version != 6 || gobInfo.Version != 5 {
-		t.Fatalf("versions = %d/%d, want 6/5", v6Info.Version, gobInfo.Version)
+	want := ModelInfo{
+		Version: 6, Dim: model.dim, FirstName: "movies", SecondName: "reviews",
+		Docs: len(model.Vectors()), Index: IndexHNSW, HNSWM: 4, HNSWEf: 8, HNSWEfConstruct: 16,
+		DeltaDocs: 4, Staleness: model.Staleness(),
 	}
-	v6Info.Version = gobInfo.Version
-	if !reflect.DeepEqual(v6Info, gobInfo) {
-		t.Errorf("v6 info %+v diverges from gob info %+v", v6Info, gobInfo)
+	if v6Info != want {
+		t.Errorf("v6 info %+v, want %+v", v6Info, want)
+	}
+	if want.Staleness == 0 {
+		t.Error("the fixture model has no staleness to carry")
 	}
 }
 

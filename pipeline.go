@@ -128,6 +128,9 @@ func Build(first, second *Corpus, cfg Config) (*Model, error) {
 	if first == nil || second == nil {
 		return nil, fmt.Errorf("tdmatch: Build requires two corpora")
 	}
+	if k := max(cfg.HNSWM, cfg.HNSWEf, cfg.HNSWEfConstruct); k > maxHNSWKnob {
+		return nil, fmt.Errorf("tdmatch: HNSW parameter %d exceeds %d", k, maxHNSWKnob)
+	}
 	m := &Model{cfg: cfg.withDefaults(), first: first, second: second}
 	if first.file != nil && second.file != nil {
 		m.files = &[2]fileSum{*first.file, *second.file}

@@ -440,7 +440,7 @@ func TestServerCheckpointBesideWarmIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if err := s.Checkpoint(func(pinned *Model) error { return pinned.Save(io.Discard) }); err != nil {
+			if err := s.Checkpoint(func(pinned *Model) error { return pinned.SaveV6(io.Discard) }); err != nil {
 				t.Error(err)
 				return
 			}

@@ -69,7 +69,7 @@ func recoveryFixture(t *testing.T) (snapPath string, load func(t *testing.T) *Mo
 		t.Fatal(err)
 	}
 	snapPath = filepath.Join(t.TempDir(), "model.tdm")
-	if err := model.SaveFile(snapPath); err != nil {
+	if err := model.SaveFileV6(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	load = func(t *testing.T) *Model {
@@ -245,7 +245,7 @@ func TestCrashReplayAcrossCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Checkpoint(func(m *Model) error { return m.SaveFile(ckptSnap) }); err != nil {
+	if err := srv.Checkpoint(func(m *Model) error { return m.SaveFileV6(ckptSnap) }); err != nil {
 		t.Fatal(err)
 	}
 	boundaries := []int64{w.Stats().SizeBytes}
@@ -310,7 +310,7 @@ func TestReplayIdempotentAgainstNewerSnapshot(t *testing.T) {
 	}
 	// Snapshot saved, crash before Checkpoint rotated the log.
 	snap2 := filepath.Join(dir, "newer.tdm")
-	if err := srv.Model().SaveFile(snap2); err != nil {
+	if err := srv.Model().SaveFileV6(snap2); err != nil {
 		t.Fatal(err)
 	}
 	want := rankings(t, srv.Model(), 3)
