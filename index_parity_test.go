@@ -158,3 +158,24 @@ func TestConcurrentServingPaths(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMatchAllAllocsPerQuery bounds the serial MatchAll sweep's heap
+// allocations per query. Each kernel call cuts its rankings from one
+// Scored slab, a lone segment hands them through, and each batch
+// converts into one Match slab, so what is left is per-call and
+// per-batch bookkeeping: well under one allocation a query. Sorting,
+// merging or converting per query (ten or more a query) trips it.
+func TestMatchAllAllocsPerQuery(t *testing.T) {
+	model := buildIMDbModel(t, nil)
+	const k = 10
+	queries := len(model.MatchAllWorkers(true, k, 1))
+	if queries < 100 {
+		t.Fatalf("only %d queries — fixture too small to amortize per-call costs", queries)
+	}
+	allocs := testing.AllocsPerRun(5, func() { model.MatchAllWorkers(true, k, 1) })
+	per := allocs / float64(queries)
+	t.Logf("%.0f allocations for %d queries, %.2f a query", allocs, queries, per)
+	if per > 1 {
+		t.Errorf("MatchAllWorkers(…, 1) made %.0f allocations for %d queries, %.2f a query; want at most 1", allocs, queries, per)
+	}
+}

@@ -1,9 +1,8 @@
 // Package compress implements the graph compression of the paper's §III-B:
 // the MSP (Metadata Shortest Path) algorithm (Algorithm 3), which samples
 // cross-corpus metadata-node pairs and keeps only the nodes and edges on
-// their shortest paths, plus two literature baselines — SSP (random-pair
-// shortest-path sampling) and an SSuM-style summarizer (node grouping +
-// edge sparsification) — used for Table VIII.
+// their shortest paths, plus an SSuM-style summarizer (node grouping +
+// edge sparsification) as the literature baseline of Table VIII.
 package compress
 
 import (
@@ -62,7 +61,7 @@ func (b *subgraphBuilder) addPath(path []graph.NodeID) {
 	}
 }
 
-// Options configures the samplers.
+// Options configures MSP.
 type Options struct {
 	// Ratio is β in Algorithm 3: iterations = Ratio * |V(G)|.
 	Ratio float64
@@ -138,31 +137,6 @@ func ensureConnected(g *graph.Graph, b *subgraphBuilder, first, second []graph.N
 	connect(second, first)
 }
 
-// SSP is the exploration-based baseline the paper adapts (Rezvanian &
-// Meybodi): identical to MSP but node pairs are drawn uniformly from all
-// live nodes rather than from cross-corpus metadata nodes.
-func SSP(g *graph.Graph, opts Options) *graph.Graph {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var all []graph.NodeID
-	g.Nodes(func(id graph.NodeID) { all = append(all, id) })
-	b := newSubgraphBuilder(g)
-	if len(all) < 2 {
-		return b.dst
-	}
-	iters := int(opts.Ratio * float64(g.NumNodes()))
-	for i := 0; i < iters; i++ {
-		s := all[rng.Intn(len(all))]
-		t := all[rng.Intn(len(all))]
-		if s == t {
-			continue
-		}
-		for _, p := range g.AllShortestPaths(s, t, opts.maxPaths()) {
-			b.addPath(p)
-		}
-	}
-	return b.dst
-}
-
 // SSuM is a summarization-style baseline in the spirit of SSumM (Lee et
 // al., KDD 2020): it keeps all metadata nodes, samples a fraction of data
 // nodes weighted by degree, and then sparsifies edges uniformly until the
@@ -208,8 +182,12 @@ func SSuM(g *graph.Graph, targetNodeRatio float64, seed int64) *graph.Graph {
 			}
 		}
 	}
-	for id := range kept {
-		b.node(id)
+	// Number the kept nodes in graph order, not map order, so the
+	// compressed graph — and every walk over it — follows the seed.
+	for _, id := range data {
+		if _, ok := kept[id]; ok {
+			b.node(id)
+		}
 	}
 	// Re-add edges whose both endpoints survived; sparsify to ~85%.
 	g.Edges(func(x, y graph.NodeID) {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/graph"
@@ -120,23 +121,6 @@ func TestMSPDegenerateNoSecondCorpus(t *testing.T) {
 	}
 }
 
-func TestSSPShrinks(t *testing.T) {
-	g := bipartiteFixture(t, 20)
-	cg := SSP(g, Options{Ratio: 0.15, Seed: 5})
-	if cg.NumNodes() == 0 || cg.NumNodes() >= g.NumNodes() {
-		t.Errorf("SSP nodes = %d (source %d)", cg.NumNodes(), g.NumNodes())
-	}
-}
-
-func TestSSPTinyGraph(t *testing.T) {
-	g := graph.New(2)
-	g.EnsureData("only")
-	cg := SSP(g, Options{Ratio: 1, Seed: 1})
-	if cg.NumNodes() != 0 {
-		t.Errorf("SSP on 1-node graph = %d nodes, want 0", cg.NumNodes())
-	}
-}
-
 func TestSSuMKeepsMetadataAndShrinks(t *testing.T) {
 	g := bipartiteFixture(t, 25)
 	cg := SSuM(g, 0.5, 11)
@@ -159,6 +143,23 @@ func TestSSuMTargetBelowMetadataCount(t *testing.T) {
 	// Metadata nodes are a floor: all 20 survive.
 	if got := len(cg.MetadataNodes(graph.NoSide)); got != 20 {
 		t.Errorf("metadata floor broken: %d", got)
+	}
+}
+
+// TestSSuMIsAFunctionOfTheSeed holds SSuM's output graph to its seed,
+// node numbering included: walks over the compressed graph follow it.
+func TestSSuMIsAFunctionOfTheSeed(t *testing.T) {
+	g := bipartiteFixture(t, 25)
+	labels := func(cg *graph.Graph) []string {
+		var out []string
+		cg.Nodes(func(id graph.NodeID) { out = append(out, cg.Label(id)) })
+		return out
+	}
+	want := labels(SSuM(g, 0.5, 11))
+	for i := 0; i < 4; i++ {
+		if got := labels(SSuM(g, 0.5, 11)); !slices.Equal(got, want) {
+			t.Fatalf("call %d numbered the nodes differently:\n got %v\nwant %v", i+2, got, want)
+		}
 	}
 }
 

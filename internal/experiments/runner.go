@@ -110,8 +110,8 @@ type PipelineOpts struct {
 	MaxNGram int
 	// DisableMetaEdges drops taxonomy metadata-metadata edges (§V-F2).
 	DisableMetaEdges bool
-	// Compression: "" (none), "msp" or "ssp" with Ratio, "ssum" with Ratio
-	// as the kept-node fraction.
+	// Compression: "" (none), "msp" with Ratio, "ssum" with Ratio as the
+	// kept-node fraction.
 	Compression string
 	Ratio       float64
 	// Walk/training overrides; zero uses the Scale values.
@@ -171,8 +171,6 @@ func RunPipeline(s *datasets.Scenario, sc Scale, o PipelineOpts) (*PipelineResul
 	switch o.Compression {
 	case "msp":
 		g = compress.MSP(g, compress.Options{Ratio: o.Ratio, Seed: sc.Seed + 31})
-	case "ssp":
-		g = compress.SSP(g, compress.Options{Ratio: o.Ratio, Seed: sc.Seed + 31})
 	case "ssum":
 		g = compress.SSuM(g, o.Ratio, sc.Seed+31)
 	}

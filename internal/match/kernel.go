@@ -2,7 +2,6 @@ package match
 
 import (
 	"math"
-	"sort"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
 )
@@ -214,19 +213,17 @@ func (h *topkHeap) sortBestFirst() ([]int32, []float32) {
 	return h.pos[:n], h.score[:n]
 }
 
-// results materializes the residents best-first with ID tie-breaking —
-// the only point where IDs are resolved for the selection.
-func (h *topkHeap) results() []Scored {
-	out := make([]Scored, h.n)
-	for i := 0; i < h.n; i++ {
-		out[i] = Scored{ID: h.ids[h.pos[i]], Score: float64(h.score[i])}
+// results writes the residents best-first with ID tie-breaking into
+// out[:n] — ordered in place by sortBestFirst, IDs resolved once per
+// resident, the only point where the selection reads them — and
+// returns that ranking with its capacity ending at its length, so an
+// append to it cannot reach whatever follows it in out's backing.
+func (h *topkHeap) results(out []Scored) []Scored {
+	pos, score := h.sortBestFirst()
+	out = out[:len(pos):len(pos)]
+	for i, p := range pos {
+		out[i] = Scored{ID: h.ids[p], Score: float64(score[i])}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 
@@ -236,6 +233,7 @@ func (h *topkHeap) results() []Scored {
 // fixed-size selection heap. Results are position-aligned with queries
 // and identical to calling TopK per query. Batching amortizes the
 // arena read over the batch — the MatchAll and serve-batch hot path.
+// The rankings share one backing slab, each capped at its own length.
 func (x *Index) TopKBatch(queries [][]float32, k int) [][]Scored {
 	out := make([][]Scored, len(queries))
 	n := x.rows()
@@ -278,8 +276,9 @@ func (x *Index) TopKBatch(queries [][]float32, k int) [][]Scored {
 			heaps[i].merge(scores[:m], int32(r0))
 		}
 	}
+	slab := make([]Scored, b*k)
 	for i := range heaps {
-		out[i] = heaps[i].results()
+		out[i] = heaps[i].results(slab[i*k:])
 	}
 	return out
 }

@@ -469,7 +469,7 @@ func (x *Index) topKPositions(q []float32, positions []int32, k int) []Scored {
 		}
 		h.consider(dotOne(x.row(int(p)), q), p)
 	}
-	return h.results()
+	return h.results(make([]Scored, h.n))
 }
 
 // IDsOf projects the candidate IDs of a ranking.

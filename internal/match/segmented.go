@@ -1,9 +1,6 @@
 package match
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // fingerprintSeg tags Segmented fingerprints (see mixFingerprint).
 const fingerprintSeg = 0x5e9
@@ -479,14 +476,15 @@ func (s *Segmented) TopK(query []float32, k int) []Scored {
 
 // TopKBatch answers one TopK per query, position-aligned with queries.
 // Each sealed segment is queried through its own batched kernel for k
-// plus its tombstone count, overlay-tombstoned
-// hits are filtered, and the per-segment rankings merge under
-// (score desc, ID asc) — for exact segment kinds the result is
-// bit-identical to a monolithic flat index over the same live rows.
+// plus its tombstone count and overlay-tombstoned hits are filtered.
+// A lone answering segment — every built, compacted or freshly bound
+// stack is one sealed segment plus an empty delta — hands its rankings
+// through trimmed to k; several merge k-way under (score desc, ID asc).
+// For exact segment kinds the result is bit-identical to a monolithic
+// flat index over the same live rows.
 func (s *Segmented) TopKBatch(queries [][]float32, k int) [][]Scored {
-	out := make([][]Scored, len(queries))
 	if k <= 0 || len(queries) == 0 {
-		return out
+		return make([][]Scored, len(queries))
 	}
 	// One ranking list per (segment, query); a single segment answers
 	// the whole batch in one call to keep its blocked kernels hot.
@@ -506,14 +504,19 @@ func (s *Segmented) TopKBatch(queries [][]float32, k int) [][]Scored {
 	if s.delta.Len() > 0 {
 		parts = append(parts, s.delta.TopKBatch(queries, k))
 	}
-	for qi := range queries {
-		lists := make([][]Scored, len(parts))
-		for pi := range parts {
-			lists[pi] = parts[pi][qi]
+	switch len(parts) {
+	case 0:
+		return make([][]Scored, len(queries))
+	case 1:
+		out := parts[0]
+		for qi, r := range out {
+			if len(r) > k {
+				out[qi] = r[:k:k]
+			}
 		}
-		out[qi] = mergeScored(lists, k)
+		return out
 	}
-	return out
+	return mergeSorted(parts, k)
 }
 
 // filterDead drops overlay-tombstoned hits of sealed segment i from a
@@ -528,30 +531,55 @@ func (s *Segmented) filterDead(i int, ranked []Scored) []Scored {
 	return live
 }
 
-// mergeScored merges per-segment rankings (each already best-first)
-// into the global top k under (score desc, ID asc) — the same order
-// every index kind produces, so the merge is a plain k-selection over
-// the union of candidates.
-func mergeScored(lists [][]Scored, k int) []Scored {
+// mergeSorted merges, query by query, the per-segment rankings of
+// parts (parts[segment][query], each best-first) into the first k of
+// their union under (score desc, ID asc) — the order every index kind
+// produces, so a k-way merge of the list heads yields it without a
+// sort. A live ID is in at most one segment, so the union has no
+// duplicates. The merged rankings are cut from one slab, each capped at
+// its own length.
+func mergeSorted(parts [][][]Scored, k int) [][]Scored {
+	out := make([][]Scored, len(parts[0]))
 	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	cands := make([]Scored, 0, total)
-	for _, l := range lists {
-		cands = append(cands, l...)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	for qi := range out {
+		n := 0
+		for _, p := range parts {
+			n += len(p[qi])
 		}
-		return cands[i].ID < cands[j].ID
-	})
-	if len(cands) > k {
-		cands = cands[:k]
+		total += min(n, k)
 	}
-	return cands
+	slab := make([]Scored, 0, total)
+	heads := make([][]Scored, len(parts))
+	for qi := range out {
+		for pi, p := range parts {
+			heads[pi] = p[qi]
+		}
+		lo := len(slab)
+		for len(slab)-lo < k {
+			best := -1
+			for pi, h := range heads {
+				if len(h) > 0 && (best < 0 || rankedBefore(h[0], heads[best][0])) {
+					best = pi
+				}
+			}
+			if best < 0 {
+				break
+			}
+			slab = append(slab, heads[best][0])
+			heads[best] = heads[best][1:]
+		}
+		if hi := len(slab); hi > lo {
+			out[qi] = slab[lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// rankedBefore reports whether a ranks ahead of b: higher score, or
+// equal score and smaller ID.
+func rankedBefore(a, b Scored) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID < b.ID
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
 // Property suite for the segmented stack: randomized, seeded, shrinkable
@@ -223,16 +225,20 @@ func checkParity(seg *Segmented, oracle map[string][]float32, queries [][]float3
 	if err != nil {
 		return err
 	}
-	want := flat.TopKBatch(queries, k)
-	got := seg.TopKBatch(queries, k)
-	for qi := range queries {
-		if len(got[qi]) != len(want[qi]) {
-			return fmt.Errorf("query %d: %d results, want %d", qi, len(got[qi]), len(want[qi]))
-		}
-		for i := range got[qi] {
-			if got[qi][i] != want[qi][i] {
-				return fmt.Errorf("query %d rank %d: got %v, want %v (bit-identity violated)",
-					qi, i, got[qi][i], want[qi][i])
+	want := referenceTopK(flat, queries, k)
+	for name, got := range map[string][][]Scored{
+		"monolithic flat": flat.TopKBatch(queries, k),
+		"segmented":       seg.TopKBatch(queries, k),
+	} {
+		for qi := range queries {
+			if len(got[qi]) != len(want[qi]) {
+				return fmt.Errorf("%s query %d: %d results, want %d", name, qi, len(got[qi]), len(want[qi]))
+			}
+			for i := range got[qi] {
+				if got[qi][i] != want[qi][i] {
+					return fmt.Errorf("%s query %d rank %d: got %v, want %v (bit-identity violated)",
+						name, qi, i, got[qi][i], want[qi][i])
+				}
 			}
 		}
 	}
@@ -246,6 +252,87 @@ func checkParity(seg *Segmented, oracle map[string][]float32, queries [][]float3
 		}
 	}
 	return nil
+}
+
+// referenceTopK ranks the live rows of flat against each query by
+// scoring every row with dotOne (the scans' kernel, so the scores are
+// bit-identical) and sorting all of them with sort.Slice under (score
+// desc, ID asc): a reference that shares no selection, pass-through or
+// merge code with the paths it checks.
+func referenceTopK(flat *Index, queries [][]float32, k int) [][]Scored {
+	out := make([][]Scored, len(queries))
+	for qi, q := range queries {
+		qn := append([]float32(nil), q...)
+		embed.Normalize(qn)
+		var all []Scored
+		for r, id := range flat.ids {
+			if !flat.isDead(r) {
+				all = append(all, Scored{ID: id, Score: float64(dotOne(flat.row(r), qn))})
+			}
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Score != all[j].Score {
+				return all[i].Score > all[j].Score
+			}
+			return all[i].ID < all[j].ID
+		})
+		out[qi] = all[:min(k, len(all))]
+	}
+	return out
+}
+
+// stackOps generates a stack of 1–4 sealed segments plus a delta for
+// the property suite: every row's vector is drawn from a pool of a few
+// vectors, so equal scores tie exactly across segments, under IDs
+// shuffled so that tie order is not segment order; then removals put
+// tombstones in the overlay (sealed rows) and in the delta itself.
+func stackOps(rng *rand.Rand) []segOp {
+	pool := make([][]float32, 2+rng.Intn(4))
+	for i := range pool {
+		pool[i] = make([]float32, segPropDim)
+		for j := range pool[i] {
+			pool[i][j] = rng.Float32()*2 - 1
+		}
+	}
+	nSealed := 1 + rng.Intn(4)
+	sizes := make([]int, nSealed+1) // the last entry is the delta
+	total := 0
+	for i := range sizes {
+		sizes[i] = 1 + rng.Intn(6)
+		if i == nSealed {
+			sizes[i] = rng.Intn(5)
+		}
+		total += sizes[i]
+	}
+	ids := make([]string, total)
+	for i, p := range rng.Perm(total) {
+		ids[i] = fmt.Sprintf("d%03d", p)
+	}
+	var ops []segOp
+	at := 0
+	for i, n := range sizes {
+		op := segOp{kind: opAppend, ids: ids[at : at+n]}
+		for range op.ids {
+			op.arena = append(op.arena, pool[rng.Intn(len(pool))]...)
+		}
+		at += n
+		if n > 0 {
+			ops = append(ops, op)
+		}
+		if i < nSealed {
+			ops = append(ops, segOp{kind: opSeal})
+		}
+	}
+	var removed []string
+	for _, id := range ids {
+		if rng.Intn(4) == 0 {
+			removed = append(removed, id)
+		}
+	}
+	if len(removed) > 0 {
+		ops = append(ops, segOp{kind: opRemove, ids: removed})
+	}
+	return ops
 }
 
 // shrinkSeq greedily minimizes a failing interleaving: repeatedly drop
@@ -269,7 +356,8 @@ func shrinkSeq(cfg segPropConfig, ops []segOp, queries [][]float32, k int) []seg
 }
 
 // TestSegmentedPropertyParity runs >= 200 seeded interleavings across
-// the kind matrix. On failure it reports the shrunk minimal op sequence
+// the kind matrix, then 200 explicit segment stacks, each ranking
+// compared bit for bit with a sort.Slice reference (referenceTopK). On failure it reports the shrunk minimal op sequence
 // together with the seed that regenerates it.
 func TestSegmentedPropertyParity(t *testing.T) {
 	kinds := []string{"flat", "hnsw"}
@@ -304,8 +392,33 @@ func TestSegmentedPropertyParity(t *testing.T) {
 			}
 		})
 	}
-	if !t.Failed() && total < 200 {
-		t.Fatalf("only %d interleavings ran, want >= 200", total)
+	// Explicit stacks: 1–4 sealed segments plus a delta, tombstones in
+	// the overlay and the delta, exact score ties across segments. A lone
+	// segment exercises the pass-through, several the k-way merge.
+	for _, kind := range kinds {
+		t.Run(kind+"/stacks", func(t *testing.T) {
+			for iter := 0; iter < 100; iter++ {
+				seed := int64(iter)*7919 + int64(len(kind))*17 + 5
+				rng := rand.New(rand.NewSource(seed))
+				cfg := segPropConfig{name: kind, kind: kind}
+				ops := stackOps(rng)
+				queries := make([][]float32, 4)
+				for qi := range queries {
+					queries[qi] = make([]float32, segPropDim)
+					for j := range queries[qi] {
+						queries[qi][j] = rng.Float32()*2 - 1
+					}
+				}
+				k := 1 + rng.Intn(12)
+				if err := runSeq(cfg, ops, queries, k); err != nil {
+					t.Fatalf("seed %d (k=%d): %v\nops: %v", seed, k, err, ops)
+				}
+				total++
+			}
+		})
+	}
+	if !t.Failed() && total < 400 {
+		t.Fatalf("only %d interleavings and stacks ran, want >= 400", total)
 	}
 }
 

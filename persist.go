@@ -465,6 +465,9 @@ func (s *Snapshot) Bind(first, second *Corpus) (*Model, error) {
 		return nil, fmt.Errorf("tdmatch: model was trained on corpora %q/%q, got %q/%q",
 			sm.FirstName, sm.SecondName, first.Name(), second.Name())
 	}
+	if err := s.checkChain(); err != nil {
+		return nil, err
+	}
 	if err := applyDeltas(first, second, sm.Deltas); err != nil {
 		return nil, err
 	}
@@ -495,6 +498,9 @@ func (s *Snapshot) BindFiles(firstPath, secondPath string) (*Model, string, erro
 		return nil, "", err
 	}
 	if why == "" {
+		if err := s.checkChain(); err != nil {
+			return nil, "", err
+		}
 		m, err := s.bind(&Model{deferred: files})
 		return m, "corpora deferred (fingerprint match)", err
 	}
@@ -584,6 +590,76 @@ func (s *Snapshot) bind(m *Model) (*Model, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// checkChain refuses a delta chain that disagrees with the snapshot's
+// segment manifests, before anything is bound or any corpus touched:
+// the last operation the chain records on an ID must leave it where the
+// manifests put it — an ID removed last in no manifest, an ID added
+// last in a manifest of its own side. A chain that removes a document
+// its manifest still lists would otherwise bind and keep serving it.
+// Snapshots older than version 5 carry no manifest: their stacks are
+// built over the corpora the chain is applied to. A model without a
+// chain pays nothing.
+func (s *Snapshot) checkChain() error {
+	sm := &s.sm
+	if len(sm.Deltas) == 0 {
+		return nil
+	}
+	var manifests [2][][]string
+	switch {
+	case s.v6 != nil:
+		for side, segs := range [2][]v6Segment{s.v6.first, s.v6.second} {
+			for _, seg := range segs {
+				manifests[side] = append(manifests[side], seg.ids)
+			}
+		}
+	case len(sm.FirstSegments) > 0 || len(sm.SecondSegments) > 0:
+		manifests = [2][][]string{segmentIDs(sm.FirstSegments), segmentIDs(sm.SecondSegments)}
+	default:
+		return nil
+	}
+	// last maps every ID the chain touches to the side its last
+	// operation leaves it on: 1 or 2 when added, 0 when removed.
+	last := make(map[string]int)
+	for _, d := range sm.Deltas {
+		for _, sd := range d.Added {
+			last[sd.ID] = 1
+			if sd.Side == 2 {
+				last[sd.ID] = 2
+			}
+		}
+		for _, id := range d.Removed {
+			last[id] = 0
+		}
+	}
+	for side, segs := range manifests {
+		for _, ids := range segs {
+			for _, id := range ids {
+				at, ok := last[id]
+				switch {
+				case !ok:
+				case at == 0:
+					return fmt.Errorf("tdmatch: corrupt snapshot: the delta chain removes %q, which a %s segment manifest still lists",
+						id, sideNames[side])
+				case at != side+1:
+					return fmt.Errorf("tdmatch: corrupt snapshot: the delta chain adds %q to the %s corpus, but a %s segment manifest lists it",
+						id, sideNames[at-1], sideNames[side])
+				default:
+					delete(last, id)
+				}
+			}
+		}
+	}
+	for _, d := range sm.Deltas {
+		for _, sd := range d.Added {
+			if at := last[sd.ID]; at != 0 {
+				return fmt.Errorf("tdmatch: corrupt snapshot: the delta chain adds %q, which no %s segment manifest lists",
+					sd.ID, sideNames[at-1])
+			}
+		}
+	}
+	return nil
 }
 
 // applyDeltas re-applies a delta chain to the base corpora in order:

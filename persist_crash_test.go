@@ -406,6 +406,118 @@ func TestSnapshotV6SegmentCountRejected(t *testing.T) {
 	}
 }
 
+// metaSection returns the table index of a v6 file's metadata section.
+func metaSection(t *testing.T, b []byte) int {
+	t.Helper()
+	l, err := parseV6Layout(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range l.payloads {
+		if binary.LittleEndian.Uint32(l.table[i*v6EntrySize:]) == secMetaJSON {
+			return i
+		}
+	}
+	t.Fatal("snapshot has no metadata section")
+	return -1
+}
+
+// TestBindRefusesChainThatContradictsManifests forges snapshots whose
+// delta chain disagrees with their segment manifests: a removal of a
+// document the manifest still lists, and an addition of one no manifest
+// lists. Each forgery swaps one ID of a real chain for another of the
+// same length inside the v6 metadata, re-sealed, or appends a removal
+// to the committed gob v5 fixture's chain. Bind onto parsed corpora,
+// the deferred BindFiles and the gob reader must all refuse them, with
+// the corpora untouched: bound, such a model serves a removed document.
+func TestBindRefusesChainThatContradictsManifests(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 1
+	moviesPath, reviewsPath, snapPath := fileBackedSnapshot(t, cfg, func(m *Model) {
+		added := []IngestDoc{{Side: 2, ID: "reviews:x1", Values: []string{"Weaver and Willis in a Scott horror thriller"}}}
+		if err := m.Ingest(added); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Remove([]string{"movies:t3"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	payload, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := metaSection(t, payload)
+	for _, tc := range []struct{ name, from, to, want, query string }{
+		{"removal of a listed document", `"Removed":["movies:t3"]`, `"Removed":["movies:t2"]`,
+			`the delta chain removes "movies:t2"`, "movies:t2"},
+		{"addition of an unlisted document", `"ID":"reviews:x1"`, `"ID":"reviews:x2"`,
+			`the delta chain adds "reviews:x2"`, "reviews:x1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := append([]byte(nil), payload...)
+			e := forged[v6HeaderSize+meta*v6EntrySize:]
+			off := binary.LittleEndian.Uint64(e[8:])
+			sec := forged[off : off+binary.LittleEndian.Uint64(e[16:])]
+			if n := bytes.Count(sec, []byte(tc.from)); n != 1 {
+				t.Fatalf("metadata holds %s %d times, want once", tc.from, n)
+			}
+			copy(sec[bytes.Index(sec, []byte(tc.from)):], tc.to)
+			resealSection(forged, meta)
+			path := filepath.Join(t.TempDir(), "forged.v6")
+			if err := os.WriteFile(path, forged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			movies, err := LoadCorpus(moviesPath, "movies")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reviews, err := LoadCorpus(reviewsPath, "reviews")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := len(movies.IDs()) + len(reviews.IDs())
+			m, err := LoadModelFile(path, movies, reviews)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				var answer error
+				if m != nil {
+					_, answer = m.TopK(tc.query, 3)
+				}
+				t.Errorf("Bind = %v (TopK(%s) error %v), want a %q error", err, tc.query, answer, tc.want)
+			}
+			if after := len(movies.IDs()) + len(reviews.IDs()); after != before {
+				t.Errorf("the refused bind changed the corpora from %d to %d documents", before, after)
+			}
+
+			snap, err := OpenSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, note, err := snap.BindFiles(moviesPath, reviewsPath); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("BindFiles = %v (%s), want a %q error", err, note, tc.want)
+			}
+		})
+	}
+
+	t.Run("gob v5", func(t *testing.T) {
+		sm := readGobFixture(t, "v5segments.gob")
+		listed := sm.SecondSegments[0].IDs[0]
+		sm.Deltas = append(sm.Deltas, savedDelta{Removed: []string{listed}})
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(sm); err != nil {
+			t.Fatal(err)
+		}
+		movies, reviews := fixtureCorpora(t)
+		want := fmt.Sprintf("the delta chain removes %q", listed)
+		if _, err := LoadModel(&buf, movies, reviews); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadModel = %v, want a %q error", err, want)
+		}
+		if got := len(movies.IDs()) + len(reviews.IDs()); got != pristineDocCount(t) {
+			t.Errorf("the refused gob load left the corpora with %d documents, want %d", got, pristineDocCount(t))
+		}
+	})
+}
+
 // openAllWays opens a v6 file through OpenSnapshotFile, a lazy open and
 // LoadSnapshotFile, and returns their errors in that order, with
 // whether LoadSnapshotFile's bind ran.

@@ -653,9 +653,7 @@ func (m *Model) MatchAllWorkers(fromSecond bool, k, workers int) map[string][]Ma
 				slots = append(slots, i)
 			}
 		}
-		for j, ranked := range idx.TopKBatch(queries, k) {
-			results[slots[j]] = toMatches(ranked)
-		}
+		matchSlab(idx.TopKBatch(queries, k), func(j int, ms []Match) { results[slots[j]] = ms })
 	})
 	out := make(map[string][]Match, len(ids))
 	for i, id := range ids {
@@ -724,9 +722,7 @@ func (m *Model) TopKBatchWorkers(docIDs []string, k, workers int) []BatchResult 
 			queries = append(queries, q)
 			live = append(live, slot)
 		}
-		for j, ranked := range ch.idx.TopKBatch(queries, k) {
-			out[live[j]].Matches = toMatches(ranked)
-		}
+		matchSlab(ch.idx.TopKBatch(queries, k), func(j int, ms []Match) { out[live[j]].Matches = ms })
 	})
 	return out
 }
@@ -790,12 +786,33 @@ func (m *Model) WriteGraphDOT(w io.Writer, name string) error {
 	return m.g.WriteDOT(w, name)
 }
 
+// toMatches converts one ranking to the public form.
 func toMatches(scored []match.Scored) []Match {
 	out := make([]Match, len(scored))
 	for i, s := range scored {
 		out[i] = Match{ID: s.ID, Score: s.Score}
 	}
 	return out
+}
+
+// matchSlab converts a batch's rankings to the public form with one
+// allocation and hands ranking j to put. Each ranking is a sub-slice of
+// the shared slab whose capacity ends at its length, so a caller's
+// append to one ranking reallocates instead of overwriting the next.
+func matchSlab(rankings [][]match.Scored, put func(j int, ms []Match)) {
+	n := 0
+	for _, r := range rankings {
+		n += len(r)
+	}
+	slab := make([]Match, n)
+	for j, r := range rankings {
+		ms := slab[:len(r):len(r)]
+		slab = slab[len(r):]
+		for i, s := range r {
+			ms[i] = Match{ID: s.ID, Score: s.Score}
+		}
+		put(j, ms)
+	}
 }
 
 // kindWeights translates the public WalkBias into internal kind weights.
