@@ -38,7 +38,7 @@ func (m *Model) flatBaseline(t *testing.T, docID string, k int) []Match {
 	if q == nil {
 		t.Fatalf("query %s has no vector", docID)
 	}
-	return toMatches(idx.TopK(q, k))
+	return idx.TopK(q, k)
 }
 
 // TestHNSWRecallOnIMDb is the graph-quality bar on the seed dataset

@@ -2,6 +2,7 @@ package tdmatch
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -160,11 +161,13 @@ func TestConcurrentServingPaths(t *testing.T) {
 }
 
 // TestMatchAllAllocsPerQuery bounds the serial MatchAll sweep's heap
-// allocations per query. Each kernel call cuts its rankings from one
-// Scored slab, a lone segment hands them through, and each batch
-// converts into one Match slab, so what is left is per-call and
-// per-batch bookkeeping: well under one allocation a query. Sorting,
-// merging or converting per query (ten or more a query) trips it.
+// allocations and bytes per query. The scan's working memory is pooled,
+// each kernel call cuts its rankings from one slab in the type MatchAll
+// returns, and a lone segment hands them through, so what is left is
+// the rankings themselves (k Matches a query), the result map and
+// per-batch bookkeeping: under half an allocation and 600 B a query.
+// Sorting, merging or converting per query (ten or more allocations a
+// query), or a per-call copy of the queries or IDs, trips it.
 func TestMatchAllAllocsPerQuery(t *testing.T) {
 	model := buildIMDbModel(t, nil)
 	const k = 10
@@ -174,8 +177,19 @@ func TestMatchAllAllocsPerQuery(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() { model.MatchAllWorkers(true, k, 1) })
 	per := allocs / float64(queries)
-	t.Logf("%.0f allocations for %d queries, %.2f a query", allocs, queries, per)
-	if per > 1 {
-		t.Errorf("MatchAllWorkers(…, 1) made %.0f allocations for %d queries, %.2f a query; want at most 1", allocs, queries, per)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		model.MatchAllWorkers(true, k, 1)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*queries)
+	t.Logf("%.0f allocations for %d queries, %.2f a query; %.0f B a query", allocs, queries, per, bytesPer)
+	if per > 0.5 {
+		t.Errorf("MatchAllWorkers(…, 1) made %.0f allocations for %d queries, %.2f a query; want at most 0.5", allocs, queries, per)
+	}
+	if bytesPer > 600 {
+		t.Errorf("MatchAllWorkers(…, 1) allocated %.0f B a query; want at most 600", bytesPer)
 	}
 }

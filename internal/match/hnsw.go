@@ -766,3 +766,103 @@ func (x *HNSW) TopKBatch(queries [][]float32, k int) [][]Scored {
 	}
 	return out
 }
+
+// topkHeap is the beam's best-w set: a fixed-capacity min-heap over
+// (score, arena position) with the worst resident at the root. "Worse"
+// means lower score, or equal score and lexicographically greater ID —
+// the tie rule of every ranking path. The exact scans select with the
+// sorted run (topkRun) instead, which rejects most rows with one
+// compare; the beam keeps a heap because most of its candidates are
+// accepted, and at w = ef = 96 a run's O(w) shift per insertion loses
+// to the heap's O(log w) sift (BenchmarkTopKHNSW, measured both ways).
+type topkHeap struct {
+	score []float32 // backing of capacity k; score[i] pairs with pos[i]
+	pos   []int32
+	ids   []string // full index ID table, for tie comparison by position
+	k     int
+	n     int
+}
+
+// newTopkHeap returns a heap selecting the best k of the index's rows.
+func newTopkHeap(score []float32, pos []int32, ids []string, k int) topkHeap {
+	return topkHeap{score: score, pos: pos, ids: ids, k: k}
+}
+
+// worse reports whether candidate (s, p) ranks below resident i.
+func (h *topkHeap) worse(s float32, p int32, i int) bool {
+	if s != h.score[i] {
+		return s < h.score[i]
+	}
+	return h.ids[p] > h.ids[h.pos[i]]
+}
+
+// consider offers one candidate to the heap.
+func (h *topkHeap) consider(s float32, p int32) {
+	if h.n < h.k {
+		h.score[h.n], h.pos[h.n] = s, p
+		h.siftUp(h.n)
+		h.n++
+		return
+	}
+	// Full: replace the root only when the candidate beats it (higher
+	// score, or equal score and smaller ID).
+	if s < h.score[0] {
+		return
+	}
+	if s == h.score[0] && h.ids[p] >= h.ids[h.pos[0]] {
+		return
+	}
+	h.score[0], h.pos[0] = s, p
+	h.siftDown(0)
+}
+
+// siftUp restores the heap property after placing a new entry at i.
+func (h *topkHeap) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.worse(h.score[i], h.pos[i], parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+// siftDown restores the heap property after replacing the root.
+func (h *topkHeap) siftDown(i int) {
+	for {
+		worst := i
+		if l := 2*i + 1; l < h.n && h.worse(h.score[l], h.pos[l], worst) {
+			worst = l
+		}
+		if r := 2*i + 2; r < h.n && h.worse(h.score[r], h.pos[r], worst) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h.swap(i, worst)
+		i = worst
+	}
+}
+
+func (h *topkHeap) swap(i, j int) {
+	h.score[i], h.score[j] = h.score[j], h.score[i]
+	h.pos[i], h.pos[j] = h.pos[j], h.pos[i]
+}
+
+// sortBestFirst reorders the residents in place best-first (score
+// descending, ties by ascending ID) and returns them. The worst
+// resident sits at the root, so moving it behind a shrinking heap — a
+// heapsort — leaves exactly that order, with no buffer beside the
+// heap's own backing. The heap property is gone afterwards.
+func (h *topkHeap) sortBestFirst() ([]int32, []float32) {
+	n := h.n
+	for h.n > 1 {
+		h.n--
+		h.swap(0, h.n)
+		h.siftDown(0)
+	}
+	h.n = n
+	return h.pos[:n], h.score[:n]
+}

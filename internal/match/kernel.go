@@ -2,21 +2,23 @@ package match
 
 import (
 	"math"
+	"sync"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
 // This file holds the arena-scanning query kernels: tiled multi-query
 // scoring plus allocation-free top-k selection over (score, position)
-// pairs. The dispatch functions dotRows/dotPos (kernel_amd64.go,
-// kernel_generic.go) route each tile through the AVX2/FMA assembly when
-// the CPU supports it and through the portable Go loops below otherwise.
+// pairs. The dispatch functions dotRows/dotRows4/dotPos
+// (kernel_amd64.go, kernel_generic.go) route each tile through the
+// AVX2/FMA assembly when the CPU supports it and through the portable Go
+// loops below otherwise.
 //
-// Every ranking path of the package — single-query TopK, the batched
-// TopKBatch, token-blocked scans and the HNSW re-rank —
-// selects candidates with the same heap and the same tie rule (equal
-// scores break by ascending ID), so rankings are deterministic and
-// identical across kernels.
+// Every exact ranking path of the package — single-query TopK, the
+// batched TopKBatch, token-blocked scans, the HNSW re-rank and TopKFunc
+// — selects candidates with the same sorted run and the same tie rule
+// (equal scores break by ascending ID), so rankings are deterministic
+// and identical across kernels.
 
 // tileFloats bounds one arena tile to 32KB of float32s, so a tile loaded
 // for the first query of a batch is still cache-resident when the last
@@ -59,8 +61,8 @@ func dotPosGo(arena []float32, positions []int32, q, out []float32, dim int, sto
 }
 
 // zapDead overwrites the scores of tombstoned rows in a tile (positions
-// base, base+1, ...) with -Inf, so selection heaps clamped to the live
-// count provably evict them. A no-op (one branch) on unmutated indexes.
+// base, base+1, ...) with -Inf, so selectors clamped to the live count
+// provably drop them. A no-op (one branch) on unmutated indexes.
 func (x *Index) zapDead(scores []float32, base int) {
 	if x.nDead == 0 {
 		return
@@ -92,193 +94,190 @@ func (x *Index) dotPositions(positions []int32, q, out []float32, stop float32) 
 	return dotPos(x.data, positions, q, out, x.dim, stop)
 }
 
-// topkHeap is a fixed-capacity min-heap over (score, arena position)
-// with the worst resident at the root: the allocation-free selection
-// state of every ranking path. "Worse" means lower score, or equal
-// score and lexicographically greater ID — so ties always resolve to
-// the smaller ID, in every kernel. IDs are consulted only on exact
-// score ties and materialized only for the final k results.
-type topkHeap struct {
-	score []float32 // backing of capacity k; score[i] pairs with pos[i]
+// topkRun is the selection state of every exact ranking path: the best
+// k (score, arena position) pairs seen so far, kept best-first in a
+// sorted run. "Better" means a higher score, or an equal score and a
+// lexicographically smaller ID, so ties resolve to the smaller ID in
+// every kernel. A candidate that does not beat the last pair of a full
+// run is rejected with one compare; one that does is inserted by
+// shifting the pairs below it down a slot. The run is in ranking order
+// at every step, so the result needs no sort. IDs are read only on
+// exact score ties and resolved only for the final k results. The same
+// run selects float64 scores for TopKFunc.
+type topkRun[S float32 | float64] struct {
+	score []S // backing of length k; score[i] pairs with pos[i]
 	pos   []int32
-	ids   []string // full index ID table, for tie comparison by position
-	k     int
+	ids   []string // full ID table, for tie comparison by position
 	n     int
 }
 
-// newTopkHeap returns a heap selecting the best k of the index's rows.
-func newTopkHeap(score []float32, pos []int32, ids []string, k int) topkHeap {
-	return topkHeap{score: score, pos: pos, ids: ids, k: k}
+// newTopkRun returns a run selecting the best len(score) of the rows
+// ids names; score and pos are its backing, of equal length >= 1.
+func newTopkRun[S float32 | float64](score []S, pos []int32, ids []string) topkRun[S] {
+	return topkRun[S]{score: score, pos: pos, ids: ids}
 }
 
-// worse reports whether candidate (s, p) ranks below resident i.
-func (h *topkHeap) worse(s float32, p int32, i int) bool {
-	if s != h.score[i] {
-		return s < h.score[i]
+// beats reports whether candidate (s, p) ranks ahead of pair i.
+func (r *topkRun[S]) beats(s S, p int32, i int) bool {
+	if s != r.score[i] {
+		return s > r.score[i]
 	}
-	return h.ids[p] > h.ids[h.pos[i]]
+	return r.ids[p] < r.ids[r.pos[i]]
 }
 
-// consider offers one candidate to the heap.
-func (h *topkHeap) consider(s float32, p int32) {
-	if h.n < h.k {
-		h.score[h.n], h.pos[h.n] = s, p
-		h.siftUp(h.n)
-		h.n++
-		return
+// consider offers one candidate to the run.
+func (r *topkRun[S]) consider(s S, p int32) {
+	i := r.n
+	if i == len(r.score) {
+		if !r.beats(s, p, i-1) {
+			return
+		}
+		i-- // the last pair drops out
+	} else {
+		r.n++
 	}
-	// Full: replace the root only when the candidate beats it (higher
-	// score, or equal score and smaller ID).
-	if s < h.score[0] {
-		return
+	for ; i > 0 && r.beats(s, p, i-1); i-- {
+		r.score[i], r.pos[i] = r.score[i-1], r.pos[i-1]
 	}
-	if s == h.score[0] && h.ids[p] >= h.ids[h.pos[0]] {
-		return
-	}
-	h.score[0], h.pos[0] = s, p
-	h.siftDown(0)
+	r.score[i], r.pos[i] = s, p
 }
 
 // merge offers a tile of scores (for positions base, base+1, ...) to
-// the heap. Once the heap is full the common case is one load and one
-// compare per row: candidates not beating the current worst resident
-// are rejected before any heap work.
-func (h *topkHeap) merge(scores []float32, base int32) {
+// the run. Once the run is full the common case is one load and one
+// compare per row against its last score.
+func (r *topkRun[S]) merge(scores []S, base int32) {
 	i := 0
-	for ; i < len(scores) && h.n < h.k; i++ {
-		h.consider(scores[i], base+int32(i))
+	for ; i < len(scores) && r.n < len(r.score); i++ {
+		r.consider(scores[i], base+int32(i))
 	}
-	if h.n == 0 {
+	if i == len(scores) {
 		return
 	}
-	root := h.score[0]
+	last := r.score[r.n-1]
 	for ; i < len(scores); i++ {
-		s := scores[i]
-		if s < root {
-			continue
+		if s := scores[i]; s >= last {
+			r.consider(s, base+int32(i))
+			last = r.score[r.n-1]
 		}
-		h.consider(s, base+int32(i))
-		root = h.score[0]
 	}
 }
 
-// siftUp restores the heap property after placing a new entry at i.
-func (h *topkHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.worse(h.score[i], h.pos[i], parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-// siftDown restores the heap property after replacing the root.
-func (h *topkHeap) siftDown(i int) {
-	for {
-		worst := i
-		if l := 2*i + 1; l < h.n && h.worse(h.score[l], h.pos[l], worst) {
-			worst = l
-		}
-		if r := 2*i + 2; r < h.n && h.worse(h.score[r], h.pos[r], worst) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.swap(i, worst)
-		i = worst
-	}
-}
-
-func (h *topkHeap) swap(i, j int) {
-	h.score[i], h.score[j] = h.score[j], h.score[i]
-	h.pos[i], h.pos[j] = h.pos[j], h.pos[i]
-}
-
-// sortBestFirst reorders the residents in place best-first (score
-// descending, ties by ascending ID) and returns them. The worst
-// resident sits at the root, so moving it behind a shrinking heap — a
-// heapsort — leaves exactly that order, with no buffer beside the
-// heap's own backing. The heap property is gone afterwards.
-func (h *topkHeap) sortBestFirst() ([]int32, []float32) {
-	n := h.n
-	for h.n > 1 {
-		h.n--
-		h.swap(0, h.n)
-		h.siftDown(0)
-	}
-	h.n = n
-	return h.pos[:n], h.score[:n]
-}
-
-// results writes the residents best-first with ID tie-breaking into
-// out[:n] — ordered in place by sortBestFirst, IDs resolved once per
-// resident, the only point where the selection reads them — and
-// returns that ranking with its capacity ending at its length, so an
-// append to it cannot reach whatever follows it in out's backing.
-func (h *topkHeap) results(out []Scored) []Scored {
-	pos, score := h.sortBestFirst()
-	out = out[:len(pos):len(pos)]
-	for i, p := range pos {
-		out[i] = Scored{ID: h.ids[p], Score: float64(score[i])}
+// results writes the run into out[:n] with IDs resolved and returns it
+// with its capacity ending at its length, so an append to one ranking
+// cannot reach whatever follows it in out's backing.
+func (r *topkRun[S]) results(out []Scored) []Scored {
+	out = out[:r.n:r.n]
+	for i := range out {
+		out[i] = Scored{ID: r.ids[r.pos[i]], Score: float64(r.score[i])}
 	}
 	return out
 }
 
+// scanScratch is the per-call working memory of the exact scans: the
+// normalized query block, the selectors with their backing, and the
+// score tile. Leased from scanPool, so a scan allocates only what it
+// returns.
+type scanScratch struct {
+	qs    []float32 // b x dim normalized queries, back to back
+	tile  []float32 // b x tile scores, query j's at [j*tile, (j+1)*tile)
+	score []float32 // b x k selector backing
+	pos   []int32
+	runs  []topkRun[float32]
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+func leaseScan() *scanScratch { return scanPool.Get().(*scanScratch) }
+
+// release returns the scratch to the pool without the ID table its
+// selectors point at.
+func (sc *scanScratch) release() {
+	clear(sc.runs)
+	scanPool.Put(sc)
+}
+
+// queries copies the batch into the query block, each row zero-padded
+// to dim and normalized, and returns the block.
+func (sc *scanScratch) queries(queries [][]float32, dim int) []float32 {
+	sc.qs = grow(sc.qs, len(queries)*dim)
+	for i, q := range queries {
+		row := sc.qs[i*dim : (i+1)*dim]
+		clear(row[copy(row, q):])
+		embed.Normalize(row)
+	}
+	return sc.qs
+}
+
+// selectors returns b empty runs of capacity k over the given ID table.
+func (sc *scanScratch) selectors(b, k int, ids []string) []topkRun[float32] {
+	sc.score, sc.pos = grow(sc.score, b*k), grow(sc.pos, b*k)
+	sc.runs = grow(sc.runs, b)
+	for i := range sc.runs {
+		lo, hi := i*k, (i+1)*k
+		sc.runs[i] = newTopkRun(sc.score[lo:hi:hi], sc.pos[lo:hi:hi], ids)
+	}
+	return sc.runs
+}
+
+// dotBlock scores every query of the block qs (len(qs)/dim queries back
+// to back) against rows contiguous arena rows: query j's scores go to
+// out[j*stride : j*stride+rows]. Queries are taken four at a time by
+// dotRows4, which loads each row once for all four, and the remainder
+// one at a time by dotRows; both give every score dotRows' bits.
+func dotBlock(arena, qs, out []float32, rows, dim, stride int) {
+	nq := len(qs) / dim
+	j := 0
+	for ; j+4 <= nq; j += 4 {
+		dotRows4(arena, qs[j*dim:(j+4)*dim], out[j*stride:], rows, dim, stride)
+	}
+	for ; j < nq; j++ {
+		dotRows(arena[:rows*dim], qs[j*dim:(j+1)*dim], out[j*stride:j*stride+rows], dim)
+	}
+}
+
+// dotRows4Go is the portable four-query loop: dotRowsGo once per query.
+func dotRows4Go(arena, q4, out []float32, rows, dim, stride int) {
+	for j := 0; j < 4; j++ {
+		dotRowsGo(arena[:rows*dim], q4[j*dim:(j+1)*dim], out[j*stride:j*stride+rows], dim)
+	}
+}
+
 // TopKBatch ranks every query of the batch against the whole index in
 // one blocked pass: the arena is walked tile by tile, each tile scored
-// for all queries while it is cache-resident, and each query feeds its
-// fixed-size selection heap. Results are position-aligned with queries
-// and identical to calling TopK per query. Batching amortizes the
-// arena read over the batch — the MatchAll and serve-batch hot path.
-// The rankings share one backing slab, each capped at its own length.
+// for all queries while it is cache-resident (four queries per row load
+// where the kernel allows), and each query's scores feed its sorted-run
+// selector. Results are position-aligned with queries and identical to
+// calling TopK per query. The working memory is pooled; a call
+// allocates the outer slice and one slab its rankings are cut from,
+// each capped at its own length.
 func (x *Index) TopKBatch(queries [][]float32, k int) [][]Scored {
 	out := make([][]Scored, len(queries))
 	n := x.rows()
 	if k <= 0 || x.Len() == 0 || len(queries) == 0 {
 		return out
 	}
-	if k > x.Len() {
-		// Clamp to the live count: tombstoned rows score -Inf below and a
-		// heap no larger than the live count provably evicts them all.
-		k = x.Len()
-	}
-	dim := x.dim
-	b := len(queries)
-	qs := make([]float32, b*dim)
-	for i, q := range queries {
-		row := qs[i*dim : (i+1)*dim]
-		copy(row, q)
-		embed.Normalize(row)
-	}
-	scoreBack := make([]float32, b*k)
-	posBack := make([]int32, b*k)
-	heaps := make([]topkHeap, b)
-	for i := range heaps {
-		heaps[i] = newTopkHeap(scoreBack[i*k:(i+1)*k], posBack[i*k:(i+1)*k], x.ids, k)
-	}
-	tile := tileRowsFor(dim)
-	if tile > n {
-		tile = n
-	}
-	scores := make([]float32, tile)
+	// Clamp to the live count: tombstoned rows score -Inf below and a
+	// run no longer than the live count provably drops them all.
+	k = min(k, x.Len())
+	dim, b := x.dim, len(queries)
+	sc := leaseScan()
+	defer sc.release()
+	qs := sc.queries(queries, dim)
+	runs := sc.selectors(b, k, x.ids)
+	tile := min(tileRowsFor(dim), n)
+	sc.tile = grow(sc.tile, b*tile)
 	for r0 := 0; r0 < n; r0 += tile {
-		m := tile
-		if r0+m > n {
-			m = n - r0
-		}
-		rows := x.data[r0*dim : (r0+m)*dim]
-		for i := range heaps {
-			dotRows(rows, qs[i*dim:(i+1)*dim], scores[:m], dim)
-			x.zapDead(scores[:m], r0)
-			heaps[i].merge(scores[:m], int32(r0))
+		m := min(tile, n-r0)
+		dotBlock(x.data[r0*dim:(r0+m)*dim], qs, sc.tile, m, dim, tile)
+		for i := range runs {
+			scores := sc.tile[i*tile : i*tile+m]
+			x.zapDead(scores, r0)
+			runs[i].merge(scores, int32(r0))
 		}
 	}
 	slab := make([]Scored, b*k)
-	for i := range heaps {
-		out[i] = heaps[i].results(slab[i*k:])
+	for i := range runs {
+		out[i] = runs[i].results(slab[i*k:])
 	}
 	return out
 }

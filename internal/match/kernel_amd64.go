@@ -18,6 +18,16 @@ var useFMA = cpu.AVX2 && cpu.FMA
 //go:noescape
 func dotRowsFMA(arena, q, out *float32, rows, dim int)
 
+// dotRows4FMA is dotRowsFMA for four queries at once: q holds them back
+// to back (dim floats each) and query j's score of row r goes to
+// out[j*stride+r]. Each row chunk is loaded once for all four queries,
+// and each query keeps dotRowsFMA's accumulation and reduction order,
+// so every score has the bits a dotRowsFMA call for that query gives.
+// Implemented in kernel_amd64.s; callers must check useFMA.
+//
+//go:noescape
+func dotRows4FMA(arena, q, out *float32, rows, dim, stride int)
+
 // dotPosFMA is dotRowsFMA over n scattered arena rows (row j is row
 // pos[j] of the arena), stopping after the first score above stop; it
 // returns that row's index, or n. Implemented in kernel_amd64.s;
@@ -38,6 +48,21 @@ func dotRows(arena, q, out []float32, dim int) {
 		return
 	}
 	dotRowsGo(arena, q, out, dim)
+}
+
+// dotRows4 scores four queries, back to back in q4, against rows
+// contiguous arena rows: query j's scores go to out[j*stride : j*stride+rows],
+// each with the bits dotRows gives it.
+func dotRows4(arena, q4, out []float32, rows, dim, stride int) {
+	if rows == 0 {
+		return
+	}
+	if useFMA {
+		_, _, _ = arena[rows*dim-1], q4[4*dim-1], out[3*stride+rows-1]
+		dotRows4FMA(&arena[0], &q4[0], &out[0], rows, dim, stride)
+		return
+	}
+	dotRows4Go(arena, q4, out, rows, dim, stride)
 }
 
 // dotPos is the scattered-position form of dotRows: out[j] is the dot

@@ -19,3 +19,9 @@ func dotRows(arena, q, out []float32, dim int) {
 func dotPos(arena []float32, positions []int32, q, out []float32, dim int, stop float32) int {
 	return dotPosGo(arena, positions, q, out, dim, stop)
 }
+
+// dotRows4 scores four queries, back to back in q4, against rows
+// contiguous arena rows: query j's scores go to out[j*stride : j*stride+rows].
+func dotRows4(arena, q4, out []float32, rows, dim, stride int) {
+	dotRows4Go(arena, q4, out, rows, dim, stride)
+}

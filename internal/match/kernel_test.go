@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
@@ -164,6 +165,32 @@ func TestTopKMatchesTopKFunc(t *testing.T) {
 	}
 }
 
+// TestTopKBatchAllocatesOnlyItsResults: the scan's working memory (the
+// normalized query block, the selectors and the score tile) comes from
+// a pool, so a TopKBatch call allocates the outer slice and the one slab
+// its rankings are cut from, and nothing else, at any batch size.
+func TestTopKBatchAllocatesOnlyItsResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const n, dim, k = 300, 33, 10
+	idx := kernelTestIndex(t, n, dim, 5)
+	rng := rand.New(rand.NewSource(6))
+	for _, b := range []int{1, 4, 7, 32} {
+		queries := make([][]float32, b)
+		for i := range queries {
+			queries[i] = make([]float32, dim)
+			for d := range queries[i] {
+				queries[i][d] = rng.Float32()*2 - 1
+			}
+		}
+		idx.TopKBatch(queries, k) // size the pooled scratch
+		if allocs := testing.AllocsPerRun(50, func() { idx.TopKBatch(queries, k) }); allocs > 2 {
+			t.Errorf("batch %d: %v allocations a call, want 2 (the outer slice and the ranking slab)", b, allocs)
+		}
+	}
+}
+
 // TestTopKBatchEdgeCases covers empty batches, k <= 0 and empty
 // indexes, which must all degrade exactly like serial TopK.
 func TestTopKBatchEdgeCases(t *testing.T) {
@@ -181,4 +208,130 @@ func TestTopKBatchEdgeCases(t *testing.T) {
 	if got := empty.TopKBatch([][]float32{{1, 0, 0, 0, 0, 0, 0, 0}}, 3); got[0] != nil {
 		t.Errorf("empty index = %v", got[0])
 	}
+}
+
+// FuzzDotRowsBlock holds the multi-query scan to the one-query kernel
+// and a reference sort. For a random dim (1–300), 0–70 rows with
+// duplicated and zero rows (exact score ties), and a batch of 1–9
+// queries, it checks that dotBlock gives every score the bits of a
+// per-query dotRows call — four queries at a time through dotRows4, the
+// remainder one at a time — without writing outside each query's
+// stride, and that TopKBatch ranks every query exactly like sorting all
+// live rows by (score desc, ID asc), with some rows tombstoned.
+func FuzzDotRowsBlock(f *testing.F) {
+	for _, dim := range []uint16{1, 7, 8, 16, 24, 33, 96, 200, 300} {
+		f.Add(dim, uint8(70), uint8(9), uint8(10), int64(dim))
+		f.Add(dim, uint8(5), uint8(4), uint8(3), int64(dim)+1)
+	}
+	f.Add(uint16(96), uint8(0), uint8(5), uint8(1), int64(3))
+	f.Add(uint16(96), uint8(1), uint8(1), uint8(1), int64(4))
+	f.Fuzz(func(t *testing.T, dimIn uint16, rowsIn, batchIn, kIn uint8, seed int64) {
+		dim := 1 + int(dimIn)%300
+		rows := int(rowsIn) % 71
+		batch := 1 + int(batchIn)%9
+		rng := rand.New(rand.NewSource(seed))
+		vecs := make([][]float32, rows)
+		for r := range vecs {
+			switch {
+			case r > 0 && rng.Intn(4) == 0:
+				vecs[r] = vecs[rng.Intn(r)] // an exact tie with an earlier row
+			case rng.Intn(9) == 0:
+				vecs[r] = make([]float32, dim) // ties with every zero row
+			default:
+				v := make([]float32, dim)
+				for d := range v {
+					v[d] = rng.Float32()*2 - 1
+				}
+				vecs[r] = v
+			}
+		}
+		queries := make([][]float32, batch)
+		qs := make([]float32, batch*dim)
+		for i := range queries {
+			q := qs[i*dim : (i+1)*dim]
+			for d := range q {
+				q[d] = rng.Float32()*2 - 1
+			}
+			queries[i] = q
+		}
+
+		// Scores: the block against one dotRows call per query.
+		arena := make([]float32, rows*dim)
+		for r, v := range vecs {
+			copy(arena[r*dim:], v)
+		}
+		stride := rows + 3
+		const canary = float32(12345)
+		got := make([]float32, batch*stride)
+		for i := range got {
+			got[i] = canary
+		}
+		dotBlock(arena, qs, got, rows, dim, stride)
+		want := make([]float32, rows)
+		for j := 0; j < batch; j++ {
+			dotRows(arena, qs[j*dim:(j+1)*dim], want, dim)
+			for r := range want {
+				if g := got[j*stride+r]; math.Float32bits(g) != math.Float32bits(want[r]) {
+					t.Fatalf("dim=%d rows=%d batch=%d: query %d row %d scored %v (%#x), one-query kernel %v (%#x)",
+						dim, rows, batch, j, r, g, math.Float32bits(g), want[r], math.Float32bits(want[r]))
+				}
+			}
+			for r := rows; r < stride; r++ {
+				if got[j*stride+r] != canary {
+					t.Fatalf("dim=%d rows=%d batch=%d: query %d wrote past its rows at %d", dim, rows, batch, j, r)
+				}
+			}
+		}
+
+		// Rankings: TopKBatch against a full sort of the live rows. IDs
+		// run against row order, so ties do not break by position.
+		ids := make([]string, rows)
+		for r := range ids {
+			ids[r] = fmt.Sprintf("d%03d", (r*37)%101)
+		}
+		idx, err := NewIndex(ids, vecs, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gone []string
+		for r := range ids {
+			if rng.Intn(6) == 0 {
+				gone = append(gone, ids[r])
+			}
+		}
+		idx.Remove(gone)
+		k := 1 + int(kIn)%(rows+3)
+		ranked := idx.TopKBatch(queries, k)
+		if len(ranked) != batch {
+			t.Fatalf("%d rankings for %d queries", len(ranked), batch)
+		}
+		for j, q := range queries {
+			qn := append([]float32(nil), q...)
+			embed.Normalize(qn)
+			scores := make([]float32, rows)
+			dotRows(idx.data, qn, scores, dim)
+			var live []int
+			for r := range ids {
+				if !idx.isDead(r) {
+					live = append(live, r)
+				}
+			}
+			sort.Slice(live, func(a, b int) bool {
+				sa, sb := scores[live[a]], scores[live[b]]
+				if sa != sb {
+					return sa > sb
+				}
+				return ids[live[a]] < ids[live[b]]
+			})
+			live = live[:min(k, len(live))]
+			if len(ranked[j]) != len(live) {
+				t.Fatalf("query %d k=%d: %d results, want %d", j, k, len(ranked[j]), len(live))
+			}
+			for i, r := range live {
+				if w := (Scored{ID: ids[r], Score: float64(scores[r])}); ranked[j][i] != w {
+					t.Fatalf("query %d k=%d rank %d: %v, reference %v\ngot  %v", j, k, i, ranked[j][i], w, ranked[j])
+				}
+			}
+		}
+	})
 }

@@ -11,19 +11,23 @@
 package match
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
 // Scored is one ranked candidate.
 type Scored struct {
-	ID    string
+	// ID is the matched document's ID.
+	ID string
+	// Score is the cosine similarity in [-1, 1].
 	Score float64
 }
+
+// String renders the candidate as "id(score)" with three decimals, the
+// format the CLIs print.
+func (s Scored) String() string { return fmt.Sprintf("%s(%.3f)", s.ID, s.Score) }
 
 // VectorIndex is the pluggable serving interface for top-k retrieval:
 // given a (not necessarily normalized) query vector, return the k most
@@ -345,8 +349,8 @@ func (x *Index) Score(query []float32, i int) float64 {
 
 // TopK returns the k targets most similar to query, best first. Ties break
 // by ID for determinism. It is the single-query case of the blocked
-// TopKBatch kernel: a direct tiled scan over the arena into a fixed-size
-// selection heap, with no per-row closure or interface call.
+// TopKBatch kernel: a direct tiled scan over the arena into a sorted-run
+// selector, with no per-row closure or interface call.
 func (x *Index) TopK(query []float32, k int) []Scored {
 	return x.TopKBatch(oneQuery(query), k)[0]
 }
@@ -396,80 +400,42 @@ func (x *Index) TopKCombined(other *Index, queryA, queryB []float32, wA, wB floa
 	return scored, nil
 }
 
-// scoredHeap is a min-heap on Score (worst candidate on top).
-type scoredHeap []Scored
-
-func (h scoredHeap) Len() int { return len(h) }
-func (h scoredHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].ID > h[j].ID
-}
-func (h scoredHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x any)   { *h = append(*h, x.(Scored)) }
-func (h *scoredHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
 // TopKFunc selects the k highest-scoring ids, best first, with ID
-// tie-breaking, using a size-k heap (O(n log k)).
+// tie-breaking, through the sorted run every exact ranking path uses
+// (O(n) compares plus a shift per accepted candidate).
 func TopKFunc(ids []string, score func(i int) float64, k int) []Scored {
 	if k <= 0 || len(ids) == 0 {
 		return nil
 	}
-	if k > len(ids) {
-		k = len(ids)
-	}
-	h := make(scoredHeap, 0, k)
-	heap.Init(&h)
+	k = min(k, len(ids))
+	r := newTopkRun(make([]float64, k), make([]int32, k), ids)
 	for i := range ids {
-		s := Scored{ID: ids[i], Score: score(i)}
-		if len(h) < k {
-			heap.Push(&h, s)
-			continue
-		}
-		worst := h[0]
-		if s.Score > worst.Score || (s.Score == worst.Score && s.ID < worst.ID) {
-			h[0] = s
-			heap.Fix(&h, 0)
-		}
+		r.consider(score(i), int32(i))
 	}
-	return sortScored(h)
-}
-
-// sortScored flattens a selection heap into best-first order with ID
-// tie-breaking.
-func sortScored(h scoredHeap) []Scored {
-	out := make([]Scored, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return r.results(make([]Scored, r.n))
 }
 
 // topKPositions selects the k candidates (given as arena positions) most
 // similar to the normalized query, best first with ID tie-breaking. Rows
-// are scored with the same kernel as the tiled full scan, so scattered-
-// position rankings (blocking, HNSW re-rank) agree with it
-// bit-for-bit; IDs are resolved only for the <= k heap residents.
+// are scored in one call of the same kernel as the tiled full scan, so
+// scattered-position rankings (blocking, HNSW re-rank) agree with it
+// bit-for-bit; IDs are resolved only for the <= k selected rows.
 func (x *Index) topKPositions(q []float32, positions []int32, k int) []Scored {
 	if k <= 0 || len(positions) == 0 {
 		return nil
 	}
-	if k > len(positions) {
-		k = len(positions)
-	}
-	h := newTopkHeap(make([]float32, k), make([]int32, k), x.ids, k)
-	for _, p := range positions {
-		if x.isDead(int(p)) {
-			continue
+	k = min(k, len(positions))
+	sc := leaseScan()
+	defer sc.release()
+	r := &sc.selectors(1, k, x.ids)[0]
+	sc.tile = grow(sc.tile, len(positions))
+	x.dotPositions(positions, q, sc.tile, posInf)
+	for j, p := range positions {
+		if !x.isDead(int(p)) {
+			r.consider(sc.tile[j], p)
 		}
-		h.consider(dotOne(x.row(int(p)), q), p)
 	}
-	return h.results(make([]Scored, h.n))
+	return r.results(make([]Scored, r.n))
 }
 
 // IDsOf projects the candidate IDs of a ranking.

@@ -1,6 +1,9 @@
 package match
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // fingerprintSeg tags Segmented fingerprints (see mixFingerprint).
 const fingerprintSeg = 0x5e9
@@ -203,6 +206,18 @@ func (s *Segmented) SegmentManifest() [][]string {
 		}
 	}
 	return append(out, ids)
+}
+
+// LiveIDs returns the live document IDs in stack order, the delta last:
+// SegmentManifest's lists concatenated. A stack of one sealed segment
+// with no tombstone and an empty delta (every built, compacted or
+// freshly bound stack) returns that segment's own ID table, not a copy;
+// callers must not mutate the result.
+func (s *Segmented) LiveIDs() []string {
+	if len(s.sealed) == 1 && s.deadBySeg[0] == 0 && s.sealed[0].flat.nDead == 0 && s.delta.rows() == 0 {
+		return s.sealed[0].flat.ids
+	}
+	return slices.Concat(s.SegmentManifest()...)
 }
 
 // CleanSegment returns sealed segment i's serving index and row storage
@@ -487,8 +502,10 @@ func (s *Segmented) TopKBatch(queries [][]float32, k int) [][]Scored {
 		return make([][]Scored, len(queries))
 	}
 	// One ranking list per (segment, query); a single segment answers
-	// the whole batch in one call to keep its blocked kernels hot.
-	parts := make([][][]Scored, 0, len(s.sealed)+1)
+	// the whole batch in one call to keep its blocked kernels hot. The
+	// list of parts stays on the stack for the usual few segments.
+	var partsBuf [4][][]Scored
+	parts := partsBuf[:0]
 	for i, seg := range s.sealed {
 		if seg.idx.Len() == 0 {
 			continue

@@ -465,7 +465,7 @@ func TestLegacyIVFSnapshotsBindAsFlat(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := toMatches(idx.TopK(v, n)); !reflect.DeepEqual(got, want) {
+					if want := idx.TopK(v, n); !reflect.DeepEqual(got, want) {
 						t.Errorf("TopK(%s) = %v, want the exact scan %v", q, got, want)
 					}
 				}

@@ -589,7 +589,7 @@ func (m *Model) TopK(docID string, k int) ([]Match, error) {
 	if q == nil {
 		return nil, fmt.Errorf("tdmatch: document %q has no embedding (pruned or isolated)", docID)
 	}
-	return toMatches(idx.TopK(q, k)), nil
+	return idx.TopK(q, k), nil
 }
 
 // MatchAll ranks, for every document of the query corpus, the top-k
@@ -635,25 +635,24 @@ func (m *Model) MatchAllWorkers(fromSecond bool, k, workers int) map[string][]Ma
 	if fromSecond {
 		from, idx = m.secondIdx, m.firstIdx
 	}
-	ids := slices.Concat(from.SegmentManifest()...)
+	ids := from.LiveIDs()
 	results := make([][]Match, len(ids))
 	size := batchChunk(len(ids), workers)
 	batches := (len(ids) + size - 1) / size
 	runPool(batches, workers, func(bi int) {
 		lo := bi * size
-		hi := lo + size
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		queries := make([][]float32, 0, hi-lo)
-		slots := make([]int, 0, hi-lo)
+		hi := min(lo+size, len(ids))
+		bs := leaseBatch()
+		defer bs.release()
 		for i := lo; i < hi; i++ {
 			if q := m.vectors[ids[i]]; q != nil {
-				queries = append(queries, q)
-				slots = append(slots, i)
+				bs.queries = append(bs.queries, q)
+				bs.slots = append(bs.slots, i)
 			}
 		}
-		matchSlab(idx.TopKBatch(queries, k), func(j int, ms []Match) { results[slots[j]] = ms })
+		for j, ms := range idx.TopKBatch(bs.queries, k) {
+			results[bs.slots[j]] = ms
+		}
 	})
 	out := make(map[string][]Match, len(ids))
 	for i, id := range ids {
@@ -662,6 +661,25 @@ func (m *Model) MatchAllWorkers(fromSecond bool, k, workers int) map[string][]Ma
 		}
 	}
 	return out
+}
+
+// batchScratch is one kernel chunk's query list and the result slot of
+// each query, pooled so a chunk allocates only its rankings.
+type batchScratch struct {
+	queries [][]float32
+	slots   []int
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func leaseBatch() *batchScratch { return batchPool.Get().(*batchScratch) }
+
+// release empties the scratch, dropping its references to query
+// vectors, and returns it to the pool.
+func (b *batchScratch) release() {
+	clear(b.queries)
+	b.queries, b.slots = b.queries[:0], b.slots[:0]
+	batchPool.Put(b)
 }
 
 // TopKBatch answers many queries in one call, batching them through the
@@ -711,18 +729,20 @@ func (m *Model) TopKBatchWorkers(docIDs []string, k, workers int) []BatchResult 
 	addChunks(m.firstIdx, side2)
 	runPool(len(chunks), workers, func(ci int) {
 		ch := chunks[ci]
-		queries := make([][]float32, 0, len(ch.slots))
-		live := make([]int, 0, len(ch.slots))
+		bs := leaseBatch()
+		defer bs.release()
 		for _, slot := range ch.slots {
 			q := m.vectors[out[slot].ID]
 			if q == nil {
 				out[slot].Err = fmt.Errorf("tdmatch: document %q has no embedding (pruned or isolated)", out[slot].ID)
 				continue
 			}
-			queries = append(queries, q)
-			live = append(live, slot)
+			bs.queries = append(bs.queries, q)
+			bs.slots = append(bs.slots, slot)
 		}
-		matchSlab(ch.idx.TopKBatch(queries, k), func(j int, ms []Match) { out[live[j]].Matches = ms })
+		for j, ms := range ch.idx.TopKBatch(bs.queries, k) {
+			out[bs.slots[j]].Matches = ms
+		}
 	})
 	return out
 }
@@ -784,35 +804,6 @@ func (m *Model) WriteGraphDOT(w io.Writer, name string) error {
 		return fmt.Errorf("tdmatch: model has no graph (restored from a save?)")
 	}
 	return m.g.WriteDOT(w, name)
-}
-
-// toMatches converts one ranking to the public form.
-func toMatches(scored []match.Scored) []Match {
-	out := make([]Match, len(scored))
-	for i, s := range scored {
-		out[i] = Match{ID: s.ID, Score: s.Score}
-	}
-	return out
-}
-
-// matchSlab converts a batch's rankings to the public form with one
-// allocation and hands ranking j to put. Each ranking is a sub-slice of
-// the shared slab whose capacity ends at its length, so a caller's
-// append to one ranking reallocates instead of overwriting the next.
-func matchSlab(rankings [][]match.Scored, put func(j int, ms []Match)) {
-	n := 0
-	for _, r := range rankings {
-		n += len(r)
-	}
-	slab := make([]Match, n)
-	for j, r := range rankings {
-		ms := slab[:len(r):len(r)]
-		slab = slab[len(r):]
-		for i, s := range r {
-			ms[i] = Match{ID: s.ID, Score: s.Score}
-		}
-		put(j, ms)
-	}
 }
 
 // kindWeights translates the public WalkBias into internal kind weights.

@@ -143,7 +143,7 @@ func assertExactParity(t *testing.T, m *Model) {
 			if err != nil {
 				t.Fatalf("TopK(%s): %v", q, err)
 			}
-			want := toMatches(flat.TopK(v, 5))
+			want := flat.TopK(v, 5)
 			if len(got) != len(want) {
 				t.Fatalf("TopK(%s): %d results, want %d", q, len(got), len(want))
 			}

@@ -23,13 +23,13 @@ package tdmatch
 
 import (
 	"bytes"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 
 	"github.com/tdmatch/tdmatch/internal/corpus"
 	"github.com/tdmatch/tdmatch/internal/kb"
+	"github.com/tdmatch/tdmatch/internal/match"
 )
 
 // Corpus is one input collection: a table, a taxonomy, or free text.
@@ -223,14 +223,9 @@ func buildLexicon(groups []Synonyms) *kb.Lexicon {
 	return l
 }
 
-// Match is one ranked candidate returned by the model.
-type Match struct {
-	// ID is the matched document's ID.
-	ID string
-	// Score is the cosine similarity in [-1, 1].
-	Score float64
-}
-
-// String renders the match as "id(score)" with three decimals, the
-// format the CLIs print.
-func (m Match) String() string { return fmt.Sprintf("%s(%.3f)", m.ID, m.Score) }
+// Match is one ranked candidate returned by the model: the matched
+// document's ID and its cosine similarity in [-1, 1]. It is the type the
+// serving indexes rank into, so a ranking reaches the caller without a
+// copy; String renders it as "id(score)" with three decimals, the format
+// the CLIs print.
+type Match = match.Scored
