@@ -179,7 +179,7 @@ func (r *topkRun[S]) results(out []Scored) []Scored {
 // returns.
 type scanScratch struct {
 	qs    []float32 // b x dim normalized queries, back to back
-	tile  []float32 // b x tile scores, query j's at [j*tile, (j+1)*tile)
+	tile  []float32 // 4 x tile scores, query j's at [j*tile, (j+1)*tile)
 	score []float32 // b x k selector backing
 	pos   []int32
 	runs  []topkRun[float32]
@@ -265,14 +265,20 @@ func (x *Index) TopKBatch(queries [][]float32, k int) [][]Scored {
 	qs := sc.queries(queries, dim)
 	runs := sc.selectors(b, k, x.ids)
 	tile := min(tileRowsFor(dim), n)
-	sc.tile = grow(sc.tile, b*tile)
+	sc.tile = grow(sc.tile, 4*tile)
 	for r0 := 0; r0 < n; r0 += tile {
 		m := min(tile, n-r0)
-		dotBlock(x.data[r0*dim:(r0+m)*dim], qs, sc.tile, m, dim, tile)
-		for i := range runs {
-			scores := sc.tile[i*tile : i*tile+m]
-			x.zapDead(scores, r0)
-			runs[i].merge(scores, int32(r0))
+		rows := x.data[r0*dim : (r0+m)*dim]
+		// Four queries at a time, so their scores stay cache-resident
+		// until their selectors have consumed them.
+		for q0 := 0; q0 < b; q0 += 4 {
+			q1 := min(q0+4, b)
+			dotBlock(rows, qs[q0*dim:q1*dim], sc.tile, m, dim, tile)
+			for i := q0; i < q1; i++ {
+				scores := sc.tile[(i-q0)*tile : (i-q0)*tile+m]
+				x.zapDead(scores, r0)
+				runs[i].merge(scores, int32(r0))
+			}
 		}
 	}
 	slab := make([]Scored, b*k)

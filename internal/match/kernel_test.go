@@ -219,12 +219,13 @@ func TestTopKBatchEdgeCases(t *testing.T) {
 // stride, and that TopKBatch ranks every query exactly like sorting all
 // live rows by (score desc, ID asc), with some rows tombstoned.
 func FuzzDotRowsBlock(f *testing.F) {
+	// Seeds at dims 1, 7, 8, 16, 24, 33, 96, 200 and 300 (dimIn is dim-1).
 	for _, dim := range []uint16{1, 7, 8, 16, 24, 33, 96, 200, 300} {
-		f.Add(dim, uint8(70), uint8(9), uint8(10), int64(dim))
-		f.Add(dim, uint8(5), uint8(4), uint8(3), int64(dim)+1)
+		f.Add(dim-1, uint8(70), uint8(9), uint8(10), int64(dim))
+		f.Add(dim-1, uint8(5), uint8(4), uint8(3), int64(dim)+1)
 	}
-	f.Add(uint16(96), uint8(0), uint8(5), uint8(1), int64(3))
-	f.Add(uint16(96), uint8(1), uint8(1), uint8(1), int64(4))
+	f.Add(uint16(95), uint8(0), uint8(5), uint8(1), int64(3))
+	f.Add(uint16(95), uint8(1), uint8(1), uint8(1), int64(4))
 	f.Fuzz(func(t *testing.T, dimIn uint16, rowsIn, batchIn, kIn uint8, seed int64) {
 		dim := 1 + int(dimIn)%300
 		rows := int(rowsIn) % 71
