@@ -2,6 +2,8 @@ package match
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
@@ -98,48 +100,93 @@ func (x *Index) dotPositions(positions []int32, q, out []float32, stop float32) 
 // k (score, arena position) pairs seen so far, kept best-first in a
 // sorted run. "Better" means a higher score, or an equal score and a
 // lexicographically smaller ID, so ties resolve to the smaller ID in
-// every kernel. A candidate that does not beat the last pair of a full
-// run is rejected with one compare; one that does is inserted by
-// shifting the pairs below it down a slot. The run is in ranking order
-// at every step, so the result needs no sort. IDs are read only on
-// exact score ties and resolved only for the final k results. The same
-// run selects float64 scores for TopKFunc.
+// every kernel. The first k candidates fill the run unsorted and are
+// sorted once. After that a candidate that does not beat the last pair
+// is rejected with one compare, and one that does is placed by binary
+// search, the pairs below it shifting down a slot in one copy. The run
+// is then in ranking order at every step, so the result needs no sort.
+// IDs are read only on exact score ties and resolved only for the final
+// k results. The same run selects float64 scores for TopKFunc.
 type topkRun[S float32 | float64] struct {
-	score []S // backing of length k; score[i] pairs with pos[i]
-	pos   []int32
-	ids   []string // full ID table, for tie comparison by position
-	n     int
+	run []ranked[S] // backing of length k, best-first once full
+	ids []string    // full ID table, for tie comparison by position
+	n   int
 }
 
-// newTopkRun returns a run selecting the best len(score) of the rows
-// ids names; score and pos are its backing, of equal length >= 1.
-func newTopkRun[S float32 | float64](score []S, pos []int32, ids []string) topkRun[S] {
-	return topkRun[S]{score: score, pos: pos, ids: ids}
+// ranked is one (score, arena position) pair of a run.
+type ranked[S float32 | float64] struct {
+	score S
+	pos   int32
 }
 
-// beats reports whether candidate (s, p) ranks ahead of pair i.
-func (r *topkRun[S]) beats(s S, p int32, i int) bool {
-	if s != r.score[i] {
-		return s > r.score[i]
+// newTopkRun returns a run selecting the best len(run) of the rows ids
+// names; run is its backing, of length >= 1.
+func newTopkRun[S float32 | float64](run []ranked[S], ids []string) topkRun[S] {
+	return topkRun[S]{run: run, ids: ids}
+}
+
+// ahead reports whether a ranks ahead of b.
+func (r *topkRun[S]) ahead(a, b ranked[S]) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	return r.ids[p] < r.ids[r.pos[i]]
+	return r.ids[a.pos] < r.ids[b.pos]
+}
+
+// shortRun is the longest run selected by insertion alone, the lengths
+// rankings usually ask for; longer runs are sorted and searched, so a
+// ranking of thousands stays O(n log k).
+const shortRun = 32
+
+// sort orders the filled pairs best-first: by insertion when the run is
+// short, by slices.SortFunc when it is long.
+func (r *topkRun[S]) sort() {
+	if r.n <= shortRun {
+		for i := 1; i < r.n; i++ {
+			c, j := r.run[i], i
+			for ; j > 0 && r.ahead(c, r.run[j-1]); j-- {
+				r.run[j] = r.run[j-1]
+			}
+			r.run[j] = c
+		}
+		return
+	}
+	slices.SortFunc(r.run[:r.n], func(a, b ranked[S]) int {
+		switch {
+		case r.ahead(a, b):
+			return -1
+		case r.ahead(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // consider offers one candidate to the run.
 func (r *topkRun[S]) consider(s S, p int32) {
-	i := r.n
-	if i == len(r.score) {
-		if !r.beats(s, p, i-1) {
-			return
+	c, k := ranked[S]{score: s, pos: p}, len(r.run)
+	if r.n < k {
+		r.run[r.n] = c
+		if r.n++; r.n == k {
+			r.sort()
 		}
-		i-- // the last pair drops out
+		return
+	}
+	if !r.ahead(c, r.run[k-1]) {
+		return
+	}
+	// The last pair drops out. A short run is scanned from its tail,
+	// shifting as it goes; a long one is searched, then shifted in one copy.
+	i := k - 1
+	if k <= shortRun {
+		for ; i > 0 && r.ahead(c, r.run[i-1]); i-- {
+			r.run[i] = r.run[i-1]
+		}
 	} else {
-		r.n++
+		i = sort.Search(i, func(j int) bool { return r.ahead(c, r.run[j]) })
+		copy(r.run[i+1:], r.run[i:k-1])
 	}
-	for ; i > 0 && r.beats(s, p, i-1); i-- {
-		r.score[i], r.pos[i] = r.score[i-1], r.pos[i-1]
-	}
-	r.score[i], r.pos[i] = s, p
+	r.run[i] = c
 }
 
 // merge offers a tile of scores (for positions base, base+1, ...) to
@@ -147,28 +194,32 @@ func (r *topkRun[S]) consider(s S, p int32) {
 // compare per row against its last score.
 func (r *topkRun[S]) merge(scores []S, base int32) {
 	i := 0
-	for ; i < len(scores) && r.n < len(r.score); i++ {
+	for ; i < len(scores) && r.n < len(r.run); i++ {
 		r.consider(scores[i], base+int32(i))
 	}
 	if i == len(scores) {
 		return
 	}
-	last := r.score[r.n-1]
+	last := r.run[r.n-1].score
 	for ; i < len(scores); i++ {
 		if s := scores[i]; s >= last {
 			r.consider(s, base+int32(i))
-			last = r.score[r.n-1]
+			last = r.run[r.n-1].score
 		}
 	}
 }
 
 // results writes the run into out[:n] with IDs resolved and returns it
 // with its capacity ending at its length, so an append to one ranking
-// cannot reach whatever follows it in out's backing.
+// cannot reach whatever follows it in out's backing. A run that never
+// filled is sorted first.
 func (r *topkRun[S]) results(out []Scored) []Scored {
+	if r.n < len(r.run) {
+		r.sort()
+	}
 	out = out[:r.n:r.n]
-	for i := range out {
-		out[i] = Scored{ID: r.ids[r.pos[i]], Score: float64(r.score[i])}
+	for i, c := range r.run[:r.n] {
+		out[i] = Scored{ID: r.ids[c.pos], Score: float64(c.score)}
 	}
 	return out
 }
@@ -178,11 +229,10 @@ func (r *topkRun[S]) results(out []Scored) []Scored {
 // score tile. Leased from scanPool, so a scan allocates only what it
 // returns.
 type scanScratch struct {
-	qs    []float32 // b x dim normalized queries, back to back
-	tile  []float32 // 4 x tile scores, query j's at [j*tile, (j+1)*tile)
-	score []float32 // b x k selector backing
-	pos   []int32
-	runs  []topkRun[float32]
+	qs   []float32         // b x dim normalized queries, back to back
+	tile []float32         // 4 x tile scores, query j's at [j*tile, (j+1)*tile)
+	sel  []ranked[float32] // b x k selector backing
+	runs []topkRun[float32]
 }
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -210,11 +260,10 @@ func (sc *scanScratch) queries(queries [][]float32, dim int) []float32 {
 
 // selectors returns b empty runs of capacity k over the given ID table.
 func (sc *scanScratch) selectors(b, k int, ids []string) []topkRun[float32] {
-	sc.score, sc.pos = grow(sc.score, b*k), grow(sc.pos, b*k)
-	sc.runs = grow(sc.runs, b)
+	sc.sel, sc.runs = grow(sc.sel, b*k), grow(sc.runs, b)
 	for i := range sc.runs {
 		lo, hi := i*k, (i+1)*k
-		sc.runs[i] = newTopkRun(sc.score[lo:hi:hi], sc.pos[lo:hi:hi], ids)
+		sc.runs[i] = newTopkRun(sc.sel[lo:hi:hi], ids)
 	}
 	return sc.runs
 }

@@ -137,10 +137,11 @@ func TestTopKBatchBitIdenticalToSerialTopK(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesTopKFunc cross-validates the kernel's selection heap
-// against the generic TopKFunc selection over the same per-row scores:
-// two independent selection implementations must agree bit-for-bit,
-// ties included.
+// TestTopKMatchesTopKFunc cross-validates the tiled scan against the
+// generic TopKFunc over per-row scores of the same kernel: the two must
+// agree bit-for-bit, ties included. Both select with the sorted run;
+// FuzzDotRowsBlock and TestTopKFuncAgainstFullSort hold that run to a
+// sort.Slice reference.
 func TestTopKMatchesTopKFunc(t *testing.T) {
 	const n, dim = 257, 24
 	idx := kernelTestIndex(t, n, dim, 3)
@@ -226,6 +227,9 @@ func FuzzDotRowsBlock(f *testing.F) {
 	}
 	f.Add(uint16(95), uint8(0), uint8(5), uint8(1), int64(3))
 	f.Add(uint16(95), uint8(1), uint8(1), uint8(1), int64(4))
+	// k beyond shortRun: a run sorted once full, then searched.
+	f.Add(uint16(23), uint8(70), uint8(6), uint8(40), int64(5))
+	f.Add(uint16(95), uint8(70), uint8(9), uint8(72), int64(6))
 	f.Fuzz(func(t *testing.T, dimIn uint16, rowsIn, batchIn, kIn uint8, seed int64) {
 		dim := 1 + int(dimIn)%300
 		rows := int(rowsIn) % 71

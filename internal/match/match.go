@@ -401,14 +401,13 @@ func (x *Index) TopKCombined(other *Index, queryA, queryB []float32, wA, wB floa
 }
 
 // TopKFunc selects the k highest-scoring ids, best first, with ID
-// tie-breaking, through the sorted run every exact ranking path uses
-// (O(n) compares plus a shift per accepted candidate).
+// tie-breaking, through the sorted run every exact ranking path uses.
 func TopKFunc(ids []string, score func(i int) float64, k int) []Scored {
 	if k <= 0 || len(ids) == 0 {
 		return nil
 	}
 	k = min(k, len(ids))
-	r := newTopkRun(make([]float64, k), make([]int32, k), ids)
+	r := newTopkRun(make([]ranked[float64], k), ids)
 	for i := range ids {
 		r.consider(score(i), int32(i))
 	}
