@@ -102,9 +102,9 @@ func (x *Index) dotPositions(positions []int32, q, out []float32, stop float32) 
 // lexicographically smaller ID, so ties resolve to the smaller ID in
 // every kernel. The first k candidates fill the run unsorted and are
 // sorted once. After that a candidate that does not beat the last pair
-// is rejected with one compare, and one that does is placed by binary
-// search, the pairs below it shifting down a slot in one copy. The run
-// is then in ranking order at every step, so the result needs no sort.
+// is rejected with one compare, and one that does is placed (see
+// shortRun) with the pairs below it shifting down a slot. The run is
+// then in ranking order at every step, so the result needs no sort.
 // IDs are read only on exact score ties and resolved only for the final
 // k results. The same run selects float64 scores for TopKFunc.
 type topkRun[S float32 | float64] struct {
@@ -133,9 +133,10 @@ func (r *topkRun[S]) ahead(a, b ranked[S]) bool {
 	return r.ids[a.pos] < r.ids[b.pos]
 }
 
-// shortRun is the longest run selected by insertion alone, the lengths
-// rankings usually ask for; longer runs are sorted and searched, so a
-// ranking of thousands stays O(n log k).
+// shortRun is the longest run filled by insertion and searched from its
+// tail, the lengths rankings usually ask for. A longer run is filled by
+// one slices.SortFunc and searched by bisection, with one copy per
+// shift, so a ranking of thousands costs about what a heap's does.
 const shortRun = 32
 
 // sort orders the filled pairs best-first: by insertion when the run is
