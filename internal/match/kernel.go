@@ -108,7 +108,7 @@ func (x *Index) dotPositions(positions []int32, q, out []float32, stop float32) 
 // IDs are read only on exact score ties and resolved only for the final
 // k results. The same run selects float64 scores for TopKFunc.
 type topkRun[S float32 | float64] struct {
-	run []ranked[S] // backing of length k, best-first once full
+	run []ranked[S] // backing of length k >= 1, best-first once full
 	ids []string    // full ID table, for tie comparison by position
 	n   int
 }
@@ -117,12 +117,6 @@ type topkRun[S float32 | float64] struct {
 type ranked[S float32 | float64] struct {
 	score S
 	pos   int32
-}
-
-// newTopkRun returns a run selecting the best len(run) of the rows ids
-// names; run is its backing, of length >= 1.
-func newTopkRun[S float32 | float64](run []ranked[S], ids []string) topkRun[S] {
-	return topkRun[S]{run: run, ids: ids}
 }
 
 // ahead reports whether a ranks ahead of b.
@@ -264,7 +258,7 @@ func (sc *scanScratch) selectors(b, k int, ids []string) []topkRun[float32] {
 	sc.sel, sc.runs = grow(sc.sel, b*k), grow(sc.runs, b)
 	for i := range sc.runs {
 		lo, hi := i*k, (i+1)*k
-		sc.runs[i] = newTopkRun(sc.sel[lo:hi:hi], ids)
+		sc.runs[i] = topkRun[float32]{run: sc.sel[lo:hi:hi], ids: ids}
 	}
 	return sc.runs
 }

@@ -407,7 +407,7 @@ func TopKFunc(ids []string, score func(i int) float64, k int) []Scored {
 		return nil
 	}
 	k = min(k, len(ids))
-	r := newTopkRun(make([]ranked[float64], k), ids)
+	r := topkRun[float64]{run: make([]ranked[float64], k), ids: ids}
 	for i := range ids {
 		r.consider(score(i), int32(i))
 	}
