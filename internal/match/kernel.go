@@ -128,10 +128,17 @@ func (r *topkRun[S]) ahead(a, b ranked[S]) bool {
 }
 
 // shortRun is the longest run filled by insertion and searched from its
-// tail, the lengths rankings usually ask for. A longer run is filled by
-// one slices.SortFunc and searched by bisection, with one copy per
-// shift, so a ranking of thousands costs about what a heap's does.
-const shortRun = 32
+// tail. A longer run is filled by one slices.SortFunc and searched by
+// bisection, with one copy per shift, so a ranking of thousands costs
+// about what a heap's does (insertion alone made k = 10,000 over 10,000
+// rows 36x slower). The paths cross between k = 12 and 20. Selecting
+// from 50, 100, 1,000 and 10,000 random scores (medians of six
+// interleaved runs, 2-vCPU Xeon, Go 1.24), the long path took 1.01-1.27x
+// the short one's time at k = 8 and 10, 0.79-1.14x at k = 12-20, and
+// 0.62-0.96x at k = 24-48 below 10,000 rows. On the bench's batch_imdb
+// (MatchAll at k = 10 over 50 and 100 rows) the long path alone read
+// topk_p50_ms 8.9% higher over five alternating pairs.
+const shortRun = 16
 
 // sort orders the filled pairs best-first: by insertion when the run is
 // short, by slices.SortFunc when it is long.
@@ -263,18 +270,19 @@ func (sc *scanScratch) selectors(b, k int, ids []string) []topkRun[float32] {
 	return sc.runs
 }
 
-// dotBlock scores every query of the block qs (len(qs)/dim queries back
-// to back) against rows contiguous arena rows: query j's scores go to
-// out[j*stride : j*stride+rows]. Queries are taken four at a time by
-// dotRows4, which loads each row once for all four, and the remainder
-// one at a time by dotRows; both give every score dotRows' bits.
+// dotBlock scores a group of one to four queries (the block qs,
+// len(qs)/dim queries back to back) against rows contiguous arena rows:
+// query j's scores go to out[j*stride : j*stride+rows]. A full group
+// goes through dotRows4, which loads each row once for all four, a
+// smaller one a query at a time through dotRows; both give every score
+// dotRows' bits.
 func dotBlock(arena, qs, out []float32, rows, dim, stride int) {
 	nq := len(qs) / dim
-	j := 0
-	for ; j+4 <= nq; j += 4 {
-		dotRows4(arena, qs[j*dim:(j+4)*dim], out[j*stride:], rows, dim, stride)
+	if nq == 4 {
+		dotRows4(arena, qs, out, rows, dim, stride)
+		return
 	}
-	for ; j < nq; j++ {
+	for j := 0; j < nq; j++ {
 		dotRows(arena[:rows*dim], qs[j*dim:(j+1)*dim], out[j*stride:j*stride+rows], dim)
 	}
 }

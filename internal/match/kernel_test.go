@@ -214,10 +214,10 @@ func TestTopKBatchEdgeCases(t *testing.T) {
 // FuzzDotRowsBlock holds the multi-query scan to the one-query kernel
 // and a reference sort. For a random dim (1–300), 0–70 rows with
 // duplicated and zero rows (exact score ties), and a batch of 1–9
-// queries, it checks that dotBlock gives every score the bits of a
-// per-query dotRows call — four queries at a time through dotRows4, the
-// remainder one at a time — without writing outside each query's
-// stride, and that TopKBatch ranks every query exactly like sorting all
+// queries, it checks that dotBlock, fed groups of four as TopKBatch
+// feeds it (a full group through dotRows4, a short last one through
+// dotRows), gives every score the bits of a per-query dotRows call
+// without writing outside each query's stride, and that TopKBatch ranks every query exactly like sorting all
 // live rows by (score desc, ID asc), with some rows tombstoned.
 func FuzzDotRowsBlock(f *testing.F) {
 	// Seeds at dims 1, 7, 8, 16, 24, 33, 96, 200 and 300 (dimIn is dim-1).
@@ -271,7 +271,10 @@ func FuzzDotRowsBlock(f *testing.F) {
 		for i := range got {
 			got[i] = canary
 		}
-		dotBlock(arena, qs, got, rows, dim, stride)
+		for q0 := 0; q0 < batch; q0 += 4 {
+			q1 := min(q0+4, batch)
+			dotBlock(arena, qs[q0*dim:q1*dim], got[q0*stride:], rows, dim, stride)
+		}
 		want := make([]float32, rows)
 		for j := 0; j < batch; j++ {
 			dotRows(arena, qs[j*dim:(j+1)*dim], want, dim)

@@ -17,7 +17,10 @@ import (
 	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
-// Scored is one ranked candidate.
+// Scored is one ranked candidate. It is also the public tdmatch.Match
+// (a type alias, so rankings reach callers without a copy): its fields,
+// JSON form and equality are public API, and it must not gain fields for
+// the kernels' own use. TestMatchFields in the root package pins them.
 type Scored struct {
 	// ID is the matched document's ID.
 	ID string

@@ -272,6 +272,26 @@ func TestMatchString(t *testing.T) {
 	}
 }
 
+// TestMatchFields pins the public result type's field set. Match is an
+// alias of the internal match.Scored, so a field added there for the
+// kernels' use would silently change the API, its JSON form and the
+// equality callers rely on.
+func TestMatchFields(t *testing.T) {
+	want := []reflect.StructField{
+		{Name: "ID", Type: reflect.TypeFor[string]()},
+		{Name: "Score", Type: reflect.TypeFor[float64]()},
+	}
+	typ := reflect.TypeFor[Match]()
+	if typ.NumField() != len(want) {
+		t.Fatalf("Match has %d fields, want %d (ID string, Score float64)", typ.NumField(), len(want))
+	}
+	for i, w := range want {
+		if f := typ.Field(i); f.Name != w.Name || f.Type != w.Type || f.Tag != "" {
+			t.Errorf("Match field %d = %s %v `%s`, want %s %v", i, f.Name, f.Type, f.Tag, w.Name, w.Type)
+		}
+	}
+}
+
 func TestMemoryResource(t *testing.T) {
 	r := NewMemoryResource([][3]string{{"a", "p", "b"}})
 	rels := r.Related("a")
