@@ -146,23 +146,17 @@ type Config struct {
 	// Dim is the embedding size (paper uses 300; default 96 keeps quality
 	// at laptop-friendly cost — override for larger corpora).
 	Dim int
-	// Window is the Word2Vec context window. The paper uses 3 with
-	// Skip-gram for text-to-data and 15 with CBOW for text tasks; 0 lets
-	// Build choose from the corpus kinds.
+	// Window is the Word2Vec context window. Build picks the objective
+	// from the corpus kinds as the paper does (§V): Skip-gram with window
+	// 3 when a table is involved, CBOW with window 15 for text-only tasks.
+	// A positive Window overrides the window, not the objective.
 	Window int
-	// CBOW switches from Skip-gram to CBOW. Set ChooseObjective to let
-	// Build pick per task, as in the paper.
-	CBOW bool
-	// ChooseObjective lets Build select Skip-gram/window-3 for table
-	// tasks and CBOW/window-15 for text-only tasks (§V). Default true
-	// via Defaults().
-	ChooseObjective bool
 	// Negative is the negative-sampling count (default 5).
 	Negative int
 	// Epochs over the walk corpus (default 2).
 	Epochs int
 	// Subsample is the frequent-token down-sampling threshold (word2vec's
-	// `sample`; default 1e-3). High-degree metadata hubs occur in a large
+	// `sample`; default 1e-2). High-degree metadata hubs occur in a large
 	// share of walk tokens, and without down-sampling their vectors
 	// diffuse — low-degree nodes then act as proxies of their single
 	// neighbor and outrank genuinely related nodes. Set negative to
@@ -242,7 +236,6 @@ func Defaults() Config {
 		Negative:         5,
 		Epochs:           2,
 		Subsample:        1e-2,
-		ChooseObjective:  true,
 		Workers:          runtime.GOMAXPROCS(0),
 		SegmentMaxDocs:   512,
 	}

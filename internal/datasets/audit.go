@@ -176,7 +176,6 @@ func Audit(cfg AuditConfig) (*Scenario, error) {
 	}
 	return &Scenario{
 		Name:    "audit",
-		Task:    TextToStructured,
 		First:   tax,
 		Second:  docCorpus,
 		Queries: docIDs,

@@ -110,7 +110,6 @@ func Claims(cfg ClaimsConfig, name string) (*Scenario, error) {
 
 	return &Scenario{
 		Name:    name,
-		Task:    TextToText,
 		First:   facts,
 		Second:  claims,
 		Queries: claimIDs,

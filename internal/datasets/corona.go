@@ -151,7 +151,6 @@ func Corona(cfg CoronaConfig, userSplit bool) (*Scenario, error) {
 	}
 	return &Scenario{
 		Name:    name,
-		Task:    TextToData,
 		First:   table,
 		Second:  text,
 		Queries: claimIDs,

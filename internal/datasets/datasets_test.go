@@ -17,7 +17,7 @@ func checkScenarioInvariants(t *testing.T, s *Scenario) {
 	}
 	targetSet := map[string]bool{}
 	for _, id := range s.Targets {
-		if _, ok := s.First.Doc(id); !ok && s.Task != TextToStructured {
+		if _, ok := s.First.Doc(id); !ok && s.First.Kind != corpus.Structured {
 			t.Errorf("target %s not in first corpus", id)
 		}
 		targetSet[id] = true
@@ -59,9 +59,6 @@ func TestIMDbWT(t *testing.T) {
 	}
 	if len(s.Queries) != 60 {
 		t.Errorf("reviews = %d, want 60", len(s.Queries))
-	}
-	if s.Task != TextToData {
-		t.Errorf("task = %v", s.Task)
 	}
 	if s.KB.Len() == 0 {
 		t.Error("IMDb KB empty")
@@ -207,9 +204,6 @@ func TestAudit(t *testing.T) {
 	checkScenarioInvariants(t, s)
 	if s.First.Kind != corpus.Structured {
 		t.Fatalf("first corpus kind = %v", s.First.Kind)
-	}
-	if s.Task != TextToStructured {
-		t.Errorf("task = %v", s.Task)
 	}
 	// Taxonomy paths: every concept reaches the root.
 	paths := s.First.Paths()
@@ -389,12 +383,6 @@ func TestScenarioTruthSet(t *testing.T) {
 	}
 	if len(s.TruthSet("missing")) != 0 {
 		t.Error("missing query must give empty set")
-	}
-}
-
-func TestTaskString(t *testing.T) {
-	if TextToData.String() == "" || TextToStructured.String() == "" || TextToText.String() == "" {
-		t.Error("task names empty")
 	}
 }
 

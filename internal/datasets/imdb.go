@@ -156,7 +156,6 @@ func IMDb(cfg IMDbConfig) (*Scenario, error) {
 	}
 	return &Scenario{
 		Name:    name,
-		Task:    TextToData,
 		First:   table,
 		Second:  text,
 		Queries: reviewIDs,

@@ -15,38 +15,10 @@ import (
 	"github.com/tdmatch/tdmatch/internal/kb"
 )
 
-// Task identifies the matching task family, which decides pipeline
-// defaults (Skip-gram window 3 for data tasks, CBOW window 15 for text
-// tasks, per §V).
-type Task uint8
-
-const (
-	// TextToData matches text snippets against table tuples.
-	TextToData Task = iota
-	// TextToStructured matches text documents against taxonomy concepts.
-	TextToStructured
-	// TextToText matches text snippets against text snippets.
-	TextToText
-)
-
-// String names the task.
-func (t Task) String() string {
-	switch t {
-	case TextToData:
-		return "text-to-data"
-	case TextToStructured:
-		return "text-to-structured"
-	default:
-		return "text-to-text"
-	}
-}
-
 // Scenario is a fully materialized matching task.
 type Scenario struct {
 	// Name identifies the scenario ("imdb-wt", "corona-gen", ...).
 	Name string
-	// Task selects pipeline defaults.
-	Task Task
 	// First and Second are the corpora in graph-creation order; queries
 	// come from Second (the text side) and targets from First, matching
 	// the paper's tasks (find tuples/concepts/facts for each query text).

@@ -127,7 +127,6 @@ func STS(cfg STSConfig, k int) (*Scenario, error) {
 	}
 	return &Scenario{
 		Name:    fmt.Sprintf("sts-k%d", k),
-		Task:    TextToText,
 		First:   rights,
 		Second:  lefts,
 		Queries: leftIDs,

@@ -54,13 +54,3 @@ func (s Sequences) Seq(i int) []int32 {
 
 // NumTokens returns the total token count across all sequences.
 func (s Sequences) NumTokens() int { return len(s.Tokens) }
-
-// Unpack materializes the packed corpus as [][]int32 views into the token
-// stream (no token copying) — the inverse adapter of PackSequences.
-func (s Sequences) Unpack() [][]int32 {
-	out := make([][]int32, s.Len())
-	for i := range out {
-		out[i] = s.Seq(i)
-	}
-	return out
-}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"time"
@@ -14,10 +15,10 @@ import (
 	"github.com/tdmatch/tdmatch/internal/compress"
 	"github.com/tdmatch/tdmatch/internal/datasets"
 	"github.com/tdmatch/tdmatch/internal/embed"
-	"github.com/tdmatch/tdmatch/internal/expand"
 	"github.com/tdmatch/tdmatch/internal/graph"
 	"github.com/tdmatch/tdmatch/internal/match"
 	"github.com/tdmatch/tdmatch/internal/metrics"
+	"github.com/tdmatch/tdmatch/internal/pipeline"
 	"github.com/tdmatch/tdmatch/internal/pretrained"
 	"github.com/tdmatch/tdmatch/internal/textproc"
 	"github.com/tdmatch/tdmatch/internal/walk"
@@ -131,18 +132,17 @@ type PipelineResult struct {
 	// DocVecs maps document IDs to metadata-node embeddings.
 	DocVecs map[string][]float32
 	Dim     int
-	// TrainTime covers walks + embedding training.
+	// TrainTime covers the graph freeze, walks and embedding training.
 	TrainTime time.Duration
 }
 
-// RunPipeline executes graph creation → (expansion) → (compression) →
-// walks → embeddings for a scenario and returns the artifacts.
+// RunPipeline runs the product's stage list (pipeline.FullStages) over a
+// scenario — graph creation → (expansion) → (compression) → walks →
+// embeddings — with the experiment settings, and returns the artifacts.
+// The SSuM baseline takes the compress stage's place.
 func RunPipeline(s *datasets.Scenario, sc Scale, o PipelineOpts) (*PipelineResult, error) {
-	if o.MaxNGram <= 0 {
-		o.MaxNGram = 3
-	}
 	bc := graph.BuildConfig{
-		Pre:                  textproc.Preprocessor{RemoveStopwords: true, Stem: true, MaxNGram: o.MaxNGram},
+		Pre:                  textproc.Preprocessor{RemoveStopwords: true, Stem: true, MaxNGram: cmp.Or(o.MaxNGram, 3)},
 		Filter:               o.Filter,
 		TFIDFTopK:            o.TFIDFTopK,
 		ConnectMetadata:      true,
@@ -152,81 +152,57 @@ func RunPipeline(s *datasets.Scenario, sc Scale, o PipelineOpts) (*PipelineResul
 	if o.UseLexicon && s.Lexicon != nil && s.Lexicon.Len() > 0 {
 		bc.Mergers = append(bc.Mergers, s.Lexicon)
 	}
-	res, err := graph.Build(s.First, s.Second, bc)
-	if err != nil {
-		return nil, err
-	}
-	g := res.Graph
-	pr := &PipelineResult{
-		Scenario:      s,
-		OriginalNodes: g.NumNodes(),
-		OriginalEdges: g.NumEdges(),
+	mode, window := pipeline.Objective(s.First, s.Second)
+	cfg := pipeline.Config{
+		Graph:               bc,
+		MaxRelationsPerNode: 64,
+		Compress:            o.Compression == "msp",
+		MSPRatio:            o.Ratio,
+		Seed:                sc.Seed + 31,
+		Walk: walk.Config{
+			NumWalks: cmp.Or(o.NumWalks, sc.NumWalks), Length: cmp.Or(o.WalkLength, sc.WalkLength),
+			Seed: sc.Seed, Workers: sc.Workers, KindWeights: o.KindWeights,
+		},
+		Embed: embed.Config{
+			Dim: cmp.Or(o.Dim, sc.Dim), Window: cmp.Or(o.Window, window), Epochs: cmp.Or(o.Epochs, sc.Epochs),
+			Mode: mode, Negative: 5, Subsample: 1e-2, Seed: sc.Seed, Workers: sc.Workers,
+		},
 	}
 	if o.Expand {
-		expand.Expand(g, s.KB, expand.Options{MaxRelationsPerNode: 64})
+		cfg.Resource = s.KB
 	}
-	pr.ExpandedNodes = g.NumNodes()
-	pr.ExpandedEdges = g.NumEdges()
-
-	switch o.Compression {
-	case "msp":
-		g = compress.MSP(g, compress.Options{Ratio: o.Ratio, Seed: sc.Seed + 31})
-	case "ssum":
-		g = compress.SSuM(g, o.Ratio, sc.Seed+31)
+	stages := pipeline.FullStages()
+	if o.Compression == "ssum" {
+		stages[2] = pipeline.Stage{Name: "ssum", Run: func(st *pipeline.State) error {
+			st.Build.Graph = compress.SSuM(st.Build.Graph, o.Ratio, cfg.Seed)
+			return nil
+		}}
 	}
-	pr.Graph = g
-
-	numWalks, length := sc.NumWalks, sc.WalkLength
-	if o.NumWalks > 0 {
-		numWalks = o.NumWalks
-	}
-	if o.WalkLength > 0 {
-		length = o.WalkLength
-	}
-	dim := sc.Dim
-	if o.Dim > 0 {
-		dim = o.Dim
-	}
-	epochs := sc.Epochs
-	if o.Epochs > 0 {
-		epochs = o.Epochs
-	}
-	mode := embed.SkipGram
-	window := 3
-	if s.Task == datasets.TextToText || s.Task == datasets.TextToStructured {
-		mode = embed.CBOW
-		window = 15
-	}
-	if o.Window > 0 {
-		window = o.Window
-	}
-
-	g.Freeze()
-	start := time.Now()
-	seqs := walk.GeneratePacked(g, walk.Config{NumWalks: numWalks, Length: length, Seed: sc.Seed,
-		Workers: sc.Workers, KindWeights: o.KindWeights})
-	em, err := embed.TrainPacked(seqs, g.Cap(), embed.Config{
-		Dim: dim, Window: window, Negative: 5, Epochs: epochs,
-		Mode: mode, Seed: sc.Seed, Workers: sc.Workers, Subsample: 1e-2,
-	})
-	if err != nil {
+	st := &pipeline.State{Cfg: cfg, First: s.First, Second: s.Second}
+	if err := pipeline.Run(st, stages); err != nil {
 		return nil, err
 	}
-	pr.TrainTime = time.Since(start)
-	pr.Dim = dim
-
-	pr.DocVecs = map[string][]float32{}
-	collect := func(ids []string) {
+	g := st.Build.Graph
+	pr := &PipelineResult{
+		Scenario:      s,
+		Graph:         g,
+		OriginalNodes: st.Stats.GraphNodes,
+		OriginalEdges: st.Stats.GraphEdges,
+		ExpandedNodes: st.Stats.ExpandedNodes,
+		ExpandedEdges: st.Stats.ExpandedEdges,
+		DocVecs:       map[string][]float32{},
+		Dim:           cfg.Embed.Dim,
+		TrainTime:     st.Stats.TrainTime,
+	}
+	for _, ids := range [][]string{s.Targets, s.Queries} {
 		for _, id := range ids {
 			if node, ok := g.MetaNode(id); ok {
-				if v := em.Vector(int32(node)); v != nil {
+				if v := st.Embed.Vector(int32(node)); v != nil {
 					pr.DocVecs[id] = v
 				}
 			}
 		}
 	}
-	collect(s.Targets)
-	collect(s.Queries)
 	return pr, nil
 }
 

@@ -376,14 +376,3 @@ func Build(a, b *corpus.Corpus, cfg BuildConfig) (*Result, error) {
 	}
 	return res, nil
 }
-
-// BuildSingle runs Algorithm 1 for one corpus only (used to grow graphs for
-// scaling experiments and for corpora matched against themselves).
-func BuildSingle(c *corpus.Corpus, cfg BuildConfig) (*Result, error) {
-	empty, err := corpus.NewText(c.Name+"-empty", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Filter = FilterNone
-	return Build(c, empty, cfg)
-}

@@ -257,23 +257,6 @@ func TestCanonicalizerChains(t *testing.T) {
 	}
 }
 
-func TestBuildSingle(t *testing.T) {
-	txt, err := corpus.NewText("t", []string{"alpha beta", "beta gamma"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := BuildSingle(txt, BuildConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Graph.MetadataNodes(First)) != 2 {
-		t.Errorf("metadata = %d, want 2", len(res.Graph.MetadataNodes(First)))
-	}
-	if _, ok := res.Graph.DataNode("beta"); !ok {
-		t.Error("missing shared data node")
-	}
-}
-
 func TestBuildNilCorpus(t *testing.T) {
 	if _, err := Build(nil, nil, BuildConfig{}); err == nil {
 		t.Error("want error for nil corpora")

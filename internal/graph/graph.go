@@ -237,11 +237,6 @@ func (g *Graph) mergeOverlay() {
 	g.foldOverlayEdges()
 }
 
-// MergeOverlay folds any pending patch overlay into the compact CSR
-// layout — an explicit compaction point for callers that want walks
-// back on the pure-CSR fast path after a burst of patches.
-func (g *Graph) MergeOverlay() { g.mergeOverlay() }
-
 // thaw rebuilds the mutable per-node adjacency slices from the CSR
 // (folding in any patch overlay) and drops it. Called by every mutating
 // method so a frozen graph stays fully functional at the cost of one
@@ -422,18 +417,6 @@ func (g *Graph) removeEdgeHalf(a, b NodeID) {
 			return
 		}
 	}
-}
-
-// RemoveEdge deletes the undirected edge {a,b} if present.
-func (g *Graph) RemoveEdge(a, b NodeID) {
-	k := edgeKey(a, b)
-	if _, ok := g.edges[k]; !ok {
-		return
-	}
-	g.thaw()
-	delete(g.edges, k)
-	g.removeEdgeHalf(a, b)
-	g.removeEdgeHalf(b, a)
 }
 
 // RemoveNode deletes the node and all incident edges. The NodeID stays

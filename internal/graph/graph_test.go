@@ -55,17 +55,6 @@ func TestAddEdgeUndirectedDedup(t *testing.T) {
 	}
 }
 
-func TestRemoveEdge(t *testing.T) {
-	g := New(4)
-	a, b := g.EnsureData("a"), g.EnsureData("b")
-	g.AddEdge(a, b)
-	g.RemoveEdge(a, b)
-	if g.NumEdges() != 0 || g.Degree(a) != 0 || g.Degree(b) != 0 {
-		t.Errorf("edge not fully removed: e=%d da=%d db=%d", g.NumEdges(), g.Degree(a), g.Degree(b))
-	}
-	g.RemoveEdge(a, b) // idempotent
-}
-
 func TestRemoveNode(t *testing.T) {
 	g := New(4)
 	a, b, c := g.EnsureData("a"), g.EnsureData("b"), g.EnsureData("c")

@@ -88,15 +88,3 @@ func (g *Graph) ShortestPath(src, dst NodeID) []NodeID {
 	}
 	return p[0]
 }
-
-// ConnectedComponent returns the nodes reachable from src (including src).
-func (g *Graph) ConnectedComponent(src NodeID) []NodeID {
-	dist := g.BFSDistances(src)
-	var out []NodeID
-	for i, d := range dist {
-		if d >= 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}

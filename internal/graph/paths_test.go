@@ -93,15 +93,6 @@ func TestShortestPath(t *testing.T) {
 	}
 }
 
-func TestConnectedComponent(t *testing.T) {
-	g, ids := chainGraph()
-	g.EnsureData("lonely")
-	comp := g.ConnectedComponent(ids[0])
-	if len(comp) != 6 {
-		t.Errorf("component size = %d, want 6", len(comp))
-	}
-}
-
 // Property: on random graphs, BFS distance obeys the triangle inequality
 // over edges — |dist(u) - dist(v)| <= 1 for every edge (u,v) reachable
 // from the source.

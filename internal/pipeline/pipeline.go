@@ -7,7 +7,10 @@
 //   - FullStages rebuilds everything from the two corpora, the batch
 //     path the paper describes. The public tdmatch.Build and Compact
 //     translate the public Config, run it, and keep the document and
-//     term vectors the serving indexes and ingest need.
+//     term vectors the serving indexes and ingest need. The paper's
+//     tables (internal/experiments) run the same stage list with the
+//     experiment settings, swapping only the compress stage for the
+//     SSuM baseline.
 //   - DeltaStages applies a Delta (documents added to or removed from a
 //     built State): the graph is patched in place against its frozen
 //     CSR, walks are seeded only from the delta's neighborhood, and the
@@ -159,6 +162,17 @@ func DeltaStages() []Stage {
 		{Name: "walks-delta", Run: runWalksDelta},
 		{Name: "train-delta", Run: runTrainDelta},
 	}
+}
+
+// Objective is the Word2Vec objective the paper selects per task (§V):
+// Skip-gram with window 3 when either corpus is a table, CBOW with window
+// 15 when both are text or taxonomy. Callers apply their own positive
+// window override.
+func Objective(first, second *corpus.Corpus) (embed.Mode, int) {
+	if first.Kind == corpus.Table || second.Kind == corpus.Table {
+		return embed.SkipGram, 3
+	}
+	return embed.CBOW, 15
 }
 
 // runGraph is the §II stage: build the joint graph over both corpora.

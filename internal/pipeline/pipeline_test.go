@@ -174,3 +174,35 @@ func TestDeltaStageErrorsPropagate(t *testing.T) {
 		t.Fatalf("error %q does not name the failing stage", err)
 	}
 }
+
+// TestObjective: a table on either side selects Skip-gram with window 3,
+// and text or taxonomy on both sides CBOW with window 15 (§V).
+func TestObjective(t *testing.T) {
+	table, err := corpus.NewTable("movies", []string{"title"}, [][]string{{"Alien"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := corpus.NewText("reviews", []string{"Weaver fights the alien"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax, err := corpus.NewStructured("tax", []corpus.Node{{ID: "horror", Text: "horror films"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		first, second *corpus.Corpus
+		mode          embed.Mode
+		window        int
+	}{
+		{"table/text", table, text, embed.SkipGram, 3},
+		{"text/table", text, table, embed.SkipGram, 3},
+		{"structured/text", tax, text, embed.CBOW, 15},
+		{"text/text", text, text, embed.CBOW, 15},
+	} {
+		if mode, window := Objective(c.first, c.second); mode != c.mode || window != c.window {
+			t.Errorf("%s: Objective = (%v, %d), want (%v, %d)", c.name, mode, window, c.mode, c.window)
+		}
+	}
+}

@@ -179,8 +179,8 @@ func walkInto(g *graph.Graph, start graph.NodeID, buf []int32, rng *splitRand) i
 	// Patched-frozen (or thawed) graph: step over the sealed row and the
 	// patch-overlay tail without materializing a merged neighbor slice.
 	// Indexing base-then-overlay matches the merged CSR layout, so the
-	// same RNG stream picks the same neighbors before and after a
-	// MergeOverlay compaction.
+	// same RNG stream picks the same neighbors before and after the
+	// overlay is merged (mergeOverlay).
 	for n < len(buf) {
 		base, ov := g.NeighborParts(cur)
 		d := len(base) + len(ov)
@@ -272,8 +272,7 @@ func (r *splitRand) intn(n int) int {
 }
 
 // PackWalks packs materialized [][]NodeID walks straight into the
-// embedder's packed format, skipping the intermediate [][]int32 that
-// ToSequences + embed.PackSequences would allocate — used by the
+// embedder's packed format, with no intermediate [][]int32 — used by the
 // second-order (node2vec) training path.
 func PackWalks(walks [][]graph.NodeID) embed.Sequences {
 	total := 0
@@ -294,34 +293,4 @@ func PackWalks(walks [][]graph.NodeID) embed.Sequences {
 		p.Offsets = append(p.Offsets, int32(len(p.Tokens)))
 	}
 	return p
-}
-
-// ToSequences converts walks of NodeIDs into int32 token sequences for the
-// embedder. Node IDs are used directly as token IDs; vocabSize is the
-// graph's ID capacity (g.Cap()).
-func ToSequences(walks [][]graph.NodeID) [][]int32 {
-	out := make([][]int32, len(walks))
-	for i, w := range walks {
-		s := make([]int32, len(w))
-		for j, n := range w {
-			s[j] = int32(n)
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// ToSentences renders walks as node-label sentences, matching the paper's
-// description of deriving textual sentences from walks. Used by tooling and
-// debugging; the pipeline trains on packed sequences directly.
-func ToSentences(g *graph.Graph, walks [][]graph.NodeID) [][]string {
-	out := make([][]string, len(walks))
-	for i, w := range walks {
-		s := make([]string, len(w))
-		for j, n := range w {
-			s[j] = g.Label(n)
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -219,25 +219,6 @@ func TestGeneratePackedEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestToSequences(t *testing.T) {
-	walks := [][]graph.NodeID{{1, 2, 3}, {4}}
-	seqs := ToSequences(walks)
-	if len(seqs) != 2 || seqs[0][2] != 3 || seqs[1][0] != 4 {
-		t.Errorf("ToSequences = %v", seqs)
-	}
-}
-
-func TestToSentences(t *testing.T) {
-	g := graph.New(3)
-	a := g.EnsureData("alpha")
-	b := g.EnsureData("beta")
-	g.AddEdge(a, b)
-	sents := ToSentences(g, [][]graph.NodeID{{a, b, a}})
-	if len(sents) != 1 || sents[0][0] != "alpha" || sents[0][1] != "beta" {
-		t.Errorf("ToSentences = %v", sents)
-	}
-}
-
 func TestDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.NumWalks <= 0 || c.Length <= 0 || c.Workers <= 0 {

@@ -237,7 +237,10 @@ func (m *Model) pipelineConfig() pipeline.Config {
 		}
 		pc.SecondOrder = &walk.SecondOrder{P: p, Q: q}
 	}
-	mode, window := m.objective()
+	mode, window := pipeline.Objective(m.first.c, m.second.c)
+	if cfg.Window > 0 {
+		window = cfg.Window
+	}
 	pc.Embed = embed.Config{
 		Dim:       cfg.Dim,
 		Window:    window,
@@ -504,32 +507,6 @@ func (m *Model) indexStatsOf(seg *match.Segmented) IndexStats {
 		st.Ef = h.Ef()
 	}
 	return st
-}
-
-// objective picks Skip-gram window 3 when a table is involved and CBOW
-// window 15 for text-only tasks, as in §V — unless overridden.
-func (m *Model) objective() (embed.Mode, int) {
-	mode := embed.SkipGram
-	window := m.cfg.Window
-	if m.cfg.ChooseObjective {
-		tableInvolved := m.first.c.Kind == corpus.Table || m.second.c.Kind == corpus.Table
-		if !tableInvolved {
-			mode = embed.CBOW
-			if window <= 0 {
-				window = 15
-			}
-		} else if window <= 0 {
-			window = 3
-		}
-	} else {
-		if m.cfg.CBOW {
-			mode = embed.CBOW
-		}
-		if window <= 0 {
-			window = 5
-		}
-	}
-	return mode, window
 }
 
 // Stats returns pipeline statistics.

@@ -1,9 +1,13 @@
 package tdmatch
 
 import (
+	"cmp"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/tdmatch/tdmatch/internal/embed"
 )
 
 // fixtureCorpora reproduces the paper's running example (Figures 1 and 4).
@@ -201,6 +205,87 @@ func TestBuildDeterministicWithOneWorker(t *testing.T) {
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatal("single-worker builds differ")
+		}
+	}
+}
+
+// textCorpora is a text-to-text pair, the case where the paper trains
+// CBOW with window 15.
+func textCorpora(t *testing.T) (*Corpus, *Corpus) {
+	t.Helper()
+	facts, err := NewText("facts", []string{
+		"Willis starred in the sixth sense directed by Shyamalan",
+		"Tarantino directed pulp fiction with Willis",
+		"Coppola directed the godfather starring Brando",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims, err := NewText("claims", []string{
+		"Shyamalan and Willis made the sixth sense",
+		"Brando was the godfather for Coppola",
+		"pulp fiction is a Tarantino film",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return facts, claims
+}
+
+// TestConfigLiteralTrainsPaperObjective: a Config literal trains the
+// objective Defaults() trains, so the zero values select the paper's
+// defaults as Config says; both builds give identical vector bits.
+func TestConfigLiteralTrainsPaperObjective(t *testing.T) {
+	facts, claims := textCorpora(t)
+	lit := Config{Seed: 5, NumWalks: 10, WalkLength: 10, Dim: 16, Epochs: 2, Workers: 1}
+	def := Defaults()
+	def.Seed, def.NumWalks, def.WalkLength, def.Dim, def.Epochs, def.Workers = 5, 10, 10, 16, 2, 1
+	a, err := Build(facts, claims, lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Build(facts, claims, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Vectors()) == 0 || len(a.Vectors()) != len(b.Vectors()) {
+		t.Fatalf("%d and %d document vectors", len(a.Vectors()), len(b.Vectors()))
+	}
+	for id, va := range a.Vectors() {
+		vb := b.Vector(id)
+		if len(vb) != len(va) {
+			t.Fatalf("%s: vector lengths %d and %d", id, len(va), len(vb))
+		}
+		for i := range va {
+			if math.Float32bits(va[i]) != math.Float32bits(vb[i]) {
+				t.Fatalf("%s: literal and Defaults() configs trained different vectors", id)
+			}
+		}
+	}
+}
+
+// TestWindowOverridesObjectiveWindow: a positive Window replaces the
+// window the corpus kinds select and keeps their objective.
+func TestWindowOverridesObjectiveWindow(t *testing.T) {
+	movies, reviews := fixtureCorpora(t)
+	facts, claims := textCorpora(t)
+	for _, c := range []struct {
+		name          string
+		first, second *Corpus
+		mode          embed.Mode
+		window        int
+	}{
+		{"table/text", movies, reviews, embed.SkipGram, 3},
+		{"text/text", facts, claims, embed.CBOW, 15},
+	} {
+		for _, window := range []int{0, 7} {
+			want := cmp.Or(window, c.window)
+			cfg := smallConfig()
+			cfg.Window = window
+			m := &Model{cfg: cfg.withDefaults(), first: c.first, second: c.second}
+			if e := m.pipelineConfig().Embed; e.Mode != c.mode || e.Window != want {
+				t.Errorf("%s, Window %d: trains (%v, %d), want (%v, %d)", c.name, window, e.Mode, e.Window, c.mode, want)
+			}
 		}
 	}
 }
