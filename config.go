@@ -196,32 +196,6 @@ type Config struct {
 	// back to one segment. 0 selects the default (512); negative
 	// disables auto-sealing so the delta grows until the next Compact.
 	SegmentMaxDocs int
-
-	// WalkBias enables kind-weighted walks, the typed-walk extension of
-	// the paper's future work (§VII). Nil keeps uniform random walks.
-	WalkBias *WalkBias
-
-	// ReturnParam and InOutParam enable node2vec-style second-order walks
-	// (the paper's cited alternative walk strategy, §IV-A): 1/ReturnParam
-	// weights stepping back to the previous node, 1/InOutParam weights
-	// moving away from its neighborhood. Both unset (0) or both 1 keeps
-	// the paper's default uniform walk.
-	ReturnParam float64
-	InOutParam  float64
-}
-
-// WalkBias weights the random-walk step probability by the kind of the
-// candidate next node. Weight 1 is neutral, 0 removes the kind from walk
-// steps entirely (nodes still start their own walks). Zero-valued fields
-// mean "unspecified" and default to 1.
-type WalkBias struct {
-	// Attribute weights table-column nodes; lowering it keeps walks from
-	// ricocheting through high-degree attribute hubs.
-	Attribute float64
-	// Metadata weights tuple/snippet/concept nodes.
-	Metadata float64
-	// External weights nodes added by graph expansion.
-	External float64
 }
 
 // Defaults returns the paper-faithful configuration at library scale.

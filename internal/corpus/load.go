@@ -11,19 +11,9 @@ import (
 	"strings"
 )
 
-// LoadCSV reads a table corpus from a CSV (or TSV) file. The first record
+// ReadCSV reads a table corpus from CSV (or TSV) text. The first record
 // is the header. When idColumn is non-empty that column provides document
 // IDs (and is still kept as a value); otherwise row numbers are used.
-func LoadCSV(path, name, idColumn string, comma rune) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(f, name, idColumn, comma)
-}
-
-// ReadCSV is LoadCSV over an io.Reader.
 func ReadCSV(r io.Reader, name, idColumn string, comma rune) (*Corpus, error) {
 	cr := csv.NewReader(r)
 	if comma != 0 {
@@ -67,17 +57,8 @@ func ReadCSV(r io.Reader, name, idColumn string, comma rune) (*Corpus, error) {
 	return NewTable(name, header, rows, nil)
 }
 
-// LoadTextLines reads a text corpus with one document per non-empty line.
-func LoadTextLines(path, name string) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTextLines(f, name)
-}
-
-// ReadTextLines is LoadTextLines over an io.Reader.
+// ReadTextLines reads a text corpus with one document per non-empty
+// line of r.
 func ReadTextLines(r io.Reader, name string) (*Corpus, error) {
 	var snippets []string
 	sc := bufio.NewScanner(r)
@@ -102,17 +83,7 @@ type jsonNode struct {
 	Parent string `json:"parent,omitempty"`
 }
 
-// LoadStructuredJSON reads a taxonomy corpus from a JSON array of nodes.
-func LoadStructuredJSON(path, name string) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadStructuredJSON(f, name)
-}
-
-// ReadStructuredJSON is LoadStructuredJSON over an io.Reader.
+// ReadStructuredJSON reads a taxonomy corpus from a JSON array of nodes.
 func ReadStructuredJSON(r io.Reader, name string) (*Corpus, error) {
 	var raw []jsonNode
 	if err := json.NewDecoder(r).Decode(&raw); err != nil {

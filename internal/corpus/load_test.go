@@ -80,21 +80,26 @@ func TestLoadBadJSON(t *testing.T) {
 
 func TestLoadCSVFromDisk(t *testing.T) {
 	path := writeTemp(t, "with_id.csv", "id,name\nx1,alpha\nx2,beta\n")
-	c, err := LoadCSV(path, "t", "id", ',')
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := ReadCSV(f, "t", "id", ',')
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Doc("x2"); !ok {
 		t.Error("id column ignored")
 	}
-	if _, err := LoadCSV(filepath.Join(t.TempDir(), "missing.csv"), "t", "", ','); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.csv"), "t"); err == nil {
 		t.Error("want error for missing file")
 	}
 }
 
 func TestLoadTextLinesFromDisk(t *testing.T) {
 	path := writeTemp(t, "docs.txt", "a\n\nb\n")
-	c, err := LoadTextLines(path, "docs")
+	c, err := Load(path, "docs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +110,14 @@ func TestLoadTextLinesFromDisk(t *testing.T) {
 
 func TestLoadStructuredJSONFromDisk(t *testing.T) {
 	path := writeTemp(t, "tax.json", `[{"id":"r","text":"root"}]`)
-	c, err := LoadStructuredJSON(path, "tax")
+	c, err := Load(path, "tax")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
 		t.Errorf("len = %d", c.Len())
 	}
-	if _, err := LoadStructuredJSON(filepath.Join(t.TempDir(), "m.json"), "tax"); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "m.json"), "tax"); err == nil {
 		t.Error("want error for missing file")
 	}
 }

@@ -121,18 +121,6 @@ func Claims(cfg ClaimsConfig, name string) (*Scenario, error) {
 	}, nil
 }
 
-// Snopes builds the easier text-to-text scenario: fewer facts, claims with
-// high token overlap (long tweets quoting the fact).
-func Snopes(seed int64) (*Scenario, error) {
-	return Claims(ClaimsConfig{Seed: seed, Facts: 1100, Claims: 120, OverlapHigh: true}, "snopes")
-}
-
-// Politifact builds the harder variant: a larger fact pool and terser
-// claims sharing fewer tokens with their fact.
-func Politifact(seed int64) (*Scenario, error) {
-	return Claims(ClaimsConfig{Seed: seed, Facts: 1700, Claims: 100, OverlapHigh: false}, "politifact")
-}
-
 // paraphraseClaim rewrites a fact as a tweet: synonyms replace the verb and
 // object, some slots drop, and filler words pad the text.
 func paraphraseClaim(r rng, f fact, overlapHigh bool) string {

@@ -60,8 +60,12 @@ func TestIMDbWT(t *testing.T) {
 	if len(s.Queries) != 60 {
 		t.Errorf("reviews = %d, want 60", len(s.Queries))
 	}
-	if s.KB.Len() == 0 {
-		t.Error("IMDb KB empty")
+	related := 0
+	for _, v := range s.First.Docs[0].Values {
+		related += len(s.KB.Related(v.Text))
+	}
+	if related == 0 {
+		t.Error("IMDb KB relates nothing in the first movie")
 	}
 	if s.Lexicon.Len() == 0 {
 		t.Error("IMDb lexicon empty")
@@ -245,12 +249,12 @@ func TestAuditAcronymsInLexicon(t *testing.T) {
 }
 
 func TestSnopesAndPolitifact(t *testing.T) {
-	sn, err := Snopes(1)
+	sn, err := Claims(ClaimsConfig{Seed: 1, Facts: 1100, Claims: 120, OverlapHigh: true}, "snopes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkScenarioInvariants(t, sn)
-	po, err := Politifact(1)
+	po, err := Claims(ClaimsConfig{Seed: 1, Facts: 1700, Claims: 100, OverlapHigh: false}, "politifact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,17 +376,6 @@ func TestGeneralCorpus(t *testing.T) {
 	if auditSentences > len(g)/8 {
 		t.Errorf("audit terms too frequent in general corpus: %d of %d sentences",
 			auditSentences, len(g))
-	}
-}
-
-func TestScenarioTruthSet(t *testing.T) {
-	s := &Scenario{Truth: map[string][]string{"q": {"a", "b"}}}
-	ts := s.TruthSet("q")
-	if !ts["a"] || !ts["b"] || len(ts) != 2 {
-		t.Errorf("TruthSet = %v", ts)
-	}
-	if len(s.TruthSet("missing")) != 0 {
-		t.Error("missing query must give empty set")
 	}
 }
 

@@ -1,7 +1,7 @@
 package datasets
 
 // GeneralCorpus builds the pre-training corpus for the pretrained-model
-// substitutes (Wikipedia2Vec / SentenceBERT stand-ins). It covers generic
+// substitute (the SentenceBERT stand-in). It covers generic
 // vocabulary — filler words, genre words and their colloquial synonyms,
 // political topics and paraphrases, country names, STS topic words and
 // person names — with stable co-occurrence structure, but none of the

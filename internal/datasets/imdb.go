@@ -274,7 +274,7 @@ func imdbKB(r rng, world []movie) *kb.Memory {
 }
 
 // imdbLexicon declares first-initial variants as synonyms of full names,
-// the WordNet/Wikipedia2Vec merge cases of §II-C.
+// the name-variant merge cases of §II-C.
 func imdbLexicon(world []movie) *kb.Lexicon {
 	l := kb.NewLexicon()
 	addName := func(full string) {

@@ -33,18 +33,8 @@ type Scenario struct {
 	KB *kb.Memory
 	// Lexicon holds synonyms/acronyms for node merging (may be empty).
 	Lexicon *kb.Lexicon
-	// General is the pre-training corpus for the S-BE / Wikipedia2Vec
-	// substitutes.
+	// General is the pre-training corpus for the S-BE substitute.
 	General [][]string
-}
-
-// TruthSet returns the relevant-target set for a query.
-func (s *Scenario) TruthSet(query string) map[string]bool {
-	out := map[string]bool{}
-	for _, t := range s.Truth[query] {
-		out[t] = true
-	}
-	return out
 }
 
 // rng wraps math/rand with the deterministic helpers generators need.

@@ -439,7 +439,7 @@ func rankAll(m *Model, query graph.NodeID, targets []graph.NodeID) []graph.NodeI
 	}
 	list := make([]scored, 0, len(targets))
 	for _, tgt := range targets {
-		list = append(list, scored{tgt, m.Similarity(int32(query), int32(tgt))})
+		list = append(list, scored{tgt, Cosine(m.Vector(int32(query)), m.Vector(int32(tgt)))})
 	}
 	for i := 1; i < len(list); i++ {
 		for j := i; j > 0; j-- {

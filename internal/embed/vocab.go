@@ -44,14 +44,6 @@ func (v *Vocab) ID(tok string) int32 {
 	return -1
 }
 
-// Token returns the string for an ID.
-func (v *Vocab) Token(id int32) string {
-	if id < 0 || int(id) >= len(v.tokens) {
-		return ""
-	}
-	return v.tokens[id]
-}
-
 // Encode converts sentences to ID sequences, dropping OOV tokens.
 func (v *Vocab) Encode(sents [][]string) [][]int32 {
 	out := make([][]int32, len(sents))
@@ -107,14 +99,4 @@ func (tm *TextModel) SentenceVector(tokens []string) []float32 {
 		}
 	}
 	return Mean(vecs, tm.Model.Dim)
-}
-
-// Similarity returns the cosine similarity between two tokens, 0 when
-// either is unknown.
-func (tm *TextModel) Similarity(a, b string) float64 {
-	va, vb := tm.Vector(a), tm.Vector(b)
-	if va == nil || vb == nil {
-		return 0
-	}
-	return Cosine(va, vb)
 }

@@ -119,15 +119,6 @@ func (m *Model) Vector(id int32) []float32 {
 	return m.Vecs[id]
 }
 
-// Similarity returns the cosine similarity of two token embeddings.
-func (m *Model) Similarity(a, b int32) float64 {
-	va, vb := m.Vector(a), m.Vector(b)
-	if va == nil || vb == nil {
-		return 0
-	}
-	return Cosine(va, vb)
-}
-
 // maxUnigramTableSize caps the negative-sampling table; tableSizeFor
 // shrinks it for small vocabularies so the randomly-probed table stays
 // cache-resident in the training hot loop.

@@ -30,8 +30,8 @@ func trainCluster(t *testing.T, mode Mode) *Model {
 
 func TestTrainSkipGramSeparatesClusters(t *testing.T) {
 	m := trainCluster(t, SkipGram)
-	within := m.Similarity(0, 2)
-	across := m.Similarity(0, 7)
+	within := Cosine(m.Vector(0), m.Vector(2))
+	across := Cosine(m.Vector(0), m.Vector(7))
 	if within <= across {
 		t.Errorf("within-cluster sim %.3f <= across %.3f", within, across)
 	}
@@ -39,8 +39,8 @@ func TestTrainSkipGramSeparatesClusters(t *testing.T) {
 
 func TestTrainCBOWSeparatesClusters(t *testing.T) {
 	m := trainCluster(t, CBOW)
-	within := m.Similarity(1, 3)
-	across := m.Similarity(1, 8)
+	within := Cosine(m.Vector(1), m.Vector(3))
+	across := Cosine(m.Vector(1), m.Vector(8))
 	if within <= across {
 		t.Errorf("within-cluster sim %.3f <= across %.3f", within, across)
 	}
@@ -72,7 +72,7 @@ func TestTrainParallelStillLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Similarity(0, 3) <= m.Similarity(0, 8) {
+	if Cosine(m.Vector(0), m.Vector(3)) <= Cosine(m.Vector(0), m.Vector(8)) {
 		t.Error("parallel training failed to separate clusters")
 	}
 }
@@ -114,7 +114,7 @@ func TestModelVectorBounds(t *testing.T) {
 	if nilM.Vector(0) != nil {
 		t.Error("nil model Vector must be nil")
 	}
-	if m.Similarity(0, 5) != 0 {
+	if Cosine(m.Vector(0), m.Vector(5)) != 0 {
 		t.Error("similarity with missing vector must be 0")
 	}
 }
@@ -221,8 +221,8 @@ func TestBuildVocab(t *testing.T) {
 	if v.ID("zzz") != -1 {
 		t.Error("OOV must be -1")
 	}
-	if v.Token(1) != "b" || v.Token(99) != "" {
-		t.Error("Token lookup wrong")
+	if v.tokens[1] != "b" {
+		t.Error("token lookup wrong")
 	}
 }
 
@@ -250,7 +250,7 @@ func TestTrainTextSentenceVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.Similarity("movie", "actor") <= tm.Similarity("movie", "virus") {
+	if Cosine(tm.Vector("movie"), tm.Vector("actor")) <= Cosine(tm.Vector("movie"), tm.Vector("virus")) {
 		t.Error("text model failed to cluster co-occurring words")
 	}
 	sv := tm.SentenceVector([]string{"movie", "director", "unknowntoken"})
@@ -260,7 +260,7 @@ func TestTrainTextSentenceVector(t *testing.T) {
 	if tm.Vector("unknowntoken") != nil {
 		t.Error("unknown token must have nil vector")
 	}
-	if tm.Similarity("movie", "unknowntoken") != 0 {
+	if Cosine(tm.Vector("movie"), tm.Vector("unknowntoken")) != 0 {
 		t.Error("similarity with OOV must be 0")
 	}
 }

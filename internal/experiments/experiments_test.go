@@ -144,12 +144,6 @@ func TestTablePrinting(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if v, ok := tbl.Value("sec1", "method-b", 0); !ok || v != 0.3 {
-		t.Errorf("Value = %f %v", v, ok)
-	}
-	if _, ok := tbl.Value("nope", "x", 0); ok {
-		t.Error("missing Value must be !ok")
-	}
 }
 
 func TestRegistryComplete(t *testing.T) {

@@ -92,14 +92,3 @@ func sum(xs []int) int {
 	}
 	return s
 }
-
-// Value returns the first value of the row matching section and method
-// (NaN-free: ok reports presence).
-func (t *Table) Value(section, method string, col int) (float64, bool) {
-	for _, r := range t.Rows {
-		if r.Section == section && r.Method == method && col < len(r.Values) {
-			return r.Values[col], true
-		}
-	}
-	return 0, false
-}

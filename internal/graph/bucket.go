@@ -47,9 +47,6 @@ func NewBucketerWidth(min, width float64) *Bucketer {
 	return &Bucketer{width: width, min: min}
 }
 
-// Width returns the bucket width.
-func (b *Bucketer) Width() float64 { return b.width }
-
 // quantile returns the linear-interpolated q-quantile of sorted values.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

@@ -556,26 +556,6 @@ func (g *Graph) removeNodesFrozen(victim []bool) {
 	}
 }
 
-// MergeData rewires every edge of drop onto keep and removes drop. Future
-// lookups of drop's label resolve to keep. Both must be data/external nodes.
-func (g *Graph) MergeData(keep, drop NodeID) error {
-	if keep == drop {
-		return nil
-	}
-	for _, id := range []NodeID{keep, drop} {
-		if k := g.kinds[id]; k != Data && k != External {
-			return fmt.Errorf("graph: MergeData on %v node %q", k, g.labels[id])
-		}
-	}
-	neighbors := append([]NodeID(nil), g.Neighbors(drop)...)
-	g.RemoveNode(drop)
-	for _, n := range neighbors {
-		g.AddEdge(keep, n)
-	}
-	g.dataIndex[g.labels[drop]] = keep
-	return nil
-}
-
 // Label returns the node label (term text for data nodes, document/column
 // ID for metadata).
 func (g *Graph) Label(id NodeID) string { return g.labels[id] }

@@ -80,36 +80,6 @@ func TestRemoveNode(t *testing.T) {
 	}
 }
 
-func TestMergeData(t *testing.T) {
-	g := New(8)
-	bruce := g.EnsureData("bruce willis")
-	bw := g.EnsureData("b willis")
-	p1, _ := g.AddMeta("rev:p1", Snippet, Second)
-	t1, _ := g.AddMeta("movies:t1", Tuple, First)
-	g.AddEdge(t1, bruce)
-	g.AddEdge(p1, bw)
-	if err := g.MergeData(bruce, bw); err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasEdge(p1, bruce) {
-		t.Error("edge not rewired to kept node")
-	}
-	if id, ok := g.DataNode("b willis"); !ok || id != bruce {
-		t.Errorf("alias lookup = %d %v, want %d", id, ok, bruce)
-	}
-	if g.NumNodes() != 3 {
-		t.Errorf("NumNodes = %d, want 3", g.NumNodes())
-	}
-	// Merging metadata nodes must fail.
-	if err := g.MergeData(p1, t1); err == nil {
-		t.Error("want error merging metadata nodes")
-	}
-	// Self merge is a no-op.
-	if err := g.MergeData(bruce, bruce); err != nil {
-		t.Errorf("self merge: %v", err)
-	}
-}
-
 func TestMetadataAndDataNodeListing(t *testing.T) {
 	g := New(8)
 	g.EnsureData("x")

@@ -2,9 +2,10 @@ package graph
 
 // Merger decides which terms should share one data node (§II-C). Mergers
 // return a term → canonical-term map; terms absent from the map stay as
-// they are. Implementations include numeric bucketing (Bucketer in this
-// package), lexicon merging (kb.Lexicon) for synonyms/acronyms/typos, and
-// embedding-similarity merging above a threshold γ (pretrained.Merger).
+// they are. The implementations are numeric bucketing (Bucketer in this
+// package) and lexicon merging (kb.Lexicon) for synonyms/acronyms/typos;
+// the paper's embedding-similarity merge above a threshold γ is not
+// reproduced (see README).
 type Merger interface {
 	Merge(terms []string) map[string]string
 }

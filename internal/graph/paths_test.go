@@ -164,8 +164,8 @@ func TestBucketer(t *testing.T) {
 	if b == nil {
 		t.Fatal("NewBucketer returned nil")
 	}
-	if b.Width() <= 0 {
-		t.Fatalf("width = %f", b.Width())
+	if b.width <= 0 {
+		t.Fatalf("width = %f", b.width)
 	}
 	if b.Canonical("abc") != "abc" {
 		t.Error("non-numeric term must pass through")

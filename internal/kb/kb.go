@@ -10,7 +10,6 @@
 package kb
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -33,7 +32,6 @@ type Resource interface {
 // The zero value is empty and usable.
 type Memory struct {
 	triples map[string][]Relation
-	nTriple int
 }
 
 // NewMemory returns an empty knowledge base.
@@ -55,7 +53,6 @@ func (m *Memory) Add(subject, predicate, object string) {
 	}
 	m.triples[s] = append(m.triples[s], Relation{Object: o, Predicate: predicate})
 	m.triples[o] = append(m.triples[o], Relation{Object: s, Predicate: predicate})
-	m.nTriple++
 }
 
 // Related implements Resource.
@@ -64,27 +61,6 @@ func (m *Memory) Related(term string) []Relation {
 		return nil
 	}
 	return m.triples[normalize(term)]
-}
-
-// Len returns the number of stored triples.
-func (m *Memory) Len() int {
-	if m == nil {
-		return 0
-	}
-	return m.nTriple
-}
-
-// Subjects returns the sorted set of all subjects/objects known to the KB.
-func (m *Memory) Subjects() []string {
-	if m == nil {
-		return nil
-	}
-	out := make([]string, 0, len(m.triples))
-	for s := range m.triples {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func normalize(s string) string {

@@ -13,7 +13,7 @@ func NewLexicon() *Lexicon {
 }
 
 // AddSynonyms declares that all variants share the canonical form. The
-// canonical term maps to itself so group membership is queryable.
+// canonical term maps to itself, so Len counts every member of a group.
 func (l *Lexicon) AddSynonyms(canonical string, variants ...string) {
 	c := normalize(canonical)
 	if c == "" {
@@ -26,18 +26,6 @@ func (l *Lexicon) AddSynonyms(canonical string, variants ...string) {
 			l.canon[nv] = c
 		}
 	}
-}
-
-// Canonical resolves a term; ok is false when the lexicon has no entry.
-func (l *Lexicon) Canonical(term string) (string, bool) {
-	if l == nil {
-		return term, false
-	}
-	c, ok := l.canon[normalize(term)]
-	if !ok {
-		return term, false
-	}
-	return c, true
 }
 
 // Len returns the number of lexicon entries (including canonical self-maps).
@@ -63,9 +51,7 @@ func (l *Lexicon) Merge(terms []string) map[string]string {
 	return out
 }
 
-// SynonymPairs enumerates (variant, canonical) pairs, used to calibrate the
-// γ threshold of embedding-based merging the way the paper calibrates on
-// 17K WordNet synonym pairs (§II-C).
+// SynonymPairs enumerates the (variant, canonical) pairs, in map order.
 func (l *Lexicon) SynonymPairs() [][2]string {
 	if l == nil {
 		return nil

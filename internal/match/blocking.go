@@ -40,9 +40,6 @@ func NewBlocker(texts []string) *Blocker {
 	return b
 }
 
-// Tokens returns the number of distinct indexed tokens.
-func (b *Blocker) Tokens() int { return len(b.postings) }
-
 // Candidates returns the sorted positions of targets sharing at least one
 // token with the query text. The boolean reports whether blocking was
 // effective; when the query has no known tokens it returns (nil, false)

@@ -245,22 +245,10 @@ func (x *HNSW) promote() {
 // borrowed backing (no mutation has promoted it yet).
 func (x *HNSW) Borrowed() bool { return x.borrowed }
 
-// Flat returns the exact index the graph was built over.
-func (x *HNSW) Flat() *Index { return x.flat }
-
-// M returns the per-layer degree cap (layer 0 allows 2M).
-func (x *HNSW) M() int { return x.m }
-
 // Ef returns the query-time beam width.
 func (x *HNSW) Ef() int { return x.ef }
 
-// EfConstruct returns the construction-time beam width.
-func (x *HNSW) EfConstruct() int { return x.efc }
-
-// Seed returns the level-generator seed.
-func (x *HNSW) Seed() int64 { return x.seed }
-
-// BuiltWith reports whether NewHNSW(x.Flat(), o) would draw this graph's
+// BuiltWith reports whether NewHNSW(x.flat, o) would draw this graph's
 // skeleton: o resolves to the M, EfConstruct and Seed the graph records,
 // and every row's level is the one that seed draws. The levels are
 // checked, not trusted: a graph adopted by NewHNSWParts records the
@@ -692,28 +680,6 @@ func (x *HNSW) Append(ids []string, arena []float32) error {
 // them, so they never surface in rankings; the query beam widens by the
 // tombstone count to compensate for the dead rows it may collect.
 func (x *HNSW) Remove(ids []string) int { return x.flat.Remove(ids) }
-
-// CloneWithFlat returns an HNSW index over the given clone of the
-// underlying flat index, deep-copying the mutable graph — the ingest
-// clone-mutate-swap path.
-func (x *HNSW) CloneWithFlat(flat *Index) *HNSW {
-	nx := &HNSW{
-		flat:      flat,
-		m:         x.m,
-		ef:        x.ef,
-		efc:       x.efc,
-		seed:      x.seed,
-		levels:    append([]int32(nil), x.levels...),
-		listStart: append([]int32(nil), x.listStart...),
-		links:     make([][]int32, len(x.links)),
-		entry:     x.entry,
-		maxLevel:  x.maxLevel,
-	}
-	for j, l := range x.links {
-		nx.links[j] = append([]int32(nil), l...)
-	}
-	return nx
-}
 
 // beamWidth returns the layer-0 beam width for one query: ef raised to
 // k, widened by the tombstone count so dead rows collected by the beam

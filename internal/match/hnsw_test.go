@@ -70,7 +70,7 @@ func TestHNSWSmallCorpusMatchesFlatExactly(t *testing.T) {
 	flat := randomIndex(t, 50, 16, 3)
 	h := NewHNSW(flat, HNSWOptions{Seed: 1}) // default ef=96 >= 50 rows
 	for qi := 0; qi < 50; qi += 5 {
-		q := flat.Vector(qi)
+		q := flat.row(qi)
 		if got, want := h.TopK(q, 10), flat.TopK(q, 10); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: delegated HNSW diverged from flat\nflat: %v\nhnsw: %v", qi, want, got)
 		}
@@ -133,7 +133,7 @@ func TestHNSWRecall(t *testing.T) {
 			// Remove zeroes a row in place, so keep copies of the queries.
 			var queries [][]float32
 			for qi := 0; qi < flat.rows(); qi += 20 {
-				queries = append(queries, append([]float32(nil), flat.Vector(qi)...))
+				queries = append(queries, append([]float32(nil), flat.row(qi)...))
 			}
 			checkHNSWRecall(t, h, flat, queries, "built")
 			var half []string
@@ -195,7 +195,7 @@ func TestHNSWAppendRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		got := h.TopK(extra.Vector(i), 1)
+		got := h.TopK(extra.row(i), 1)
 		if len(got) != 1 || got[0].ID != id {
 			t.Fatalf("appended %s not found as its own top-1: %v", id, got)
 		}
@@ -211,7 +211,7 @@ func TestHNSWAppendRemove(t *testing.T) {
 		dead[id] = true
 	}
 	for qi := 0; qi < 500; qi += 25 {
-		for _, s := range h.TopK(flat.Vector(qi), 10) {
+		for _, s := range h.TopK(flat.row(qi), 10) {
 			if dead[s.ID] {
 				t.Fatalf("tombstoned %s served for query %d", s.ID, qi)
 			}
@@ -219,30 +219,6 @@ func TestHNSWAppendRemove(t *testing.T) {
 	}
 	if want := 500 + 8 - 3; h.Len() != want {
 		t.Fatalf("Len = %d, want %d", h.Len(), want)
-	}
-}
-
-// TestHNSWCloneWithFlat: a clone over a cloned flat serves identically,
-// and mutating the clone leaves the original untouched.
-func TestHNSWCloneWithFlat(t *testing.T) {
-	flat := randomIndex(t, 300, 16, 13)
-	h := NewHNSW(flat, HNSWOptions{M: 8, Ef: 24, EfConstruct: 32, Seed: 3})
-	cl := h.CloneWithFlat(flat.Clone())
-	q := flat.Vector(7)
-	if got, want := cl.TopK(q, 10), h.TopK(q, 10); !reflect.DeepEqual(got, want) {
-		t.Fatalf("clone diverged before mutation:\n got %v\nwant %v", got, want)
-	}
-	if err := cl.Append([]string{"zz"}, flat.Vector(0)); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Remove([]string{"d0007"}) != 1 {
-		t.Fatal("Remove on clone failed")
-	}
-	if h.Len() != 300 || cl.Len() != 300 {
-		t.Fatalf("lens diverged wrong: orig %d clone %d", h.Len(), cl.Len())
-	}
-	if !hnswGraphEqual(h, NewHNSW(flat, HNSWOptions{M: 8, Ef: 24, EfConstruct: 32, Seed: 3})) {
-		t.Fatal("mutating the clone changed the original graph")
 	}
 }
 
@@ -336,7 +312,7 @@ func TestBorrowedHNSWPartsMatchesBuilt(t *testing.T) {
 		t.Fatal("parts-bound fingerprint diverged from built")
 	}
 	for qi := 0; qi < 300; qi += 17 {
-		q := flat.Vector(qi)
+		q := flat.row(qi)
 		if got, want := bound.TopK(q, 10), built.TopK(q, 10); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: parts-bound graph diverged\nbuilt: %v\nbound: %v", qi, want, got)
 		}
@@ -355,13 +331,13 @@ func TestBorrowedHNSWPartsMatchesBuilt(t *testing.T) {
 	}
 
 	// Append inserts into the graph: must promote, not write through.
-	if err := bound.Append([]string{"zz"}, flat.Vector(0)); err != nil {
+	if err := bound.Append([]string{"zz"}, flat.row(0)); err != nil {
 		t.Fatal(err)
 	}
 	if bound.Borrowed() {
 		t.Fatal("Append did not promote the borrowed graph")
 	}
-	if got := bound.TopK(flat.Vector(0), 2); len(got) < 1 {
+	if got := bound.TopK(flat.row(0), 2); len(got) < 1 {
 		t.Fatalf("appended doc not served: %v", got)
 	}
 	after, err := os.ReadFile(path)

@@ -189,10 +189,6 @@ func (x *Index) rows() int { return len(x.ids) }
 // isDead reports whether row i is tombstoned.
 func (x *Index) isDead(i int) bool { return x.dead != nil && x.dead[i] }
 
-// Vector returns the normalized vector of target i. Callers must not
-// mutate it.
-func (x *Index) Vector(i int) []float32 { return x.row(i) }
-
 // Arena returns the contiguous normalized-vector storage in index order.
 // Callers must not mutate it.
 func (x *Index) Arena() []float32 { return x.data }

@@ -42,9 +42,6 @@ func (m *Mapping) Data() []byte { return m.data }
 // than a heap copy.
 func (m *Mapping) Mapped() bool { return m.mapped }
 
-// Len returns the file length in bytes.
-func (m *Mapping) Len() int { return len(m.data) }
-
 // Close releases the mapping. After Close every view previously
 // derived from Data is invalid; the zero-copy snapshot loader
 // therefore keeps the Mapping pinned for the model's lifetime and only

@@ -27,7 +27,7 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 	defer m.Close()
 	if !bytes.Equal(m.Data(), want) {
-		t.Fatalf("mapped contents differ: got %d bytes", m.Len())
+		t.Fatalf("mapped contents differ: got %d bytes", len(m.Data()))
 	}
 	if uintptr(unsafe.Pointer(&m.Data()[0]))%8 != 0 {
 		t.Fatalf("mapping base not 8-byte aligned")
@@ -40,8 +40,8 @@ func TestOpenEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Len() != 0 {
-		t.Fatalf("empty file mapped to %d bytes", m.Len())
+	if len(m.Data()) != 0 {
+		t.Fatalf("empty file mapped to %d bytes", len(m.Data()))
 	}
 }
 

@@ -51,8 +51,6 @@ type Config struct {
 	Seed int64
 	// Walk parametrizes random-walk generation (§IV-A).
 	Walk walk.Config
-	// SecondOrder, when non-nil, switches to node2vec-style walks.
-	SecondOrder *walk.SecondOrder
 	// Embed parametrizes Word2Vec training (§IV-A).
 	Embed embed.Config
 }
@@ -236,12 +234,7 @@ func runWalks(s *State) error {
 	start := time.Now()
 	g := s.Build.Graph
 	g.Freeze()
-	if so := s.Cfg.SecondOrder; so != nil {
-		walks := walk.GenerateSecondOrder(g, s.Cfg.Walk, *so)
-		s.Seqs = walk.PackWalks(walks)
-	} else {
-		s.Seqs = walk.GeneratePacked(g, s.Cfg.Walk)
-	}
+	s.Seqs = walk.GeneratePacked(g, s.Cfg.Walk)
 	s.Stats.Walks = s.Seqs.Len()
 	s.Stats.TrainTime += time.Since(start)
 	return nil

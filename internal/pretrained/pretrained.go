@@ -1,16 +1,16 @@
 // Package pretrained provides the stand-in for the paper's pre-trained
-// resources: Wikipedia2Vec (used to merge synonym data nodes with a cosine
-// threshold γ, §II-C) and SentenceBERT (the unsupervised S-BE baseline,
-// §V). In the offline reproduction, a Word2Vec model is trained once on a
-// large synthetic "general corpus" generated from the scenario's world
+// sentence encoder: SentenceBERT, the unsupervised S-BE baseline (§V),
+// and the pre-trained features of the supervised baselines. In the
+// offline reproduction, a Word2Vec model is trained once on a large
+// synthetic "general corpus" generated from the scenario's world
 // vocabulary plus generic filler text; it therefore behaves like a real
 // pre-trained model — strong on generic words that the general corpus
 // covers, blind to domain-specific vocabulary — which is the contrast the
-// paper's experiments measure.
+// paper's experiments measure. Data nodes are merged by the scenario
+// lexicon (kb.Lexicon), not by embedding similarity (see README).
 package pretrained
 
 import (
-	"sort"
 	"strings"
 
 	"github.com/tdmatch/tdmatch/internal/embed"
@@ -23,9 +23,9 @@ type Model struct {
 	pre textproc.Preprocessor
 }
 
-// Train fits the model on a general corpus of sentences. The preprocessor
-// must match the one used to create graph terms so that merging compares
-// like with like.
+// Train fits the model on a general corpus of tokenized sentences;
+// SentenceVector runs raw text through the default preprocessor before
+// the lookup.
 func Train(sentences [][]string, cfg embed.Config) (*Model, error) {
 	tm, err := embed.TrainText(sentences, 2, cfg)
 	if err != nil {
@@ -34,14 +34,8 @@ func Train(sentences [][]string, cfg embed.Config) (*Model, error) {
 	return &Model{tm: tm, pre: textproc.DefaultPreprocessor()}, nil
 }
 
-// Vocabulary returns the number of known tokens.
-func (m *Model) Vocabulary() int { return m.tm.Vocab.Size() }
-
 // Dim returns the vector dimensionality.
 func (m *Model) Dim() int { return m.tm.Model.Dim }
-
-// Vector returns the token embedding or nil when unknown.
-func (m *Model) Vector(token string) []float32 { return m.tm.Vector(token) }
 
 // TermVector embeds a (possibly multi-token) term as the mean of its known
 // token vectors; nil when no token is known.
@@ -63,204 +57,4 @@ func (m *Model) TermVector(term string) []float32 {
 // S-BE substitute used as the unsupervised pre-trained baseline.
 func (m *Model) SentenceVector(text string) []float32 {
 	return m.TermVector(strings.Join(m.pre.Tokens(text), " "))
-}
-
-// Similarity is the cosine similarity between two term embeddings (0 when
-// either is unknown).
-func (m *Model) Similarity(a, b string) float64 {
-	va, vb := m.TermVector(a), m.TermVector(b)
-	if va == nil || vb == nil {
-		return 0
-	}
-	return embed.Cosine(va, vb)
-}
-
-// CalibrateGamma reproduces the paper's threshold calibration (§II-C):
-// γ is the average cosine similarity between known synonym pairs in the
-// pre-trained model (the paper uses 17K WordNet pairs and lands on 0.57
-// for Wikipedia2Vec). Pairs with unknown terms are skipped; fallback 0.57
-// when nothing is measurable.
-func (m *Model) CalibrateGamma(pairs [][2]string) float64 {
-	var sum float64
-	n := 0
-	for _, p := range pairs {
-		va, vb := m.TermVector(p[0]), m.TermVector(p[1])
-		if va == nil || vb == nil {
-			continue
-		}
-		sum += embed.Cosine(va, vb)
-		n++
-	}
-	if n == 0 {
-		return 0.57
-	}
-	return sum / float64(n)
-}
-
-// Merger returns a graph.Merger-compatible merger that unifies terms whose
-// embeddings exceed the cosine threshold gamma. Candidate pairs are
-// restricted to terms that share a token or differ by an edit distance of
-// at most two (the name-variant and typo cases of §II-C); an all-pairs
-// comparison over the full vocabulary would merge unrelated frequent terms
-// and is quadratic besides.
-func (m *Model) Merger(gamma float64) *Merger {
-	return &Merger{model: m, gamma: gamma}
-}
-
-// Merger implements embedding-threshold merging of data nodes.
-type Merger struct {
-	model *Model
-	gamma float64
-}
-
-// Merge returns a term → canonical mapping over the candidate pairs whose
-// cosine similarity clears γ, using union-find with the lexicographically
-// smallest member as canonical representative.
-func (mg *Merger) Merge(terms []string) map[string]string {
-	parent := make(map[string]string, len(terms))
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-	}
-	for _, pair := range candidatePairs(terms) {
-		a, b := pair[0], pair[1]
-		if mg.model.Similarity(a, b) >= mg.gamma {
-			union(a, b)
-		}
-	}
-	out := make(map[string]string)
-	for _, t := range terms {
-		if r := find(t); r != t {
-			out[t] = r
-		}
-	}
-	return out
-}
-
-// candidatePairs generates merge candidates: terms sharing a token, and
-// single-token terms within edit distance 2 that share a first letter
-// (the typo heuristic used instead of a quadratic scan).
-func candidatePairs(terms []string) [][2]string {
-	var pairs [][2]string
-	seen := map[[2]string]struct{}{}
-	addPair := func(a, b string) {
-		if a == b {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		k := [2]string{a, b}
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		pairs = append(pairs, k)
-	}
-	// Token-sharing index: "bruce willis" and "b willis" share "willis".
-	byToken := map[string][]string{}
-	for _, t := range terms {
-		for _, tok := range strings.Fields(t) {
-			byToken[tok] = append(byToken[tok], t)
-		}
-	}
-	for _, group := range byToken {
-		if len(group) > 50 {
-			continue // hub tokens generate useless quadratic pairs
-		}
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				addPair(group[i], group[j])
-			}
-		}
-	}
-	// Typo candidates: single tokens bucketed by first letter and length.
-	byBucket := map[string][]string{}
-	for _, t := range terms {
-		if strings.ContainsRune(t, ' ') || len(t) < 4 {
-			continue
-		}
-		key := t[:1]
-		byBucket[key] = append(byBucket[key], t)
-	}
-	var keys []string
-	for k := range byBucket {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		group := byBucket[k]
-		if len(group) > 200 {
-			continue
-		}
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				a, b := group[i], group[j]
-				d := len(a) - len(b)
-				if d < -2 || d > 2 {
-					continue
-				}
-				if editDistanceAtMost(a, b, 2) {
-					addPair(a, b)
-				}
-			}
-		}
-	}
-	return pairs
-}
-
-// editDistanceAtMost reports whether the Levenshtein distance between a and
-// b is <= limit, with early exit on band overflow.
-func editDistanceAtMost(a, b string, limit int) bool {
-	la, lb := len(a), len(b)
-	if la-lb > limit || lb-la > limit {
-		return false
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1
-			if cur[j-1]+1 < m {
-				m = cur[j-1] + 1
-			}
-			if prev[j-1]+cost < m {
-				m = prev[j-1] + cost
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
-		}
-		if rowMin > limit {
-			return false
-		}
-		prev, cur = cur, prev
-	}
-	return prev[lb] <= limit
 }

@@ -32,24 +32,22 @@ func trainModel(t *testing.T) *Model {
 
 func TestModelClustersDomains(t *testing.T) {
 	m := trainModel(t)
-	if m.Similarity("movi", "actor") <= m.Similarity("movi", "virus") {
+	movi := m.TermVector("movi")
+	if embed.Cosine(movi, m.TermVector("actor")) <= embed.Cosine(movi, m.TermVector("virus")) {
 		t.Error("pre-trained model failed to cluster domains")
 	}
-	if m.Vocabulary() == 0 || m.Dim() != 16 {
-		t.Errorf("Vocabulary=%d Dim=%d", m.Vocabulary(), m.Dim())
+	if m.Dim() != 16 {
+		t.Errorf("Dim=%d", m.Dim())
 	}
 }
 
 func TestModelUnknownToken(t *testing.T) {
 	m := trainModel(t)
-	if m.Vector("pdca") != nil {
+	if m.TermVector("pdca") != nil {
 		t.Error("domain acronym must be unknown to the general model")
 	}
 	if m.TermVector("pdca zzz") != nil {
 		t.Error("fully unknown term must be nil")
-	}
-	if m.Similarity("pdca", "movi") != 0 {
-		t.Error("similarity with unknown must be 0")
 	}
 }
 
@@ -75,89 +73,5 @@ func TestSentenceVector(t *testing.T) {
 	sim := embed.Cosine(v, m.TermVector("movi"))
 	if sim <= 0.3 {
 		t.Errorf("sentence vector far from its domain: %f", sim)
-	}
-}
-
-func TestCalibrateGamma(t *testing.T) {
-	m := trainModel(t)
-	pairs := [][2]string{{"movi", "film"}, {"case", "death"}}
-	gamma := m.CalibrateGamma(pairs)
-	if gamma <= 0 || gamma > 1 {
-		t.Errorf("gamma = %f out of range", gamma)
-	}
-	// No measurable pairs: fall back to the paper's 0.57.
-	if g := m.CalibrateGamma([][2]string{{"zz", "qq"}}); g != 0.57 {
-		t.Errorf("fallback gamma = %f", g)
-	}
-}
-
-func TestMergerMergesNameVariants(t *testing.T) {
-	m := trainModel(t)
-	// "movi director" and "director" share a token and have high cosine;
-	// with a permissive threshold they merge, with an impossible one not.
-	terms := []string{"director", "movi director", "virus"}
-	merged := m.Merger(0.5).Merge(terms)
-	if merged["movi director"] != "director" && merged["director"] != "movi director" {
-		// Either direction is acceptable as long as they share a canonical.
-		if len(merged) == 0 {
-			t.Errorf("no merge at gamma 0.5: %v", merged)
-		}
-	}
-	if got := m.Merger(1.01).Merge(terms); len(got) != 0 {
-		t.Errorf("impossible gamma still merged: %v", got)
-	}
-}
-
-func TestMergerDoesNotMergeAcrossDomains(t *testing.T) {
-	m := trainModel(t)
-	terms := []string{"movi star", "virus star"} // share token "star"
-	merged := m.Merger(0.95).Merge(terms)
-	if len(merged) != 0 {
-		t.Errorf("cross-domain merge at strict gamma: %v", merged)
-	}
-}
-
-func TestEditDistanceAtMost(t *testing.T) {
-	cases := []struct {
-		a, b  string
-		limit int
-		want  bool
-	}{
-		{"italy", "itly", 2, true},
-		{"italy", "italy", 2, true},
-		{"italy", "german", 2, false},
-		{"frence", "france", 2, true},
-		{"abcdef", "abc", 2, false},
-		{"", "ab", 2, true},
-	}
-	for _, c := range cases {
-		if got := editDistanceAtMost(c.a, c.b, c.limit); got != c.want {
-			t.Errorf("editDistanceAtMost(%q,%q,%d) = %v", c.a, c.b, c.limit, got)
-		}
-	}
-}
-
-func TestCandidatePairs(t *testing.T) {
-	terms := []string{"bruce willis", "b willis", "france", "frence", "xy"}
-	pairs := candidatePairs(terms)
-	has := func(a, b string) bool {
-		if a > b {
-			a, b = b, a
-		}
-		for _, p := range pairs {
-			if p[0] == a && p[1] == b {
-				return true
-			}
-		}
-		return false
-	}
-	if !has("bruce willis", "b willis") {
-		t.Error("token-sharing pair missing")
-	}
-	if !has("france", "frence") {
-		t.Error("typo pair missing")
-	}
-	if has("xy", "france") {
-		t.Error("unrelated short token paired")
 	}
 }

@@ -23,20 +23,3 @@ your yours yourself yourselves`
 	}
 	return m
 }()
-
-// IsStopword reports whether the lower-case token is in the default
-// stop-word list.
-func IsStopword(token string) bool {
-	_, ok := defaultStopwords[token]
-	return ok
-}
-
-// DefaultStopwords returns a copy of the built-in stop-word set so callers
-// can extend it without mutating package state.
-func DefaultStopwords() map[string]struct{} {
-	m := make(map[string]struct{}, len(defaultStopwords))
-	for w := range defaultStopwords {
-		m[w] = struct{}{}
-	}
-	return m
-}

@@ -123,21 +123,6 @@ func (p Preprocessor) Tokens(text string) []string {
 	return out
 }
 
-// Terms generates all n-gram terms (n = 1..MaxNGram) over the processed
-// tokens of text, in first-occurrence order. Multi-token terms are joined
-// with a single space, e.g. "six sens" for the movie title after stemming.
-func (p Preprocessor) Terms(text string) []string {
-	toks := p.Tokens(text)
-	return NGrams(toks, p.maxN())
-}
-
-func (p Preprocessor) maxN() int {
-	if p.MaxNGram <= 0 {
-		return 1
-	}
-	return p.MaxNGram
-}
-
 // NGrams returns every contiguous n-gram for n = 1..maxN over tokens,
 // deduplicated while preserving first-occurrence order.
 func NGrams(tokens []string, maxN int) []string {

@@ -123,7 +123,7 @@ func TestNGramsEmptyAndBounds(t *testing.T) {
 
 func TestTermsEndToEnd(t *testing.T) {
 	p := DefaultPreprocessor()
-	terms := p.Terms("The Sixth Sense")
+	terms := NGrams(p.Tokens("The Sixth Sense"), p.MaxNGram)
 	// stop word "the" removed; "sixth" -> "sixth", "sense" -> "sens".
 	found := map[string]bool{}
 	for _, tm := range terms {
@@ -251,16 +251,10 @@ func TestStemIdempotentProperty(t *testing.T) {
 }
 
 func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || !IsStopword("and") {
-		t.Error("expected the/and to be stop words")
-	}
-	if IsStopword("movie") || IsStopword("audit") {
-		t.Error("movie/audit must not be stop words")
-	}
-	m := DefaultStopwords()
-	m["movie"] = struct{}{}
-	if IsStopword("movie") {
-		t.Error("DefaultStopwords must return a copy")
+	for w, want := range map[string]bool{"the": true, "and": true, "movie": false, "audit": false} {
+		if _, got := defaultStopwords[w]; got != want {
+			t.Errorf("%q: stop word %v, want %v", w, got, want)
+		}
 	}
 }
 

@@ -4,9 +4,8 @@
 // Related metadata nodes co-occur in walks more often, so their embeddings
 // end up closer.
 //
-// The hot path is GeneratePacked, which writes walks directly into the
-// packed embed.Sequences training format (one contiguous token buffer, no
-// per-walk allocations); Generate is the [][]NodeID adapter over it.
+// GeneratePacked writes walks directly into the packed embed.Sequences
+// training format (one contiguous token buffer, no per-walk allocations).
 package walk
 
 import (
@@ -33,8 +32,8 @@ type Config struct {
 	// KindWeights biases the next-step choice by the neighbor's node kind,
 	// implementing the typed-walk extension the paper lists as future work
 	// (§VII). A weight of 0 removes that kind from walks entirely; kinds
-	// absent from the map default to weight 1. Nil keeps the paper's
-	// uniform random walk.
+	// absent from the map default to weight 1. A map whose every weight is
+	// 1, like nil, keeps the paper's uniform random walk.
 	KindWeights map[graph.NodeKind]float64
 }
 
@@ -88,6 +87,17 @@ func GeneratePackedFrom(g *graph.Graph, starts []graph.NodeID, cfg Config) embed
 		// NumWalks/Length well before this point).
 		panic(fmt.Sprintf("walk: %d walks of length %d overflow the packed int32 token index", total, length))
 	}
+	// Weights of 1 leave the step as it is; with no other weight the walk
+	// is the uniform one, RNG draws included.
+	var weights map[graph.NodeKind]float64
+	for kind, w := range cfg.KindWeights {
+		if w != 1 {
+			if weights == nil {
+				weights = map[graph.NodeKind]float64{}
+			}
+			weights[kind] = w
+		}
+	}
 	tokens := make([]int32, total*length)
 	lens := make([]int32, total)
 	parallelFor(len(starts), cfg.Workers, func(si int) {
@@ -96,10 +106,10 @@ func GeneratePackedFrom(g *graph.Graph, starts []graph.NodeID, cfg Config) embed
 			rng := newRand(uint64(cfg.Seed), uint64(node), uint64(k))
 			wi := si*cfg.NumWalks + k
 			slot := tokens[wi*length : (wi+1)*length]
-			if cfg.KindWeights == nil {
+			if weights == nil {
 				lens[wi] = int32(walkInto(g, node, slot, rng))
 			} else {
-				lens[wi] = int32(weightedWalkInto(g, node, slot, cfg.KindWeights, rng))
+				lens[wi] = int32(weightedWalkInto(g, node, slot, weights, rng))
 			}
 		}
 	})
@@ -136,25 +146,6 @@ func GeneratePackedFrom(g *graph.Graph, starts []graph.NodeID, cfg Config) embed
 		tokens = append([]int32(nil), tokens[:w]...)
 	}
 	return embed.Sequences{Tokens: tokens[:w], Offsets: offsets}
-}
-
-// Generate produces walks as sequences of NodeIDs, NumWalks per live node
-// — the materialized adapter over GeneratePacked for callers and tests
-// that want slice-of-slice walks. Walk content is identical to the packed
-// form: each (node, walk) pair has its own RNG stream, independent of
-// scheduling and of the output format.
-func Generate(g *graph.Graph, cfg Config) [][]graph.NodeID {
-	seqs := GeneratePacked(g, cfg)
-	out := make([][]graph.NodeID, seqs.Len())
-	for i := range out {
-		s := seqs.Seq(i)
-		walk := make([]graph.NodeID, len(s))
-		for j, t := range s {
-			walk[j] = graph.NodeID(t)
-		}
-		out[i] = walk
-	}
-	return out
 }
 
 // walkInto fills buf with a uniform random walk from start and returns the
@@ -271,26 +262,25 @@ func (r *splitRand) intn(n int) int {
 	return int(hi)
 }
 
-// PackWalks packs materialized [][]NodeID walks straight into the
-// embedder's packed format, with no intermediate [][]int32 — used by the
-// second-order (node2vec) training path.
-func PackWalks(walks [][]graph.NodeID) embed.Sequences {
-	total := 0
-	for _, w := range walks {
-		total += len(w)
+// parallelFor runs fn(i) for i in [0,n) across workers goroutines; results
+// are deterministic because fn only writes to disjoint slots.
+func parallelFor(n, workers int, fn func(int)) {
+	if workers > n && n > 0 {
+		workers = n
 	}
-	if int64(total) > int64(1)<<31-1 {
-		panic(fmt.Sprintf("walk: %d tokens overflow the packed int32 offset index", total))
+	if workers < 1 {
+		workers = 1
 	}
-	p := embed.Sequences{
-		Tokens:  make([]int32, 0, total),
-		Offsets: make([]int32, 1, len(walks)+1),
+	done := make(chan struct{}, workers)
+	for w := 0; w < workers; w++ {
+		go func(worker int) {
+			for i := worker; i < n; i += workers {
+				fn(i)
+			}
+			done <- struct{}{}
+		}(w)
 	}
-	for _, w := range walks {
-		for _, n := range w {
-			p.Tokens = append(p.Tokens, int32(n))
-		}
-		p.Offsets = append(p.Offsets, int32(len(p.Tokens)))
+	for w := 0; w < workers; w++ {
+		<-done
 	}
-	return p
 }

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/graph"
@@ -22,24 +23,25 @@ func ringGraph(t *testing.T, n int) *graph.Graph {
 
 func TestGenerateCounts(t *testing.T) {
 	g := ringGraph(t, 10)
-	walks := Generate(g, Config{NumWalks: 3, Length: 7, Seed: 1})
-	if len(walks) != 30 {
-		t.Fatalf("walks = %d, want 30", len(walks))
+	seqs := GeneratePacked(g, Config{NumWalks: 3, Length: 7, Seed: 1})
+	if seqs.Len() != 30 {
+		t.Fatalf("walks = %d, want 30", seqs.Len())
 	}
-	for _, w := range walks {
-		if len(w) != 7 {
-			t.Errorf("walk length = %d, want 7", len(w))
+	for i := range seqs.Len() {
+		if n := len(seqs.Seq(i)); n != 7 {
+			t.Errorf("walk length = %d, want 7", n)
 		}
 	}
 }
 
 func TestGenerateWalksFollowEdges(t *testing.T) {
 	g := ringGraph(t, 8)
-	walks := Generate(g, Config{NumWalks: 2, Length: 10, Seed: 2})
-	for _, w := range walks {
-		for i := 0; i+1 < len(w); i++ {
-			if !g.HasEdge(w[i], w[i+1]) {
-				t.Fatalf("walk step %d-%d is not an edge", w[i], w[i+1])
+	seqs := GeneratePacked(g, Config{NumWalks: 2, Length: 10, Seed: 2})
+	for i := range seqs.Len() {
+		w := seqs.Seq(i)
+		for j := 0; j+1 < len(w); j++ {
+			if !g.HasEdge(graph.NodeID(w[j]), graph.NodeID(w[j+1])) {
+				t.Fatalf("walk step %d-%d is not an edge", w[j], w[j+1])
 			}
 		}
 	}
@@ -47,10 +49,10 @@ func TestGenerateWalksFollowEdges(t *testing.T) {
 
 func TestGenerateStartsEveryNode(t *testing.T) {
 	g := ringGraph(t, 5)
-	walks := Generate(g, Config{NumWalks: 2, Length: 3, Seed: 3})
+	seqs := GeneratePacked(g, Config{NumWalks: 2, Length: 3, Seed: 3})
 	startCount := map[graph.NodeID]int{}
-	for _, w := range walks {
-		startCount[w[0]]++
+	for i := range seqs.Len() {
+		startCount[graph.NodeID(seqs.Seq(i)[0])]++
 	}
 	g.Nodes(func(id graph.NodeID) {
 		if startCount[id] != 2 {
@@ -62,12 +64,12 @@ func TestGenerateStartsEveryNode(t *testing.T) {
 func TestGenerateIsolatedNode(t *testing.T) {
 	g := graph.New(2)
 	g.EnsureData("alone")
-	walks := Generate(g, Config{NumWalks: 2, Length: 5, Seed: 4})
-	if len(walks) != 2 {
-		t.Fatalf("walks = %d", len(walks))
+	seqs := GeneratePacked(g, Config{NumWalks: 2, Length: 5, Seed: 4})
+	if seqs.Len() != 2 {
+		t.Fatalf("walks = %d", seqs.Len())
 	}
-	for _, w := range walks {
-		if len(w) != 1 {
+	for i := range seqs.Len() {
+		if w := seqs.Seq(i); len(w) != 1 {
 			t.Errorf("isolated walk = %v, want single node", w)
 		}
 	}
@@ -75,36 +77,18 @@ func TestGenerateIsolatedNode(t *testing.T) {
 
 func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	g := ringGraph(t, 20)
-	w1 := Generate(g, Config{NumWalks: 4, Length: 9, Seed: 7, Workers: 1})
-	w8 := Generate(g, Config{NumWalks: 4, Length: 9, Seed: 7, Workers: 8})
-	if len(w1) != len(w8) {
-		t.Fatalf("walk counts differ: %d vs %d", len(w1), len(w8))
-	}
-	for i := range w1 {
-		if len(w1[i]) != len(w8[i]) {
-			t.Fatalf("walk %d lengths differ", i)
-		}
-		for j := range w1[i] {
-			if w1[i][j] != w8[i][j] {
-				t.Fatalf("walk %d diverges at step %d with different worker counts", i, j)
-			}
-		}
+	w1 := GeneratePacked(g, Config{NumWalks: 4, Length: 9, Seed: 7, Workers: 1})
+	w8 := GeneratePacked(g, Config{NumWalks: 4, Length: 9, Seed: 7, Workers: 8})
+	if !slices.Equal(w1.Offsets, w8.Offsets) || !slices.Equal(w1.Tokens, w8.Tokens) {
+		t.Fatal("walks differ between 1 and 8 workers")
 	}
 }
 
 func TestGenerateSeedChangesWalks(t *testing.T) {
 	g := ringGraph(t, 20)
-	a := Generate(g, Config{NumWalks: 2, Length: 9, Seed: 1})
-	b := Generate(g, Config{NumWalks: 2, Length: 9, Seed: 2})
-	same := true
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				same = false
-			}
-		}
-	}
-	if same {
+	a := GeneratePacked(g, Config{NumWalks: 2, Length: 9, Seed: 1})
+	b := GeneratePacked(g, Config{NumWalks: 2, Length: 9, Seed: 2})
+	if slices.Equal(a.Tokens, b.Tokens) {
 		t.Error("different seeds produced identical walks")
 	}
 }
@@ -114,16 +98,12 @@ func TestGenerateSkipsRemovedNodes(t *testing.T) {
 	var victim graph.NodeID
 	g.Nodes(func(id graph.NodeID) { victim = id })
 	g.RemoveNode(victim)
-	walks := Generate(g, Config{NumWalks: 1, Length: 5, Seed: 5})
-	if len(walks) != 5 {
-		t.Fatalf("walks = %d, want 5 (one per live node)", len(walks))
+	seqs := GeneratePacked(g, Config{NumWalks: 1, Length: 5, Seed: 5})
+	if seqs.Len() != 5 {
+		t.Fatalf("walks = %d, want 5 (one per live node)", seqs.Len())
 	}
-	for _, w := range walks {
-		for _, n := range w {
-			if n == victim {
-				t.Fatal("walk visited removed node")
-			}
-		}
+	if slices.Contains(seqs.Tokens, int32(victim)) {
+		t.Fatal("walk visited removed node")
 	}
 }
 
@@ -185,26 +165,6 @@ func TestGeneratePackedMatchesReference(t *testing.T) {
 				if graph.NodeID(s[j]) != w[j] {
 					t.Fatalf("frozen=%v: walk %d diverges at step %d", frozen, i, j)
 				}
-			}
-		}
-	}
-}
-
-// TestGenerateMatchesPacked pins the adapter contract: the materialized
-// [][]NodeID walks are exactly the packed sequences.
-func TestGenerateMatchesPacked(t *testing.T) {
-	g := ringGraph(t, 10)
-	cfg := Config{NumWalks: 2, Length: 6, Seed: 5}
-	walks := Generate(g, cfg)
-	seqs := GeneratePacked(g, cfg)
-	if len(walks) != seqs.Len() {
-		t.Fatalf("walk counts differ: %d vs %d", len(walks), seqs.Len())
-	}
-	for i, w := range walks {
-		s := seqs.Seq(i)
-		for j := range w {
-			if int32(w[j]) != s[j] {
-				t.Fatalf("walk %d diverges at %d", i, j)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package walk
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/tdmatch/tdmatch/internal/graph"
@@ -30,29 +32,27 @@ func starFixture(t *testing.T) (*graph.Graph, graph.NodeID, graph.NodeID) {
 
 func TestWeightedWalkExcludesZeroWeightKind(t *testing.T) {
 	g, _, attr := starFixture(t)
-	walks := Generate(g, Config{
+	seqs := GeneratePacked(g, Config{
 		NumWalks: 5, Length: 12, Seed: 1,
 		KindWeights: map[graph.NodeKind]float64{graph.Attribute: 0},
 	})
-	for _, w := range walks {
-		for i, n := range w {
-			if i > 0 && n == attr {
-				t.Fatalf("walk stepped onto zero-weight attribute node: %v", w)
-			}
+	for i := range seqs.Len() {
+		if w := seqs.Seq(i); slices.Contains(w[1:], int32(attr)) {
+			t.Fatalf("walk stepped onto zero-weight attribute node: %v", w)
 		}
 	}
 }
 
 func TestWeightedWalkStillStartsEverywhere(t *testing.T) {
 	g, _, attr := starFixture(t)
-	walks := Generate(g, Config{
+	seqs := GeneratePacked(g, Config{
 		NumWalks: 2, Length: 6, Seed: 2,
 		KindWeights: map[graph.NodeKind]float64{graph.Attribute: 0},
 	})
 	// Walks still start from the attribute node (only steps are weighted).
 	found := false
-	for _, w := range walks {
-		if w[0] == attr {
+	for i := range seqs.Len() {
+		if seqs.Seq(i)[0] == int32(attr) {
 			found = true
 		}
 	}
@@ -64,7 +64,7 @@ func TestWeightedWalkStillStartsEverywhere(t *testing.T) {
 func TestWeightedWalkBiasesTowardHeavyKind(t *testing.T) {
 	g, hub, attr := starFixture(t)
 	// Heavily favor the attribute node from the hub.
-	walks := Generate(g, Config{
+	seqs := GeneratePacked(g, Config{
 		NumWalks: 200, Length: 2, Seed: 3,
 		KindWeights: map[graph.NodeKind]float64{
 			graph.Attribute: 50,
@@ -72,12 +72,13 @@ func TestWeightedWalkBiasesTowardHeavyKind(t *testing.T) {
 		},
 	})
 	attrSteps, total := 0, 0
-	for _, w := range walks {
-		if w[0] != hub || len(w) < 2 {
+	for i := range seqs.Len() {
+		w := seqs.Seq(i)
+		if w[0] != int32(hub) || len(w) < 2 {
 			continue
 		}
 		total++
-		if w[1] == attr {
+		if w[1] == int32(attr) {
 			attrSteps++
 		}
 	}
@@ -94,15 +95,15 @@ func TestWeightedWalkAllZeroNeighborsEndsWalk(t *testing.T) {
 	m, _ := g.AddMeta("m", graph.Snippet, graph.First)
 	d := g.EnsureData("only")
 	g.AddEdge(m, d)
-	walks := Generate(g, Config{
+	seqs := GeneratePacked(g, Config{
 		NumWalks: 2, Length: 10, Seed: 4,
 		KindWeights: map[graph.NodeKind]float64{
 			graph.Data:    0,
 			graph.Snippet: 0,
 		},
 	})
-	for _, w := range walks {
-		if len(w) != 1 {
+	for i := range seqs.Len() {
+		if w := seqs.Seq(i); len(w) != 1 {
 			t.Errorf("walk should end immediately, got %v", w)
 		}
 	}
@@ -114,13 +115,32 @@ func TestWeightedWalkDeterministic(t *testing.T) {
 		NumWalks: 4, Length: 8, Seed: 9,
 		KindWeights: map[graph.NodeKind]float64{graph.Attribute: 2},
 	}
-	a := Generate(g, cfg)
-	b := Generate(g, cfg)
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("weighted walks nondeterministic")
-			}
-		}
+	a := GeneratePacked(g, cfg)
+	b := GeneratePacked(g, cfg)
+	if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Tokens, b.Tokens) {
+		t.Fatal("weighted walks nondeterministic")
+	}
+}
+
+// TestUnitKindWeightIsTheUniformWalk: a weight of 1 leaves the step as it
+// is, so a map of unit weights walks exactly as nil does. The hub's high
+// degree makes any other draw than the uniform step's show.
+func TestUnitKindWeightIsTheUniformWalk(t *testing.T) {
+	g := graph.New(2001)
+	hub, err := g.AddMeta("hub", graph.Tuple, graph.First)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2000 {
+		g.AddEdge(hub, g.EnsureData(fmt.Sprintf("d%d", i)))
+	}
+	g.Freeze()
+	uniform := GeneratePacked(g, Config{NumWalks: 4, Length: 8, Seed: 9})
+	unit := GeneratePacked(g, Config{
+		NumWalks: 4, Length: 8, Seed: 9,
+		KindWeights: map[graph.NodeKind]float64{graph.Attribute: 1},
+	})
+	if !slices.Equal(uniform.Offsets, unit.Offsets) || !slices.Equal(uniform.Tokens, unit.Tokens) {
+		t.Fatal("KindWeights{Attribute: 1} walks differ from the uniform walk")
 	}
 }

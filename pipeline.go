@@ -217,25 +217,14 @@ func (m *Model) pipelineConfig() pipeline.Config {
 		MSPRatio:            cfg.CompressionRatio,
 		Seed:                cfg.Seed,
 		Walk: walk.Config{
-			NumWalks:    cfg.NumWalks,
-			Length:      cfg.WalkLength,
-			Seed:        cfg.Seed,
-			Workers:     m.buildWorkers(),
-			KindWeights: kindWeights(cfg.WalkBias),
+			NumWalks: cfg.NumWalks,
+			Length:   cfg.WalkLength,
+			Seed:     cfg.Seed,
+			Workers:  m.buildWorkers(),
 		},
 	}
 	if cfg.Resource != nil {
 		pc.Resource = resourceAdapter{cfg.Resource}
-	}
-	if cfg.ReturnParam > 0 || cfg.InOutParam > 0 {
-		p, q := cfg.ReturnParam, cfg.InOutParam
-		if p <= 0 {
-			p = 1
-		}
-		if q <= 0 {
-			q = 1
-		}
-		pc.SecondOrder = &walk.SecondOrder{P: p, Q: q}
 	}
 	mode, window := pipeline.Objective(m.first.c, m.second.c)
 	if cfg.Window > 0 {
@@ -781,24 +770,4 @@ func (m *Model) WriteGraphDOT(w io.Writer, name string) error {
 		return fmt.Errorf("tdmatch: model has no graph (restored from a save?)")
 	}
 	return m.g.WriteDOT(w, name)
-}
-
-// kindWeights translates the public WalkBias into internal kind weights.
-func kindWeights(b *WalkBias) map[graph.NodeKind]float64 {
-	if b == nil {
-		return nil
-	}
-	w := map[graph.NodeKind]float64{}
-	set := func(v float64, kinds ...graph.NodeKind) {
-		if v == 0 {
-			return // unspecified: keep default weight 1
-		}
-		for _, k := range kinds {
-			w[k] = v
-		}
-	}
-	set(b.Attribute, graph.Attribute)
-	set(b.Metadata, graph.Tuple, graph.Snippet, graph.Concept)
-	set(b.External, graph.External)
-	return w
 }
